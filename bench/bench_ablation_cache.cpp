@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
     const obs::Metrics m2 = obs::snapshot();
 
     // Cross-check the scheduler's own tally against the shared telemetry
-    // registry — the same counter `tgcover --metrics` reports. Logical
-    // counters are live in both TGC_OBS builds.
+    // registry — the same counter a `tgcover --obs-out` bundle records.
+    // Logical counters are live in both TGC_OBS builds.
     {
       const auto reg_cached = (m1 - m0).get(obs::CounterId::kVptTests);
       const auto reg_uncached = (m2 - m1).get(obs::CounterId::kVptTests);

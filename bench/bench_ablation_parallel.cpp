@@ -138,8 +138,8 @@ int main(int argc, char** argv) {
       std::vector<char> verdicts;
       double best = 1e300;
       // The test count is read back from the shared telemetry registry (the
-      // same counters `tgcover --metrics` reports) rather than a private
-      // tally, so bench numbers and CLI telemetry cannot drift apart.
+      // same counters a `tgcover --obs-out` bundle records) rather than a
+      // private tally, so bench numbers and CLI telemetry cannot drift apart.
       const obs::Metrics before = obs::snapshot();
       for (std::size_t rep = 0; rep < reps; ++rep) {
         best = std::min(best, timed_sweep(net, vpt, to_test, threads, verdicts));

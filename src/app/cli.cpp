@@ -14,7 +14,6 @@
 #include <optional>
 #include <ostream>
 #include <set>
-#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,15 +21,10 @@
 
 #include "tgcover/app/compare.hpp"
 #include "tgcover/app/fleet.hpp"
-#include "tgcover/app/node_report.hpp"
-#include "tgcover/app/profile_report.hpp"
 #include "tgcover/app/quality_audit.hpp"
-#include "tgcover/app/quality_report.hpp"
 #include "tgcover/app/report.hpp"
-#include "tgcover/app/rounds.hpp"
 #include "tgcover/app/run_bundle.hpp"
 #include "tgcover/app/scale.hpp"
-#include "tgcover/app/trace_analysis.hpp"
 #include "tgcover/core/confine.hpp"
 #include "tgcover/core/criterion.hpp"
 #include "tgcover/core/distributed.hpp"
@@ -57,7 +51,6 @@
 #include "tgcover/util/check.hpp"
 #include "tgcover/util/digest.hpp"
 #include "tgcover/util/rng.hpp"
-#include "tgcover/util/table.hpp"
 #include "tgcover/util/thread_pool.hpp"
 #include "tgcover/version.hpp"
 
@@ -183,37 +176,7 @@ obs::RunManifest make_manifest(const std::string& command,
   return m;
 }
 
-/// Writes `manifest.json` into the directory holding `sink_path`, so every
-/// artifact directory explains which build and config produced it.
-[[nodiscard]] bool write_manifest_sidecar(const obs::RunManifest& m,
-                                          const std::string& sink_path) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::path(sink_path).parent_path();
-  const fs::path path =
-      dir.empty() ? fs::path("manifest.json") : dir / "manifest.json";
-  obs::JsonlWriter w(path.string());
-  if (w.ok()) w.stream() << obs::manifest_sidecar_line(m) << "\n";
-  if (!w.close()) {
-    TGC_LOG(kError) << "manifest sidecar failed"
-                    << obs::kv("error", w.error());
-    return false;
-  }
-  return true;
-}
-
-// ------------------------------------------------------------- telemetry
-
-/// The telemetry knobs shared by the scheduling commands. Declaring them
-/// turns the runtime counters on for the duration of the command.
-struct MetricsOptions {
-  std::string out_path;   ///< full JSONL sink (empty = none)
-  std::string cost_path;  ///< logical-cost-only JSONL sink (empty = none)
-  bool table = false;     ///< print the per-round table to stderr
-
-  bool requested() const {
-    return table || !out_path.empty() || !cost_path.empty();
-  }
-};
+// --------------------------------------------------------- observability
 
 /// Declares the incremental-rounds escape hatch shared by the scheduling
 /// commands. Incremental (cross-round verdict caching with dirty-frontier
@@ -227,257 +190,63 @@ bool declare_incremental(util::ArgParser& args) {
       "round; schedules are bit-identical — ablation escape hatch)");
 }
 
-MetricsOptions declare_metrics_options(util::ArgParser& args) {
-  MetricsOptions m;
-  m.out_path = args.get_string("metrics-out", "",
-                               "write per-round telemetry JSONL here");
-  m.cost_path = args.get_string(
-      "cost-out", "",
-      "write only the machine-independent logical-cost JSONL here "
-      "(byte-identical across hosts, thread counts, and log levels)");
-  m.table = args.get_flag("metrics", "print per-round telemetry to stderr");
-  if (m.requested()) obs::set_enabled(true);
-  return m;
-}
-
-/// Writes the JSONL sink (embedded manifest line first, sidecar after) and/
-/// or the stderr table after a metered command. Returns false (after
-/// logging the reason) when the sink failed — the caller turns that into a
-/// non-zero exit code.
-[[nodiscard]] bool emit_metrics(const MetricsOptions& opts,
-                                const obs::RoundCollector& c,
-                                const obs::RunManifest& manifest,
-                                std::ostream& out) {
-  if (!opts.out_path.empty()) {
-    obs::JsonlWriter w(opts.out_path);
-    if (w.ok()) {
-      w.stream() << obs::manifest_header_line(manifest) << "\n";
-      c.write_jsonl(w.stream());
-    }
-    if (!w.close()) {
-      TGC_LOG(kError) << "metrics sink failed"
-                      << obs::kv("error", w.error());
-      return false;
-    }
-    if (!write_manifest_sidecar(manifest, opts.out_path)) return false;
-    out << "wrote " << c.events().size() << " round records + summary to "
-        << opts.out_path << "\n";
-  }
-  if (!opts.cost_path.empty()) {
-    // The cost stream embeds only the semantic manifest header (cfg_ keys),
-    // so two runs of the same build and config produce byte-identical files
-    // no matter the thread count or log level.
-    obs::JsonlWriter w(opts.cost_path);
-    if (w.ok()) {
-      w.stream() << obs::manifest_header_line(manifest) << "\n";
-      c.write_cost_jsonl(w.stream());
-    }
-    if (!w.close()) {
-      TGC_LOG(kError) << "cost sink failed" << obs::kv("error", w.error());
-      return false;
-    }
-    if (!write_manifest_sidecar(manifest, opts.cost_path)) return false;
-    out << "wrote logical-cost JSONL to " << opts.cost_path << "\n";
-  }
-  if (opts.table) {
-    std::vector<RoundRow> rows;
-    rows.reserve(c.events().size());
-    for (const obs::RoundEvent& ev : c.events()) {
-      rows.push_back(row_from_event(ev));
-    }
-    std::cerr << render_round_table(rows) << "wall time "
-              << util::Table::num(static_cast<double>(c.wall_ns()) / 1e6, 1)
-              << " ms";
-    if (!obs::kCompiledIn) {
-      std::cerr << " (span timers compiled out: ms columns are zero; "
-                   "logical counters stay live)";
-    }
-    std::cerr << "\n";
-  }
-  return true;
-}
-
-// ------------------------------------------------------------- profiling
-
-/// Declares --profile-out on the scheduling commands. A non-empty path arms
-/// the execution profiler for the run (per-worker timelines, pool/memory
-/// telemetry — DESIGN.md §13).
-std::string declare_profile_option(util::ArgParser& args) {
-  return args.get_string(
-      "profile-out", "",
-      "write the parallel-execution profile JSONL here (per-worker task/"
-      "idle/barrier timelines, phase totals, memory telemetry; render with "
-      "`tgcover profile-report`)");
-}
-
-/// Opens the profiler session sized to the command's resolved worker count.
-/// No-op when --profile-out was not given, so unprofiled runs stay on the
-/// one-relaxed-load path.
-void begin_profile(const std::string& path, unsigned threads) {
-  if (path.empty()) return;
-  obs::profile_begin(util::ThreadPool::resolve_num_threads(threads));
-}
-
-/// Drains the profiler and writes the JSONL sink (embedded manifest line
-/// first, sidecar after). Call immediately after the profiled run returns,
-/// before other sinks, so their I/O never pollutes the wall clock.
-[[nodiscard]] bool emit_profile(const std::string& path,
-                                const obs::RunManifest& manifest,
-                                std::ostream& out) {
-  if (path.empty()) return true;
-  const obs::ProfileData data = obs::profile_end();
-  std::size_t events = 0;
-  for (const obs::WorkerProfile& w : data.workers) events += w.events.size();
-  obs::JsonlWriter w(path);
-  if (w.ok()) {
-    w.stream() << obs::manifest_header_line(manifest) << "\n";
-    obs::write_profile_jsonl(data, w.stream());
-  }
-  if (!w.close()) {
-    TGC_LOG(kError) << "profile sink failed" << obs::kv("error", w.error());
-    return false;
-  }
-  if (!write_manifest_sidecar(manifest, path)) return false;
-  out << "wrote execution profile (" << data.workers.size() << " workers, "
-      << events << " events) to " << path << "\n";
-  return true;
-}
-
-// --------------------------------------------------------- node telemetry
-
-/// --node-telemetry-out plus the radio energy model knobs (DESIGN.md §14).
-/// The energy costs deliberately stay OUT of the manifest's semantic keys:
-/// they shape only the telemetry stream itself (recorded in its header
-/// line), so schedules, cost streams, and traces remain byte-identical
-/// whether telemetry is armed or not.
-struct NodeTelemetryOptions {
-  std::string path;
-  obs::EnergyModel energy;
+/// Declares --obs-out / --obs / --rs, the one observability surface of the
+/// run commands (DESIGN.md §8). None of them is a semantic manifest key:
+/// arming a collector never changes the schedule or the cost stream.
+struct ObsFlags {
+  ObsRequest request;
+  std::string collectors;
 };
 
-NodeTelemetryOptions declare_node_telemetry_options(util::ArgParser& args) {
-  NodeTelemetryOptions opts;
-  opts.path = args.get_string(
-      "node-telemetry-out", "",
-      "write per-node network/energy telemetry JSONL here (per-round node "
-      "records, link matrix, per-node summaries, talkers, Gini; render with "
-      "`tgcover node-report`)");
-  opts.energy.tx_cost = args.get_double(
-      "energy-tx", opts.energy.tx_cost,
-      "energy charged per message transmitted (incl. lost/dropped)");
-  opts.energy.rx_cost = args.get_double(
-      "energy-rx", opts.energy.rx_cost, "energy charged per message received");
-  opts.energy.idle_cost = args.get_double(
-      "energy-idle", opts.energy.idle_cost,
-      "energy charged per round a node stays active");
-  return opts;
+ObsFlags declare_obs(util::ArgParser& args) {
+  ObsFlags f;
+  f.request.dir = args.get_string(
+      "obs-out", "",
+      "write the run's observability bundle into this directory: "
+      "manifest.json, metrics.jsonl, cost.jsonl, plus one stream per --obs "
+      "collector (render with `tgcover report DIR`)");
+  f.collectors = args.get_string(
+      "obs", "",
+      "comma list of collectors to arm into the bundle: trace, profile, "
+      "nodes, quality");
+  f.request.rs = args.get_double(
+      "rs", 1.0, "sensing radius of the quality probe (gamma = Rc/rs)");
+  return f;
 }
 
-/// Creates the collector and binds it to this (the driving) thread. Returns
-/// nullptr and binds nothing when --node-telemetry-out was not given, so an
-/// unarmed run pays only the engines' thread_local null checks.
-std::unique_ptr<obs::NodeTelemetry> begin_node_telemetry(
-    const NodeTelemetryOptions& opts, std::size_t num_nodes) {
-  if (opts.path.empty()) return nullptr;
-  auto telemetry = std::make_unique<obs::NodeTelemetry>(num_nodes, opts.energy);
-  obs::set_node_telemetry(telemetry.get());
-  return telemetry;
-}
-
-/// Unbinds, finalizes, and writes the telemetry sink (embedded manifest
-/// line first, sidecar after). `positions` may be empty (no spatial overlay
-/// in the report then).
-[[nodiscard]] bool emit_node_telemetry(
-    const NodeTelemetryOptions& opts, obs::NodeTelemetry* telemetry,
-    std::span<const obs::NodePosition> positions,
-    const obs::RunManifest& manifest, std::ostream& out) {
-  if (telemetry == nullptr) return true;
-  obs::set_node_telemetry(nullptr);
-  telemetry->finalize();
-  obs::JsonlWriter w(opts.path);
-  if (w.ok()) {
-    w.stream() << obs::manifest_header_line(manifest) << "\n";
-    obs::write_node_telemetry_jsonl(*telemetry, positions, w.stream());
+/// Arms the --obs collectors the command supports. False (after printing
+/// the usage error) for an unknown name, a collector the command cannot
+/// arm, or collectors without a bundle directory.
+bool resolve_obs(ObsFlags& f, std::initializer_list<std::string_view> supported,
+                 std::ostream& out) {
+  const std::pair<std::string_view, bool ObsRequest::*> kCollectors[] = {
+      {"trace", &ObsRequest::trace},
+      {"profile", &ObsRequest::profile},
+      {"nodes", &ObsRequest::nodes},
+      {"quality", &ObsRequest::quality}};
+  for (const std::string& name : split_commas(f.collectors)) {
+    const auto* known =
+        std::find_if(std::begin(kCollectors), std::end(kCollectors),
+                     [&](const auto& c) { return c.first == name; });
+    if (known == std::end(kCollectors)) {
+      out << "error: unknown collector '" << name
+          << "' in --obs (trace|profile|nodes|quality)\n";
+      return false;
+    }
+    if (std::find(supported.begin(), supported.end(), name) ==
+        supported.end()) {
+      out << "error: this command cannot arm the '" << name
+          << "' collector (supported:";
+      for (const std::string_view s : supported) out << ' ' << s;
+      out << ")\n";
+      return false;
+    }
+    f.request.*(known->second) = true;
   }
-  if (!w.close()) {
-    TGC_LOG(kError) << "node-telemetry sink failed"
-                    << obs::kv("error", w.error());
+  if (f.request.dir.empty() && !f.collectors.empty()) {
+    out << "error: --obs needs a bundle directory: add --obs-out DIR\n";
     return false;
   }
-  if (!write_manifest_sidecar(manifest, opts.path)) return false;
-  const obs::NodeTelemetrySummary& s = telemetry->summary();
-  out << "wrote node telemetry (" << telemetry->num_nodes() << " nodes, "
-      << s.rounds << " rounds, gini "
-      << util::Table::num(s.traffic_gini, 3) << ", max node energy "
-      << util::Table::num(s.max_node_energy, 2) << " at node "
-      << s.max_energy_node << ") to " << opts.path << "\n";
-  return true;
-}
-
-// ------------------------------------------------------- quality auditing
-
-/// --quality-out plus the geometric probe knobs (DESIGN.md §15). Like the
-/// energy model, these deliberately stay OUT of the manifest's semantic
-/// keys: they shape only the quality stream itself (recorded in its header
-/// line), so schedules, cost streams, and traces remain byte-identical
-/// whether the auditor is armed or not.
-QualityKnobs declare_quality_options(util::ArgParser& args) {
-  QualityKnobs knobs;
-  knobs.path = args.get_string(
-      "quality-out", "",
-      "write per-round coverage-quality JSONL here (coverage fraction, "
-      "k-coverage histogram, hole diameters vs the Proposition 1 bound, "
-      "awake-set connectivity, certifiable tau; render with `tgcover "
-      "quality-report`)");
-  knobs.rs = args.get_double(
-      "rs", 1.0, "sensing radius for the coverage rasterizer (gamma = Rc/rs)");
-  const std::int64_t every = args.get_int(
-      "quality-every", 1, "sample the quality probe every Nth round");
-  TGC_CHECK_MSG(every >= 1, "--quality-every must be >= 1, got " << every);
-  knobs.every = static_cast<std::uint64_t>(every);
-  knobs.cell = args.get_double(
-      "quality-cell", 0.05, "coverage rasterizer cell side");
-  return knobs;
-}
-
-/// Builds the auditor over `net` and binds it to this (the driving) thread.
-/// Returns nullptr and binds nothing when --quality-out was not given, so an
-/// unarmed run pays only the scheduler's thread_local null checks.
-std::unique_ptr<obs::QualityAuditor> begin_quality(const QualityKnobs& knobs,
-                                                   const core::Network& net,
-                                                   unsigned tau) {
-  std::unique_ptr<obs::QualityAuditor> auditor =
-      make_quality_auditor(net, tau, knobs);
-  if (auditor != nullptr) obs::set_quality_auditor(auditor.get());
-  return auditor;
-}
-
-/// Unbinds, samples the final awake set, and writes the quality sink
-/// (embedded manifest line first, sidecar after).
-[[nodiscard]] bool emit_quality(const QualityKnobs& knobs,
-                                obs::QualityAuditor* auditor,
-                                const std::vector<bool>& active,
-                                const obs::RunManifest& manifest,
-                                std::ostream& out) {
-  if (auditor == nullptr) return true;
-  obs::set_quality_auditor(nullptr);
-  auditor->finalize(active);
-  obs::JsonlWriter w(knobs.path);
-  if (w.ok()) {
-    w.stream() << obs::manifest_header_line(manifest) << "\n";
-    obs::write_quality_jsonl(*auditor, w.stream());
-  }
-  if (!w.close()) {
-    TGC_LOG(kError) << "quality sink failed" << obs::kv("error", w.error());
-    return false;
-  }
-  if (!write_manifest_sidecar(manifest, knobs.path)) return false;
-  const obs::QualitySummary& s = auditor->summary();
-  out << "wrote quality audit (" << s.rounds_sampled
-      << " sampled rounds, min coverage "
-      << util::Table::num(s.min_coverage_fraction, 4) << ", worst hole "
-      << util::Table::num(s.max_hole_diameter, 3) << ", " << s.violations
-      << " bound violation(s)) to " << knobs.path << "\n";
   return true;
 }
 
@@ -490,6 +259,101 @@ std::vector<obs::NodePosition> node_positions_of(const gen::Deployment& dep) {
   }
   return positions;
 }
+
+/// The collectors of one run command: armed at construction (before the
+/// run), drained and written into one bundle by finish() (after it). With
+/// no --obs-out everything stays on the unarmed one-relaxed-load path.
+class RunObservers {
+ public:
+  RunObservers(const ObsRequest& req, const core::Network& net, unsigned tau,
+               unsigned threads)
+      : req_(req) {
+    if (req_.dir.empty()) return;
+    obs::set_enabled(true);
+    if (req_.trace) {
+      if (!obs::kCompiledIn) {
+        TGC_LOG(kWarn) << "tracing is compiled out (TGC_OBS=OFF); traces "
+                          "will have no events";
+      }
+      obs::trace_begin();
+    }
+    if (req_.profile) {
+      obs::profile_begin(util::ThreadPool::resolve_num_threads(threads));
+    }
+    if (req_.nodes) {
+      telemetry_ = std::make_unique<obs::NodeTelemetry>(
+          net.dep.graph.num_vertices(), obs::EnergyModel{});
+      obs::set_node_telemetry(telemetry_.get());
+    }
+    if (req_.quality) {
+      quality_ = make_quality_auditor(net, tau, req_.rs);
+      obs::set_quality_auditor(quality_.get());
+    }
+  }
+  ~RunObservers() {
+    obs::set_node_telemetry(nullptr);
+    obs::set_quality_auditor(nullptr);
+  }
+  RunObservers(const RunObservers&) = delete;
+  RunObservers& operator=(const RunObservers&) = delete;
+
+  /// The per-round collector to hand the scheduler (null when unarmed).
+  obs::RoundCollector* collector() {
+    return req_.dir.empty() ? nullptr : &collector_;
+  }
+
+  /// Drains every collector — the profiler first, so bundle I/O never
+  /// pollutes its wall clock — and writes the bundle. False after logging
+  /// when a sink failed.
+  [[nodiscard]] bool finish(const obs::RunManifest& manifest,
+                            const std::vector<bool>& active,
+                            const gen::Deployment& dep, std::ostream& out) {
+    if (req_.dir.empty()) return true;
+    obs::ProfileData profile;
+    if (req_.profile) profile = obs::profile_end();
+    if (telemetry_ != nullptr) {
+      obs::set_node_telemetry(nullptr);
+      telemetry_->finalize();
+    }
+    if (quality_ != nullptr) {
+      obs::set_quality_auditor(nullptr);
+      quality_->finalize(active);
+    }
+    std::vector<obs::TraceEvent> events;
+    if (req_.trace) events = obs::trace_end();
+    collector_.finalize(static_cast<std::uint64_t>(
+        std::count(active.begin(), active.end(), true)));
+
+    BundleWriter bundle(req_.dir, manifest);
+    collector_.write_jsonl(bundle.open("metrics.jsonl"));
+    // cost.jsonl carries only the semantic manifest header and logical
+    // counters: byte-identical across hosts, thread counts and log levels.
+    collector_.write_cost_jsonl(bundle.open("cost.jsonl"));
+    if (req_.trace) {
+      obs::write_trace_jsonl(events, bundle.open("trace.jsonl"));
+      obs::write_chrome_trace(events, bundle.open("trace.chrome.json"));
+    }
+    if (req_.profile) {
+      obs::write_profile_jsonl(profile, bundle.open("profile.jsonl"));
+      obs::write_profile_chrome_trace(profile,
+                                      bundle.open("profile.chrome.json"));
+    }
+    if (telemetry_ != nullptr) {
+      obs::write_node_telemetry_jsonl(*telemetry_, node_positions_of(dep),
+                                      bundle.open("nodes.jsonl"));
+    }
+    if (quality_ != nullptr) {
+      obs::write_quality_jsonl(*quality_, bundle.open("quality.jsonl"));
+    }
+    return bundle.close(out);
+  }
+
+ private:
+  ObsRequest req_;
+  obs::RoundCollector collector_;
+  std::unique_ptr<obs::NodeTelemetry> telemetry_;
+  std::unique_ptr<obs::QualityAuditor> quality_;
+};
 
 int cmd_generate(util::ArgParser& args, std::ostream& out) {
   const std::string type =
@@ -541,11 +405,10 @@ int cmd_schedule(util::ArgParser& args, std::ostream& out) {
   const unsigned threads = declare_threads(
       args, 1, "VPT worker threads (0 = hardware concurrency)");
   const bool incremental = declare_incremental(args);
-  const MetricsOptions metrics = declare_metrics_options(args);
-  const std::string profile_path = declare_profile_option(args);
-  const QualityKnobs q_opts = declare_quality_options(args);
+  ObsFlags obs_flags = declare_obs(args);
   configure_logging(args);
   args.finish();
+  if (!resolve_obs(obs_flags, {"profile", "quality"}, out)) return 2;
   const obs::RunManifest manifest =
       make_manifest("schedule", args, {"in", "tau", "seed", "band"});
 
@@ -555,18 +418,10 @@ int cmd_schedule(util::ArgParser& args, std::ostream& out) {
   config.seed = seed;
   config.num_threads = threads;
   config.incremental = incremental;
-  obs::RoundCollector collector;
-  if (metrics.requested()) config.collector = &collector;
-  begin_profile(profile_path, threads);
-  const std::unique_ptr<obs::QualityAuditor> quality =
-      begin_quality(q_opts, net, tau);
+  RunObservers observers(obs_flags.request, net, tau, threads);
+  config.collector = observers.collector();
   const core::ScheduleSummary s = core::run_dcc(net, config);
-  if (!emit_profile(profile_path, manifest, out)) return 1;
-  if (!emit_quality(q_opts, quality.get(), s.result.active, manifest, out)) {
-    return 1;
-  }
-  collector.finalize(s.result.survivors);
-  if (!emit_metrics(metrics, collector, manifest, out)) return 1;
+  if (!observers.finish(manifest, s.result.active, net.dep, out)) return 1;
   io::save_mask(s.result.active, out_path);
   out << "scheduled tau=" << tau << ": " << s.result.survivors << " of "
       << net.dep.graph.num_vertices() << " nodes awake ("
@@ -716,12 +571,6 @@ int cmd_distributed(util::ArgParser& args, std::ostream& out) {
   const double band = declare_band(args);
   const unsigned threads = declare_threads(
       args, 1, "VPT worker threads (0 = hardware concurrency)");
-  const std::string trace_out = args.get_string(
-      "trace-out", "", "write Chrome trace-event JSON here (open in Perfetto)");
-  const std::string trace_jsonl = args.get_string(
-      "trace-jsonl", "", "write the JSONL event trace here (trace-analyze)");
-  const std::string trace_clock = args.get_string(
-      "trace-clock", "wall", "Chrome trace timeline: wall | sim");
   const bool async = args.get_flag(
       "async", "run over the asynchronous lossy-link engine (α-synchronized)");
   const double loss =
@@ -735,25 +584,18 @@ int cmd_distributed(util::ArgParser& args, std::ostream& out) {
   const double retransmit = args.get_double(
       "retransmit", 4.0, "retransmission interval for unacked messages");
   const bool incremental = declare_incremental(args);
-  const MetricsOptions metrics = declare_metrics_options(args);
-  const std::string profile_path = declare_profile_option(args);
-  const NodeTelemetryOptions nt_opts = declare_node_telemetry_options(args);
-  const QualityKnobs q_opts = declare_quality_options(args);
+  ObsFlags obs_flags = declare_obs(args);
   configure_logging(args);
   args.finish();
+  if (!resolve_obs(obs_flags, {"trace", "profile", "nodes", "quality"}, out)) {
+    return 2;
+  }
   const obs::RunManifest manifest = make_manifest(
       "distributed", args,
       {"in", "tau", "seed", "band", "async", "loss", "min-delay", "max-delay",
        "net-seed", "retransmit"});
 
-  TGC_CHECK_MSG(trace_clock == "wall" || trace_clock == "sim",
-                "--trace-clock must be 'wall' or 'sim'");
   TGC_CHECK_MSG(async || loss == 0.0, "--loss requires --async");
-  const bool tracing = !trace_out.empty() || !trace_jsonl.empty();
-  if (tracing && !obs::kCompiledIn) {
-    TGC_LOG(kWarn)
-        << "tracing is compiled out (TGC_OBS=OFF); traces will have no events";
-  }
 
   const core::Network net = network_of(io::load_deployment(in_path), band);
   core::DccConfig config;
@@ -761,15 +603,8 @@ int cmd_distributed(util::ArgParser& args, std::ostream& out) {
   config.seed = seed;
   config.num_threads = threads;
   config.incremental = incremental;
-  obs::RoundCollector collector;
-  if (metrics.requested()) config.collector = &collector;
-
-  if (tracing) obs::trace_begin();
-  begin_profile(profile_path, threads);
-  const std::unique_ptr<obs::NodeTelemetry> telemetry =
-      begin_node_telemetry(nt_opts, net.dep.graph.num_vertices());
-  const std::unique_ptr<obs::QualityAuditor> quality =
-      begin_quality(q_opts, net, tau);
+  RunObservers observers(obs_flags.request, net, tau, threads);
+  config.collector = observers.collector();
   core::DccDistributedResult result;
   if (async) {
     core::DccAsyncOptions options;
@@ -784,50 +619,9 @@ int cmd_distributed(util::ArgParser& args, std::ostream& out) {
     result = core::dcc_schedule_distributed(net.dep.graph, net.internal,
                                             config);
   }
-  if (!emit_profile(profile_path, manifest, out)) return 1;
-  if (!emit_node_telemetry(nt_opts, telemetry.get(),
-                           node_positions_of(net.dep), manifest, out)) {
+  if (!observers.finish(manifest, result.schedule.active, net.dep, out)) {
     return 1;
   }
-  if (!emit_quality(q_opts, quality.get(), result.schedule.active, manifest,
-                    out)) {
-    return 1;
-  }
-  const std::vector<obs::TraceEvent> events =
-      tracing ? obs::trace_end() : std::vector<obs::TraceEvent>{};
-
-  collector.finalize(result.schedule.survivors);
-  if (!emit_metrics(metrics, collector, manifest, out)) return 1;
-  if (!trace_out.empty()) {
-    obs::JsonlWriter w(trace_out);
-    if (w.ok()) {
-      obs::write_chrome_trace(events, w.stream(),
-                              trace_clock == "sim" ? obs::TraceClock::kSim
-                                                   : obs::TraceClock::kWall);
-    }
-    if (!w.close()) {
-      TGC_LOG(kError) << "trace sink failed" << obs::kv("error", w.error());
-      return 1;
-    }
-    if (!write_manifest_sidecar(manifest, trace_out)) return 1;
-    out << "wrote Chrome trace (" << events.size() << " events) to "
-        << trace_out << "\n";
-  }
-  if (!trace_jsonl.empty()) {
-    obs::JsonlWriter w(trace_jsonl);
-    if (w.ok()) {
-      w.stream() << obs::manifest_header_line(manifest) << "\n";
-      obs::write_trace_jsonl(events, w.stream());
-    }
-    if (!w.close()) {
-      TGC_LOG(kError) << "trace sink failed" << obs::kv("error", w.error());
-      return 1;
-    }
-    if (!write_manifest_sidecar(manifest, trace_jsonl)) return 1;
-    out << "wrote JSONL trace (" << events.size() << " events) to "
-        << trace_jsonl << "\n";
-  }
-
   io::save_mask(result.schedule.active, out_path);
   out << "distributed DCC (tau=" << tau
       << "): " << result.schedule.survivors << " nodes awake after "
@@ -859,12 +653,10 @@ int cmd_repair(util::ArgParser& args, std::ostream& out) {
   const unsigned threads = declare_threads(
       args, 1, "VPT worker threads (0 = hardware concurrency)");
   const bool incremental = declare_incremental(args);
-  const MetricsOptions metrics = declare_metrics_options(args);
-  const std::string profile_path = declare_profile_option(args);
-  const NodeTelemetryOptions nt_opts = declare_node_telemetry_options(args);
-  const QualityKnobs q_opts = declare_quality_options(args);
+  ObsFlags obs_flags = declare_obs(args);
   configure_logging(args);
   args.finish();
+  if (!resolve_obs(obs_flags, {"profile", "nodes", "quality"}, out)) return 2;
   const obs::RunManifest manifest = make_manifest(
       "repair", args, {"in", "schedule", "failed", "tau", "band"});
 
@@ -878,26 +670,11 @@ int cmd_repair(util::ArgParser& args, std::ostream& out) {
   config.tau = tau;
   config.num_threads = threads;
   config.incremental = incremental;
-  obs::RoundCollector collector;
-  if (metrics.requested()) config.collector = &collector;
-  begin_profile(profile_path, threads);
-  const std::unique_ptr<obs::NodeTelemetry> telemetry =
-      begin_node_telemetry(nt_opts, net.dep.graph.num_vertices());
-  const std::unique_ptr<obs::QualityAuditor> quality =
-      begin_quality(q_opts, net, tau);
+  RunObservers observers(obs_flags.request, net, tau, threads);
+  config.collector = observers.collector();
   const core::RepairResult result = core::dcc_repair(
       net.dep.graph, net.internal, active, failed, net.cb, config);
-  if (!emit_profile(profile_path, manifest, out)) return 1;
-  if (!emit_node_telemetry(nt_opts, telemetry.get(),
-                           node_positions_of(net.dep), manifest, out)) {
-    return 1;
-  }
-  if (!emit_quality(q_opts, quality.get(), result.active, manifest, out)) {
-    return 1;
-  }
-  collector.finalize(static_cast<std::uint64_t>(
-      std::count(result.active.begin(), result.active.end(), true)));
-  if (!emit_metrics(metrics, collector, manifest, out)) return 1;
+  if (!observers.finish(manifest, result.active, net.dep, out)) return 1;
   io::save_mask(result.active, out_path);
   out << "repair: woke " << result.woken << " sleepers (radius "
       << result.final_radius << "), re-slept " << result.redeleted
@@ -907,245 +684,57 @@ int cmd_repair(util::ArgParser& args, std::ostream& out) {
   return result.criterion_restored ? 0 : 1;
 }
 
-int cmd_stats(util::ArgParser& args, std::ostream& out) {
-  const std::string in_path =
-      args.get_string("in", "metrics.jsonl", "telemetry JSONL file");
-  const bool csv = args.get_flag("csv", "emit the round table as CSV");
-  configure_logging(args);
-  args.finish();
-
-  const RoundLog log = load_round_log(in_path);
-  if (!log.error.empty()) {
-    out << "error: " << log.error << "\n";
-    return 1;
-  }
-  for (const std::string& note : log.notes) TGC_LOG(kWarn) << note;
-  const std::vector<RoundRow>& rows = log.rows;
-  if (rows.empty() && !log.summary.has_value() && log.cost_totals.empty()) {
-    // Covers both an empty file and a manifest-only one: a named error, not
-    // a silent empty table.
-    out << "error: no telemetry records in " << in_path
-        << (log.manifest.has_value() ? " (manifest only)" : "")
-        << " — produce it with --metrics-out or --cost-out\n";
-    return 1;
-  }
-
-  if (csv) {
-    // Re-render through Table for the CSV path too, so columns stay in sync.
-    util::Table table({"round", "active", "cand", "del", "vpt",
-                       "verdict_cache_hits", "dirty_nodes", "bfs", "horton",
-                       "gf2", "msgs", "lost", "rexmit", "ball_view_bytes",
-                       "cost", "ns_verdicts", "ns_mis", "ns_deletion"});
-    for (const RoundRow& r : rows) {
-      table.add_row({std::to_string(r.round), std::to_string(r.active),
-                     std::to_string(r.candidates), std::to_string(r.deleted),
-                     std::to_string(r.vpt_tests),
-                     std::to_string(r.cache_hits),
-                     std::to_string(r.dirty_nodes),
-                     std::to_string(r.bfs_expansions),
-                     std::to_string(r.horton_candidates),
-                     std::to_string(r.gf2_pivots), std::to_string(r.messages),
-                     std::to_string(r.messages_lost),
-                     std::to_string(r.retransmissions),
-                     std::to_string(r.ball_view_bytes),
-                     std::to_string(r.logical_cost),
-                     std::to_string(r.ns_verdicts), std::to_string(r.ns_mis),
-                     std::to_string(r.ns_deletion)});
-    }
-    out << table.to_csv();
-    return log.skipped > 0 ? 1 : 0;
-  }
-
-  if (!rows.empty()) out << render_round_table(rows);
-  if (!log.cost_totals.empty()) {
-    out << render_cost_table(log.cost_totals);
-  }
-  if (log.summary.has_value()) {
-    std::uint64_t cost = log.summary->u64("logical_cost");
-    if (cost == 0) {
-      obs::CostVec v;
-      for (std::size_t i = 0; i < obs::kNumCounters; ++i) {
-        v.units[i] = log.summary->u64(
-            std::string(obs::counter_name(static_cast<obs::CounterId>(i))));
-      }
-      cost = obs::logical_cost(v);
-    }
-    out << "summary: " << log.summary->u64("rounds") << " rounds, "
-        << log.summary->u64("survivors") << " survivors, wall "
-        << util::Table::num(log.summary->number("wall_ns") / 1e6, 1) << " ms, "
-        << log.summary->u64("vpt_tests") << " VPT tests, "
-        << log.summary->u64("messages") << " messages, logical cost " << cost;
-    if (log.summary->u64("obs_compiled") == 0) {
-      out << " (span timers were compiled out: ms columns are zero)";
-    }
-    out << "\n";
-  }
-  return log.skipped > 0 ? 1 : 0;
-}
-
-int cmd_trace_analyze(util::ArgParser& args, std::ostream& out) {
-  const std::string in_path = args.get_string(
-      "in", "trace.jsonl", "JSONL trace (from distributed --trace-jsonl)");
-  const bool check = args.get_flag(
-      "check", "validate trace invariants; non-zero exit on violation");
-  const auto top = static_cast<std::size_t>(
-      args.get_int("top", 5, "busiest nodes to list"));
-  configure_logging(args);
-  args.finish();
-
-  const TraceStats stats = analyze_trace_file(in_path);
-  for (const std::string& v : stats.violations) {
-    out << "violation: " << v << "\n";
-  }
-
-  out << "trace: " << stats.events << " events";
-  if (stats.header.has_value() && stats.header->u64("obs_compiled") == 0) {
-    out << " (tracing was compiled out)";
-  }
-  out << "\n";
-  if (stats.events > 0) {
-    out << "scheduler: " << stats.deletion_rounds << " deletion rounds, "
-        << stats.fixpoint_probes << " fixpoint probe(s), "
-        << stats.engine_rounds << " engine rounds\n";
-    out << "messages: " << stats.sends << " sent, " << stats.delivers
-        << " delivered, " << stats.drops << " dropped, " << stats.losses
-        << " lost, " << stats.retransmits << " retransmissions\n";
-    out << "causal critical path: " << stats.critical_path
-        << " message hops to convergence across " << stats.deletion_rounds
-        << " deletion rounds\n";
-    if (stats.latency_samples > 0) {
-      out << "delivery latency: min " << stats.latency_min << ", mean "
-          << stats.latency_sum / static_cast<double>(stats.latency_samples)
-          << ", max " << stats.latency_max << " (" << stats.latency_samples
-          << " samples)\n";
-    }
-    if (stats.losses > 0 || stats.retransmits > 0) {
-      out << "loss recovery: " << stats.losses << " transmissions ("
-          << stats.lost_words << " words) lost on the air, recovered by "
-          << stats.retransmits << " retransmissions\n";
-    }
-    if (stats.has_traffic) {
-      out << "per-node sent: min " << stats.sent_min << ", median "
-          << stats.sent_median << ", max " << stats.sent_max
-          << "; received: min " << stats.recv_min << ", median "
-          << stats.recv_median << ", max " << stats.recv_max << "\n";
-    }
-    if (!stats.busiest.empty()) {
-      out << "busiest nodes:";
-      for (std::size_t i = 0; i < std::min(top, stats.busiest.size()); ++i) {
-        out << " " << stats.busiest[i].second << " (" << stats.busiest[i].first
-            << ")";
-      }
-      out << "\n";
-    }
-  }
-
-  if (!stats.violations.empty()) {
-    out << stats.violations.size() << " invariant violation(s)\n";
-    return check ? 1 : 0;
-  }
-  if (check) out << "trace OK\n";
-  return 0;
-}
-
 int cmd_report(util::ArgParser& args, std::ostream& out) {
-  const std::string rounds_path = args.get_string(
-      "rounds", "metrics.jsonl",
-      "round telemetry JSONL (from --metrics-out) or a run directory");
-  const std::string trace_path = args.get_string(
-      "trace", "", "JSONL trace (from --trace-jsonl); optional");
+  const std::string in_path = args.get_string(
+      "in", "", "bundle directory or JSONL stream (or give it positionally)");
   const std::string out_path =
       args.get_string("out", "report.html", "output HTML dashboard");
   const std::string title =
       args.get_string("title", "tgcover run report", "report headline");
   configure_logging(args);
   args.finish();
+  if (in_path.empty()) {
+    out << "error: report needs a bundle: tgcover report DIR|FILE\n";
+    return 2;
+  }
 
-  RunBundle bundle = load_run_bundle(rounds_path);
+  const Bundle bundle = load_bundle(in_path);
   if (!bundle.error.empty()) {
     out << "error: " << bundle.error << "\n";
     return 1;
   }
-  RoundLog& log = bundle.log;
-  for (const std::string& note : log.notes) TGC_LOG(kWarn) << note;
-  if (log.rows.empty() && !log.summary.has_value() &&
-      log.cost_totals.empty()) {
-    out << "error: no round records in " << bundle.rounds_path
-        << " — produce one with --metrics-out\n";
+  for (const std::string& note : bundle.notes) TGC_LOG(kWarn) << note;
+  if (const std::string refusal = report_refusal(bundle); !refusal.empty()) {
+    out << "error: " << refusal << "\n";
+    return 1;
+  }
+  std::optional<TraceStats> trace;
+  if (bundle.has("trace_header") || !bundle.trace_events.empty()) {
+    trace = analyze_trace(bundle);
+  }
+  const TraceStats* trace_ptr = trace.has_value() ? &*trace : nullptr;
+  out << render_report_text(bundle, trace_ptr);
+  if (trace_ptr != nullptr && !trace->violations.empty()) {
+    out << "error: refusing to render an inconsistent trace ("
+        << trace->violations.size() << " violation(s) in " << in_path
+        << ")\n";
     return 1;
   }
 
-  ReportInputs inputs;
-  inputs.title = title;
-  inputs.manifest = log.manifest;
-  inputs.rounds = std::move(log.rows);
-  inputs.costs = std::move(log.costs);
-  inputs.cost_totals = std::move(log.cost_totals);
-  inputs.summary = log.summary;
-
-  TraceStats trace;
-  if (!trace_path.empty()) {
-    trace = analyze_trace_file(trace_path);
-    if (!trace.violations.empty()) {
-      for (const std::string& v : trace.violations) {
-        out << "violation: " << v << "\n";
-      }
-      out << "error: refusing to fuse an inconsistent trace ("
-          << trace.violations.size() << " violation(s) in " << trace_path
-          << ")\n";
-      return 1;
-    }
-    if (trace.manifest.has_value() && inputs.manifest.has_value() &&
-        trace.manifest->fields() != inputs.manifest->fields()) {
-      std::string key = "?";
-      for (const auto& [k, v] : inputs.manifest->fields()) {
-        const auto it = trace.manifest->fields().find(k);
-        if (it == trace.manifest->fields().end() || it->second != v) {
-          key = k;
-          break;
-        }
-      }
-      out << "error: " << rounds_path << " and " << trace_path
-          << " come from different runs (manifests disagree on '" << key
-          << "'); refusing to fuse them\n";
-      return 1;
-    }
-    if (!inputs.manifest.has_value()) inputs.manifest = trace.manifest;
-    inputs.trace = &trace;
-  }
-
-  // A quality sink sitting next to the metrics sink joins the dashboard as
-  // its own section — same convention the cost sections follow.
-  QualityLoad quality;
-  {
-    namespace fs = std::filesystem;
-    const fs::path dir = fs::path(bundle.rounds_path).parent_path();
-    const fs::path candidate =
-        dir.empty() ? fs::path("quality.jsonl") : dir / "quality.jsonl";
-    if (fs::exists(candidate)) {
-      quality = load_quality(candidate.string());
-      if (quality.error.empty()) {
-        inputs.quality = &quality;
-      } else {
-        TGC_LOG(kWarn) << "quality sink unusable"
-                       << obs::kv("error", quality.error);
-      }
-    }
-  }
-
-  const std::string html = render_report_html(inputs);
   std::ofstream f(out_path, std::ios::binary);
-  f << html;
+  f << render_report_html(bundle, trace_ptr, title);
   f.flush();
   if (!f.good()) {
     TGC_LOG(kError) << "report sink failed" << obs::kv("path", out_path);
     out << "error: cannot write '" << out_path << "'\n";
     return 1;
   }
-  out << "wrote report (" << inputs.rounds.size() << " rounds"
-      << (inputs.trace != nullptr ? ", trace fused" : "")
-      << (inputs.quality != nullptr ? ", quality fused" : "") << ") to "
-      << out_path << "\n";
+  out << "wrote report to " << out_path << "\n";
+  if (bundle.skipped > 0) {
+    out << "error: " << bundle.skipped << " unreadable line(s) skipped in "
+        << in_path << "\n";
+    return 1;
+  }
   return 0;
 }
 
@@ -1193,13 +782,11 @@ int cmd_fleet(util::ArgParser& args, std::ostream& out) {
       "resume",
       "skip grid cells already recorded ok in the sink and append only the "
       "missing or failed ones (refuses a sink from a different grid)");
-  const std::string profile_path = declare_profile_option(args);
-  const NodeTelemetryOptions nt_opts = declare_node_telemetry_options(args);
-  opts.node_telemetry_out = nt_opts.path;
-  opts.energy = nt_opts.energy;
-  opts.quality = declare_quality_options(args);
+  ObsFlags obs_flags = declare_obs(args);
   configure_logging(args);
   args.finish();
+  if (!resolve_obs(obs_flags, {"profile", "nodes", "quality"}, out)) return 2;
+  opts.obs = obs_flags.request;
 
   std::string error;
   if (!spec_path.empty()) {
@@ -1217,141 +804,7 @@ int cmd_fleet(util::ArgParser& args, std::ostream& out) {
     manifest.config.push_back(std::move(kv));
   }
 
-  begin_profile(profile_path, opts.threads);
-  const int rc = run_fleet(opts, manifest, out);
-  if (!emit_profile(profile_path, manifest, out)) return 1;
-  if (!write_manifest_sidecar(manifest, opts.sink_path)) return 1;
-  if (!opts.node_telemetry_out.empty() &&
-      !write_manifest_sidecar(manifest, opts.node_telemetry_out)) {
-    return 1;
-  }
-  if (!opts.quality.path.empty() &&
-      !write_manifest_sidecar(manifest, opts.quality.path)) {
-    return 1;
-  }
-  return rc;
-}
-
-int cmd_profile_report(util::ArgParser& args, std::ostream& out) {
-  const std::string in_path = args.get_string(
-      "in", "profile.jsonl", "profile JSONL sink (from --profile-out)");
-  const std::string out_path =
-      args.get_string("out", "profile.html", "output HTML dashboard");
-  const std::string chrome_out = args.get_string(
-      "chrome-out", "",
-      "also re-export the profile as Chrome trace-event JSON (Perfetto)");
-  const std::string title =
-      args.get_string("title", "tgcover execution profile", "report headline");
-  configure_logging(args);
-  args.finish();
-
-  const ProfileLoad load = load_profile(in_path);
-  if (!load.error.empty()) {
-    out << "error: " << load.error << "\n";
-    return 1;
-  }
-  if (load.skipped > 0) {
-    TGC_LOG(kWarn) << "profile sink has unreadable lines"
-                   << obs::kv("skipped", load.skipped);
-  }
-
-  const std::string html = render_profile_report_html(load, title);
-  std::ofstream f(out_path, std::ios::binary);
-  f << html;
-  f.flush();
-  if (!f.good()) {
-    TGC_LOG(kError) << "report sink failed" << obs::kv("path", out_path);
-    out << "error: cannot write '" << out_path << "'\n";
-    return 1;
-  }
-  std::size_t events = 0;
-  for (const obs::WorkerProfile& w : load.data.workers) {
-    events += w.events.size();
-  }
-  out << "wrote profile report (" << load.data.workers.size() << " workers, "
-      << events << " events) to " << out_path << "\n";
-
-  if (!chrome_out.empty()) {
-    obs::JsonlWriter w(chrome_out);
-    if (w.ok()) obs::write_profile_chrome_trace(load.data, w.stream());
-    if (!w.close()) {
-      TGC_LOG(kError) << "trace sink failed" << obs::kv("error", w.error());
-      return 1;
-    }
-    out << "wrote Chrome trace to " << chrome_out << "\n";
-  }
-  return 0;
-}
-
-int cmd_node_report(util::ArgParser& args, std::ostream& out) {
-  const std::string in_path =
-      args.get_string("in", "node_telemetry.jsonl",
-                      "node telemetry JSONL sink (from --node-telemetry-out)");
-  const std::string out_path =
-      args.get_string("out", "nodes.html", "output HTML dashboard");
-  const std::string title = args.get_string(
-      "title", "tgcover node telemetry", "report headline");
-  configure_logging(args);
-  args.finish();
-
-  const NodeTelemetryLoad load = load_node_telemetry(in_path);
-  if (!load.error.empty()) {
-    out << "error: " << load.error << "\n";
-    return 1;
-  }
-  if (load.skipped > 0) {
-    TGC_LOG(kWarn) << "node telemetry sink has unreadable lines"
-                   << obs::kv("skipped", load.skipped);
-  }
-
-  const std::string html = render_node_report_html(load, title);
-  std::ofstream f(out_path, std::ios::binary);
-  f << html;
-  f.flush();
-  if (!f.good()) {
-    TGC_LOG(kError) << "report sink failed" << obs::kv("path", out_path);
-    out << "error: cannot write '" << out_path << "'\n";
-    return 1;
-  }
-  out << "wrote node report (" << load.nodes << " nodes, " << load.rounds
-      << " rounds, " << load.round_records.size() << " round records) to "
-      << out_path << "\n";
-  return 0;
-}
-
-int cmd_quality_report(util::ArgParser& args, std::ostream& out) {
-  const std::string in_path = args.get_string(
-      "in", "quality.jsonl", "quality JSONL sink (from --quality-out)");
-  const std::string out_path =
-      args.get_string("out", "quality.html", "output HTML dashboard");
-  const std::string title = args.get_string(
-      "title", "tgcover coverage quality", "report headline");
-  configure_logging(args);
-  args.finish();
-
-  const QualityLoad load = load_quality(in_path);
-  if (!load.error.empty()) {
-    out << "error: " << load.error << "\n";
-    return 1;
-  }
-  if (load.skipped > 0) {
-    TGC_LOG(kWarn) << "quality sink has unreadable lines"
-                   << obs::kv("skipped", load.skipped);
-  }
-
-  const std::string html = render_quality_report_html(load, title);
-  std::ofstream f(out_path, std::ios::binary);
-  f << html;
-  f.flush();
-  if (!f.good()) {
-    TGC_LOG(kError) << "report sink failed" << obs::kv("path", out_path);
-    out << "error: cannot write '" << out_path << "'\n";
-    return 1;
-  }
-  out << "wrote quality report (" << load.rounds.size()
-      << " sampled rounds, " << load.violations.size()
-      << " violation(s)) to " << out_path << "\n";
-  return 0;
+  return run_fleet(opts, manifest, out);
 }
 
 int cmd_scale(util::ArgParser& args, std::ostream& out) {
@@ -1376,67 +829,22 @@ int cmd_scale(util::ArgParser& args, std::ostream& out) {
       make_manifest("scale", args, {"in", "tau", "seed", "band"});
 
   opts.threads.clear();
-  for (std::size_t start = 0; start <= ladder.size();) {
-    const std::size_t comma = ladder.find(',', start);
-    const std::size_t end = comma == std::string::npos ? ladder.size() : comma;
-    if (end > start) {
-      const std::string item = ladder.substr(start, end - start);
-      char* stop = nullptr;
-      const unsigned long v = std::strtoul(item.c_str(), &stop, 10);
-      TGC_CHECK_MSG(stop != nullptr && *stop == '\0' && v >= 1 && v <= 1024,
-                    "bad --threads rung '" << item
-                                           << "' (want integers in [1, 1024])");
-      opts.threads.push_back(static_cast<unsigned>(v));
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+  for (const std::string& item : split_commas(ladder)) {
+    char* stop = nullptr;
+    const unsigned long v = std::strtoul(item.c_str(), &stop, 10);
+    TGC_CHECK_MSG(stop != nullptr && *stop == '\0' && v >= 1 && v <= 1024,
+                  "bad --threads rung '" << item
+                                         << "' (want integers in [1, 1024])");
+    opts.threads.push_back(static_cast<unsigned>(v));
   }
 
   const int rc = run_scale(opts, manifest, out);
   if (rc == 0 && !opts.json_path.empty()) {
-    if (!write_manifest_sidecar(manifest, opts.json_path)) return 1;
+    const std::string dir =
+        std::filesystem::path(opts.json_path).parent_path().string();
+    if (!write_manifest_sidecar(manifest, dir.empty() ? "." : dir)) return 1;
   }
   return rc;
-}
-
-int cmd_fleet_report(util::ArgParser& args, std::ostream& out) {
-  const std::string in_path = args.get_string(
-      "in", "fleet.jsonl", "fleet JSONL sink (from `tgcover fleet`)");
-  const std::string out_path =
-      args.get_string("out", "fleet.html", "output HTML dashboard");
-  const std::string title =
-      args.get_string("title", "tgcover fleet report", "report headline");
-  configure_logging(args);
-  args.finish();
-
-  const FleetSink sink = load_fleet_sink(in_path);
-  if (!sink.error.empty()) {
-    out << "error: " << sink.error << "\n";
-    return 1;
-  }
-  if (sink.runs.empty()) {
-    out << "error: no run records in " << in_path
-        << " — produce one with `tgcover fleet`\n";
-    return 1;
-  }
-  if (sink.skipped > 0) {
-    TGC_LOG(kWarn) << "fleet sink has unreadable lines"
-                   << obs::kv("skipped", sink.skipped);
-  }
-
-  const std::string html = render_fleet_report_html(sink, title);
-  std::ofstream f(out_path, std::ios::binary);
-  f << html;
-  f.flush();
-  if (!f.good()) {
-    TGC_LOG(kError) << "report sink failed" << obs::kv("path", out_path);
-    out << "error: cannot write '" << out_path << "'\n";
-    return 1;
-  }
-  out << "wrote fleet report (" << sink.runs.size() << " runs";
-  if (sink.skipped > 0) out << ", " << sink.skipped << " lines skipped";
-  out << ") to " << out_path << "\n";
-  return 0;
 }
 
 /// Copies a run (directory or single JSONL file) into the baseline slot,
@@ -1502,15 +910,7 @@ int cmd_compare(std::vector<std::string> runs, util::ArgParser& args,
 
   CompareOptions opts;
   opts.runs = runs;
-  for (std::size_t start = 0; start <= allow.size();) {
-    const std::size_t comma = allow.find(',', start);
-    const std::size_t end = comma == std::string::npos ? allow.size() : comma;
-    if (end > start) {
-      opts.allow_diff.push_back(allow.substr(start, end - start));
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
+  opts.allow_diff = split_commas(allow);
   opts.threshold_pct = threshold;
   opts.json_path = json_path;
   opts.html_path = html_path;
@@ -1541,140 +941,74 @@ void print_help(std::ostream& out) {
   out << "tgcover — distributed confine coverage (ICDCS'10 reproduction)\n"
          "usage: tgcover <command> [--key value ...]\n\n"
          "commands:\n"
-         "  generate       create a deployment (--type udg|quasi|strip"
-         " --nodes N --degree D\n"
-         "                 --seed S --out FILE)\n"
-         "  schedule       run DCC (--in FILE --tau T --out MASK --threads"
-         " N)\n"
-         "  verify         certify a schedule (--in FILE --schedule MASK"
+         "  generate     create a deployment (--type udg|quasi|strip --nodes N"
+         " --degree D\n"
+         "               --seed S --out FILE)\n"
+         "  schedule     run DCC (--in FILE --tau T --out MASK --threads N)\n"
+         "  verify       certify a schedule (--in FILE --schedule MASK"
          " --tau T)\n"
-         "  quality        void sizes + smallest certifiable tau (--in FILE\n"
-         "                 [--schedule MASK] [--gamma G])\n"
-         "  render         draw as SVG (--in FILE [--schedule MASK] --out"
-         " SVG)\n"
-         "  trace          synthesize a GreenOrbs-style RSSI-trace network\n"
-         "  distributed    run the real message-passing scheduler, report"
-         " cost\n"
-         "                 (--threads N; --async [--loss P --min-delay D"
+         "  quality      void sizes + smallest certifiable tau (--in FILE\n"
+         "               [--schedule MASK] [--gamma G])\n"
+         "  render       draw as SVG (--in FILE [--schedule MASK] --out SVG)\n"
+         "  trace        synthesize a GreenOrbs-style RSSI-trace network\n"
+         "  distributed  run the real message-passing scheduler, report cost\n"
+         "               (--threads N; --async [--loss P --min-delay D"
          " --max-delay D\n"
-         "                 --net-seed S --retransmit I] runs over the lossy"
-         " asynchronous\n"
-         "                 engine; --trace-out FILE writes Chrome/Perfetto"
-         " JSON,\n"
-         "                 --trace-jsonl FILE the compact causal event"
-         " trace,\n"
-         "                 --trace-clock wall|sim picks the Chrome timeline)\n"
-         "  repair         wake sleepers around crashed nodes and"
-         " re-certify\n"
-         "  stats          aggregate a telemetry JSONL into a per-round"
-         " table\n"
-         "                 (stats FILE | --in FILE [--csv])\n"
-         "  trace-analyze  causal analysis of a --trace-jsonl file: critical"
-         " path,\n"
-         "                 per-node traffic, latency, loss recovery\n"
-         "                 (trace-analyze FILE [--check] [--top N])\n"
-         "  report         fuse a round log + trace into one self-contained"
-         " HTML\n"
-         "                 dashboard (report [METRICS|DIR] [--rounds FILE]"
-         " [--trace FILE]\n"
-         "                 [--out report.html] [--title T])\n"
-         "  fleet          expand a parameter grid (--models M,.. --nodes"
-         " N,.. --degrees D,..\n"
-         "                 --taus T,.. --losses P,.. --seeds S,.. or --spec"
-         " grid.json) and\n"
-         "                 run every cell over the thread pool (--threads"
-         " N), streaming\n"
-         "                 one summary record per run to --out FILE (JSONL;"
-         " failed cells\n"
-         "                 become status:\"failed\" rows and the campaign"
-         " keeps going;\n"
-         "                 --resume skips cells already recorded ok and"
-         " appends the rest)\n"
-         "  fleet-report   render a fleet sink as an aggregate HTML"
-         " dashboard: per-facet\n"
-         "                 heatmaps of awake-set ratio and logical cost over"
-         " n x tau,\n"
-         "                 across-seed sparklines, failure table\n"
-         "                 (fleet-report [SINK] [--in FILE] [--out"
-         " fleet.html])\n"
-         "  profile-report render a --profile-out sink as a per-worker"
-         " timeline HTML\n"
-         "                 dashboard: utilization heatmap, phase breakdown,"
-         " barrier\n"
-         "                 stalls, Amdahl summary, memory telemetry\n"
-         "                 (profile-report [SINK] [--in FILE] [--out"
-         " profile.html]\n"
-         "                 [--chrome-out FILE] re-exports for Perfetto)\n"
-         "  quality-report render a --quality-out sink as a coverage-quality"
-         " HTML\n"
-         "                 dashboard: coverage/hole/connectivity timelines,"
-         " k-coverage\n"
-         "                 heatmap, bound-margin chart, violation table\n"
-         "                 (quality-report [SINK] [--in FILE]"
-         " [--out quality.html])\n"
-         "  node-report    render a --node-telemetry-out sink as a spatial"
-         " hotspot HTML\n"
-         "                 dashboard: deployment overlays shaded by traffic"
-         " and energy,\n"
-         "                 link-matrix heatmap, per-round convergence"
-         " timelines, top\n"
-         "                 talkers (node-report [SINK] [--in FILE]"
-         " [--out nodes.html])\n"
-         "  scale          honest scaling harness: re-run one config at"
-         " --threads 1,2,..\n"
-         "                 (ladder starts at 1), hard-fail unless every rung"
-         " yields the\n"
-         "                 bit-identical schedule digest, write the speedup"
-         " curve to\n"
-         "                 --json FILE and --out HTML; rungs beyond the"
-         " machine's cores\n"
-         "                 are flagged oversubscribed and make no speedup"
-         " claim\n"
-         "  compare        diff two or more runs by machine-independent"
-         " logical cost\n"
-         "                 (compare RUN1 RUN2 [RUN...] [--allow-diff"
-         " key,...]\n"
-         "                 [--threshold PCT] [--json compare.json]"
-         " [--out compare.html];\n"
-         "                 refuses runs whose semantic config differs;"
-         " wall-clock is\n"
-         "                 reported but advisory; --save stores the last run"
-         " as the\n"
-         "                 baseline, --against-last compares against the"
-         " stored one,\n"
-         "                 --baseline-dir DIR picks the slot)\n"
-         "  version        print tool version, git revision, and build"
-         " flags\n"
-         "  help           this text\n\n"
-         "schedule / distributed / repair accept --metrics (per-round table"
-         " on stderr),\n"
-         "--metrics-out FILE (per-round JSONL for `tgcover stats` /"
-         " `tgcover report`),\n"
-         "and --cost-out FILE (logical-cost-only JSONL, byte-identical"
-         " across hosts,\n"
-         "thread counts, and log levels; a manifest.json run-provenance"
-         " sidecar lands\n"
-         "next to every sink).\n"
-         "schedule / distributed / repair / fleet accept --profile-out FILE"
-         " (per-worker\n"
-         "task/idle/barrier timelines, phase totals, and memory telemetry;"
-         " render with\n"
-         "`tgcover profile-report`).\n"
-         "distributed / repair / fleet accept --node-telemetry-out FILE"
-         " (per-node\n"
-         "traffic, synchronizer backlog, and radio-energy telemetry;"
-         " --energy-tx /\n"
-         "--energy-rx / --energy-idle set the radio model; render with"
-         " `tgcover\n"
-         "node-report`).\n"
-         "schedule / distributed / repair / fleet accept --quality-out FILE"
-         " (per-round\n"
-         "geometric coverage audit: coverage fraction, k-coverage, hole"
-         " diameters vs\n"
-         "the Proposition 1 bound, connectivity, certifiable tau; --rs /"
-         " --quality-every\n"
-         "/ --quality-cell shape the probe; render with `tgcover"
-         " quality-report`).\n"
+         "               --net-seed S --retransmit I] runs over the lossy"
+         " asynchronous engine)\n"
+         "  repair       wake sleepers around crashed nodes and re-certify\n"
+         "  fleet        expand a parameter grid (--models M,.. --nodes N,.."
+         " --degrees D,..\n"
+         "               --taus T,.. --losses P,.. --seeds S,.. or --spec"
+         " grid.json) and run\n"
+         "               every cell over the thread pool (--threads N),"
+         " streaming one run\n"
+         "               record per cell to --out FILE (failed cells become"
+         " status:\"failed\"\n"
+         "               rows; --resume skips cells already recorded ok)\n"
+         "  report       render a bundle DIR or JSONL FILE: prints the round"
+         " and cost tables\n"
+         "               and the causal trace analysis, writes one HTML"
+         " dashboard with a\n"
+         "               section per collector present (report DIR|FILE"
+         " [--out report.html]\n"
+         "               [--title T]); exits 1 on trace invariant violations,"
+         " streams\n"
+         "               from different runs, or unreadable lines\n"
+         "  scale        re-run one config at --threads 1,2,.. (ladder starts"
+         " at 1), fail\n"
+         "               unless every rung yields the bit-identical schedule"
+         " digest, write\n"
+         "               the speedup curve to --json FILE and --out HTML;"
+         " rungs beyond the\n"
+         "               machine's cores make no speedup claim\n"
+         "  compare      diff two or more runs by machine-independent logical"
+         " cost\n"
+         "               (compare RUN1 RUN2 [RUN...] [--allow-diff key,...]"
+         " [--threshold PCT]\n"
+         "               [--json compare.json] [--out compare.html]; refuses"
+         " runs whose\n"
+         "               semantic config differs; --save / --against-last /"
+         " --baseline-dir\n"
+         "               keep a saved baseline)\n"
+         "  version      print tool version, git revision, and build flags\n"
+         "  help         this text\n\n"
+         "schedule / distributed / repair / fleet accept --obs-out DIR: the"
+         " run writes an\n"
+         "observability bundle there — manifest.json, metrics.jsonl"
+         " (per-round telemetry)\n"
+         "and cost.jsonl (logical cost, byte-identical across hosts and"
+         " thread counts);\n"
+         "fleet writes its per-run summaries there. --obs LIST arms more"
+         " collectors into\n"
+         "it: trace (distributed: causal event trace + Perfetto JSON),"
+         " profile (per-worker\n"
+         "timelines, phases, memory + Perfetto JSON), nodes (distributed /"
+         " repair / fleet:\n"
+         "per-node traffic and energy), quality (coverage and holes vs the"
+         " Proposition 1\n"
+         "bound; --rs R sets the sensing radius). Arming changes no"
+         " schedule.\n"
          "every command accepts --log-level debug|info|warn|error|off,"
          " --log-out FILE,\n"
          "and --flight N (keep the last N log lines per thread for crash"
@@ -1699,19 +1033,14 @@ int run_cli(int argc, const char* const* argv, std::ostream& out) {
   }
   // Re-pack so ArgParser sees "tgcover <command> --k v ..." — the composed
   // program name is what finish() prints in unknown-option errors, so the
-  // message names the subcommand. `stats`, `trace-analyze`, and `report`
-  // also accept their input positionally (`tgcover stats m.jsonl`); rewrite
-  // that form to the named option.
+  // message names the subcommand. `report` also takes its input
+  // positionally (`tgcover report DIR`); rewrite that to --in.
   const std::string program = "tgcover " + command;
   std::vector<const char*> rest;
   rest.push_back(program.c_str());
   int first = 2;
-  if ((command == "stats" || command == "trace-analyze" ||
-       command == "report" || command == "fleet-report" ||
-       command == "profile-report" || command == "node-report" ||
-       command == "quality-report") &&
-      argc > 2 && argv[2][0] != '-') {
-    rest.push_back(command == "report" ? "--rounds" : "--in");
+  if (command == "report" && argc > 2 && argv[2][0] != '-') {
+    rest.push_back("--in");
     rest.push_back(argv[2]);
     first = 3;
   }
@@ -1734,14 +1063,8 @@ int run_cli(int argc, const char* const* argv, std::ostream& out) {
   if (command == "trace") return cmd_trace(args, out);
   if (command == "distributed") return cmd_distributed(args, out);
   if (command == "repair") return cmd_repair(args, out);
-  if (command == "stats") return cmd_stats(args, out);
-  if (command == "trace-analyze") return cmd_trace_analyze(args, out);
   if (command == "report") return cmd_report(args, out);
   if (command == "fleet") return cmd_fleet(args, out);
-  if (command == "fleet-report") return cmd_fleet_report(args, out);
-  if (command == "profile-report") return cmd_profile_report(args, out);
-  if (command == "node-report") return cmd_node_report(args, out);
-  if (command == "quality-report") return cmd_quality_report(args, out);
   if (command == "scale") return cmd_scale(args, out);
   if (command == "compare") {
     return cmd_compare(std::move(compare_paths), args, out);

@@ -11,6 +11,7 @@
 
 #include "tgcover/app/charts.hpp"
 #include "tgcover/app/html.hpp"
+#include "tgcover/app/rounds.hpp"
 #include "tgcover/app/run_bundle.hpp"
 #include "tgcover/obs/cost.hpp"
 #include "tgcover/obs/manifest.hpp"
@@ -22,7 +23,7 @@ namespace {
 /// One run reduced to its comparable quantities. Everything here except
 /// `wall_ns` is machine-independent.
 struct RunView {
-  RunBundle bundle;
+  Bundle bundle;
   obs::CostVec totals;
   std::map<std::string, obs::CostVec> phase_totals;  // phase name -> vec
   std::vector<std::pair<std::uint64_t, std::uint64_t>> round_cost;
@@ -34,49 +35,52 @@ struct RunView {
 
 /// Reduces a loaded bundle. Returns false (with a message) when the run
 /// carries no logical-cost data at all.
-bool make_view(RunBundle bundle, RunView& view, std::string& error) {
+bool make_view(Bundle bundle, RunView& view, std::string& error) {
   view.bundle = std::move(bundle);
-  const RoundLog& log = view.bundle.log;
+  const Bundle& b = view.bundle;
+  const std::vector<CostRow> totals = cost_rows(b, "cost_total");
+  const std::vector<CostRow> costs = cost_rows(b, "cost");
 
-  if (!log.cost_totals.empty()) {
-    for (const CostRow& c : log.cost_totals) {
+  if (!totals.empty()) {
+    for (const CostRow& c : totals) {
       view.phase_totals[c.phase] += c.vec;
       view.totals += c.vec;
     }
-  } else if (log.summary.has_value()) {
+  } else if (b.has("summary")) {
     for (std::size_t i = 0; i < obs::kNumCounters; ++i) {
-      view.totals.units[i] = log.summary->u64(
+      view.totals.units[i] = b.of("summary").back().u64(
           std::string(obs::counter_name(static_cast<obs::CounterId>(i))));
     }
-  } else if (!log.costs.empty()) {
-    for (const CostRow& c : log.costs) view.totals += c.vec;
+  } else if (!costs.empty()) {
+    for (const CostRow& c : costs) view.totals += c.vec;
   } else {
-    error = "run '" + view.bundle.label +
+    error = "run '" + b.label +
             "' carries no cost records and no summary — produce it with "
-            "--metrics-out or --cost-out";
+            "--obs-out DIR";
     return false;
   }
 
-  if (!log.costs.empty()) {
+  if (!costs.empty()) {
     // Aggregate the per-phase records into one scalar per round (records
     // are emitted in round order).
-    for (const CostRow& c : log.costs) {
+    for (const CostRow& c : costs) {
       if (view.round_cost.empty() || view.round_cost.back().first != c.round) {
         view.round_cost.emplace_back(c.round, 0);
       }
       view.round_cost.back().second += c.logical_cost;
     }
   } else {
-    for (const RoundRow& r : log.rows) {
+    for (const RoundRow& r : round_rows(b)) {
       view.round_cost.emplace_back(r.round, r.logical_cost);
     }
   }
 
-  if (log.summary.has_value()) {
+  if (b.has("summary")) {
+    const obs::JsonRecord& summary = b.of("summary").back();
     view.has_summary = true;
-    view.rounds = log.summary->u64("rounds");
-    view.survivors = log.summary->u64("survivors");
-    view.wall_ns = log.summary->u64("wall_ns");
+    view.rounds = summary.u64("rounds");
+    view.survivors = summary.u64("survivors");
+    view.wall_ns = summary.u64("wall_ns");
   } else {
     view.rounds = view.round_cost.size();
   }
@@ -476,12 +480,12 @@ int compare_runs(const CompareOptions& opts, std::ostream& out) {
 
   std::vector<RunView> views;
   for (const std::string& path : opts.runs) {
-    RunBundle bundle = load_run_bundle(path);
+    Bundle bundle = load_bundle(path);
     if (!bundle.error.empty()) {
       out << "error: " << bundle.error << "\n";
       return 1;
     }
-    for (const std::string& note : bundle.log.notes) {
+    for (const std::string& note : bundle.notes) {
       out << "note: " << note << "\n";
     }
     RunView view;
@@ -496,8 +500,8 @@ int compare_runs(const CompareOptions& opts, std::ostream& out) {
   // Semantic-compatibility gate: every run must agree with the baseline on
   // command + cfg_* keys, unless the key is explicitly allowed to differ.
   for (std::size_t r = 1; r < views.size(); ++r) {
-    const bool base_m = views.front().bundle.manifest_found;
-    const bool run_m = views[r].bundle.manifest_found;
+    const bool base_m = !views.front().bundle.config.empty();
+    const bool run_m = !views[r].bundle.config.empty();
     if (base_m != run_m && !key_allowed(opts.allow_diff, "manifest")) {
       out << "error: '" << (base_m ? views[r] : views.front()).bundle.label
           << "' carries no manifest, so semantic compatibility cannot be "

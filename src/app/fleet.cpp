@@ -9,18 +9,23 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <utility>
 
+#include "tgcover/app/quality_audit.hpp"
 #include "tgcover/core/distributed.hpp"
 #include "tgcover/core/pipeline.hpp"
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/io/network_io.hpp"
 #include "tgcover/obs/cost.hpp"
 #include "tgcover/obs/log.hpp"
+#include "tgcover/obs/node_stats.hpp"
 #include "tgcover/obs/obs.hpp"
+#include "tgcover/obs/profile.hpp"
+#include "tgcover/obs/quality.hpp"
 #include "tgcover/obs/workers.hpp"
 #include "tgcover/util/check.hpp"
 #include "tgcover/util/digest.hpp"
@@ -69,8 +74,6 @@ gen::Deployment generate_deployment(const GenSpec& spec) {
 
 // ------------------------------------------------------------ spec parsing
 
-namespace {
-
 std::vector<std::string> split_commas(const std::string& text) {
   std::vector<std::string> parts;
   for (std::size_t start = 0; start <= text.size();) {
@@ -82,6 +85,8 @@ std::vector<std::string> split_commas(const std::string& text) {
   }
   return parts;
 }
+
+namespace {
 
 bool parse_u64(const std::string& text, std::uint64_t& out) {
   if (text.empty()) return false;
@@ -331,7 +336,7 @@ std::string f1(double v) {
 /// manifest.
 void append_cell_fields(std::ostringstream& os, const FleetCell& cell,
                         const char* status) {
-  os << "{\"run\":" << cell.run << ",\"status\":\"" << status
+  os << "{\"type\":\"run\",\"run\":" << cell.run << ",\"status\":\"" << status
      << "\",\"model\":\"" << obs::json_escape(cell.model)
      << "\",\"nodes\":" << cell.nodes << ",\"degree\":" << f6(cell.degree)
      << ",\"tau\":" << cell.tau << ",\"loss\":" << f6(cell.loss)
@@ -350,14 +355,14 @@ struct RunOutcome {
   obs::CostVec cost;
   std::uint64_t wall_ns = 0;
   unsigned worker = 0;
-  /// Set when the campaign armed --node-telemetry-out: the hotspot columns
-  /// for this record plus the compact per-run lines for the telemetry sink.
+  /// Set when the campaign armed `nodes`: the hotspot columns for this
+  /// record plus the compact per-run lines for DIR/nodes.jsonl.
   bool has_telemetry = false;
   double max_node_energy = 0.0;
   double traffic_gini = 0.0;
   std::string telemetry_block;
-  /// Set when the campaign armed --quality-out: the SLO columns for this
-  /// record plus the run-tagged quality_summary line for the quality sink.
+  /// Set when the campaign armed `quality`: the SLO columns for this record
+  /// plus the run-tagged quality_summary line for DIR/quality.jsonl.
   bool has_quality = false;
   bool quality_bound_finite = false;
   double min_coverage_fraction = 0.0;
@@ -463,13 +468,15 @@ RunOutcome execute_cell(const FleetCell& cell, const FleetSpec& spec,
   // whole on one pool lane with num_threads=1, so concurrent cells never
   // share a collector.
   std::unique_ptr<obs::NodeTelemetry> telemetry;
-  if (!opts.node_telemetry_out.empty()) {
+  if (opts.obs.nodes) {
     telemetry = std::make_unique<obs::NodeTelemetry>(r.graph_nodes,
-                                                     opts.energy);
+                                                     obs::EnergyModel{});
   }
   const ScopedNodeTelemetry binding(telemetry.get());
-  std::unique_ptr<obs::QualityAuditor> quality =
-      make_quality_auditor(net, cell.tau, opts.quality);
+  std::unique_ptr<obs::QualityAuditor> quality;
+  if (opts.obs.quality) {
+    quality = make_quality_auditor(net, cell.tau, opts.obs.rs);
+  }
   const ScopedQualityAuditor quality_binding(quality.get());
 
   core::DccConfig config;
@@ -551,12 +558,12 @@ int run_fleet(const FleetOptions& opts, const obs::RunManifest& manifest,
   // --resume: drop every cell the existing sink already records ok, then
   // append the remainder. Run ids are grid positions, so they stay stable
   // across passes and a re-run cell's fresh record supersedes on load
-  // (load_fleet_sink keeps the last record per run id).
+  // (load_bundle keeps the last record per run id).
   const std::size_t grid_size = cells.size();
   bool append = false;
   std::size_t resumed = 0;
   if (opts.resume) {
-    const FleetSink prior = load_fleet_sink(opts.sink_path);
+    const Bundle prior = load_bundle(opts.sink_path);
     if (prior.error.empty()) {
       if (!prior.manifest.has_value()) {
         out << "error: cannot resume '" << opts.sink_path
@@ -589,25 +596,24 @@ int run_fleet(const FleetOptions& opts, const obs::RunManifest& manifest,
       // sets and leave the shared quality sink with silent run-id gaps, so
       // refuse the mismatch instead of producing a half-audited artifact.
       bool prior_armed = false;
-      for (const obs::JsonRecord& rec : prior.runs) {
+      for (const obs::JsonRecord& rec : prior.of("run")) {
         if (rec.text("status") == "ok" &&
             rec.has("min_coverage_fraction")) {
           prior_armed = true;
           break;
         }
       }
-      const bool now_armed = !opts.quality.path.empty();
-      if (prior_armed != now_armed) {
+      if (prior_armed != opts.obs.quality) {
         out << "error: cannot resume '" << opts.sink_path << "': the sink's "
             << (prior_armed ? "ok records carry quality columns but this "
-                              "pass runs without --quality-out"
+                              "pass runs without --obs quality"
                             : "ok records have no quality columns but this "
-                              "pass arms --quality-out")
+                              "pass arms --obs quality")
             << " — rerun with matching quality arming or a fresh sink\n";
         return 1;
       }
       std::set<std::size_t> ok_runs;
-      for (const obs::JsonRecord& rec : prior.runs) {
+      for (const obs::JsonRecord& rec : prior.of("run")) {
         if (rec.text("status") == "ok") {
           ok_runs.insert(static_cast<std::size_t>(rec.u64("run")));
         }
@@ -650,38 +656,18 @@ int run_fleet(const FleetOptions& opts, const obs::RunManifest& manifest,
   // verified identical.
   if (!append) sink.stream() << obs::manifest_header_line(manifest) << "\n";
 
-  // The optional shared per-node telemetry sink rides the same append /
-  // header discipline as the main sink.
-  std::unique_ptr<obs::JsonlWriter> telemetry_sink;
-  if (!opts.node_telemetry_out.empty()) {
-    telemetry_sink =
-        std::make_unique<obs::JsonlWriter>(opts.node_telemetry_out, append);
-    if (!telemetry_sink->ok()) {
-      TGC_LOG(kError) << "fleet telemetry sink failed"
-                      << obs::kv("error", telemetry_sink->error());
-      out << "error: cannot write '" << opts.node_telemetry_out << "'\n";
-      return 1;
-    }
-    if (!append) {
-      telemetry_sink->stream() << obs::manifest_header_line(manifest) << "\n";
-    }
+  // The bundle's per-run summary streams ride the same append / header
+  // discipline as the main sink; the profile covers this pass alone.
+  std::optional<BundleWriter> bundle;
+  std::ostream* telemetry_sink = nullptr;
+  std::ostream* quality_sink = nullptr;
+  if (!opts.obs.dir.empty()) {
+    bundle.emplace(opts.obs.dir, manifest);
+    if (opts.obs.nodes) telemetry_sink = &bundle->open("nodes.jsonl", append);
+    if (opts.obs.quality) quality_sink = &bundle->open("quality.jsonl", append);
   }
-
-  // The optional shared quality sink collects one run-tagged quality_summary
-  // line per armed cell, same append / header discipline again.
-  std::unique_ptr<obs::JsonlWriter> quality_sink;
-  if (!opts.quality.path.empty()) {
-    quality_sink =
-        std::make_unique<obs::JsonlWriter>(opts.quality.path, append);
-    if (!quality_sink->ok()) {
-      TGC_LOG(kError) << "fleet quality sink failed"
-                      << obs::kv("error", quality_sink->error());
-      out << "error: cannot write '" << opts.quality.path << "'\n";
-      return 1;
-    }
-    if (!append) {
-      quality_sink->stream() << obs::manifest_header_line(manifest) << "\n";
-    }
+  if (opts.obs.profile) {
+    obs::profile_begin(util::ThreadPool::resolve_num_threads(opts.threads));
   }
 
   std::mutex mu;  // sink stream + progress counters
@@ -708,12 +694,8 @@ int run_fleet(const FleetOptions& opts, const obs::RunManifest& manifest,
 
         std::lock_guard<std::mutex> lock(mu);
         sink.stream() << line << "\n";
-        if (telemetry_sink != nullptr && !r.telemetry_block.empty()) {
-          telemetry_sink->stream() << r.telemetry_block;
-        }
-        if (quality_sink != nullptr && !r.quality_block.empty()) {
-          quality_sink->stream() << r.quality_block;
-        }
+        if (telemetry_sink != nullptr) *telemetry_sink << r.telemetry_block;
+        if (quality_sink != nullptr) *quality_sink << r.quality_block;
         ++done;
         if (!r.ok) {
           ++failed;
@@ -741,24 +723,16 @@ int run_fleet(const FleetOptions& opts, const obs::RunManifest& manifest,
         }
       });
   if (opts.progress == FleetProgress::kTty) std::cerr << "\n";
+  if (opts.obs.profile) {
+    const obs::ProfileData profile = obs::profile_end();
+    obs::write_profile_jsonl(profile, bundle->open("profile.jsonl"));
+    obs::write_profile_chrome_trace(profile,
+                                    bundle->open("profile.chrome.json"));
+  }
 
   bool sink_ok = sink.close();
   if (!sink_ok) {
     TGC_LOG(kError) << "fleet sink failed" << obs::kv("error", sink.error());
-  }
-  if (telemetry_sink != nullptr && !telemetry_sink->close()) {
-    TGC_LOG(kError) << "fleet telemetry sink failed"
-                    << obs::kv("error", telemetry_sink->error());
-    out << "error: sink '" << opts.node_telemetry_out
-        << "' failed: " << telemetry_sink->error() << "\n";
-    sink_ok = false;
-  }
-  if (quality_sink != nullptr && !quality_sink->close()) {
-    TGC_LOG(kError) << "fleet quality sink failed"
-                    << obs::kv("error", quality_sink->error());
-    out << "error: sink '" << opts.quality.path
-        << "' failed: " << quality_sink->error() << "\n";
-    sink_ok = false;
   }
 
   if (opts.progress != FleetProgress::kOff) {
@@ -777,19 +751,13 @@ int run_fleet(const FleetOptions& opts, const obs::RunManifest& manifest,
   if (resumed > 0) out << " (+" << resumed << " resumed)";
   if (failed > 0) out << " (" << failed << " FAILED)";
   out << " over " << pool.num_workers() << " workers; wrote "
-      << opts.sink_path;
-  if (!opts.node_telemetry_out.empty()) {
-    out << " (+node telemetry " << opts.node_telemetry_out << ")";
-  }
-  if (!opts.quality.path.empty()) {
-    out << " (+quality " << opts.quality.path << ")";
-  }
-  out << "\n";
+      << opts.sink_path << "\n";
   if (!sink_ok) {
     out << "error: sink '" << opts.sink_path << "' failed: " << sink.error()
         << "\n";
     return 1;
   }
+  if (bundle.has_value() && !bundle->close(out)) return 1;
   return failed == 0 ? 0 : 1;
 }
 

@@ -1,6 +1,7 @@
 #include "tgcover/app/html.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 namespace tgc::app::html {
@@ -27,7 +28,8 @@ std::string escape(const std::string& text) {
 }
 
 double nice_ceil(double v) {
-  if (v <= 0.0) return 1.0;
+  // A corrupted input can carry inf; scaling to it would never terminate.
+  if (!(v > 0.0) || std::isinf(v)) return 1.0;
   double mag = 1.0;
   while (mag < v) mag *= 10.0;
   while (mag / 10.0 >= v) mag /= 10.0;
@@ -161,9 +163,9 @@ const char kStyle[] = R"css(
     border-radius: 8px; padding: 16px 20px; margin: 0 0 16px; }
   h2 { font-size: 15px; margin: 0 0 8px; }
   .note { color: var(--text-secondary); margin: 0 0 8px; font-size: 13px; }
-  .tiles { display: flex; gap: 16px; margin: 0 0 16px; }
+  .tiles { display: flex; flex-wrap: wrap; gap: 16px; margin: 0 0 16px; }
   .tile { background: var(--surface-1); border: 1px solid var(--border);
-    border-radius: 8px; padding: 12px 20px; flex: 1; }
+    border-radius: 8px; padding: 12px 20px; flex: 1 1 140px; }
   .tile-v { font-size: 22px; }
   .tile-l { color: var(--text-secondary); font-size: 12px; }
   .legend { display: flex; gap: 16px; margin: 0 0 6px;

@@ -9,7 +9,7 @@
 
 /// Reusable inline-SVG chart builders layered over the html primitives.
 ///
-/// `tgcover report`, `tgcover compare`, and `tgcover fleet-report` all draw
+/// `tgcover report`, `tgcover compare`, and `tgcover scale` all draw
 /// from this one set of builders, so a chart idiom fixed here is fixed in
 /// every dashboard. Everything is byte-deterministic by construction (the
 /// html.hpp contract): fixed-precision locale-free numbers, no clocks, no

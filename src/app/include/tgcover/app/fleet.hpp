@@ -3,22 +3,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "tgcover/app/quality_audit.hpp"
+#include "tgcover/app/run_bundle.hpp"
 #include "tgcover/gen/deployments.hpp"
-#include "tgcover/obs/jsonl.hpp"
 #include "tgcover/obs/manifest.hpp"
-#include "tgcover/obs/node_stats.hpp"
 
 /// `tgcover fleet`: one process, many networks. Expands a parameter grid
 /// (model × n × degree × τ × loss × seed) into individual scheduling runs,
 /// executes them over the shared util::ThreadPool (each run single-threaded
-/// on one worker lane), and streams one summary record per completed run to
-/// a single JSONL sink headed by the fleet's RunManifest. `tgcover
-/// fleet-report` renders the sink into an aggregate dashboard.
+/// on one worker lane), and streams one `run` record per completed run to a
+/// single JSONL sink headed by the fleet's RunManifest. `tgcover report`
+/// renders the sink into an aggregate dashboard.
 
 namespace tgc::app {
 
@@ -41,6 +38,10 @@ struct GenSpec {
 /// `tgcover schedule` runs). Throws CheckError on an unknown model or when
 /// no connected instance is found.
 gen::Deployment generate_deployment(const GenSpec& spec);
+
+/// Splits a comma list, dropping empty items: the list grammar of fleet
+/// axes and of the CLI's `--obs`, `scale --threads`, and `--allow-diff`.
+std::vector<std::string> split_commas(const std::string& text);
 
 /// The expanded parameter grid. Axes multiply; scalars apply to every run.
 struct FleetSpec {
@@ -101,19 +102,11 @@ struct FleetOptions {
   /// previously-failed cells. Refuses a sink whose embedded manifest
   /// describes a different grid.
   bool resume = false;
-  /// Non-empty arms per-node telemetry for every cell: each run's compact
-  /// node_summary/telemetry_summary lines (tagged with the run id) stream
-  /// into this shared manifest-headed JSONL sink, and the main sink records
-  /// gain max_node_energy / traffic_gini columns. Empty keeps cells on the
-  /// unarmed zero-cost path.
-  std::string node_telemetry_out;
-  obs::EnergyModel energy;  ///< radio model for armed cells
-  /// quality.path non-empty arms the coverage-quality auditor for every
-  /// cell: each run's compact quality_summary line (tagged with the run id)
-  /// streams into this shared manifest-headed JSONL sink, and the main sink
-  /// records gain min_coverage_fraction / max_hole_diameter / bound_margin
-  /// columns. Empty keeps cells on the unarmed zero-cost path.
-  QualityKnobs quality;
+  /// The campaign's bundle (obs.dir empty = none): armed `nodes` / `quality`
+  /// stream each cell's run-tagged summary lines into DIR/nodes.jsonl and
+  /// DIR/quality.jsonl and add hotspot / SLO columns to the sink rows;
+  /// `profile` profiles the whole campaign into DIR/profile.jsonl.
+  ObsRequest obs;
 };
 
 /// Runs the campaign: expands the grid in deterministic row-major order
@@ -124,30 +117,5 @@ struct FleetOptions {
 /// is 0 only when every run succeeded and the sink closed cleanly.
 int run_fleet(const FleetOptions& opts, const obs::RunManifest& manifest,
               std::ostream& out);
-
-// ------------------------------------------------------------ fleet sink
-
-/// A loaded fleet sink: the embedded manifest (when present) plus per-run
-/// records sorted by run id — sink order is completion order and varies
-/// with the thread count, so consumers must not depend on it. A run id
-/// appearing more than once (a --resume pass re-ran a failed cell) keeps
-/// only its last record in file order. Malformed or truncated lines (a
-/// killed campaign) are counted, not fatal.
-struct FleetSink {
-  std::optional<obs::JsonRecord> manifest;
-  std::vector<obs::JsonRecord> runs;
-  std::size_t skipped = 0;  ///< malformed / partial lines tolerated
-  std::string error;        ///< non-empty when the file was unreadable
-};
-
-FleetSink load_fleet_sink(const std::string& path);
-
-/// Renders the aggregate dashboard: facet heatmaps (awake-set ratio and
-/// logical cost over n × τ, one facet per model/degree/loss combination),
-/// per-cell across-seed sparklines, the failure table, and the full run
-/// table. Byte-deterministic: only machine-independent record fields enter
-/// the document (wall time and worker lanes never do).
-std::string render_fleet_report_html(const FleetSink& sink,
-                                     const std::string& title);
 
 }  // namespace tgc::app

@@ -23,8 +23,8 @@ std::string fnum(double v, int prec);
 /// labels) must pass through this before entering the document.
 std::string escape(const std::string& text);
 
-/// Smallest 1/2/5 x 10^k that is >= v; 1.0 when v is not positive. Keeps
-/// axis maxima round without floating-point drift.
+/// Smallest 1/2/5 x 10^k that is >= v; 1.0 when v is not positive or not
+/// finite. Keeps axis maxima round without floating-point drift.
 double nice_ceil(double v);
 
 /// Minimal decimal form of an axis value ("5", "2.5", "0.25").

@@ -1,18 +1,19 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "tgcover/app/run_bundle.hpp"
+#include "tgcover/obs/cost.hpp"
 #include "tgcover/obs/jsonl.hpp"
-#include "tgcover/obs/round_log.hpp"
 
 namespace tgc::app {
 
-/// One row of the paper-style per-round overhead table, buildable both from
-/// a live RoundCollector and from a parsed JSONL file (`tgcover stats`,
-/// `tgcover report`).
+/// One row of the paper-style per-round overhead table `tgcover report`
+/// prints, parsed from a bundle's `round` records.
 struct RoundRow {
   std::uint64_t round = 0;
   std::uint64_t active = 0;
@@ -37,7 +38,6 @@ struct RoundRow {
   RoundRow& operator+=(const RoundRow& rhs);
 };
 
-RoundRow row_from_event(const obs::RoundEvent& ev);
 RoundRow row_from_record(const obs::JsonRecord& rec);
 
 /// One parsed "cost"/"cost_total" record: a per-phase logical-cost vector.
@@ -51,36 +51,34 @@ struct CostRow {
 
 CostRow cost_from_record(const obs::JsonRecord& rec);
 
-/// The fixed-width per-round table printed by --metrics and `tgcover stats`.
+/// The fixed-width per-round table `tgcover report` prints.
 std::string render_round_table(const std::vector<RoundRow>& rows);
 
-/// The per-phase logical-cost table (`tgcover stats` prints it when the
-/// input carries cost records).
+/// The counter columns of the per-phase logical-cost table, as printed and
+/// as rendered. "hits"/"dirty"/"view B" are the incremental-rounds counters
+/// (DESIGN.md §11): outside the logical-cost scalar (work avoided, memory)
+/// but equally machine-independent.
+inline constexpr std::pair<const char*, obs::CounterId> kCostColumns[] = {
+    {"vpt", obs::CounterId::kVptTests},
+    {"hits", obs::CounterId::kVerdictCacheHits},
+    {"dirty", obs::CounterId::kDirtyNodes},
+    {"bfs", obs::CounterId::kBfsExpansions},
+    {"horton", obs::CounterId::kHortonCandidates},
+    {"gf2", obs::CounterId::kGf2Pivots},
+    {"msgs", obs::CounterId::kMessages},
+    {"rexmit", obs::CounterId::kRetransmissions},
+    {"waves", obs::CounterId::kRepairWaves},
+    {"view B", obs::CounterId::kBallViewBytes}};
+
+/// The per-phase logical-cost table (`tgcover report` prints it when the
+/// bundle carries cost_total records).
 std::string render_cost_table(const std::vector<CostRow>& totals);
 
-/// A parsed --metrics-out (or --cost-out) file: the round rows, per-round
-/// and total cost records, the trailing summary record, and the embedded
-/// manifest header when the file carries one. Lines that parse but have an
-/// unknown type, lines that do not parse at all (including a truncated
-/// final line), blank lines, and duplicate round ids are counted in
-/// `skipped` with one human-readable note each (the callers log them and
-/// exit non-zero); the embedded manifest is never counted as skipped.
-struct RoundLog {
-  std::vector<RoundRow> rows;
-  std::vector<CostRow> costs;        ///< per-round, per-phase ("cost")
-  std::vector<CostRow> cost_totals;  ///< per-phase run totals ("cost_total")
-  std::optional<obs::JsonRecord> summary;
-  std::optional<obs::JsonRecord> manifest;
-  std::size_t skipped = 0;
-  std::vector<std::string> notes;
-  /// Non-empty when the file could not be opened at all; every other field
-  /// is empty then. Callers turn this into a named-file error + non-zero
-  /// exit instead of an empty table.
-  std::string error;
-};
+/// The bundle's `round` records as table rows.
+std::vector<RoundRow> round_rows(const Bundle& bundle);
 
-/// Loads a telemetry JSONL file. A missing/unreadable path is reported via
-/// RoundLog::error, not a crash.
-RoundLog load_round_log(const std::string& path);
+/// The bundle's `cost` (per round and phase) or `cost_total` (per phase)
+/// records.
+std::vector<CostRow> cost_rows(const Bundle& bundle, std::string_view type);
 
 }  // namespace tgc::app

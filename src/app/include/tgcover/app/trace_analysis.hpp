@@ -6,17 +6,16 @@
 #include <utility>
 #include <vector>
 
+#include "tgcover/app/run_bundle.hpp"
 #include "tgcover/obs/jsonl.hpp"
 
 namespace tgc::app {
 
-/// Everything `tgcover trace-analyze` and `tgcover report` derive from a
-/// --trace-jsonl file: the embedded provenance, the invariant violations
-/// (truncation, causality breaks, unbalanced spans), and the causal
-/// statistics — the critical path in message hops per scheduler segment,
-/// traffic and latency aggregates, and the busiest nodes.
+/// Everything `tgcover report` derives from a bundle's trace stream: the
+/// invariant violations (truncation, causality breaks, unbalanced spans),
+/// and the causal statistics — the critical path in message hops per
+/// scheduler segment, traffic and latency aggregates, and the busiest nodes.
 struct TraceStats {
-  std::optional<obs::JsonRecord> manifest;  ///< embedded manifest, if any
   std::optional<obs::JsonRecord> header;    ///< the trace_header record
   std::size_t events = 0;
 
@@ -49,7 +48,7 @@ struct TraceStats {
   bool has_traffic = false;  ///< true when any node sent a message
 };
 
-/// Parses and analyzes a JSONL trace; TGC_CHECKs that `path` opens.
-TraceStats analyze_trace_file(const std::string& path);
+/// Analyzes the bundle's trace_header / trace_event records (file order).
+TraceStats analyze_trace(const Bundle& bundle);
 
 }  // namespace tgc::app

@@ -74,36 +74,23 @@ obs::QualityProbeResult probe_network_quality(const core::Network& net,
 
   r.components = awake_components(net.dep.graph, active);
 
-  // Crashes and over-deletion can take a boundary-cycle node down with them;
-  // the certificate machinery requires CB's edges in the active subgraph, so
-  // a broken boundary simply means no τ certifies (certifiable_tau = 0).
-  bool cb_intact = true;
-  net.cb.for_each_set_bit([&](std::size_t e) {
-    const auto [u, v] = net.dep.graph.edge(static_cast<graph::EdgeId>(e));
-    if (!active[u] || !active[v]) cb_intact = false;
-  });
-  if (cb_intact) {
-    const core::QualityReport q = core::assess_quality(
-        net.dep.graph, active, net.cb, std::max(tau_cap, 3u));
-    r.certifiable_tau = q.certifiable_tau;
-  }
+  // A crash that severs CB yields certifiable_tau = 0 (no τ certifies).
+  r.certifiable_tau = core::assess_quality(net.dep.graph, active, net.cb,
+                                           std::max(tau_cap, 3u))
+                          .certifiable_tau;
   return r;
 }
 
 std::unique_ptr<obs::QualityAuditor> make_quality_auditor(
-    const core::Network& net, unsigned tau, const QualityKnobs& knobs) {
-  if (knobs.path.empty()) return nullptr;
-  TGC_CHECK_MSG(knobs.rs > 0.0, "--rs must be > 0");
-  TGC_CHECK_MSG(knobs.cell > 0.0, "--quality-cell must be > 0");
+    const core::Network& net, unsigned tau, double rs) {
+  TGC_CHECK_MSG(rs > 0.0, "--rs must be > 0");
   obs::QualityConfig config;
   config.tau = tau;
-  config.sample_every = knobs.every == 0 ? 1 : knobs.every;
-  config.rs = knobs.rs;
-  config.gamma = net.dep.rc / knobs.rs;
-  config.cell_size = knobs.cell;
+  config.rs = rs;
+  config.gamma = net.dep.rc / rs;
   config.hole_diameter_bound =
       core::paper_hole_diameter_bound(tau, config.gamma, net.dep.rc);
-  auto probe = [&net, rs = knobs.rs, cell = knobs.cell,
+  auto probe = [&net, rs, cell = config.cell_size,
                 tau](const std::vector<bool>& active) {
     return probe_network_quality(net, active, rs, cell, tau);
   };

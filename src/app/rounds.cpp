@@ -1,7 +1,5 @@
 #include "tgcover/app/rounds.hpp"
 
-#include <fstream>
-
 #include "tgcover/util/check.hpp"
 #include "tgcover/util/table.hpp"
 
@@ -26,29 +24,6 @@ RoundRow& RoundRow::operator+=(const RoundRow& rhs) {
   ns_deletion += rhs.ns_deletion;
   logical_cost += rhs.logical_cost;
   return *this;
-}
-
-RoundRow row_from_event(const obs::RoundEvent& ev) {
-  RoundRow r;
-  r.round = ev.round;
-  r.active = ev.active;
-  r.candidates = ev.candidates;
-  r.deleted = ev.deleted;
-  r.vpt_tests = ev.delta.get(obs::CounterId::kVptTests);
-  r.cache_hits = ev.delta.get(obs::CounterId::kVerdictCacheHits);
-  r.dirty_nodes = ev.delta.get(obs::CounterId::kDirtyNodes);
-  r.ball_view_bytes = ev.delta.get(obs::CounterId::kBallViewBytes);
-  r.bfs_expansions = ev.delta.get(obs::CounterId::kBfsExpansions);
-  r.horton_candidates = ev.delta.get(obs::CounterId::kHortonCandidates);
-  r.gf2_pivots = ev.delta.get(obs::CounterId::kGf2Pivots);
-  r.messages = ev.delta.get(obs::CounterId::kMessages);
-  r.messages_lost = ev.delta.get(obs::CounterId::kMessagesLost);
-  r.retransmissions = ev.delta.get(obs::CounterId::kRetransmissions);
-  r.ns_verdicts = ev.delta.span(obs::SpanId::kVerdicts).sum_ns;
-  r.ns_mis = ev.delta.span(obs::SpanId::kMis).sum_ns;
-  r.ns_deletion = ev.delta.span(obs::SpanId::kDeletion).sum_ns;
-  r.logical_cost = obs::logical_cost(obs::CostVec{ev.delta.counters});
-  return r;
 }
 
 RoundRow row_from_record(const obs::JsonRecord& rec) {
@@ -95,7 +70,7 @@ CostRow cost_from_record(const obs::JsonRecord& rec) {
 
 std::string render_round_table(const std::vector<RoundRow>& rows) {
   // "hits"/"dirty"/"view B" mirror the cost table's incremental-rounds
-  // columns (DESIGN.md §11) so `tgcover stats` shows per-round how much
+  // columns (DESIGN.md §11) so `tgcover report` shows per-round how much
   // verdict work was reused and how many ball-view bytes were materialized.
   util::Table table({"round", "active", "cand", "del", "vpt", "hits", "dirty",
                      "bfs", "horton", "gf2", "msgs", "lost", "rexmit",
@@ -136,94 +111,42 @@ std::string render_round_table(const std::vector<RoundRow>& rows) {
 }
 
 std::string render_cost_table(const std::vector<CostRow>& totals) {
-  // "hits"/"dirty"/"view B" are the incremental-rounds counters (DESIGN.md
-  // §11): verdicts reused from the cache, nodes re-queued by dirty
-  // frontiers, and bytes of BallView arena built for VPT tests. They are
-  // outside the logical-cost scalar (work avoided / memory, not work done)
-  // but equally machine-independent.
-  util::Table table({"phase", "vpt", "hits", "dirty", "bfs", "horton", "gf2",
-                     "msgs", "rexmit", "waves", "view B", "cost"});
-  CostRow sum;
-  const auto row_of = [](const std::string& label, const CostRow& c,
-                         std::uint64_t cost) {
-    return std::vector<std::string>{
-        label, std::to_string(c.vec.get(obs::CounterId::kVptTests)),
-        std::to_string(c.vec.get(obs::CounterId::kVerdictCacheHits)),
-        std::to_string(c.vec.get(obs::CounterId::kDirtyNodes)),
-        std::to_string(c.vec.get(obs::CounterId::kBfsExpansions)),
-        std::to_string(c.vec.get(obs::CounterId::kHortonCandidates)),
-        std::to_string(c.vec.get(obs::CounterId::kGf2Pivots)),
-        std::to_string(c.vec.get(obs::CounterId::kMessages)),
-        std::to_string(c.vec.get(obs::CounterId::kRetransmissions)),
-        std::to_string(c.vec.get(obs::CounterId::kRepairWaves)),
-        std::to_string(c.vec.get(obs::CounterId::kBallViewBytes)),
-        std::to_string(cost)};
+  std::vector<std::string> header{"phase"};
+  for (const auto& [name, id] : kCostColumns) header.emplace_back(name);
+  header.emplace_back("cost");
+  util::Table table(header);
+  const auto add = [&table](const std::string& label, const obs::CostVec& v,
+                            std::uint64_t cost) {
+    std::vector<std::string> row{label};
+    for (const auto& [name, id] : kCostColumns) {
+      row.push_back(std::to_string(v.get(id)));
+    }
+    row.push_back(std::to_string(cost));
+    table.add_row(row);
   };
+  CostRow sum;
   for (const CostRow& c : totals) {
     sum.vec += c.vec;
-    table.add_row(row_of(c.phase, c, c.logical_cost));
+    add(c.phase, c.vec, c.logical_cost);
   }
-  if (!totals.empty()) {
-    table.add_row(row_of("total", sum, obs::logical_cost(sum.vec)));
-  }
+  if (!totals.empty()) add("total", sum.vec, obs::logical_cost(sum.vec));
   return table.to_string();
 }
 
-RoundLog load_round_log(const std::string& path) {
-  RoundLog log;
-  std::ifstream f(path);
-  if (!f.good()) {
-    log.error = "cannot open '" + path + "'";
-    return log;
+std::vector<RoundRow> round_rows(const Bundle& bundle) {
+  std::vector<RoundRow> rows;
+  for (const obs::JsonRecord& rec : bundle.of("round")) {
+    rows.push_back(row_from_record(rec));
   }
+  return rows;
+}
 
-  std::size_t lineno = 0;
-  std::string line;
-  while (std::getline(f, line)) {
-    ++lineno;
-    if (line.empty()) {
-      // Producers never emit blank lines; a blank line means the file was
-      // edited or corrupted, so surface it instead of silently moving on.
-      log.notes.push_back(path + ":" + std::to_string(lineno) +
-                          ": skipping blank line");
-      ++log.skipped;
-      continue;
-    }
-    const std::optional<obs::JsonRecord> rec = obs::parse_jsonl_line(line);
-    if (!rec.has_value()) {
-      // Also catches a truncated final line (no trailing newline, record
-      // cut mid-field) — getline still yields the partial text.
-      log.notes.push_back(path + ":" + std::to_string(lineno) +
-                          ": skipping malformed record");
-      ++log.skipped;
-      continue;
-    }
-    const std::string type = rec->text("type");
-    if (type == "round") {
-      RoundRow row = row_from_record(*rec);
-      if (!log.rows.empty() && row.round <= log.rows.back().round) {
-        log.notes.push_back(path + ":" + std::to_string(lineno) +
-                            ": skipping duplicate/out-of-order round id " +
-                            std::to_string(row.round));
-        ++log.skipped;
-        continue;
-      }
-      log.rows.push_back(row);
-    } else if (type == "cost") {
-      log.costs.push_back(cost_from_record(*rec));
-    } else if (type == "cost_total") {
-      log.cost_totals.push_back(cost_from_record(*rec));
-    } else if (type == "summary") {
-      log.summary = *rec;
-    } else if (type == "manifest") {
-      log.manifest = *rec;
-    } else {
-      log.notes.push_back(path + ":" + std::to_string(lineno) +
-                          ": skipping unknown record type '" + type + "'");
-      ++log.skipped;
-    }
+std::vector<CostRow> cost_rows(const Bundle& bundle, std::string_view type) {
+  std::vector<CostRow> rows;
+  for (const obs::JsonRecord& rec : bundle.of(type)) {
+    rows.push_back(cost_from_record(rec));
   }
-  return log;
+  return rows;
 }
 
 }  // namespace tgc::app

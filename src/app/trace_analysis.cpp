@@ -1,29 +1,14 @@
 #include "tgcover/app/trace_analysis.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "tgcover/obs/trace.hpp"
-#include "tgcover/util/check.hpp"
 
 namespace tgc::app {
 
 namespace {
-
-/// One parsed JSONL trace event. Fields the export omitted (because they
-/// held their zero/sentinel defaults) come back as those defaults.
-struct ParsedTraceEvent {
-  std::uint64_t seq = 0;
-  std::string kind;
-  double sim = 0.0;
-  std::uint32_t node = obs::kTraceNoNode;
-  std::uint32_t peer = obs::kTraceNoNode;
-  std::uint64_t type = 0;
-  std::uint64_t value = 0;
-  std::uint64_t flow = 0;
-};
 
 std::uint64_t median_of(std::vector<std::uint64_t> v) {
   if (v.empty()) return 0;
@@ -33,49 +18,17 @@ std::uint64_t median_of(std::vector<std::uint64_t> v) {
 
 }  // namespace
 
-TraceStats analyze_trace_file(const std::string& path) {
-  std::ifstream f(path);
-  TGC_CHECK_MSG(f.good(), "cannot open '" << path << "'");
-
+TraceStats analyze_trace(const Bundle& bundle) {
+  using K = obs::TraceKind;
   TraceStats stats;
-  std::vector<ParsedTraceEvent> events;
   const auto violation = [&stats](const std::string& what) {
     stats.violations.push_back(what);
   };
-
-  std::size_t lineno = 0;
-  std::string line;
-  while (std::getline(f, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    const std::optional<obs::JsonRecord> rec = obs::parse_jsonl_line(line);
-    if (!rec.has_value()) {
-      violation(path + ":" + std::to_string(lineno) + ": malformed record");
-      continue;
-    }
-    const std::string type = rec->text("type");
-    if (type == "manifest") {
-      stats.manifest = *rec;
-      continue;
-    }
-    if (type == "trace_header") {
-      stats.header = *rec;
-      continue;
-    }
-    ParsedTraceEvent ev;
-    ev.seq = rec->u64("seq");
-    ev.kind = rec->text("kind");
-    ev.sim = rec->number("sim");
-    ev.node = static_cast<std::uint32_t>(rec->u64("node", obs::kTraceNoNode));
-    ev.peer = static_cast<std::uint32_t>(rec->u64("peer", obs::kTraceNoNode));
-    ev.type = rec->u64("type");
-    ev.value = rec->u64("value");
-    ev.flow = rec->u64("flow");
-    events.push_back(std::move(ev));
-  }
+  if (bundle.has("trace_header")) stats.header = bundle.of("trace_header")[0];
+  const std::vector<obs::TraceEvent>& events = bundle.trace_events;
   stats.events = events.size();
 
-  // ---- Invariant checks (always computed; --check makes them fatal).
+  // ---- Invariant checks (`tgcover report` refuses a violating trace).
   if (!stats.header.has_value()) {
     violation("missing trace_header record");
   } else if (stats.header->u64("events") != events.size()) {
@@ -88,50 +41,51 @@ TraceStats analyze_trace_file(const std::string& path) {
   bool round_open = false;
   std::unordered_set<std::uint64_t> sent_flows;
   std::unordered_set<std::uint64_t> timer_flows;
-  for (const ParsedTraceEvent& ev : events) {
+  for (const obs::TraceEvent& ev : events) {
     if (ev.seq <= prev_seq) {
       violation("seq " + std::to_string(ev.seq) + " not increasing after " +
                 std::to_string(prev_seq));
     }
     prev_seq = ev.seq;
-    if (ev.kind == "send") {
+    if (ev.kind == K::kSend) {
       sent_flows.insert(ev.flow);
-    } else if (ev.kind == "timer_set") {
+    } else if (ev.kind == K::kTimerSet) {
       timer_flows.insert(ev.flow);
-    } else if (ev.kind == "deliver" || ev.kind == "drop" ||
-               ev.kind == "loss") {
+    } else if (ev.kind == K::kDeliver || ev.kind == K::kDrop ||
+               ev.kind == K::kLoss) {
       if (ev.flow != 0 && sent_flows.count(ev.flow) == 0) {
-        violation(ev.kind + " seq " + std::to_string(ev.seq) +
+        violation(std::string(obs::trace_kind_name(ev.kind)) + " seq " +
+                  std::to_string(ev.seq) +
                   " references unknown send flow " + std::to_string(ev.flow));
       }
-    } else if (ev.kind == "timer_fire") {
+    } else if (ev.kind == K::kTimerFire) {
       if (ev.flow != 0 && timer_flows.count(ev.flow) == 0) {
         violation("timer_fire seq " + std::to_string(ev.seq) +
                   " references unknown timer flow " + std::to_string(ev.flow));
       }
-    } else if (ev.kind == "handler_begin") {
+    } else if (ev.kind == K::kHandlerBegin) {
       if (!open_handler.emplace(ev.node, ev.seq).second) {
         violation("nested handler_begin at node " + std::to_string(ev.node) +
                   ", seq " + std::to_string(ev.seq));
       }
-    } else if (ev.kind == "handler_end") {
+    } else if (ev.kind == K::kHandlerEnd) {
       if (open_handler.erase(ev.node) == 0) {
         violation("handler_end without begin at node " +
                   std::to_string(ev.node) + ", seq " + std::to_string(ev.seq));
       }
-    } else if (ev.kind == "phase_begin") {
+    } else if (ev.kind == K::kPhaseBegin) {
       phase_stack.push_back(ev.type);
-    } else if (ev.kind == "phase_end") {
+    } else if (ev.kind == K::kPhaseEnd) {
       if (phase_stack.empty() || phase_stack.back() != ev.type) {
         violation("unbalanced phase_end (type " + std::to_string(ev.type) +
                   ") at seq " + std::to_string(ev.seq));
       } else {
         phase_stack.pop_back();
       }
-    } else if (ev.kind == "sched_round_begin") {
+    } else if (ev.kind == K::kSchedRoundBegin) {
       if (round_open) violation("sched_round_begin inside an open round");
       round_open = true;
-    } else if (ev.kind == "sched_round_end") {
+    } else if (ev.kind == K::kSchedRoundEnd) {
       if (!round_open) violation("sched_round_end without begin");
       round_open = false;
     }
@@ -157,15 +111,15 @@ TraceStats analyze_trace_file(const std::string& path) {
   std::unordered_map<std::uint32_t, std::uint64_t> sent_per_node;
   std::unordered_map<std::uint32_t, std::uint64_t> recv_per_node;
   std::unordered_map<std::uint64_t, double> send_time;
-  for (const ParsedTraceEvent& ev : events) {
-    if (ev.kind == "send") {
+  for (const obs::TraceEvent& ev : events) {
+    if (ev.kind == K::kSend) {
       ++stats.sends;
       ++sent_per_node[ev.node];
       const std::uint64_t depth = chain_at_node[ev.node] + 1;
       chain_of_flow[ev.flow] = depth;
       segment_max = std::max(segment_max, depth);
       send_time[ev.flow] = ev.sim;
-    } else if (ev.kind == "deliver") {
+    } else if (ev.kind == K::kDeliver) {
       ++stats.delivers;
       ++recv_per_node[ev.node];
       if (ev.flow != 0) {
@@ -187,16 +141,16 @@ TraceStats analyze_trace_file(const std::string& path) {
           ++stats.latency_samples;
         }
       }
-    } else if (ev.kind == "drop") {
+    } else if (ev.kind == K::kDrop) {
       ++stats.drops;
-    } else if (ev.kind == "loss") {
+    } else if (ev.kind == K::kLoss) {
       ++stats.losses;
       stats.lost_words += ev.value;
-    } else if (ev.kind == "retransmit") {
+    } else if (ev.kind == K::kRetransmit) {
       ++stats.retransmits;
-    } else if (ev.kind == "engine_round") {
+    } else if (ev.kind == K::kEngineRound) {
       ++stats.engine_rounds;
-    } else if (ev.kind == "sched_round_end") {
+    } else if (ev.kind == K::kSchedRoundEnd) {
       if (ev.type == 1) {
         ++stats.deletion_rounds;
       } else {

@@ -1,33 +1,62 @@
 #include "tgcover/core/criterion.hpp"
 
+#include <utility>
+
 #include "tgcover/cycle/span.hpp"
 #include "tgcover/graph/subgraph.hpp"
 #include "tgcover/util/check.hpp"
 
 namespace tgc::core {
 
-util::Gf2Vector remap_edge_vector(const graph::Graph& from,
-                                  const util::Gf2Vector& vec,
-                                  const graph::Graph& to) {
+namespace {
+
+/// `vec` over `to`'s edge ids, or nullopt when one of its edges is missing
+/// from `to` (the first such edge lands in `missing`). For CB over the awake
+/// subgraph, nullopt means a crashed or sleeping node took a CB edge down
+/// with it: no cycle set in the awake subgraph sums to CB, so no τ
+/// certifies.
+std::optional<util::Gf2Vector> try_remap(
+    const graph::Graph& from, const util::Gf2Vector& vec,
+    const graph::Graph& to,
+    std::pair<graph::VertexId, graph::VertexId>* missing = nullptr) {
   TGC_CHECK(vec.size() == from.num_edges());
   TGC_CHECK(from.num_vertices() == to.num_vertices());
   util::Gf2Vector out(to.num_edges());
+  bool complete = true;
   vec.for_each_set_bit([&](std::size_t e) {
+    if (!complete) return;
     const auto [u, v] = from.edge(static_cast<graph::EdgeId>(e));
     const auto mapped = to.edge_between(u, v);
-    TGC_CHECK_MSG(mapped.has_value(), "edge (" << u << "," << v
-                                               << ") missing in target graph");
+    if (!mapped.has_value()) {
+      complete = false;
+      if (missing != nullptr) *missing = {u, v};
+      return;
+    }
     out.set(*mapped);
   });
+  if (!complete) return std::nullopt;
   return out;
+}
+
+}  // namespace
+
+util::Gf2Vector remap_edge_vector(const graph::Graph& from,
+                                  const util::Gf2Vector& vec,
+                                  const graph::Graph& to) {
+  std::pair<graph::VertexId, graph::VertexId> missing{};
+  std::optional<util::Gf2Vector> out = try_remap(from, vec, to, &missing);
+  TGC_CHECK_MSG(out.has_value(), "edge (" << missing.first << ","
+                                          << missing.second
+                                          << ") missing in target graph");
+  return std::move(*out);
 }
 
 bool criterion_holds(const graph::Graph& g, const std::vector<bool>& active,
                      const util::Gf2Vector& cb_sum, unsigned tau) {
   TGC_CHECK(active.size() == g.num_vertices());
   const graph::Graph filtered = graph::filter_active(g, active);
-  const util::Gf2Vector cb = remap_edge_vector(g, cb_sum, filtered);
-  return cycle::short_cycles_contain(filtered, tau, cb);
+  const std::optional<util::Gf2Vector> cb = try_remap(g, cb_sum, filtered);
+  return cb.has_value() && cycle::short_cycles_contain(filtered, tau, *cb);
 }
 
 std::optional<std::vector<cycle::Cycle>> find_partition(
@@ -35,9 +64,10 @@ std::optional<std::vector<cycle::Cycle>> find_partition(
     const util::Gf2Vector& cb_sum, unsigned tau) {
   TGC_CHECK(active.size() == g.num_vertices());
   const graph::Graph filtered = graph::filter_active(g, active);
-  const util::Gf2Vector cb = remap_edge_vector(g, cb_sum, filtered);
+  const std::optional<util::Gf2Vector> cb = try_remap(g, cb_sum, filtered);
+  if (!cb.has_value()) return std::nullopt;
   const cycle::ShortCycleBasis basis(filtered, tau, /*with_certificates=*/true);
-  auto parts = basis.partition_of(cb);
+  auto parts = basis.partition_of(*cb);
   if (!parts.has_value()) return std::nullopt;
   // Express the certificate cycles back over g's edge ids.
   std::vector<cycle::Cycle> out;
@@ -54,7 +84,9 @@ unsigned smallest_certifiable_tau(const graph::Graph& g,
                                   unsigned tau_cap) {
   TGC_CHECK(tau_cap >= 3);
   const graph::Graph filtered = graph::filter_active(g, active);
-  const util::Gf2Vector cb = remap_edge_vector(g, cb_sum, filtered);
+  const std::optional<util::Gf2Vector> awake = try_remap(g, cb_sum, filtered);
+  if (!awake.has_value()) return 0;
+  const util::Gf2Vector& cb = *awake;
   if (!cycle::short_cycles_contain(filtered, tau_cap, cb)) return 0;
   unsigned lo = 3;
   unsigned hi = tau_cap;

@@ -262,7 +262,7 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
       obs::profile_mem_sample();
     }
     if (traced) {
-      // type 1: a completed deletion round. `trace-analyze` counts these and
+      // type 1: a completed deletion round. `tgcover report` counts these and
       // the count must equal the scheduler's reported rounds.
       obs::trace_emit(obs::TraceKind::kSchedRoundEnd, obs::kTraceNoNode,
                       obs::kTraceNoNode, 1, attempt, sched_clock(runner));

@@ -20,7 +20,8 @@ util::Gf2Vector remap_edge_vector(const graph::Graph& from,
 /// subgraph G' achieves τ-confine coverage if the sum of the boundary cycles
 /// CB is τ-partitionable in G'. `cb_sum` is the GF(2) sum of the boundary
 /// cycles, expressed over g's edge ids; for a simply-connected target area
-/// it is just the outer boundary cycle.
+/// it is just the outer boundary cycle. False when a crashed or sleeping
+/// node takes a CB edge out of the active subgraph.
 bool criterion_holds(const graph::Graph& g, const std::vector<bool>& active,
                      const util::Gf2Vector& cb_sum, unsigned tau);
 
@@ -34,7 +35,8 @@ std::optional<std::vector<cycle::Cycle>> find_partition(
     const util::Gf2Vector& cb_sum, unsigned tau);
 
 /// Smallest τ in [3, tau_cap] at which CB is τ-partitionable in the active
-/// subgraph — 0 when even tau_cap fails. Monotone in τ, so binary search.
+/// subgraph — 0 when even tau_cap fails (or a CB edge is not active).
+/// Monotone in τ, so binary search.
 /// The granularity knob read at runtime: coverage degrades gracefully from
 /// fine to coarse confine sizes as nodes die (Section III-C's configurable
 /// granularity, inverted into a measurement).

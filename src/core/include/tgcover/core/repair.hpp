@@ -15,9 +15,10 @@ namespace tgc::core {
 /// *sleeping* nodes within `wake_radius` hops of a failure, re-runs the
 /// deletion fixpoint with exactly those nodes deletable, and (when a
 /// boundary cycle is supplied) escalates the radius until the criterion
-/// certifies again or the whole network is awake. Safety is inherited from
-/// Theorem 5: re-deletions are VPT steps, so a restored certificate is never
-/// broken by the cleanup.
+/// certifies again or the whole network is awake — or stops after the first
+/// wave when a failed node carried a CB edge, which no wake brings back.
+/// Safety is inherited from Theorem 5: re-deletions are VPT steps, so a
+/// restored certificate is never broken by the cleanup.
 struct RepairResult {
   std::vector<bool> active;     ///< awake set after repair (failed stay dead)
   std::size_t woken = 0;        ///< sleepers brought back up

@@ -67,6 +67,16 @@ RepairResult dcc_repair(const Graph& g, const std::vector<bool>& internal,
   RepairResult result;
   const unsigned k = config.vpt().effective_k();
 
+  // A crashed node that carries a CB edge takes that edge down for good: no
+  // wake can bring it back, so the certificate is lost whatever the radius.
+  bool cb_severed = false;
+  if (certify) {
+    cb.for_each_set_bit([&](std::size_t e) {
+      const auto [u, v] = g.edge(static_cast<graph::EdgeId>(e));
+      if (failed[u] || failed[v]) cb_severed = true;
+    });
+  }
+
   // One verdict cache threaded through every escalating wave: each wave's
   // awake set differs from the previous one only near the failures, so
   // `prepare` re-dirties just that delta's k-neighbourhood and verdicts far
@@ -118,8 +128,7 @@ RepairResult dcc_repair(const Graph& g, const std::vector<bool>& internal,
                     << obs::kv("redeleted", cleaned.deleted)
                     << obs::kv("restored", result.criterion_restored);
 
-    if (!certify) return result;
-    if (result.criterion_restored) return result;
+    if (!certify || result.criterion_restored || cb_severed) return result;
 
     // Escalate until everything sleeping is awake; then give up (the
     // survivors simply cannot certify τ any more). With no failures at all

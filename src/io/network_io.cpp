@@ -2,9 +2,12 @@
 
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "tgcover/util/check.hpp"
 #include "tgcover/util/digest.hpp"
@@ -25,20 +28,27 @@ std::ifstream open_in(const std::string& path) {
   return in;
 }
 
-/// Reads one non-empty, non-comment line and checks its leading keyword.
-std::istringstream expect_line(std::istream& in, const std::string& keyword) {
+/// Reads the next non-empty, non-comment line; its leading keyword lands in
+/// `head`, the rest stays in the returned stream.
+std::istringstream next_line(std::istream& in, std::string& head) {
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ls(line);
-    std::string head;
     ls >> head;
-    TGC_CHECK_MSG(head == keyword,
-                  "expected '" << keyword << "', got '" << head << "'");
     return ls;
   }
-  TGC_CHECK_MSG(false, "unexpected end of file, expected '" << keyword << "'");
+  TGC_CHECK_MSG(false, "unexpected end of file");
   __builtin_unreachable();
+}
+
+/// Reads the next line and checks its leading keyword.
+std::istringstream expect_line(std::istream& in, const std::string& keyword) {
+  std::string head;
+  std::istringstream ls = next_line(in, head);
+  TGC_CHECK_MSG(head == keyword,
+                "expected '" << keyword << "', got '" << head << "'");
+  return ls;
 }
 
 }  // namespace
@@ -82,19 +92,31 @@ gen::Deployment load_deployment(std::istream& in) {
     auto ls = expect_line(in, "area");
     ls >> dep.area.xmin >> dep.area.ymin >> dep.area.xmax >> dep.area.ymax;
   }
-  dep.positions.resize(n);
-  std::vector<bool> seen(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto ls = expect_line(in, "pos");
+  // Grow the positions as `pos` lines arrive and check the count against
+  // the header afterwards: a corrupted `nodes` line must never size an
+  // allocation on its own.
+  std::vector<std::pair<std::size_t, geom::Point>> pos;
+  std::string head;
+  std::istringstream ls = next_line(in, head);
+  for (; head == "pos"; ls = next_line(in, head)) {
     std::size_t id = 0;
     geom::Point p;
-    ls >> id >> p.x >> p.y;
+    TGC_CHECK_MSG(ls >> id >> p.x >> p.y, "malformed pos line");
+    pos.emplace_back(id, p);
+  }
+  TGC_CHECK_MSG(pos.size() == n, "header declares " << n << " nodes, file has "
+                                                    << pos.size()
+                                                    << " pos lines");
+  dep.positions.resize(n);
+  std::vector<bool> seen(n, false);
+  for (const auto& [id, p] : pos) {
     TGC_CHECK_MSG(id < n && !seen[id], "bad or duplicate pos id " << id);
     seen[id] = true;
     dep.positions[id] = p;
   }
+  TGC_CHECK_MSG(head == "edges", "expected 'edges', got '" << head << "'");
   std::size_t m = 0;
-  expect_line(in, "edges") >> m;
+  ls >> m;
   graph::GraphBuilder builder(n);
   for (std::size_t i = 0; i < m; ++i) {
     auto ls = expect_line(in, "e");
@@ -141,6 +163,9 @@ std::vector<bool> load_mask(std::istream& in) {
   }
   std::size_t n = 0;
   expect_line(in, "nodes") >> n;
+  // Node ids are 32-bit: a larger count is a corrupted header, not a mask.
+  TGC_CHECK_MSG(n <= std::numeric_limits<graph::VertexId>::max(),
+                "mask header declares " << n << " nodes");
   std::vector<bool> mask(n, false);
   std::string line;
   while (std::getline(in, line)) {

@@ -71,7 +71,7 @@ class JsonRecord {
 };
 
 /// Parses one `{"key":value,...}` line. Returns nullopt on malformed input
-/// (including trailing garbage) — `tgcover stats` skips such lines loudly.
+/// (including trailing garbage) — `tgcover report` skips such lines loudly.
 std::optional<JsonRecord> parse_jsonl_line(const std::string& line);
 
 }  // namespace tgc::obs

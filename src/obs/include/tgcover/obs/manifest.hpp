@@ -8,7 +8,7 @@
 namespace tgc::obs {
 
 /// Run provenance. Every artifact-producing command builds one of these and
-/// (a) writes it as a `manifest.json` sidecar next to each JSONL sink and
+/// (a) writes it as the `manifest.json` sidecar of its bundle directory and
 /// (b) embeds the *semantic* subset as the first line of each JSONL stream,
 /// so an artifact can always explain which build, command, and config
 /// produced it.

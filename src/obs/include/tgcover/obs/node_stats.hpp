@@ -185,16 +185,17 @@ struct NodePosition {
   double y = 0.0;
 };
 
-/// The full single-run JSONL stream body (the CLI writes the manifest
-/// header line first): node_telemetry_header, optional node_pos lines (one
-/// per node when positions are provided — makes node-report self-contained),
+/// The full single-run JSONL stream body (the bundle writer puts the
+/// manifest header line first): node_telemetry_header, optional node_pos
+/// lines (one per node when positions are provided — makes the report's
+/// spatial overlay self-contained),
 /// node_round delta records, link rows, per-node node_summary lines, a
 /// talkers line, and a closing telemetry_summary. Requires finalize().
 void write_node_telemetry_jsonl(const NodeTelemetry& telemetry,
                                 std::span<const NodePosition> positions,
                                 std::ostream& out);
 
-/// The compact per-run form fleet appends into its shared telemetry sink:
+/// The compact per-run form fleet appends into its bundle's nodes.jsonl:
 /// node_summary and telemetry_summary lines only, each tagged with the
 /// fleet run id. Requires finalize().
 void write_node_summary_jsonl(const NodeTelemetry& telemetry,

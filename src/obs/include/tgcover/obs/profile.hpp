@@ -12,7 +12,7 @@
 /// The parallel-execution profiler (DESIGN.md §13): per-worker event rings
 /// plus a memory-telemetry channel, recorded inside util::ThreadPool and the
 /// scheduler/VPT/repair hot paths and exported as a manifest-headed JSONL
-/// stream (`--profile-out`) or Perfetto/Chrome per-worker tracks.
+/// stream (a bundle's profile.jsonl) or Perfetto/Chrome per-worker tracks.
 ///
 /// Where the logical-cost counters (cost.hpp) answer "how much work ran",
 /// the profiler answers "where the wall clock went while it ran": task
@@ -42,7 +42,7 @@
 ///
 /// Always compiled (like the cost counters, unlike the TGC_OBS span
 /// timers); runtime-gated by profile_active(), so a run without
-/// --profile-out pays one relaxed load per pool chunk and nothing else.
+/// `--obs profile` pays one relaxed load per pool chunk and nothing else.
 
 namespace tgc::obs {
 

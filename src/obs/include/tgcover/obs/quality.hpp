@@ -144,7 +144,7 @@ QualityAuditor* quality_auditor();
 void write_quality_jsonl(const QualityAuditor& auditor, std::ostream& out);
 
 /// Compact fleet form: the run-tagged `quality_summary` line only, appended
-/// to a campaign-wide shared sink.
+/// to the campaign bundle's quality.jsonl.
 void write_quality_summary_jsonl(const QualityAuditor& auditor,
                                  std::uint64_t run_id, std::ostream& out);
 

@@ -32,7 +32,7 @@ struct RoundEvent {
 /// The collector works with the span timers compiled out too (TGC_OBS=OFF):
 /// ns_* deltas are all zero then, but the logical counters and the
 /// scheduler-provided fields (active/candidates/deleted) still populate, so
-/// JSONL output, `tgcover stats`, and `tgcover compare` stay byte-identical
+/// JSONL output, `tgcover report`, and `tgcover compare` stay byte-identical
 /// on the logical columns across build flavours.
 class RoundCollector {
  public:
@@ -63,12 +63,12 @@ class RoundCollector {
   std::uint64_t survivors() const { return survivors_; }
 
   /// Emits one JSONL record per round, the per-phase "cost" records, and a
-  /// trailing summary record — the format `tgcover stats` consumes (see
+  /// trailing summary record — a bundle's metrics.jsonl (see
   /// DESIGN.md §8/§10 for the schema).
   void write_jsonl(std::ostream& out) const;
 
   /// Emits only the machine-independent records: per-round per-phase "cost"
-  /// lines plus "cost_total" lines. This is the `--cost-out` stream, byte-
+  /// lines plus "cost_total" lines. This is a bundle's cost.jsonl, byte-
   /// identical across machines, thread counts, log levels, and TGC_OBS build
   /// flavours for a given input/seed.
   void write_cost_jsonl(std::ostream& out) const;

@@ -16,8 +16,8 @@ namespace tgc::obs {
 /// `flow` id that the matching deliver/drop/loss events (and the message
 /// itself, via sim::Message::trace_id) carry, so an exported trace encodes
 /// the full message-causality DAG. Exports: Chrome trace-event JSON for
-/// Perfetto (trace_export.hpp) and a compact deterministic JSONL consumed by
-/// `tgcover trace-analyze`.
+/// Perfetto (trace_export.hpp) and a compact deterministic JSONL analyzed by
+/// `tgcover report`.
 ///
 /// Overhead policy mirrors the counters: compiled out entirely under
 /// TGC_OBS=OFF (all functions below become deletable no-ops, every type

@@ -7,22 +7,18 @@
 
 namespace tgc::obs {
 
-/// Timestamp source for the Chrome export. `kWall` shows real engine
-/// overhead (where the simulator spends time); `kSim` lays events out on the
-/// deterministic logical clock (protocol latency — engine rounds on the
-/// synchronous engine, event-loop time on the asynchronous one).
-enum class TraceClock { kWall, kSim };
-
 /// Writes Chrome trace-event JSON loadable in Perfetto (ui.perfetto.dev) or
 /// chrome://tracing: one track per node (tid = node + 1) plus a scheduler
 /// track (tid 0), handler spans as slices, and `s`/`f` flow arrows binding
-/// each delivery to its send. Accepts an empty event vector (TGC_OBS=OFF
-/// runs) and still emits a valid, loadable file.
+/// each delivery to its send, timed on the wall clock (where the simulator
+/// spends its time). Accepts an empty event vector (TGC_OBS=OFF runs) and
+/// still emits a valid, loadable file.
 void write_chrome_trace(const std::vector<TraceEvent>& events,
-                        std::ostream& out, TraceClock clock = TraceClock::kWall);
+                        std::ostream& out);
 
-/// Writes the compact JSONL form consumed by `tgcover trace-analyze`: one
-/// header record, then one flat record per event. Deliberately excludes
+/// Writes the compact JSONL form `tgcover report` analyzes: one
+/// trace_header record, then one flat trace_event record per event (the
+/// event's message type / phase id rides in `subtype`). Deliberately excludes
 /// `wall_ns` — identical seeds must yield byte-identical files regardless of
 /// machine, run, or --threads value (the determinism tests byte-compare
 /// these).

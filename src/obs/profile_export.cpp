@@ -4,8 +4,8 @@
 
 #include "tgcover/obs/profile.hpp"
 
-/// Profile exporters. The JSONL stream is the artifact --profile-out writes
-/// (after the CLI's manifest header line): a self-describing header, the
+/// Profile exporters. The JSONL stream is the bundle's profile.jsonl (after
+/// the bundle writer's manifest header line): a self-describing header, the
 /// drained per-worker event timeline, exact worker/phase summaries, and the
 /// memory channel. Wall-clock fields make the stream machine-dependent by
 /// nature; the thread-invariant columns (per-phase items, rounds, worker

@@ -33,20 +33,12 @@ std::uint32_t tid_of(const TraceEvent& ev) {
 }  // namespace
 
 void write_chrome_trace(const std::vector<TraceEvent>& events,
-                        std::ostream& out, TraceClock clock) {
-  std::uint64_t t0 = 0;
-  if (!events.empty() && clock == TraceClock::kWall) {
-    t0 = events.front().wall_ns;
-    for (const TraceEvent& ev : events) t0 = std::min(t0, ev.wall_ns);
-  }
+                        std::ostream& out) {
+  std::uint64_t t0 = events.empty() ? 0 : events.front().wall_ns;
+  for (const TraceEvent& ev : events) t0 = std::min(t0, ev.wall_ns);
   const auto ts = [&](const TraceEvent& ev) {
-    // Chrome trace timestamps are microseconds. On the sim clock one logical
-    // time unit (engine round / async delay unit) maps to one second, which
-    // keeps small integer rounds readable in the Perfetto ruler.
-    const double us = clock == TraceClock::kWall
-                          ? static_cast<double>(ev.wall_ns - t0) / 1000.0
-                          : ev.sim * 1e6;
-    return fmt_double("%.3f", us);
+    // Chrome trace timestamps are microseconds.
+    return fmt_double("%.3f", static_cast<double>(ev.wall_ns - t0) / 1000.0);
   };
 
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -172,11 +164,12 @@ void write_trace_jsonl(const std::vector<TraceEvent>& events,
       << events.size() << ",\"obs_compiled\":" << (kCompiledIn ? 1 : 0)
       << "}\n";
   for (const TraceEvent& ev : events) {
-    out << "{\"seq\":" << ev.seq << ",\"kind\":\"" << trace_kind_name(ev.kind)
+    out << "{\"type\":\"trace_event\",\"seq\":" << ev.seq
+        << ",\"kind\":\"" << trace_kind_name(ev.kind)
         << "\",\"sim\":" << fmt_double("%.12g", ev.sim);
     if (ev.node != kTraceNoNode) out << ",\"node\":" << ev.node;
     if (ev.peer != kTraceNoNode) out << ",\"peer\":" << ev.peer;
-    if (ev.type != 0) out << ",\"type\":" << ev.type;
+    if (ev.type != 0) out << ",\"subtype\":" << ev.type;
     if (ev.value != 0) out << ",\"value\":" << ev.value;
     if (const std::uint64_t f = flow_of(ev); f != 0) out << ",\"flow\":" << f;
     out << "}\n";

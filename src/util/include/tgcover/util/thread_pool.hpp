@@ -23,7 +23,7 @@ namespace tgc::util {
 /// threads at all and `parallel_for` degenerates to today's serial loop.
 ///
 /// When an obs::ExecutionProfiler session is open (profile_begin / the CLI's
-/// --profile-out), the pool records per-worker chunk execution, dequeue-idle
+/// `--obs profile`), the pool records per-worker chunk execution, dequeue-idle
 /// waits, and the caller's fork-region + barrier-stall intervals into the
 /// profiler's single-writer lane rings; off, each hot path pays one relaxed
 /// load. Spawned workers register their pool index as their profiler lane.

@@ -208,17 +208,17 @@ TEST_F(CliFixture, TraceIsDeterministicAndDoesNotPerturbSchedule) {
   for (const char* threads : {"1", "2", "4", "1"}) {
     const std::string sched =
         (dir_ / ("sched" + std::to_string(variant) + ".tgc")).string();
-    const std::string jsonl =
-        (dir_ / ("trace" + std::to_string(variant) + ".jsonl")).string();
+    const fs::path bundle = dir_ / ("run" + std::to_string(variant));
     ++variant;
     ASSERT_EQ(run({"distributed", "--in", net_.c_str(), "--tau", "3",
                    "--seed", "9", "--threads", threads, "--out",
-                   sched.c_str(), "--trace-jsonl", jsonl.c_str()},
+                   sched.c_str(), "--obs-out", bundle.string().c_str(),
+                   "--obs", "trace"},
                   &out),
               0)
         << out;
     EXPECT_EQ(slurp(sched), slurp(plain)) << "tracing perturbed the schedule";
-    traces.push_back(slurp(jsonl));
+    traces.push_back(slurp((bundle / "trace.jsonl").string()));
     EXPECT_FALSE(traces.back().empty());
   }
   for (std::size_t i = 1; i < traces.size(); ++i) {
@@ -233,11 +233,11 @@ TEST_F(CliFixture, TraceAnalyzeMatchesSchedulerRounds) {
                  "6", "--out", net_.c_str()},
                 &out),
             0);
-  const std::string jsonl = (dir_ / "trace.jsonl").string();
-  const std::string chrome = (dir_ / "trace.chrome.json").string();
+  const fs::path bundle = dir_ / "run";
+  const std::string chrome = (bundle / "trace.chrome.json").string();
   ASSERT_EQ(run({"distributed", "--in", net_.c_str(), "--tau", "3", "--seed",
-                 "2", "--out", sched_.c_str(), "--trace-jsonl", jsonl.c_str(),
-                 "--trace-out", chrome.c_str()},
+                 "2", "--out", sched_.c_str(), "--obs-out",
+                 bundle.string().c_str(), "--obs", "trace"},
                 &out),
             0)
       << out;
@@ -245,9 +245,12 @@ TEST_F(CliFixture, TraceAnalyzeMatchesSchedulerRounds) {
   ASSERT_GT(sched_rounds, 0) << out;
 
   // The analyzer recomputes the round count from the event stream alone; it
-  // must agree with what the scheduler reported. --check passes (exit 0).
+  // must agree with what the scheduler reported, and the invariants hold.
   std::string analysis;
-  ASSERT_EQ(run({"trace-analyze", jsonl.c_str(), "--check"}, &analysis), 0)
+  ASSERT_EQ(run({"report", (bundle / "trace.jsonl").string().c_str(), "--out",
+                 (dir_ / "r.html").string().c_str()},
+                &analysis),
+            0)
       << analysis;
   EXPECT_NE(analysis.find("trace OK"), std::string::npos) << analysis;
   EXPECT_EQ(number_after(analysis, "scheduler: "), sched_rounds) << analysis;
@@ -287,19 +290,92 @@ TEST_F(CliFixture, SinkFailuresExitNonzero) {
                  "2", "--out", net_.c_str()},
                 &out),
             0);
-  // Unwritable metrics sink: the run must fail loudly, not exit 0 with the
-  // data silently dropped.
+  // Unwritable bundle (its directory would sit under a regular file): the
+  // run must fail loudly, not exit 0 with the data silently dropped.
+  const std::string blocked = (dir_ / "net.tgc" / "run").string();
   EXPECT_EQ(run({"distributed", "--in", net_.c_str(), "--tau", "3", "--out",
-                 sched_.c_str(), "--metrics-out",
-                 "/nonexistent-tgc-dir/metrics.jsonl"},
+                 sched_.c_str(), "--obs-out", blocked.c_str()},
                 &out),
             1);
-  // Same for a trace sink.
+  // Same with the trace collector armed.
   EXPECT_EQ(run({"distributed", "--in", net_.c_str(), "--tau", "3", "--out",
-                 sched_.c_str(), "--trace-jsonl",
-                 "/nonexistent-tgc-dir/trace.jsonl"},
+                 sched_.c_str(), "--obs-out", blocked.c_str(), "--obs",
+                 "trace"},
                 &out),
             1);
+}
+
+TEST_F(CliFixture, ObsCollectorUsageErrorsExitTwo) {
+  std::string out;
+  ASSERT_EQ(run({"generate", "--nodes", "60", "--degree", "10", "--seed",
+                 "2", "--out", net_.c_str()},
+                &out),
+            0);
+  const std::string bundle = (dir_ / "run").string();
+  // `schedule` runs no simulator: it has no trace or node stream to arm.
+  EXPECT_EQ(run({"schedule", "--in", net_.c_str(), "--out", sched_.c_str(),
+                 "--obs-out", bundle.c_str(), "--obs", "trace"},
+                &out),
+            2);
+  EXPECT_NE(out.find("'trace'"), std::string::npos) << out;
+  EXPECT_EQ(run({"repair", "--in", net_.c_str(), "--obs-out", bundle.c_str(),
+                 "--obs", "trace"},
+                &out),
+            2);
+  EXPECT_EQ(run({"distributed", "--in", net_.c_str(), "--out",
+                 sched_.c_str(), "--obs-out", bundle.c_str(), "--obs",
+                 "trace,bogus"},
+                &out),
+            2);
+  EXPECT_NE(out.find("unknown collector 'bogus'"), std::string::npos) << out;
+  EXPECT_EQ(run({"distributed", "--in", net_.c_str(), "--out",
+                 sched_.c_str(), "--obs", "nodes"},
+                &out),
+            2);
+  EXPECT_NE(out.find("--obs-out"), std::string::npos) << out;
+  EXPECT_FALSE(fs::exists(bundle));
+}
+
+TEST_F(CliFixture, CrashedBoundaryNodeIsAnUncertifiedScheduleNotAnAbort) {
+  std::string out;
+  ASSERT_EQ(run({"generate", "--nodes", "150", "--seed", "7", "--out",
+                 net_.c_str()},
+                &out),
+            0);
+  ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--tau", "4", "--out",
+                 sched_.c_str()},
+                &out),
+            0);
+  // Node 0 is awake and carries the boundary-cycle edge (0,93).
+  ASSERT_NE(slurp(sched_).find("\nset 0\n"), std::string::npos);
+  const std::string failed = (dir_ / "failed.tgc").string();
+  {
+    std::ofstream f(failed);
+    f << "tgcover-mask 1\nnodes 150\nset 0\n";
+  }
+  EXPECT_EQ(run({"repair", "--in", net_.c_str(), "--schedule", sched_.c_str(),
+                 "--failed", failed.c_str(), "--tau", "4", "--out",
+                 (dir_ / "repaired.tgc").string().c_str()},
+                &out),
+            1);
+  EXPECT_NE(out.find("certificate not restorable"), std::string::npos) << out;
+
+  // The same node dropped from the mask (asleep rather than crashed).
+  std::string mask = slurp(sched_);
+  mask.erase(mask.find("set 0\n"), 6);
+  const std::string asleep = (dir_ / "asleep.tgc").string();
+  std::ofstream(asleep) << mask;
+  EXPECT_EQ(run({"verify", "--in", net_.c_str(), "--schedule", asleep.c_str(),
+                 "--tau", "4"},
+                &out),
+            1);
+  EXPECT_NE(out.find("does not hold"), std::string::npos) << out;
+  EXPECT_EQ(run({"quality", "--in", net_.c_str(), "--schedule",
+                 asleep.c_str()},
+                &out),
+            0);
+  EXPECT_NE(out.find("no confine-coverage certificate"), std::string::npos)
+      << out;
 }
 
 TEST_F(CliFixture, RepairCommand) {

@@ -11,7 +11,8 @@
 #include <string>
 
 #include "tgcover/app/charts.hpp"
-#include "tgcover/app/fleet.hpp"
+#include "tgcover/app/report.hpp"
+#include "tgcover/app/run_bundle.hpp"
 #include "tgcover/app/html.hpp"
 
 namespace tgc::app {
@@ -223,12 +224,14 @@ const char kManifestLine[] =
     "{\"type\":\"manifest\",\"tool\":\"tgcover\",\"command\":\"fleet\","
     "\"cfg_taus\":\"3,4\"}";
 const char kOkLine[] =
-    "{\"run\":1,\"status\":\"ok\",\"model\":\"udg\",\"nodes\":200,"
+    "{\"type\":\"run\",\"run\":1,\"status\":\"ok\",\"model\":\"udg\","
+    "\"nodes\":200,"
     "\"degree\":12.000000,\"tau\":3,\"loss\":0.000000,\"seed\":1,"
     "\"survivors\":90,\"awake_ratio\":0.450000,\"rounds\":7,"
     "\"schedule_digest\":\"09cfee18193260f8\",\"logical_cost\":1234}";
 const char kFailedLine[] =
-    "{\"run\":0,\"status\":\"failed\",\"model\":\"bogus\",\"nodes\":200,"
+    "{\"type\":\"run\",\"run\":0,\"status\":\"failed\",\"model\":\"bogus\","
+    "\"nodes\":200,"
     "\"degree\":12.000000,\"tau\":3,\"loss\":0.000000,\"seed\":1,"
     "\"error\":\"unknown deployment model\"}";
 
@@ -238,18 +241,18 @@ TEST_F(SinkFixture, GoldenRoundTrip) {
     // Completion order deliberately scrambled: the loader must sort by run.
     f << kManifestLine << "\n" << kOkLine << "\n" << kFailedLine << "\n";
   }
-  const FleetSink sink = load_fleet_sink(sink_);
+  const Bundle sink = load_bundle(sink_);
   EXPECT_TRUE(sink.error.empty());
   EXPECT_EQ(sink.skipped, 0u);
   ASSERT_TRUE(sink.manifest.has_value());
   EXPECT_EQ(sink.manifest->text("cfg_taus"), "3,4");
-  ASSERT_EQ(sink.runs.size(), 2u);
-  EXPECT_EQ(sink.runs[0].u64("run"), 0u);
-  EXPECT_EQ(sink.runs[0].text("status"), "failed");
-  EXPECT_EQ(sink.runs[1].u64("run"), 1u);
-  EXPECT_EQ(sink.runs[1].text("schedule_digest"), "09cfee18193260f8");
-  EXPECT_EQ(sink.runs[1].u64("logical_cost"), 1234u);
-  EXPECT_DOUBLE_EQ(sink.runs[1].number("awake_ratio"), 0.45);
+  ASSERT_EQ(sink.of("run").size(), 2u);
+  EXPECT_EQ(sink.of("run")[0].u64("run"), 0u);
+  EXPECT_EQ(sink.of("run")[0].text("status"), "failed");
+  EXPECT_EQ(sink.of("run")[1].u64("run"), 1u);
+  EXPECT_EQ(sink.of("run")[1].text("schedule_digest"), "09cfee18193260f8");
+  EXPECT_EQ(sink.of("run")[1].u64("logical_cost"), 1234u);
+  EXPECT_DOUBLE_EQ(sink.of("run")[1].number("awake_ratio"), 0.45);
 }
 
 TEST_F(SinkFixture, TruncatedAndPartialLinesAreSkippedNotFatal) {
@@ -258,32 +261,34 @@ TEST_F(SinkFixture, TruncatedAndPartialLinesAreSkippedNotFatal) {
     f << kManifestLine << "\n"
       << kOkLine << "\n"
       << "not json at all\n"
-      << "{\"run\":2,\"status\":\"ok\",\"mo";  // killed mid-write, no \n
+      // killed mid-write, no newline
+      << "{\"type\":\"run\",\"run\":2,\"status\":\"ok\",\"mo";
   }
-  const FleetSink sink = load_fleet_sink(sink_);
+  const Bundle sink = load_bundle(sink_);
   EXPECT_TRUE(sink.error.empty());
   EXPECT_EQ(sink.skipped, 2u);
-  ASSERT_EQ(sink.runs.size(), 1u);
-  EXPECT_EQ(sink.runs[0].u64("run"), 1u);
+  ASSERT_EQ(sink.of("run").size(), 1u);
+  EXPECT_EQ(sink.of("run")[0].u64("run"), 1u);
 }
 
 TEST_F(SinkFixture, MissingFileIsANamedError) {
-  const FleetSink sink = load_fleet_sink((dir_ / "absent.jsonl").string());
+  const Bundle sink = load_bundle((dir_ / "absent.jsonl").string());
   EXPECT_FALSE(sink.error.empty());
-  EXPECT_TRUE(sink.runs.empty());
+  EXPECT_TRUE(sink.of("run").empty());
 }
 
 TEST_F(SinkFixture, ReportOnLoadedSinkIsDeterministicAndEscaped) {
   {
     std::ofstream f(sink_, std::ios::binary);
     f << kManifestLine << "\n" << kOkLine << "\n" << kFailedLine << "\n"
-      << "{\"run\":2,\"status\":\"failed\",\"model\":\"<script>\","
+      << "{\"type\":\"run\",\"run\":2,\"status\":\"failed\","
+         "\"model\":\"<script>\","
          "\"nodes\":1,\"degree\":1.0,\"tau\":3,\"loss\":0.0,\"seed\":9,"
          "\"error\":\"<script>alert(1)</script>\"}\n";
   }
-  const FleetSink sink = load_fleet_sink(sink_);
-  const std::string a = render_fleet_report_html(sink, kHostile);
-  const std::string b = render_fleet_report_html(sink, kHostile);
+  const Bundle sink = load_bundle(sink_);
+  const std::string a = render_report_html(sink, nullptr, kHostile);
+  const std::string b = render_report_html(sink, nullptr, kHostile);
   EXPECT_EQ(a, b);
   EXPECT_FALSE(contains(a, "<script>"));
   EXPECT_TRUE(contains(a, "&lt;script&gt;"));

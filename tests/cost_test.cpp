@@ -8,7 +8,7 @@
 //  * `tgcover compare`: zero delta for identical-config runs, refusal
 //    (naming the key) for mismatched configs, --allow-diff, and
 //    byte-deterministic artifacts;
-//  * `tgcover stats` / the round-log loader on malformed inputs: missing
+//  * `tgcover report` / the bundle loader on malformed inputs: missing
 //    files, truncated final lines, blank lines, duplicate round ids, and
 //    manifest-only files are clean named errors, never crashes or silent
 //    skips;
@@ -187,17 +187,17 @@ class CostCliFixture : public ::testing::Test {
         << out;
   }
 
-  /// Runs `schedule` into its own run directory and returns that directory.
+  /// Runs `schedule` with its bundle in its own run directory and returns
+  /// that directory.
   std::string make_run(const std::string& name, const char* seed,
                        std::initializer_list<const char*> extra = {}) {
     const fs::path rd = dir_ / name;
     fs::create_directories(rd);
     const std::string mask = (rd / "sched.tgc").string();
-    const std::string metrics = (rd / "metrics.jsonl").string();
     std::vector<const char*> argv{"schedule", "--in",  net_.c_str(),
                                   "--seed",   seed,    "--out",
-                                  mask.c_str(),        "--metrics-out",
-                                  metrics.c_str()};
+                                  mask.c_str(),        "--obs-out",
+                                  rd.c_str()};
     argv.insert(argv.end(), extra.begin(), extra.end());
     std::string out;
     std::vector<const char*> full{"tgcover"};
@@ -217,36 +217,38 @@ class CostCliFixture : public ::testing::Test {
 
 TEST_F(CostCliFixture, CostStreamIdenticalAcrossThreadsAndLogLevels) {
   make_network();
-  const std::string a = (dir_ / "a.jsonl").string();
-  const std::string b = (dir_ / "b.jsonl").string();
-  const std::string c = (dir_ / "c.jsonl").string();
+  const std::string a = (dir_ / "a").string();
+  const std::string b = (dir_ / "b").string();
+  const std::string c = (dir_ / "c").string();
   std::string out;
   ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--out",
-                 (dir_ / "sa.tgc").string().c_str(), "--cost-out", a.c_str(),
+                 (dir_ / "sa.tgc").string().c_str(), "--obs-out", a.c_str(),
                  "--threads", "1", "--log-level", "warn"},
                 &out),
             0)
       << out;
   ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--out",
-                 (dir_ / "sb.tgc").string().c_str(), "--cost-out", b.c_str(),
+                 (dir_ / "sb.tgc").string().c_str(), "--obs-out", b.c_str(),
                  "--threads", "4", "--log-level", "warn"},
                 &out),
             0)
       << out;
   ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--out",
-                 (dir_ / "sc.tgc").string().c_str(), "--cost-out", c.c_str(),
+                 (dir_ / "sc.tgc").string().c_str(), "--obs-out", c.c_str(),
                  "--threads", "2", "--log-level", "debug", "--log-out",
                  (dir_ / "c.log").string().c_str()},
                 &out),
             0)
       << out;
 
-  const std::string bytes_a = read_file(a);
+  const std::string bytes_a = read_file(fs::path(a) / "cost.jsonl");
   EXPECT_FALSE(bytes_a.empty());
   // The whole file — embedded manifest header included — must agree: the
   // header carries only semantic config, never threads or log options.
-  EXPECT_EQ(bytes_a, read_file(b)) << "thread count leaked into the stream";
-  EXPECT_EQ(bytes_a, read_file(c)) << "log level leaked into the stream";
+  EXPECT_EQ(bytes_a, read_file(fs::path(b) / "cost.jsonl"))
+      << "thread count leaked into the stream";
+  EXPECT_EQ(bytes_a, read_file(fs::path(c) / "cost.jsonl"))
+      << "log level leaked into the stream";
   EXPECT_NE(bytes_a.find("\"type\":\"cost\""), std::string::npos);
   EXPECT_NE(bytes_a.find("\"type\":\"cost_total\""), std::string::npos);
   EXPECT_NE(bytes_a.find("\"logical_cost\":"), std::string::npos);
@@ -255,24 +257,26 @@ TEST_F(CostCliFixture, CostStreamIdenticalAcrossThreadsAndLogLevels) {
 TEST_F(CostCliFixture, MetricsStreamCarriesCostRecordsPerPhase) {
   make_network();
   const std::string rd = make_run("m", "1");
-  const app::RoundLog log =
-      app::load_round_log((fs::path(rd) / "metrics.jsonl").string());
+  const app::Bundle log =
+      app::load_bundle((fs::path(rd) / "metrics.jsonl").string());
   ASSERT_TRUE(log.error.empty()) << log.error;
-  ASSERT_FALSE(log.rows.empty());
-  ASSERT_FALSE(log.costs.empty());
-  ASSERT_FALSE(log.cost_totals.empty());
+  ASSERT_TRUE(log.has("round"));
+  const std::vector<app::CostRow> costs = app::cost_rows(log, "cost");
+  const std::vector<app::CostRow> totals = app::cost_rows(log, "cost_total");
+  ASSERT_FALSE(costs.empty());
+  ASSERT_FALSE(totals.empty());
 
   // Per-round cost records sum (with the post-round tail) to the totals.
   std::uint64_t per_round = 0;
-  for (const app::CostRow& c : log.costs) per_round += c.logical_cost;
+  for (const app::CostRow& c : costs) per_round += c.logical_cost;
   std::uint64_t total = 0;
-  for (const app::CostRow& c : log.cost_totals) total += c.logical_cost;
+  for (const app::CostRow& c : totals) total += c.logical_cost;
   EXPECT_GE(total, per_round);
   EXPECT_GT(per_round, 0u);
 
   // The verdict phase did the VPT work.
   bool saw_verdicts = false;
-  for (const app::CostRow& c : log.cost_totals) {
+  for (const app::CostRow& c : totals) {
     if (c.phase == "verdicts") {
       saw_verdicts = true;
       EXPECT_GT(c.vec.get(obs::CounterId::kVptTests), 0u);
@@ -428,16 +432,17 @@ class RoundLogEdgeFixture : public CostCliFixture {
     }
     return path;
   }
+  std::string html() const { return (dir_ / "r.html").string(); }
 };
 
 TEST_F(RoundLogEdgeFixture, MissingFileIsANamedErrorNotACrash) {
   const std::string path = (dir_ / "absent.jsonl").string();
-  const app::RoundLog log = app::load_round_log(path);
+  const app::Bundle log = app::load_bundle(path);
   EXPECT_FALSE(log.error.empty());
   EXPECT_NE(log.error.find("absent.jsonl"), std::string::npos);
 
   std::string out;
-  EXPECT_EQ(run({"stats", path.c_str()}, &out), 1);
+  EXPECT_EQ(run({"report", path.c_str(), "--out", html().c_str()}, &out), 1);
   EXPECT_NE(out.find("error:"), std::string::npos) << out;
   EXPECT_NE(out.find("absent.jsonl"), std::string::npos) << out;
 }
@@ -448,27 +453,29 @@ TEST_F(RoundLogEdgeFixture, TruncatedFinalLineIsSkippedLoudly) {
       {R"({"type":"round","round":1,"active":10,"deleted":1})",
        R"({"type":"round","round":2,"act)"},
       /*final_newline=*/false);
-  const app::RoundLog log = app::load_round_log(path);
+  const app::Bundle log = app::load_bundle(path);
   EXPECT_TRUE(log.error.empty());
-  EXPECT_EQ(log.rows.size(), 1u);
+  EXPECT_EQ(log.of("round").size(), 1u);
   EXPECT_EQ(log.skipped, 1u);
   ASSERT_FALSE(log.notes.empty());
 
   std::string out;
-  EXPECT_EQ(run({"stats", path.c_str()}, &out), 1) << out;
+  EXPECT_EQ(run({"report", path.c_str(), "--out", html().c_str()}, &out), 1)
+      << out;
 }
 
 TEST_F(RoundLogEdgeFixture, BlankLinesAreSkippedLoudly) {
   const std::string path = write_lines(
       "blank.jsonl", {R"({"type":"round","round":1,"active":10})", "",
                       R"({"type":"round","round":2,"active":9})", ""});
-  const app::RoundLog log = app::load_round_log(path);
+  const app::Bundle log = app::load_bundle(path);
   EXPECT_TRUE(log.error.empty());
-  EXPECT_EQ(log.rows.size(), 2u);
+  EXPECT_EQ(log.of("round").size(), 2u);
   EXPECT_EQ(log.skipped, 2u);
 
   std::string out;
-  EXPECT_EQ(run({"stats", path.c_str()}, &out), 1) << out;
+  EXPECT_EQ(run({"report", path.c_str(), "--out", html().c_str()}, &out), 1)
+      << out;
 }
 
 TEST_F(RoundLogEdgeFixture, DuplicateRoundIdsAreDroppedLoudly) {
@@ -476,11 +483,12 @@ TEST_F(RoundLogEdgeFixture, DuplicateRoundIdsAreDroppedLoudly) {
       "dup.jsonl", {R"({"type":"round","round":1,"active":10,"deleted":1})",
                     R"({"type":"round","round":1,"active":10,"deleted":1})",
                     R"({"type":"round","round":2,"active":9,"deleted":1})"});
-  const app::RoundLog log = app::load_round_log(path);
+  const app::Bundle log = app::load_bundle(path);
   EXPECT_TRUE(log.error.empty());
-  ASSERT_EQ(log.rows.size(), 2u);
-  EXPECT_EQ(log.rows[0].round, 1u);
-  EXPECT_EQ(log.rows[1].round, 2u);
+  const std::vector<app::RoundRow> rows = app::round_rows(log);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].round, 1u);
+  EXPECT_EQ(rows[1].round, 2u);
   EXPECT_EQ(log.skipped, 1u);
   bool named = false;
   for (const std::string& note : log.notes) {
@@ -489,43 +497,49 @@ TEST_F(RoundLogEdgeFixture, DuplicateRoundIdsAreDroppedLoudly) {
   EXPECT_TRUE(named);
 
   std::string out;
-  EXPECT_EQ(run({"stats", path.c_str()}, &out), 1) << out;
+  EXPECT_EQ(run({"report", path.c_str(), "--out", html().c_str()}, &out), 1)
+      << out;
 }
 
 TEST_F(RoundLogEdgeFixture, ManifestOnlyFileIsACleanError) {
   const std::string path = write_lines(
       "manifest_only.jsonl",
       {R"({"type":"manifest","command":"schedule","cfg_tau":"4"})"});
-  const app::RoundLog log = app::load_round_log(path);
+  const app::Bundle log = app::load_bundle(path);
   EXPECT_TRUE(log.error.empty());
   ASSERT_TRUE(log.manifest.has_value());
-  EXPECT_TRUE(log.rows.empty());
+  EXPECT_TRUE(log.records.empty());
   EXPECT_EQ(log.skipped, 0u);  // the manifest itself is never "skipped"
 
   std::string out;
-  EXPECT_EQ(run({"stats", path.c_str()}, &out), 1) << out;
+  EXPECT_EQ(run({"report", path.c_str(), "--out", html().c_str()}, &out), 1)
+      << out;
   EXPECT_NE(out.find("manifest only"), std::string::npos) << out;
 }
 
 TEST_F(RoundLogEdgeFixture, RunBundlePrefersEmbeddedManifestConfig) {
   make_network();
   const std::string rd = make_run("a", "1");
-  const app::RunBundle bundle = app::load_run_bundle(rd);
+  const app::Bundle bundle = app::load_bundle(rd);
   ASSERT_TRUE(bundle.error.empty()) << bundle.error;
-  EXPECT_TRUE(bundle.manifest_found);
+  EXPECT_TRUE(bundle.manifest.has_value());
   EXPECT_EQ(bundle.config.at("command"), "schedule");
   EXPECT_EQ(bundle.config.at("cfg_seed"), "1");
   // Execution detail must never leak into the comparable identity.
   for (const auto& [key, value] : bundle.config) {
     EXPECT_EQ(key.find("threads"), std::string::npos) << key;
-    EXPECT_EQ(key.find("metrics"), std::string::npos) << key;
+    EXPECT_EQ(key.find("obs"), std::string::npos) << key;
   }
+  // metrics.jsonl supersedes cost.jsonl: each cost record loads once.
+  const app::Bundle metrics_only =
+      app::load_bundle((fs::path(rd) / "metrics.jsonl").string());
+  EXPECT_EQ(bundle.of("cost").size(), metrics_only.of("cost").size());
 }
 
 TEST_F(RoundLogEdgeFixture, RunBundleNamesEmptyDirectories) {
   const fs::path empty = dir_ / "empty_run";
   fs::create_directories(empty);
-  const app::RunBundle bundle = app::load_run_bundle(empty.string());
+  const app::Bundle bundle = app::load_bundle(empty.string());
   EXPECT_FALSE(bundle.error.empty());
   EXPECT_NE(bundle.error.find("empty_run"), std::string::npos);
 }

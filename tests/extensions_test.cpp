@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "tgcover/core/criterion.hpp"
 #include "tgcover/core/edge_scheduler.hpp"
@@ -328,6 +329,56 @@ TEST_F(RepairFixture, NoFailuresWithCertificateTerminates) {
   EXPECT_EQ(repair.woken, 0u);
   EXPECT_EQ(repair.final_radius, config_.vpt().effective_k());
   EXPECT_EQ(repair.active, broken);
+}
+
+// A crashed or sleeping boundary-cycle node takes a CB edge out of the awake
+// subgraph. That is an uncertified schedule, not a precondition failure: the
+// certificate functions answer "no" and repair gives up after one wave.
+class SeveredBoundaryFixture : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // The network `tgcover generate --nodes 150 --seed 7` writes.
+    util::Rng rng(7);
+    net_ = prepare_network(
+        gen::random_connected_udg(
+            150, gen::side_for_average_degree(150, 1.0, 25.0), 1.0, rng),
+        1.0);
+    config_.tau = 4;
+    schedule_ = run_dcc(net_, config_);
+    // Pick an awake node carrying a CB edge (node 0 and edge (0,93) on this
+    // network).
+    net_.cb.for_each_set_bit([&](std::size_t e) {
+      const auto [u, v] = net_.dep.graph.edge(static_cast<graph::EdgeId>(e));
+      if (!cut_.has_value() && schedule_.result.active[u]) cut_ = u;
+    });
+    ASSERT_TRUE(cut_.has_value());
+  }
+
+  Network net_;
+  DccConfig config_;
+  ScheduleSummary schedule_;
+  std::optional<VertexId> cut_;
+};
+
+TEST_F(SeveredBoundaryFixture, CertificatesReportNoneInsteadOfThrowing) {
+  std::vector<bool> asleep = schedule_.result.active;
+  asleep[*cut_] = false;
+  const Graph& g = net_.dep.graph;
+  EXPECT_FALSE(criterion_holds(g, asleep, net_.cb, 4));
+  EXPECT_FALSE(find_partition(g, asleep, net_.cb, 4).has_value());
+  EXPECT_EQ(smallest_certifiable_tau(g, asleep, net_.cb, 16), 0u);
+  EXPECT_EQ(assess_quality(g, asleep, net_.cb, 16).certifiable_tau, 0u);
+}
+
+TEST_F(SeveredBoundaryFixture, RepairStopsAfterOneWave) {
+  std::vector<bool> failed(net_.dep.graph.num_vertices(), false);
+  failed[*cut_] = true;
+  const RepairResult repair =
+      dcc_repair(net_.dep.graph, net_.internal, schedule_.result.active,
+                 failed, net_.cb, config_);
+  EXPECT_FALSE(repair.criterion_restored);
+  EXPECT_EQ(repair.final_radius, config_.vpt().effective_k());
+  EXPECT_FALSE(repair.active[*cut_]);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // observability surface: grid expansion over the thread pool, the streaming
 // JSONL sink with its embedded manifest, per-run schedule digests matching
 // individually-run `tgcover schedule`, failed cells as status:"failed" rows
-// with a non-zero drain exit, byte-deterministic fleet-report rendering
+// with a non-zero drain exit, byte-deterministic `tgcover report` rendering
 // across invocations and thread counts, the JSON spec file, and the
 // compare --save / --against-last baseline workflow.
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 
 #include "tgcover/app/cli.hpp"
 #include "tgcover/app/fleet.hpp"
+#include "tgcover/app/run_bundle.hpp"
 #include "tgcover/obs/jsonl.hpp"
 #include "tgcover/util/check.hpp"
 
@@ -78,14 +79,14 @@ TEST_F(FleetFixture, GridDigestsMatchIndividualScheduleRuns) {
       << out;
   EXPECT_NE(out.find("18 runs"), std::string::npos);
 
-  const FleetSink sink = load_fleet_sink(sink_);
+  const Bundle sink = load_bundle(sink_);
   ASSERT_TRUE(sink.error.empty()) << sink.error;
-  ASSERT_EQ(sink.runs.size(), 18u);
+  ASSERT_EQ(sink.of("run").size(), 18u);
   ASSERT_TRUE(sink.manifest.has_value());
   EXPECT_EQ(sink.manifest->text("cfg_nodes"), "40,50,60");
   EXPECT_EQ(sink.manifest->text("cfg_taus"), "3,4,5");
 
-  for (const obs::JsonRecord& rec : sink.runs) {
+  for (const obs::JsonRecord& rec : sink.of("run")) {
     ASSERT_EQ(rec.text("status"), "ok") << rec.text("error");
     const std::string nodes = std::to_string(rec.u64("nodes"));
     const std::string tau = std::to_string(rec.u64("tau"));
@@ -119,10 +120,10 @@ TEST_F(FleetFixture, LossyCellsScheduleIdenticallyAndCountTraffic) {
                  "10", "--taus", "4", "--losses", "0,0.2", "--seeds", "1",
                  "--threads", "2", "--no-progress", "--out", sink_.c_str()}),
             0);
-  const FleetSink sink = load_fleet_sink(sink_);
-  ASSERT_EQ(sink.runs.size(), 2u);
-  const obs::JsonRecord& oracle = sink.runs[0];
-  const obs::JsonRecord& lossy = sink.runs[1];
+  const Bundle sink = load_bundle(sink_);
+  ASSERT_EQ(sink.of("run").size(), 2u);
+  const obs::JsonRecord& oracle = sink.of("run")[0];
+  const obs::JsonRecord& lossy = sink.of("run")[1];
   EXPECT_DOUBLE_EQ(oracle.number("loss"), 0.0);
   EXPECT_DOUBLE_EQ(lossy.number("loss"), 0.2);
   EXPECT_EQ(oracle.text("schedule_digest"), lossy.text("schedule_digest"));
@@ -142,16 +143,16 @@ TEST_F(FleetFixture, FailedCellsBecomeRowsAndTheCampaignDrains) {
   EXPECT_EQ(rc, 1);  // non-zero after the grid drains, not an abort
   EXPECT_NE(out.find("1 FAILED"), std::string::npos);
 
-  const FleetSink sink = load_fleet_sink(sink_);
-  ASSERT_EQ(sink.runs.size(), 2u);  // the good cell still completed
-  EXPECT_EQ(sink.runs[0].text("status"), "ok");
-  EXPECT_EQ(sink.runs[1].text("status"), "failed");
-  EXPECT_NE(sink.runs[1].text("error").find("unknown deployment model"),
+  const Bundle sink = load_bundle(sink_);
+  ASSERT_EQ(sink.of("run").size(), 2u);  // the good cell still completed
+  EXPECT_EQ(sink.of("run")[0].text("status"), "ok");
+  EXPECT_EQ(sink.of("run")[1].text("status"), "failed");
+  EXPECT_NE(sink.of("run")[1].text("error").find("unknown deployment model"),
             std::string::npos);
 
   // The dashboard renders failed campaigns too, with the failure table.
   const std::string html_path = (dir_ / "fleet.html").string();
-  ASSERT_EQ(run({"fleet-report", sink_.c_str(), "--out", html_path.c_str()},
+  ASSERT_EQ(run({"report", sink_.c_str(), "--out", html_path.c_str()},
                 &out),
             0)
       << out;
@@ -174,9 +175,9 @@ TEST_F(FleetFixture, ReportIsByteIdenticalAcrossInvocationsAndThreadCounts) {
   const std::string r1 = (dir_ / "r1.html").string();
   const std::string r2 = (dir_ / "r2.html").string();
   const std::string r3 = (dir_ / "r3.html").string();
-  ASSERT_EQ(run({"fleet-report", sink4.c_str(), "--out", r1.c_str()}), 0);
-  ASSERT_EQ(run({"fleet-report", sink4.c_str(), "--out", r2.c_str()}), 0);
-  ASSERT_EQ(run({"fleet-report", sink1.c_str(), "--out", r3.c_str()}), 0);
+  ASSERT_EQ(run({"report", sink4.c_str(), "--out", r1.c_str()}), 0);
+  ASSERT_EQ(run({"report", sink4.c_str(), "--out", r2.c_str()}), 0);
+  ASSERT_EQ(run({"report", sink1.c_str(), "--out", r3.c_str()}), 0);
   const std::string a = read_file(r1);
   EXPECT_EQ(a, read_file(r2));  // same sink, repeated render
   EXPECT_EQ(a, read_file(r3));  // 1-thread sink: records landed in a
@@ -201,8 +202,8 @@ TEST_F(FleetFixture, SpecFileExpandsAndFlagsOverrideIt) {
       << out;
   // --taus 3 overrides the spec file's "3,4": 2 nodes x 1 tau x 1 seed.
   EXPECT_NE(out.find("2 runs"), std::string::npos);
-  const FleetSink sink = load_fleet_sink(sink_);
-  ASSERT_EQ(sink.runs.size(), 2u);
+  const Bundle sink = load_bundle(sink_);
+  ASSERT_EQ(sink.of("run").size(), 2u);
   EXPECT_EQ(sink.manifest->text("cfg_taus"), "3");
   EXPECT_EQ(sink.manifest->text("cfg_nodes"), "40,50");
 }
@@ -236,13 +237,11 @@ TEST_F(FleetFixture, CompareSaveAndAgainstLastRoundTrip) {
   ASSERT_EQ(run({"generate", "--type", "udg", "--nodes", "60", "--degree",
                  "10", "--seed", "1", "--out", net.c_str()}),
             0);
-  const std::string cost_a = (run_a / "cost.jsonl").string();
-  const std::string cost_b = (run_b / "cost.jsonl").string();
   ASSERT_EQ(run({"schedule", "--in", net.c_str(), "--tau", "3", "--out",
-                 mask.c_str(), "--cost-out", cost_a.c_str()}),
+                 mask.c_str(), "--obs-out", run_a.string().c_str()}),
             0);
   ASSERT_EQ(run({"schedule", "--in", net.c_str(), "--tau", "3", "--out",
-                 mask.c_str(), "--cost-out", cost_b.c_str()}),
+                 mask.c_str(), "--obs-out", run_b.string().c_str()}),
             0);
 
   // No baseline yet: --against-last is a named error, not a crash.
@@ -285,8 +284,8 @@ TEST_F(FleetFixture, ResumeSkipsOkCellsAndAppendsOnlyTheMissing) {
                 &out),
             0)
       << out;
-  const FleetSink full = load_fleet_sink(sink_);
-  ASSERT_EQ(full.runs.size(), 4u);
+  const Bundle full = load_bundle(sink_);
+  ASSERT_EQ(full.of("run").size(), 4u);
 
   // Simulate a killed campaign: drop the last two run records (keep the
   // manifest header + two ok rows), then resume.
@@ -308,11 +307,11 @@ TEST_F(FleetFixture, ResumeSkipsOkCellsAndAppendsOnlyTheMissing) {
   EXPECT_NE(out.find("2 of 4 cells already ok, 2 to run"), std::string::npos)
       << out;
 
-  const FleetSink resumed = load_fleet_sink(sink_);
-  ASSERT_EQ(resumed.runs.size(), 4u);
+  const Bundle resumed = load_bundle(sink_);
+  ASSERT_EQ(resumed.of("run").size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(resumed.runs[i].u64("run"), i);
-    EXPECT_EQ(resumed.runs[i].text("status"), "ok");
+    EXPECT_EQ(resumed.of("run")[i].u64("run"), i);
+    EXPECT_EQ(resumed.of("run")[i].text("status"), "ok");
   }
   // The original manifest header survives the append (exactly one header).
   std::size_t manifests = 0;
@@ -341,18 +340,19 @@ TEST_F(FleetFixture, ResumeSkipsOkCellsAndAppendsOnlyTheMissing) {
 }
 
 TEST_F(FleetFixture, NodeTelemetryStreamsIntoSharedSinkAndRecordColumns) {
-  const std::string nt = (dir_ / "nodes.jsonl").string();
+  const std::string nt = (dir_ / "obs" / "nodes.jsonl").string();
   std::string out;
   ASSERT_EQ(run({"fleet", "--models", "udg", "--nodes", "40", "--degrees",
                  "10", "--taus", "3", "--seeds", "1,2", "--no-progress",
-                 "--node-telemetry-out", nt.c_str(), "--out", sink_.c_str()},
+                 "--obs-out", (dir_ / "obs").string().c_str(), "--obs",
+                 "nodes", "--out", sink_.c_str()},
                 &out),
             0)
       << out;
   // Armed records carry the telemetry roll-up columns.
-  const FleetSink sink = load_fleet_sink(sink_);
-  ASSERT_EQ(sink.runs.size(), 2u);
-  for (const obs::JsonRecord& rec : sink.runs) {
+  const Bundle sink = load_bundle(sink_);
+  ASSERT_EQ(sink.of("run").size(), 2u);
+  for (const obs::JsonRecord& rec : sink.of("run")) {
     EXPECT_TRUE(rec.has("max_node_energy"));
     EXPECT_TRUE(rec.has("traffic_gini"));
     EXPECT_GT(rec.number("max_node_energy"), 0.0);
@@ -387,17 +387,17 @@ TEST_F(FleetFixture, NodeTelemetryStreamsIntoSharedSinkAndRecordColumns) {
                 &out),
             0)
       << out;
-  const FleetSink off = load_fleet_sink(plain);
-  ASSERT_EQ(off.runs.size(), 2u);
-  for (const obs::JsonRecord& rec : off.runs) {
+  const Bundle off = load_bundle(plain);
+  ASSERT_EQ(off.of("run").size(), 2u);
+  for (const obs::JsonRecord& rec : off.of("run")) {
     EXPECT_FALSE(rec.has("max_node_energy"));
     EXPECT_FALSE(rec.has("traffic_gini"));
     // Telemetry never perturbs the schedule: digests match the armed run.
   }
-  EXPECT_EQ(off.runs[0].text("schedule_digest"),
-            sink.runs[0].text("schedule_digest"));
-  EXPECT_EQ(off.runs[1].text("schedule_digest"),
-            sink.runs[1].text("schedule_digest"));
+  EXPECT_EQ(off.of("run")[0].text("schedule_digest"),
+            sink.of("run")[0].text("schedule_digest"));
+  EXPECT_EQ(off.of("run")[1].text("schedule_digest"),
+            sink.of("run")[1].text("schedule_digest"));
 }
 
 TEST_F(FleetFixture, ResumeRefusesASinkFromADifferentGrid) {
@@ -420,17 +420,18 @@ TEST_F(FleetFixture, ResumeRefusesASinkFromADifferentGrid) {
 TEST_F(FleetFixture, LoadFleetSinkKeepsTheLastRecordPerRunId) {
   {
     std::ofstream f(sink_);
-    f << "{\"run\":1,\"status\":\"failed\",\"error\":\"boom\"}\n"
-      << "{\"run\":0,\"status\":\"ok\",\"survivors\":7}\n"
-      << "{\"run\":1,\"status\":\"ok\",\"survivors\":9}\n";
+    f << "{\"type\":\"run\",\"run\":1,\"status\":\"failed\","
+         "\"error\":\"boom\"}\n"
+      << "{\"type\":\"run\",\"run\":0,\"status\":\"ok\",\"survivors\":7}\n"
+      << "{\"type\":\"run\",\"run\":1,\"status\":\"ok\",\"survivors\":9}\n";
   }
-  const FleetSink sink = load_fleet_sink(sink_);
-  ASSERT_EQ(sink.runs.size(), 2u);
-  EXPECT_EQ(sink.runs[0].u64("run"), 0u);
-  EXPECT_EQ(sink.runs[1].u64("run"), 1u);
+  const Bundle sink = load_bundle(sink_);
+  ASSERT_EQ(sink.of("run").size(), 2u);
+  EXPECT_EQ(sink.of("run")[0].u64("run"), 0u);
+  EXPECT_EQ(sink.of("run")[1].u64("run"), 1u);
   // The re-run row (later in file order) supersedes the failed one.
-  EXPECT_EQ(sink.runs[1].text("status"), "ok");
-  EXPECT_EQ(sink.runs[1].u64("survivors"), 9u);
+  EXPECT_EQ(sink.of("run")[1].text("status"), "ok");
+  EXPECT_EQ(sink.of("run")[1].u64("survivors"), 9u);
 }
 
 }  // namespace

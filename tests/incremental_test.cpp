@@ -100,7 +100,7 @@ TEST(IncrementalEquivalence, RandomizedDeletionWaves) {
 }
 
 TEST(IncrementalEquivalence, CostStreamIdenticalAcrossThreads) {
-  // The machine-independent cost stream (`--cost-out`) must be
+  // The machine-independent cost stream (a bundle's cost.jsonl) must be
   // byte-identical across thread counts *within* each mode. (Incremental
   // and full streams legitimately differ from each other — fewer vpt_tests
   // per round is the whole point — but neither may depend on the pool.)

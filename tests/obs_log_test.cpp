@@ -199,7 +199,7 @@ obs::RunManifest sample_manifest() {
   m.command = "distributed";
   m.timestamp = "2026-08-06T00:00:00Z";
   m.config = {{"tau", "4"}, {"in", "net \"x\".tgc"}, {"seed", "7"}};
-  m.execution = {{"threads", "8"}, {"metrics-out", "/tmp/m.jsonl"}};
+  m.execution = {{"threads", "8"}, {"obs-out", "/tmp/run"}};
   return m;
 }
 
@@ -240,8 +240,7 @@ TEST_F(ObsLogTest, ManifestSidecarAddsTimestampAndExecutionOptions) {
   EXPECT_NE(side.find("\"timestamp\":\"2026-08-06T00:00:00Z\""),
             std::string::npos);
   EXPECT_NE(side.find("\"exec_threads\":\"8\""), std::string::npos);
-  EXPECT_NE(side.find("\"exec_metrics-out\":\"/tmp/m.jsonl\""),
-            std::string::npos);
+  EXPECT_NE(side.find("\"exec_obs-out\":\"/tmp/run\""), std::string::npos);
   const auto rec = obs::parse_jsonl_line(side);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->text("cfg_seed"), "7");

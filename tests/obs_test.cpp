@@ -1,5 +1,5 @@
 // Telemetry subsystem tests: shard merging across ThreadPool workers, span
-// nesting, JSONL round-trip through `tgcover stats`, and the contract that
+// nesting, JSONL round-trip through `tgcover report`, and the contract that
 // matters most — telemetry never changes a schedule. Every test is written
 // to pass both with TGC_OBS=ON (counters live) and TGC_OBS=OFF (everything
 // compiles to no-ops), branching on obs::kCompiledIn where the two differ.
@@ -65,7 +65,7 @@ TEST(ObsRegistry, DisabledAddsAreDropped) {
 }
 
 TEST(ObsRegistry, CounterAndSpanNamesAreStable) {
-  // The JSONL schema and `tgcover stats` key off these strings.
+  // The JSONL schema and `tgcover report` key off these strings.
   EXPECT_EQ(obs::counter_name(obs::CounterId::kVptTests), "vpt_tests");
   EXPECT_EQ(obs::counter_name(obs::CounterId::kGf2Pivots), "gf2_pivots");
   EXPECT_EQ(obs::counter_name(obs::CounterId::kMessages), "messages");
@@ -258,20 +258,22 @@ class ObsCliFixture : public ::testing::Test {
     fs::create_directories(dir_);
     net_ = (dir_ / "net.tgc").string();
     sched_ = (dir_ / "sched.tgc").string();
-    jsonl_ = (dir_ / "metrics.jsonl").string();
+    bundle_ = (dir_ / "run").string();
+    jsonl_ = (dir_ / "run" / "metrics.jsonl").string();
   }
   void TearDown() override {
-    obs::set_enabled(false);  // --metrics leaves the runtime switch on
+    obs::set_enabled(false);  // --obs-out leaves the runtime switch on
     fs::remove_all(dir_);
   }
 
   fs::path dir_;
   std::string net_;
   std::string sched_;
+  std::string bundle_;
   std::string jsonl_;
 };
 
-TEST_F(ObsCliFixture, MetricsOutFeedsStats) {
+TEST_F(ObsCliFixture, MetricsStreamFeedsReport) {
   std::string out;
   ASSERT_EQ(run({"generate", "--nodes", "150", "--degree", "18", "--seed",
                  "3", "--out", net_.c_str()},
@@ -279,29 +281,37 @@ TEST_F(ObsCliFixture, MetricsOutFeedsStats) {
             0)
       << out;
   ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--out", sched_.c_str(),
-                 "--metrics-out", jsonl_.c_str()},
+                 "--obs-out", bundle_.c_str()},
                 &out),
             0)
       << out;
-  EXPECT_NE(out.find("round records + summary"), std::string::npos);
+  EXPECT_NE(out.find("metrics.jsonl cost.jsonl"), std::string::npos) << out;
   ASSERT_TRUE(fs::exists(jsonl_));
+  const std::string html = (dir_ / "r.html").string();
 
-  // Positional form.
-  ASSERT_EQ(run({"stats", jsonl_.c_str()}, &out), 0) << out;
+  // Positional form, on the whole bundle.
+  ASSERT_EQ(run({"report", bundle_.c_str(), "--out", html.c_str()}, &out), 0)
+      << out;
   EXPECT_NE(out.find("round"), std::string::npos);
   EXPECT_NE(out.find("summary:"), std::string::npos);
   EXPECT_NE(out.find("survivors"), std::string::npos);
+  EXPECT_NE(out.find("view B"), std::string::npos);
 
-  // --in form, CSV output: header + one line per round.
-  ASSERT_EQ(run({"stats", "--in", jsonl_.c_str(), "--csv"}, &out), 0) << out;
-  EXPECT_NE(out.find("round,active,cand"), std::string::npos);
+  // --in form, on the one stream.
+  ASSERT_EQ(run({"report", "--in", jsonl_.c_str(), "--out", html.c_str()},
+                &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("summary:"), std::string::npos);
 
   // A corrupted line is skipped loudly and flips the exit code.
   {
     std::ofstream f(jsonl_, std::ios::app);
     f << "this is not json\n";
   }
-  EXPECT_EQ(run({"stats", jsonl_.c_str()}, &out), 1) << out;
+  EXPECT_EQ(run({"report", jsonl_.c_str(), "--out", html.c_str()}, &out), 1)
+      << out;
+  EXPECT_NE(out.find("unreadable line"), std::string::npos) << out;
 }
 
 TEST_F(ObsCliFixture, ScheduleIdenticalWithAndWithoutMetrics) {
@@ -317,7 +327,7 @@ TEST_F(ObsCliFixture, ScheduleIdenticalWithAndWithoutMetrics) {
             0)
       << out;
   ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--out", sched_.c_str(),
-                 "--metrics-out", jsonl_.c_str(), "--threads", "2"},
+                 "--obs-out", bundle_.c_str(), "--threads", "2"},
                 &out),
             0)
       << out;

@@ -140,15 +140,6 @@ TEST(TraceExport, ChromeTraceHasTracksAndFlows) {
   EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);
 }
 
-TEST(TraceExport, ChromeTraceSimClockUsesLogicalTime) {
-  std::ostringstream wall, sim;
-  write_chrome_trace(sample_events(), wall, TraceClock::kWall);
-  write_chrome_trace(sample_events(), sim, TraceClock::kSim);
-  // sim = 1.0 maps to 1e6 us; wall stamps are nanosecond-derived and tiny.
-  EXPECT_NE(sim.str().find("\"ts\":1000000.000"), std::string::npos);
-  EXPECT_EQ(wall.str().find("\"ts\":1000000.000"), std::string::npos);
-}
-
 TEST(TraceExport, JsonlIsDeterministicAndOmitsWallClock) {
   std::ostringstream out;
   write_trace_jsonl(sample_events(), out);

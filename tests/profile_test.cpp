@@ -1,9 +1,10 @@
 // End-to-end and unit tests of the parallel-execution profiler: single-writer
 // lane rings with exact accumulators under wraparound, RSS high-water
-// semantics, the --profile-out CLI surface (profiler-off invariance of the
+// semantics, the `--obs profile` CLI surface (profiler-off invariance of the
 // cost stream, pinned-timestamp sidecar determinism), byte-deterministic
-// profile-report rendering, and the honest scaling harness (bit-identical
-// digests across the thread ladder, thread-count-invariant phase items).
+// `tgcover report` profile sections, and the honest scaling harness
+// (bit-identical digests across the thread ladder, thread-count-invariant
+// phase items).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -16,7 +17,8 @@
 #include <vector>
 
 #include "tgcover/app/cli.hpp"
-#include "tgcover/app/profile_report.hpp"
+#include "tgcover/app/report.hpp"
+#include "tgcover/app/run_bundle.hpp"
 #include "tgcover/obs/jsonl.hpp"
 #include "tgcover/obs/obs.hpp"
 #include "tgcover/obs/profile.hpp"
@@ -145,25 +147,23 @@ TEST_F(ProfileFixture, CostStreamIsByteIdenticalWithProfilerOnAndOff) {
   generate();
   std::string out;
   ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--threads", "2", "--out",
-                 path("s1.tgc").c_str(), "--cost-out",
-                 path("cost_plain.jsonl").c_str()},
+                 path("s1.tgc").c_str(), "--obs-out", path("plain").c_str()},
                 &out),
             0)
       << out;
   ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--threads", "2", "--out",
-                 path("s2.tgc").c_str(), "--cost-out",
-                 path("cost_prof.jsonl").c_str(), "--profile-out",
-                 path("prof.jsonl").c_str()},
+                 path("s2.tgc").c_str(), "--obs-out", path("prof").c_str(),
+                 "--obs", "profile"},
                 &out),
             0)
       << out;
   // Arming the profiler must not perturb any deterministic artifact.
-  EXPECT_EQ(read_file(path("cost_plain.jsonl")),
-            read_file(path("cost_prof.jsonl")));
+  EXPECT_EQ(read_file(dir_ / "plain" / "cost.jsonl"),
+            read_file(dir_ / "prof" / "cost.jsonl"));
   EXPECT_EQ(read_file(path("s1.tgc")), read_file(path("s2.tgc")));
 
   const std::vector<obs::JsonRecord> headers =
-      records_of(path("prof.jsonl"), "profile_header");
+      records_of(dir_ / "prof" / "profile.jsonl", "profile_header");
   ASSERT_EQ(headers.size(), 1u);
   EXPECT_EQ(headers[0].u64("workers"), 2u);
   EXPECT_EQ(headers[0].u64("off_lane_events"), 0u);
@@ -172,20 +172,22 @@ TEST_F(ProfileFixture, CostStreamIsByteIdenticalWithProfilerOnAndOff) {
 
 TEST_F(ProfileFixture, SidecarManifestIsByteIdenticalAcrossRerunsWhenPinned) {
   generate();
-  const std::string prof = path("prof.jsonl");
+  const std::string prof = path("prof");
   std::string out;
   ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--threads", "2", "--out",
-                 path("s.tgc").c_str(), "--profile-out", prof.c_str()},
+                 path("s.tgc").c_str(), "--obs-out", prof.c_str(), "--obs",
+                 "profile"},
                 &out),
             0)
       << out;
-  const std::string first = read_file(dir_ / "manifest.json");
+  const std::string first = read_file(dir_ / "prof" / "manifest.json");
   ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--threads", "2", "--out",
-                 path("s.tgc").c_str(), "--profile-out", prof.c_str()},
+                 path("s.tgc").c_str(), "--obs-out", prof.c_str(), "--obs",
+                 "profile"},
                 &out),
             0)
       << out;
-  EXPECT_EQ(first, read_file(dir_ / "manifest.json"));
+  EXPECT_EQ(first, read_file(dir_ / "prof" / "manifest.json"));
   // The resolved worker count and the machine's concurrency are execution
   // keys every profile artifact must carry.
   EXPECT_NE(first.find("\"exec_threads\":\"2\""), std::string::npos) << first;
@@ -196,19 +198,17 @@ TEST_F(ProfileFixture, ReportRendersByteIdenticallyAcrossInvocations) {
   generate();
   std::string out;
   ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--threads", "2", "--out",
-                 path("s.tgc").c_str(), "--profile-out",
-                 path("prof.jsonl").c_str()},
+                 path("s.tgc").c_str(), "--obs-out", path("prof").c_str(),
+                 "--obs", "profile"},
                 &out),
             0)
       << out;
-  ASSERT_EQ(run({"profile-report", path("prof.jsonl").c_str(), "--out",
-                 path("r1.html").c_str(), "--chrome-out",
-                 path("trace.json").c_str()},
+  const std::string stream = (dir_ / "prof" / "profile.jsonl").string();
+  ASSERT_EQ(run({"report", stream.c_str(), "--out", path("r1.html").c_str()},
                 &out),
             0)
       << out;
-  ASSERT_EQ(run({"profile-report", path("prof.jsonl").c_str(), "--out",
-                 path("r2.html").c_str()},
+  ASSERT_EQ(run({"report", stream.c_str(), "--out", path("r2.html").c_str()},
                 &out),
             0)
       << out;
@@ -217,15 +217,18 @@ TEST_F(ProfileFixture, ReportRendersByteIdenticallyAcrossInvocations) {
   EXPECT_NE(html.find("Worker timeline"), std::string::npos);
   EXPECT_NE(html.find("Phase breakdown"), std::string::npos);
   EXPECT_NE(html.find("Parallel efficiency"), std::string::npos);
-  // The Chrome re-export names the synthetic worker process.
-  EXPECT_NE(read_file(path("trace.json")).find("tgcover pool workers"),
+  // The bundle's Chrome export names the synthetic worker process.
+  EXPECT_NE(read_file(dir_ / "prof" / "profile.chrome.json")
+                .find("tgcover pool workers"),
             std::string::npos);
 }
 
 TEST_F(ProfileFixture, ReportRefusesASinkWithoutAProfileHeader) {
-  std::ofstream(path("empty.jsonl")) << "{\"type\":\"manifest\"}\n";
+  std::ofstream(path("headless.jsonl"))
+      << "{\"type\":\"manifest\"}\n"
+      << "{\"type\":\"phase_summary\",\"phase\":\"verdicts\",\"items\":3}\n";
   std::string out;
-  EXPECT_EQ(run({"profile-report", path("empty.jsonl").c_str(), "--out",
+  EXPECT_EQ(run({"report", path("headless.jsonl").c_str(), "--out",
                  path("r.html").c_str()},
                 &out),
             1);
@@ -282,21 +285,21 @@ TEST_F(ProfileFixture, PhaseItemsAreInvariantAcrossThreadCounts) {
   generate();
   std::string out;
   ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--threads", "1", "--out",
-                 path("s1.tgc").c_str(), "--profile-out",
-                 path("p1.jsonl").c_str()},
+                 path("s1.tgc").c_str(), "--obs-out", path("p1").c_str(),
+                 "--obs", "profile"},
                 &out),
             0)
       << out;
   ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--threads", "3", "--out",
-                 path("s3.tgc").c_str(), "--profile-out",
-                 path("p3.jsonl").c_str()},
+                 path("s3.tgc").c_str(), "--obs-out", path("p3").c_str(),
+                 "--obs", "profile"},
                 &out),
             0)
       << out;
   const std::vector<obs::JsonRecord> one =
-      records_of(path("p1.jsonl"), "phase_summary");
+      records_of(dir_ / "p1" / "profile.jsonl", "phase_summary");
   const std::vector<obs::JsonRecord> three =
-      records_of(path("p3.jsonl"), "phase_summary");
+      records_of(dir_ / "p3" / "profile.jsonl", "phase_summary");
   ASSERT_EQ(one.size(), three.size());
   ASSERT_FALSE(one.empty());
   for (std::size_t i = 0; i < one.size(); ++i) {
@@ -314,25 +317,27 @@ TEST_F(ProfileFixture, LoadProfileRoundTripsSummaries) {
   generate();
   std::string out;
   ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--threads", "2", "--out",
-                 path("s.tgc").c_str(), "--profile-out",
-                 path("prof.jsonl").c_str()},
+                 path("s.tgc").c_str(), "--obs-out", path("prof").c_str(),
+                 "--obs", "profile"},
                 &out),
             0)
       << out;
-  const ProfileLoad load = load_profile(path("prof.jsonl"));
+  const fs::path stream = dir_ / "prof" / "profile.jsonl";
+  const Bundle load = load_bundle(stream.string());
   ASSERT_TRUE(load.error.empty()) << load.error;
   ASSERT_TRUE(load.manifest.has_value());
-  ASSERT_EQ(load.data.workers.size(), 2u);
+  const obs::ProfileData data = profile_of(load);
+  ASSERT_EQ(data.workers.size(), 2u);
   const std::vector<obs::JsonRecord> summaries =
-      records_of(path("prof.jsonl"), "worker_summary");
+      records_of(stream, "worker_summary");
   ASSERT_EQ(summaries.size(), 2u);
   for (std::size_t w = 0; w < 2; ++w) {
-    EXPECT_EQ(load.data.workers[w].tasks, summaries[w].u64("tasks"));
-    EXPECT_EQ(load.data.workers[w].items, summaries[w].u64("items"));
-    EXPECT_EQ(load.data.workers[w].busy_ns, summaries[w].u64("busy_ns"));
+    EXPECT_EQ(data.workers[w].tasks, summaries[w].u64("tasks"));
+    EXPECT_EQ(data.workers[w].items, summaries[w].u64("items"));
+    EXPECT_EQ(data.workers[w].busy_ns, summaries[w].u64("busy_ns"));
   }
-  EXPECT_GT(load.data.wall_ns, 0u);
-  EXPECT_GT(load.data.memory.peak_rss_end_bytes, 0u);
+  EXPECT_GT(data.wall_ns, 0u);
+  EXPECT_GT(data.memory.peak_rss_end_bytes, 0u);
 }
 
 }  // namespace

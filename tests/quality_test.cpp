@@ -1,13 +1,12 @@
 // End-to-end tests of the coverage-quality auditor (DESIGN.md §15): the
 // arming-perturbs-nothing contract (schedule masks and cost streams are
-// byte-identical with --quality-out on or off, and the quality stream is
+// byte-identical with `--obs quality` on or off, and the quality stream is
 // byte-identical across thread counts), a repair run holding the
 // Proposition 1 hole-diameter bound with positive margin, a synthetic
 // over-deletion driving the auditor into a recorded bound_violation, the
-// stream loader + byte-deterministic quality-report rendering, the report
-// command fusing an adjacent quality sink, and the fleet integration
-// (per-run summary columns, the shared quality sink, and the --resume
-// armed/unarmed consistency refusal).
+// bundle loader + byte-deterministic `tgcover report` quality sections, and
+// the fleet integration (per-run summary columns, the bundle's quality
+// stream, and the --resume armed/unarmed consistency refusal).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,7 +22,8 @@
 #include "tgcover/app/cli.hpp"
 #include "tgcover/app/fleet.hpp"
 #include "tgcover/app/quality_audit.hpp"
-#include "tgcover/app/quality_report.hpp"
+#include "tgcover/app/report.hpp"
+#include "tgcover/app/run_bundle.hpp"
 #include "tgcover/core/pipeline.hpp"
 #include "tgcover/geom/point.hpp"
 #include "tgcover/io/network_io.hpp"
@@ -78,49 +78,52 @@ TEST_F(QualityFixture, ArmingLeavesMaskAndCostStreamByteIdentical) {
   generate("80", "7");
   const std::string mask_q = (dir_ / "mask-q.tgc").string();
   const std::string mask_p = (dir_ / "mask-p.tgc").string();
-  const std::string cost_q = (dir_ / "cost-q.jsonl").string();
-  const std::string cost_p = (dir_ / "cost-p.jsonl").string();
-  const std::string quality = (dir_ / "quality.jsonl").string();
+  const fs::path q = dir_ / "q";
+  const fs::path p = dir_ / "p";
   std::string out;
   ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--tau", "4", "--out",
-                 mask_q.c_str(), "--cost-out", cost_q.c_str(),
-                 "--quality-out", quality.c_str()},
+                 mask_q.c_str(), "--obs-out", q.string().c_str(), "--obs",
+                 "quality"},
                 &out),
             0)
       << out;
-  EXPECT_NE(out.find("wrote quality audit"), std::string::npos) << out;
+  EXPECT_NE(out.find("quality.jsonl"), std::string::npos) << out;
   ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--tau", "4", "--out",
-                 mask_p.c_str(), "--cost-out", cost_p.c_str()}),
+                 mask_p.c_str(), "--obs-out", p.string().c_str()}),
             0);
   // The probe re-enters counted kernels under a CostAuditScope; the gated
   // cost stream and the schedule must not move by a single byte.
   EXPECT_EQ(read_file(mask_q), read_file(mask_p));
-  EXPECT_EQ(read_file(cost_q), read_file(cost_p));
+  EXPECT_EQ(read_file((q / "cost.jsonl").string()),
+            read_file((p / "cost.jsonl").string()));
 
-  const QualityLoad load = load_quality(quality);
+  const Bundle load = load_bundle((q / "quality.jsonl").string());
   ASSERT_TRUE(load.error.empty()) << load.error;
   EXPECT_TRUE(load.manifest.has_value());
-  EXPECT_TRUE(load.summary.has_value());
-  EXPECT_FALSE(load.rounds.empty());
-  EXPECT_TRUE(load.bound_finite());  // rs = rc = 1 -> gamma = 1
+  EXPECT_TRUE(load.has("quality_summary"));
+  EXPECT_TRUE(load.has("quality_round"));
+  ASSERT_TRUE(load.has("quality_header"));
+  // rs = rc = 1 -> gamma = 1: a finite Proposition 1 bound.
+  EXPECT_EQ(load.of("quality_header").front().u64("bound_finite"), 1u);
 }
 
 TEST_F(QualityFixture, QualityStreamIsThreadCountInvariant) {
   generate("80", "5");
-  const std::string q1 = (dir_ / "q1.jsonl").string();
-  const std::string q2 = (dir_ / "q2.jsonl").string();
+  const fs::path q1 = dir_ / "q1";
+  const fs::path q2 = dir_ / "q2";
   const std::string m1 = (dir_ / "m1.tgc").string();
   const std::string m2 = (dir_ / "m2.tgc").string();
   ASSERT_EQ(run({"distributed", "--in", net_.c_str(), "--tau", "4",
-                 "--threads", "1", "--out", m1.c_str(), "--quality-out",
-                 q1.c_str()}),
+                 "--threads", "1", "--out", m1.c_str(), "--obs-out",
+                 q1.string().c_str(), "--obs", "quality"}),
             0);
   ASSERT_EQ(run({"distributed", "--in", net_.c_str(), "--tau", "4",
-                 "--threads", "2", "--out", m2.c_str(), "--quality-out",
-                 q2.c_str()}),
+                 "--threads", "2", "--out", m2.c_str(), "--obs-out",
+                 q2.string().c_str(), "--obs", "quality"}),
             0);
   EXPECT_EQ(read_file(m1), read_file(m2));
-  EXPECT_EQ(read_file(q1), read_file(q2));
+  EXPECT_EQ(read_file((q1 / "quality.jsonl").string()),
+            read_file((q2 / "quality.jsonl").string()));
 }
 
 TEST_F(QualityFixture, LossyAsyncRepairRunHoldsTheBoundWithMargin) {
@@ -137,17 +140,18 @@ TEST_F(QualityFixture, LossyAsyncRepairRunHoldsTheBoundWithMargin) {
                  "28", "--seed", "3", "--out", net_.c_str()}),
             0);
   const std::string mask = (dir_ / "mask.tgc").string();
-  const std::string q_lossy = (dir_ / "q-lossy.jsonl").string();
+  const std::string q_lossy = (dir_ / "q-lossy").string();
   ASSERT_EQ(run({"distributed", "--in", net_.c_str(), "--tau", "4", "--async",
                  "--loss", "0.1", "--rs", "0.7", "--out", mask.c_str(),
-                 "--quality-out", q_lossy.c_str()}),
+                 "--obs-out", q_lossy.c_str(), "--obs", "quality"}),
             0);
-  const QualityLoad lossy = load_quality(q_lossy);
+  const Bundle lossy = load_bundle(q_lossy);
   ASSERT_TRUE(lossy.error.empty()) << lossy.error;
-  ASSERT_TRUE(lossy.summary.has_value());
-  EXPECT_EQ(lossy.summary->u64("violations"), 0u);
-  EXPECT_GT(lossy.summary->number("bound_margin"), 0.0);
-  EXPECT_GE(lossy.summary->u64("rounds_sampled"), 2u);  // round 0 + rounds
+  ASSERT_TRUE(lossy.has("quality_summary"));
+  const obs::JsonRecord& lossy_summary = lossy.of("quality_summary").back();
+  EXPECT_EQ(lossy_summary.u64("violations"), 0u);
+  EXPECT_GT(lossy_summary.number("bound_margin"), 0.0);
+  EXPECT_GE(lossy_summary.u64("rounds_sampled"), 2u);  // round 0 + rounds
 
   // Crash a handful of internal survivors and audit the repair waves.
   // Boundary-cycle nodes are powered infrastructure (cf. lifetime's energy
@@ -167,19 +171,20 @@ TEST_F(QualityFixture, LossyAsyncRepairRunHoldsTheBoundWithMargin) {
   const std::string failed_path = (dir_ / "failed.tgc").string();
   io::save_mask(failed, failed_path);
   const std::string repaired = (dir_ / "repaired.tgc").string();
-  const std::string q_repair = (dir_ / "q-repair.jsonl").string();
+  const std::string q_repair = (dir_ / "q-repair").string();
   std::string out;
   ASSERT_EQ(run({"repair", "--in", net_.c_str(), "--schedule", mask.c_str(),
                  "--failed", failed_path.c_str(), "--out", repaired.c_str(),
-                 "--rs", "0.7", "--quality-out", q_repair.c_str()},
+                 "--rs", "0.7", "--obs-out", q_repair.c_str(), "--obs",
+                 "quality"},
                 &out),
             0)
       << out;
-  const QualityLoad repair = load_quality(q_repair);
+  const Bundle repair = load_bundle(q_repair);
   ASSERT_TRUE(repair.error.empty()) << repair.error;
-  ASSERT_TRUE(repair.summary.has_value());
-  EXPECT_EQ(repair.summary->u64("violations"), 0u);
-  EXPECT_GT(repair.summary->number("bound_margin"), 0.0);
+  ASSERT_TRUE(repair.has("quality_summary"));
+  EXPECT_EQ(repair.of("quality_summary").back().u64("violations"), 0u);
+  EXPECT_GT(repair.of("quality_summary").back().number("bound_margin"), 0.0);
 }
 
 TEST_F(QualityFixture, OverDeletionRecordsABoundViolationEvent) {
@@ -192,11 +197,9 @@ TEST_F(QualityFixture, OverDeletionRecordsABoundViolationEvent) {
   g.degree = 10.0;
   g.seed = 3;
   const core::Network net = core::prepare_network(generate_deployment(g), 1.0);
-  QualityKnobs knobs;
-  knobs.path = "armed";  // only emptiness matters to make_quality_auditor
-  knobs.rs = 0.6;        // γ ≈ 1.67: finite (τ−2)·Rc bound, not blanket
+  // rs = 0.6: γ ≈ 1.67, a finite (τ−2)·Rc bound, not blanket coverage.
   const std::unique_ptr<obs::QualityAuditor> auditor =
-      make_quality_auditor(net, 4, knobs);
+      make_quality_auditor(net, 4, 0.6);
   ASSERT_NE(auditor, nullptr);
   EXPECT_DOUBLE_EQ(auditor->config().hole_diameter_bound, 2.0);
 
@@ -233,52 +236,56 @@ TEST_F(QualityFixture, OverDeletionRecordsABoundViolationEvent) {
 TEST_F(QualityFixture, DashboardRendersByteIdenticallyAndReportFuses) {
   generate("80", "7");
   const std::string mask = (dir_ / "mask.tgc").string();
-  const std::string metrics = (dir_ / "metrics.jsonl").string();
-  const std::string quality = (dir_ / "quality.jsonl").string();
+  const fs::path bundle = dir_ / "run";
+  const std::string quality = (bundle / "quality.jsonl").string();
   ASSERT_EQ(run({"distributed", "--in", net_.c_str(), "--tau", "4", "--out",
-                 mask.c_str(), "--metrics-out", metrics.c_str(),
-                 "--quality-out", quality.c_str()}),
+                 mask.c_str(), "--obs-out", bundle.string().c_str(), "--obs",
+                 "quality"}),
             0);
 
+  // The quality stream alone renders its sections, byte-identically.
   const std::string h1 = (dir_ / "q1.html").string();
   const std::string h2 = (dir_ / "q2.html").string();
   std::string out;
-  ASSERT_EQ(run({"quality-report", quality.c_str(), "--out", h1.c_str()},
-                &out),
-            0)
+  ASSERT_EQ(run({"report", quality.c_str(), "--out", h1.c_str()}, &out), 0)
       << out;
-  EXPECT_NE(out.find("wrote quality report"), std::string::npos) << out;
-  ASSERT_EQ(run({"quality-report", quality.c_str(), "--out", h2.c_str()}), 0);
+  ASSERT_EQ(run({"report", quality.c_str(), "--out", h2.c_str()}), 0);
   const std::string html = read_file(h1);
   EXPECT_EQ(html, read_file(h2));
   EXPECT_NE(html.find("Holes vs bound"), std::string::npos);
   EXPECT_NE(html.find("k-coverage"), std::string::npos);
   EXPECT_NE(html.find("min coverage fraction"), std::string::npos);
 
-  // Satellite: `tgcover report` discovers the quality sink sitting next to
-  // the metrics sink and fuses the same sections into the run dashboard.
+  // The whole bundle puts the same sections on the run dashboard.
   const std::string report = (dir_ / "report.html").string();
-  ASSERT_EQ(run({"report", "--rounds", metrics.c_str(), "--out",
-                 report.c_str()},
+  ASSERT_EQ(run({"report", bundle.string().c_str(), "--out", report.c_str()},
                 &out),
             0)
       << out;
-  EXPECT_NE(out.find("quality fused"), std::string::npos) << out;
   const std::string fused = read_file(report);
+  EXPECT_NE(fused.find("Round timeline"), std::string::npos);
   EXPECT_NE(fused.find("Holes vs bound"), std::string::npos);
   EXPECT_NE(fused.find("k-coverage"), std::string::npos);
 }
 
 TEST_F(QualityFixture, LoaderNamesMissingHeaderAndUnreadableFiles) {
-  const QualityLoad absent = load_quality((dir_ / "absent.jsonl").string());
-  EXPECT_NE(absent.error.find("cannot read"), std::string::npos);
+  const Bundle absent = load_bundle((dir_ / "absent.jsonl").string());
+  EXPECT_NE(absent.error.find("cannot open"), std::string::npos);
   const std::string headerless = (dir_ / "headerless.jsonl").string();
   {
     std::ofstream f(headerless);
     f << "{\"type\":\"quality_round\",\"round\":1}\n" << "not json\n";
   }
-  const QualityLoad bad = load_quality(headerless);
-  EXPECT_NE(bad.error.find("no quality_header"), std::string::npos);
+  // Rounds without their quality_header render nothing: a named refusal.
+  const Bundle bad = load_bundle(headerless);
+  EXPECT_EQ(bad.skipped, 1u);
+  EXPECT_NE(report_refusal(bad).find("no quality_header"), std::string::npos);
+  std::string out;
+  EXPECT_EQ(run({"report", headerless.c_str(), "--out",
+                 (dir_ / "r.html").string().c_str()},
+                &out),
+            1);
+  EXPECT_NE(out.find("headerless.jsonl"), std::string::npos) << out;
 }
 
 // ------------------------------------------------------------------- fleet
@@ -288,9 +295,11 @@ class FleetQualityFixture : public QualityFixture {
   void SetUp() override {
     QualityFixture::SetUp();
     sink_ = (dir_ / "fleet.jsonl").string();
-    qsink_ = (dir_ / "fleet-quality.jsonl").string();
+    obs_ = (dir_ / "obs").string();
+    qsink_ = (dir_ / "obs" / "quality.jsonl").string();
   }
   std::string sink_;
+  std::string obs_;
   std::string qsink_;
 };
 
@@ -298,20 +307,21 @@ TEST_F(FleetQualityFixture, ArmedCellsStreamSummariesAndRecordColumns) {
   std::string out;
   ASSERT_EQ(run({"fleet", "--models", "udg", "--nodes", "40", "--degrees",
                  "10", "--taus", "3", "--seeds", "1,2", "--no-progress",
-                 "--quality-out", qsink_.c_str(), "--out", sink_.c_str()},
+                 "--obs-out", obs_.c_str(), "--obs", "quality", "--out",
+                 sink_.c_str()},
                 &out),
             0)
       << out;
-  EXPECT_NE(out.find("+quality"), std::string::npos) << out;
-  const FleetSink sink = load_fleet_sink(sink_);
-  ASSERT_EQ(sink.runs.size(), 2u);
-  for (const obs::JsonRecord& rec : sink.runs) {
+  EXPECT_NE(out.find("quality.jsonl"), std::string::npos) << out;
+  const Bundle sink = load_bundle(sink_);
+  ASSERT_EQ(sink.of("run").size(), 2u);
+  for (const obs::JsonRecord& rec : sink.of("run")) {
     EXPECT_TRUE(rec.has("min_coverage_fraction"));
     EXPECT_TRUE(rec.has("max_hole_diameter"));
     EXPECT_TRUE(rec.has("bound_margin"));
     EXPECT_GT(rec.number("min_coverage_fraction"), 0.0);
   }
-  // The shared quality sink: one manifest header plus one run-tagged
+  // The bundle's quality stream: one manifest header plus one run-tagged
   // quality_summary per cell.
   std::ifstream in(qsink_);
   std::string line;
@@ -338,13 +348,13 @@ TEST_F(FleetQualityFixture, ArmedCellsStreamSummariesAndRecordColumns) {
                 &out),
             0)
       << out;
-  const FleetSink off = load_fleet_sink(plain);
-  ASSERT_EQ(off.runs.size(), 2u);
+  const Bundle off = load_bundle(plain);
+  ASSERT_EQ(off.of("run").size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_FALSE(off.runs[i].has("min_coverage_fraction"));
-    EXPECT_FALSE(off.runs[i].has("bound_margin"));
-    EXPECT_EQ(off.runs[i].text("schedule_digest"),
-              sink.runs[i].text("schedule_digest"));
+    EXPECT_FALSE(off.of("run")[i].has("min_coverage_fraction"));
+    EXPECT_FALSE(off.of("run")[i].has("bound_margin"));
+    EXPECT_EQ(off.of("run")[i].text("schedule_digest"),
+              sink.of("run")[i].text("schedule_digest"));
   }
 }
 
@@ -352,7 +362,8 @@ TEST_F(FleetQualityFixture, ResumeRefusesArmedUnarmedMismatch) {
   // An armed campaign, truncated mid-flight...
   ASSERT_EQ(run({"fleet", "--models", "udg", "--nodes", "40", "--degrees",
                  "10", "--taus", "3", "--seeds", "1,2", "--no-progress",
-                 "--quality-out", qsink_.c_str(), "--out", sink_.c_str()}),
+                 "--obs-out", obs_.c_str(), "--obs", "quality", "--out",
+                 sink_.c_str()}),
             0);
   {
     std::ifstream in(sink_);
@@ -363,7 +374,7 @@ TEST_F(FleetQualityFixture, ResumeRefusesArmedUnarmedMismatch) {
     std::ofstream trunc(sink_, std::ios::trunc);
     trunc << lines[0] << "\n" << lines[1] << "\n";
   }
-  // ...must refuse to resume without --quality-out...
+  // ...must refuse to resume without --obs quality...
   std::string out;
   EXPECT_EQ(run({"fleet", "--models", "udg", "--nodes", "40", "--degrees",
                  "10", "--taus", "3", "--seeds", "1,2", "--no-progress",
@@ -374,14 +385,14 @@ TEST_F(FleetQualityFixture, ResumeRefusesArmedUnarmedMismatch) {
   // ...and complete cleanly when the arming matches again.
   ASSERT_EQ(run({"fleet", "--models", "udg", "--nodes", "40", "--degrees",
                  "10", "--taus", "3", "--seeds", "1,2", "--no-progress",
-                 "--resume", "--quality-out", qsink_.c_str(), "--out",
-                 sink_.c_str()},
+                 "--resume", "--obs-out", obs_.c_str(), "--obs", "quality",
+                 "--out", sink_.c_str()},
                 &out),
             0)
       << out;
   EXPECT_NE(out.find("1 of 2 cells already ok"), std::string::npos) << out;
 
-  // The mirror case: an unarmed sink refuses a --quality-out resume.
+  // The mirror case: an unarmed sink refuses an --obs quality resume.
   const std::string plain = (dir_ / "plain.jsonl").string();
   ASSERT_EQ(run({"fleet", "--models", "udg", "--nodes", "40", "--degrees",
                  "10", "--taus", "3", "--seeds", "1,2", "--no-progress",
@@ -398,8 +409,8 @@ TEST_F(FleetQualityFixture, ResumeRefusesArmedUnarmedMismatch) {
   }
   EXPECT_EQ(run({"fleet", "--models", "udg", "--nodes", "40", "--degrees",
                  "10", "--taus", "3", "--seeds", "1,2", "--no-progress",
-                 "--resume", "--quality-out", qsink_.c_str(), "--out",
-                 plain.c_str()},
+                 "--resume", "--obs-out", obs_.c_str(), "--obs", "quality",
+                 "--out", plain.c_str()},
                 &out),
             1);
   EXPECT_NE(out.find("no quality columns"), std::string::npos) << out;

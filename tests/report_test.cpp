@@ -1,8 +1,8 @@
 // End-to-end tests of run provenance and the `tgcover report` dashboard:
-// manifest sidecars + embedded stream headers, report fusion and its
-// refusal paths (inconsistent trace, mismatched runs), byte-determinism of
-// both the artifacts and the rendered HTML, and the version/help/diagnostic
-// surfaces of the CLI.
+// the bundle's manifest sidecar + embedded stream headers, report rendering
+// and its refusal paths (inconsistent trace, mismatched runs), byte-
+// determinism of both the artifacts and the rendered HTML, and the
+// version/help/diagnostic surfaces of the CLI.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -59,8 +59,9 @@ class ReportFixture : public ::testing::Test {
     setenv("TGC_RUN_TIMESTAMP", "2026-08-06T00:00:00Z", 1);
     net_ = (dir_ / "net.tgc").string();
     sched_ = (dir_ / "sched.tgc").string();
-    metrics_ = (dir_ / "metrics.jsonl").string();
-    trace_ = (dir_ / "trace.jsonl").string();
+    bundle_ = (dir_ / "run").string();
+    metrics_ = (dir_ / "run" / "metrics.jsonl").string();
+    trace_ = (dir_ / "run" / "trace.jsonl").string();
   }
   void TearDown() override {
     unsetenv("TGC_RUN_TIMESTAMP");
@@ -69,12 +70,14 @@ class ReportFixture : public ::testing::Test {
     fs::remove_all(dir_);
   }
 
-  /// generate → distributed --async --loss with both JSONL sinks: the run
-  /// every report test fuses. Extra flags (e.g. log options) are appended.
+  /// generate → distributed --async --loss into a traced bundle: the run
+  /// every report test renders. Extra flags (e.g. log options) are appended.
   void make_run(std::initializer_list<const char*> extra = {}) {
     std::string out;
-    ASSERT_EQ(run({"generate", "--type", "udg", "--nodes", "220", "--degree",
-                   "24", "--seed", "7", "--out", net_.c_str()},
+    // Small enough that the traced bundle (JSONL + Chrome export) stays in
+    // the tens of megabytes.
+    ASSERT_EQ(run({"generate", "--type", "udg", "--nodes", "120", "--degree",
+                   "16", "--seed", "7", "--out", net_.c_str()},
                   &out),
               0)
         << out;
@@ -82,8 +85,8 @@ class ReportFixture : public ::testing::Test {
         "distributed", "--in",         net_.c_str(),   "--out",
         sched_.c_str(), "--tau",       "4",            "--seed",
         "3",            "--async",     "--loss",       "0.1",
-        "--retransmit", "3",           "--metrics-out", metrics_.c_str(),
-        "--trace-jsonl", trace_.c_str()};
+        "--retransmit", "3",           "--obs-out",    bundle_.c_str(),
+        "--obs",        "trace"};
     argv.insert(argv.end(), extra.begin(), extra.end());
     std::vector<const char*> full{"tgcover"};
     full.insert(full.end(), argv.begin(), argv.end());
@@ -93,19 +96,18 @@ class ReportFixture : public ::testing::Test {
   }
 
   fs::path dir_;
-  std::string net_, sched_, metrics_, trace_;
+  std::string net_, sched_, bundle_, metrics_, trace_;
 };
 
 TEST_F(ReportFixture, ReportFusesARealRunAndIsByteDeterministic) {
   make_run();
   const std::string html_path = (dir_ / "report.html").string();
   std::string out;
-  ASSERT_EQ(run({"report", "--rounds", metrics_.c_str(), "--trace",
-                 trace_.c_str(), "--out", html_path.c_str()},
+  ASSERT_EQ(run({"report", bundle_.c_str(), "--out", html_path.c_str()},
                 &out),
             0)
       << out;
-  EXPECT_NE(out.find("trace fused"), std::string::npos);
+  EXPECT_NE(out.find("trace OK"), std::string::npos);
 
   const std::string html = read_file(html_path);
   // All four dashboard sections render from a real --async --loss run.
@@ -126,8 +128,7 @@ TEST_F(ReportFixture, ReportFusesARealRunAndIsByteDeterministic) {
   // Rendering is a pure function of the inputs: a second render from the
   // same artifacts is byte-identical.
   const std::string html2_path = (dir_ / "report2.html").string();
-  ASSERT_EQ(run({"report", "--rounds", metrics_.c_str(), "--trace",
-                 trace_.c_str(), "--out", html2_path.c_str()},
+  ASSERT_EQ(run({"report", bundle_.c_str(), "--out", html2_path.c_str()},
                 &out),
             0);
   EXPECT_EQ(html, read_file(html2_path));
@@ -137,21 +138,20 @@ TEST_F(ReportFixture, ReportWithoutTraceStillRendersRoundSections) {
   make_run();
   const std::string html_path = (dir_ / "report.html").string();
   std::string out;
+  // A single stream of the bundle renders on its own.
   ASSERT_EQ(
-      run({"report", "--rounds", metrics_.c_str(), "--out", html_path.c_str()},
-          &out),
-      0)
+      run({"report", metrics_.c_str(), "--out", html_path.c_str()}, &out), 0)
       << out;
-  EXPECT_EQ(out.find("trace fused"), std::string::npos);
+  EXPECT_EQ(out.find("trace OK"), std::string::npos);
+  EXPECT_NE(out.find("summary:"), std::string::npos);
   const std::string html = read_file(html_path);
   EXPECT_NE(html.find("Round timeline"), std::string::npos);
-  EXPECT_NE(html.find("Causal critical path"), std::string::npos);
-  EXPECT_NE(html.find("--trace-jsonl"), std::string::npos);  // the hint
+  EXPECT_EQ(html.find("Causal critical path"), std::string::npos);
 }
 
 TEST_F(ReportFixture, ManifestSidecarAndEmbeddedHeadersAgree) {
   make_run();
-  const fs::path sidecar = dir_ / "manifest.json";
+  const fs::path sidecar = dir_ / "run" / "manifest.json";
   ASSERT_TRUE(fs::exists(sidecar));
 
   const auto side = obs::parse_jsonl_line(first_line(sidecar));
@@ -163,7 +163,7 @@ TEST_F(ReportFixture, ManifestSidecarAndEmbeddedHeadersAgree) {
   EXPECT_EQ(side->text("cfg_loss"), "0.1");
   EXPECT_EQ(side->text("cfg_async"), "on");
   EXPECT_TRUE(side->has("exec_threads"));
-  EXPECT_TRUE(side->has("exec_metrics-out"));
+  EXPECT_TRUE(side->has("exec_obs-out"));
   EXPECT_FALSE(side->text("git_sha").empty());
 
   // Both streams start with the embedded header; it is the semantic subset
@@ -218,18 +218,18 @@ TEST_F(ReportFixture, ReportRefusesATruncatedTrace) {
     if (line.find("sched_round_begin") != std::string::npos) break;
   }
   ASSERT_GT(lines.size(), 1u);
-  const std::string cut = (dir_ / "truncated.jsonl").string();
-  std::ofstream outf(cut);
+  in.close();
+  std::ofstream outf(trace_);
   for (const std::string& l : lines) outf << l << "\n";
   outf.close();
 
   std::string out;
-  EXPECT_EQ(run({"report", "--rounds", metrics_.c_str(), "--trace",
-                 cut.c_str(), "--out", (dir_ / "r.html").string().c_str()},
+  EXPECT_EQ(run({"report", bundle_.c_str(), "--out",
+                 (dir_ / "r.html").string().c_str()},
                 &out),
             1);
   EXPECT_NE(out.find("violation:"), std::string::npos) << out;
-  EXPECT_NE(out.find("refusing to fuse an inconsistent trace"),
+  EXPECT_NE(out.find("refusing to render an inconsistent trace"),
             std::string::npos)
       << out;
   EXPECT_FALSE(fs::exists(dir_ / "r.html"));
@@ -237,24 +237,22 @@ TEST_F(ReportFixture, ReportRefusesATruncatedTrace) {
 
 TEST_F(ReportFixture, ReportRefusesArtifactsFromDifferentRuns) {
   make_run();
-  // A second run with a different MIS seed into its own directory — its
-  // trace must not fuse with the first run's round log.
+  // A second run with a different MIS seed into its own bundle; its trace
+  // copied over the first run's must not combine with that run's rounds.
   const fs::path other = dir_ / "b";
-  fs::create_directories(other);
-  const std::string metrics2 = (other / "metrics.jsonl").string();
-  const std::string trace2 = (other / "trace.jsonl").string();
   std::string out;
   ASSERT_EQ(run({"distributed", "--in", net_.c_str(), "--out",
-                 (other / "sched.tgc").string().c_str(), "--tau", "4",
+                 (dir_ / "sched-b.tgc").string().c_str(), "--tau", "4",
                  "--seed", "9", "--async", "--loss", "0.1", "--retransmit",
-                 "3", "--metrics-out", metrics2.c_str(), "--trace-jsonl",
-                 trace2.c_str()},
+                 "3", "--obs-out", other.string().c_str(), "--obs", "trace"},
                 &out),
             0)
       << out;
+  fs::copy_file(other / "trace.jsonl", trace_,
+                fs::copy_options::overwrite_existing);
 
-  EXPECT_EQ(run({"report", "--rounds", metrics_.c_str(), "--trace",
-                 trace2.c_str(), "--out", (dir_ / "r.html").string().c_str()},
+  EXPECT_EQ(run({"report", bundle_.c_str(), "--out",
+                 (dir_ / "r.html").string().c_str()},
                 &out),
             1);
   EXPECT_NE(out.find("come from different runs"), std::string::npos) << out;
@@ -264,27 +262,32 @@ TEST_F(ReportFixture, ReportRefusesArtifactsFromDifferentRuns) {
 
 TEST_F(ReportFixture, ReportRequiresRoundRecords) {
   make_run();
-  // A rounds file holding only the manifest header (a run that died before
-  // its first round) is refused with a pointer at --metrics-out.
+  // A stream holding only the manifest header (a run that died before its
+  // first round) is refused with a pointer at --obs-out.
   const std::string empty = (dir_ / "header_only.jsonl").string();
   std::ofstream outf(empty);
   outf << first_line(metrics_) << "\n";
   outf.close();
   std::string out;
-  EXPECT_EQ(run({"report", "--rounds", empty.c_str(), "--out",
+  EXPECT_EQ(run({"report", empty.c_str(), "--out",
                  (dir_ / "r.html").string().c_str()},
                 &out),
             1);
-  EXPECT_NE(out.find("no round records"), std::string::npos) << out;
+  EXPECT_NE(out.find("no telemetry records"), std::string::npos) << out;
+  EXPECT_NE(out.find("manifest only"), std::string::npos) << out;
+  EXPECT_NE(out.find("--obs-out"), std::string::npos) << out;
 }
 
-TEST_F(ReportFixture, StatsAndTraceAnalyzeSkipTheManifestHeader) {
+TEST_F(ReportFixture, ReportTextSkipsTheManifestHeaders) {
   make_run();
+  // Each stream alone: the embedded manifest line is folded away, never
+  // counted as an unreadable line (which would make report exit 1).
   std::string out;
-  EXPECT_EQ(run({"stats", "--in", metrics_.c_str()}, &out), 0) << out;
+  const std::string html = (dir_ / "r.html").string();
+  EXPECT_EQ(run({"report", metrics_.c_str(), "--out", html.c_str()}, &out), 0)
+      << out;
   EXPECT_NE(out.find("summary:"), std::string::npos);
-  EXPECT_EQ(run({"trace-analyze", "--in", trace_.c_str(), "--check"}, &out),
-            0)
+  EXPECT_EQ(run({"report", trace_.c_str(), "--out", html.c_str()}, &out), 0)
       << out;
   EXPECT_NE(out.find("trace OK"), std::string::npos);
 }
@@ -305,10 +308,16 @@ TEST_F(ReportFixture, HelpEnumeratesEverySubcommand) {
   EXPECT_EQ(run({"help"}, &out), 0);
   for (const char* cmd :
        {"generate", "schedule", "verify", "quality", "render", "distributed",
-        "repair", "stats", "trace-analyze", "report", "version"}) {
+        "repair", "fleet", "report", "scale", "compare", "version"}) {
     EXPECT_NE(out.find(cmd), std::string::npos) << cmd;
   }
+  // `report` is the only renderer.
+  for (const char* gone : {"stats", "trace-analyze", "fleet-report",
+                           "profile-report", "node-report", "quality-report"}) {
+    EXPECT_EQ(out.find(gone), std::string::npos) << gone;
+  }
   EXPECT_NE(out.find("--log-level"), std::string::npos);
+  EXPECT_NE(out.find("--obs-out"), std::string::npos);
   EXPECT_NE(out.find("manifest.json"), std::string::npos);
 }
 
@@ -344,8 +353,10 @@ TEST_F(ReportFixture, UnwritableMetricsSinkFailsWithLoggedReason) {
   std::ostringstream log;
   obs::set_log_stream(&log);
   std::string out;
+  // The bundle directory cannot be created under a regular file.
+  const std::string blocked = (dir_ / "net.tgc" / "run").string();
   EXPECT_EQ(run({"schedule", "--in", net_.c_str(), "--out", sched_.c_str(),
-                 "--metrics-out", "/nonexistent-tgc-dir/metrics.jsonl"},
+                 "--obs-out", blocked.c_str()},
                 &out),
             1);
   obs::set_log_stream(nullptr);

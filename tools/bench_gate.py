@@ -1,64 +1,38 @@
 #!/usr/bin/env python3
-"""Bench regression gate: diff a fresh bench run against a committed baseline.
+"""Bench regression gate: diff fresh results against a committed baseline.
 
-Compares a freshly produced bench JSON (e.g. from
-`bench_ablation_parallel --json fresh.json`) against the committed
-`BENCH_*.json` baseline. The gate reasons about two kinds of columns:
+Two kinds of input, picked by the paths given:
 
-  * LOGICAL columns (`vpt_tests`, `bfs_expansions`, `logical_cost`,
-    `verdict_cache_hits`, `dirty_nodes`, `rounds`) are machine-independent
-    work-unit counts — pure functions of
-    (mode, nodes, tau, degree, seed). They must match the baseline EXACTLY; any
-    drift means the algorithm changed behaviour, and the gate fails. A
-    baseline row missing from the fresh run is likewise a failure (silently
-    dropping a configuration is how regressions hide). A logical column
-    absent from the baseline (recorded before the cost model) is skipped
-    with a note, so old baselines keep working.
-  * WALL-CLOCK (`seconds`) is machine- and load-dependent, so it is ALWAYS
-    advisory: ratios above --tolerance are reported loudly but never change
-    the exit code. Cross-machine performance conclusions belong to the
-    logical columns.
+  * BENCH JSON (e.g. `bench_ablation_parallel --json fresh.json` against the
+    committed `BENCH_parallel.json`). LOGICAL columns (`vpt_tests`,
+    `bfs_expansions`, `logical_cost`, `verdict_cache_hits`, `dirty_nodes`,
+    `rounds`) are machine-independent work-unit counts — pure functions of
+    (mode, nodes, tau, degree, seed) — and must match the baseline EXACTLY.
+    A baseline row missing from the fresh run fails too (silently dropping a
+    configuration is how regressions hide). A logical column absent from the
+    baseline (recorded before the cost model) is skipped with a note.
+    WALL-CLOCK (`seconds`) is always advisory: ratios above --tolerance are
+    reported but never change the exit code.
 
-With --fleet, both inputs are `tgcover fleet` JSONL sinks instead of bench
-JSON: rows are keyed by the full grid cell (model, nodes, degree, tau,
-loss, seed), and the gated columns additionally include `status`,
-`survivors`, and `schedule_digest` — all machine-independent, so two sinks
-from the same build and grid must agree exactly. `wall_ms` stays advisory.
+  * RECORDS: two JSONL streams, or two `--obs-out` bundle directories (every
+    `*.jsonl` inside is read). Each record is keyed by its `type` plus that
+    type's key columns, and the gated columns of every baseline record must
+    match the fresh record exactly (see GATED below). The types gated are the
+    machine-independent ones: the fleet sink's `run` rows, the cost stream,
+    the profile's per-phase item counts, the per-node message ledger, and
+    the quality rollups. Profile `tasks` (chunk counts) gate only when both
+    sides ran the same worker count — the serial inline path records one
+    task per fork where the pool records one per chunk. This is how CI
+    proves a 2-thread bundle matches a serial one.
 
-With --profile, both inputs are `--profile-out` JSONL sinks: rows are the
-phase_summary lines keyed by phase, `items` (work units processed per
-phase) and the header's `rounds` gate exactly, and `tasks` (chunk count)
-gates only when both sinks report the same worker count — the serial
-inline path records one task per fork while pooled execution records one
-per chunk. Per-phase busy time folds into the advisory `seconds` column.
-
-With --node, both inputs are `--node-telemetry-out` JSONL sinks (either
-the per-run stream from `distributed`/`repair` or the shared fleet
-telemetry sink, whose rows carry a run tag): rows are the node_summary
-lines keyed by (run, node), and every per-node message counter — sent,
-received, lost, dropped, retransmits, both word totals, backlog peak,
-rounds active — gates exactly. The writer emits a row for every node,
-silent ones included, so a node missing from the fresh run is a failure,
-not an omission. Energy is derived (counters × the configured model) and
-is not gated; there is no wall-clock column.
-
-With --quality, both inputs are `--quality-out` JSONL sinks (either the
-per-run stream from `schedule`/`distributed`/`repair` or the shared fleet
-quality sink, whose summary rows carry a run tag): rows are the
-quality_summary lines keyed by run, and every rollup column — sampled
-round count, coverage fractions, worst hole diameter, bound margin and
-violation count (when the Proposition 1 bound is finite), component and
-awake counts, certifiable τ, redundancy — gates exactly at the writer's
-fixed six-decimal precision. This is how CI proves a 2-thread run audits
-to byte-identical quality as the serial one. No wall-clock column.
-
-Stdlib only. Exit codes: 0 ok, 1 logical regression, 2 usage/IO error.
-With --advisory, even logical regressions are reported but the exit code
-stays 0 (used on PR builds; pushes to main hard-fail).
+Stdlib only. Exit codes: 0 ok, 1 regression, 2 usage/IO error. With
+--advisory, regressions are reported but the exit code stays 0 (used on PR
+builds; pushes to main hard-fail).
 """
 
 import argparse
 import json
+import os
 import sys
 
 LOGICAL_FIELDS = (
@@ -70,37 +44,135 @@ LOGICAL_FIELDS = (
     "rounds",
 )
 
-FLEET_FIELDS = LOGICAL_FIELDS + ("status", "survivors", "schedule_digest")
+ALL = None  # every column of the record except its keys
 
-PROFILE_FIELDS = ("items",)
+# record type -> (key columns, gated columns)
+GATED = {
+    "run": (
+        ("model", "nodes", "degree", "tau", "loss", "seed"),
+        LOGICAL_FIELDS + ("status", "survivors", "schedule_digest"),
+    ),
+    "cost": (("round", "phase"), ALL),
+    "cost_total": (("phase",), ALL),
+    "profile_header": ((), ("rounds",)),
+    "phase_summary": (("phase",), ("items",)),
+    "node_summary": (
+        ("run", "node"),
+        ("sent", "received", "lost", "dropped", "retransmits", "sent_words",
+         "recv_words", "backlog_peak", "rounds_active"),
+    ),
+    # bound_margin / violations are absent when the Proposition 1 bound is
+    # infinite (gamma > 2); None == None keeps the comparison meaningful.
+    "quality_summary": (
+        ("run",),
+        ("rounds_sampled", "min_coverage_fraction", "final_coverage_fraction",
+         "max_hole_diameter", "bound_margin", "violations", "max_components",
+         "final_certifiable_tau", "final_redundancy", "final_awake"),
+    ),
+}
 
-NODE_FIELDS = (
-    "sent",
-    "received",
-    "lost",
-    "dropped",
-    "retransmits",
-    "sent_words",
-    "recv_words",
-    "backlog_peak",
-    "rounds_active",
-)
 
-# quality_summary rollups: all %.6f-formatted or integral, so string/number
-# equality is exact. bound_margin / violations are absent when the bound is
-# infinite (γ > 2) — None == None keeps the comparison meaningful.
-QUALITY_FIELDS = (
-    "rounds_sampled",
-    "min_coverage_fraction",
-    "final_coverage_fraction",
-    "max_hole_diameter",
-    "bound_margin",
-    "violations",
-    "max_components",
-    "final_certifiable_tau",
-    "final_redundancy",
-    "final_awake",
-)
+def fail_io(message):
+    print(f"bench_gate: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
+# ---------------------------------------------------------------- records
+
+
+def is_records(path):
+    return os.path.isdir(path) or path.endswith(".jsonl")
+
+
+def read_records(path):
+    """Every JSON object line of a stream, or of each stream in a bundle."""
+    if os.path.isdir(path):
+        files = sorted(os.path.join(path, f) for f in os.listdir(path)
+                       if f.endswith(".jsonl"))
+        if not files:
+            fail_io(f"{path} holds no .jsonl streams")
+    else:
+        files = [path]
+    records = []
+    for name in files:
+        try:
+            with open(name, "r", encoding="utf-8") as f:
+                for line in f:
+                    try:
+                        obj = json.loads(line)
+                    except ValueError:
+                        continue  # truncated final line of a killed run
+                    if isinstance(obj, dict):
+                        records.append(obj)
+        except OSError as e:
+            fail_io(f"cannot read {name}: {e}")
+    return records
+
+
+def index_records(records):
+    """(type, key values...) -> record, for every gated record type."""
+    rows = {}
+    for rec in records:
+        spec = GATED.get(rec.get("type"))
+        if spec is None:
+            continue
+        key = (rec["type"],) + tuple(rec.get(k) for k in spec[0])
+        rows[key] = rec
+    return rows
+
+
+def fmt_record_key(key):
+    spec = GATED[key[0]][0]
+    cols = " ".join(f"{k}={v}" for k, v in zip(spec, key[1:]))
+    return f"{key[0]} {cols}".strip()
+
+
+def workers(rows):
+    header = rows.get(("profile_header",))
+    return None if header is None else header.get("workers")
+
+
+def gate_records(args):
+    base = index_records(read_records(args.baseline))
+    fresh = index_records(read_records(args.fresh))
+    if not base:
+        fail_io(f"{args.baseline} has no gated records "
+                f"(types: {', '.join(sorted(GATED))})")
+
+    gated = dict(GATED)
+    if workers(base) is not None:
+        if workers(base) == workers(fresh):
+            gated["phase_summary"] = (("phase",), ("items", "tasks"))
+        else:
+            print(f"bench_gate: worker counts differ (baseline "
+                  f"{workers(base)}, fresh {workers(fresh)}) — profile tasks "
+                  "follow chunk scheduling and are not gated; items still are")
+
+    failures = []
+    for key, rec in sorted(base.items(), key=lambda kv: repr(kv[0])):
+        other = fresh.get(key)
+        if other is None:
+            failures.append(f"{fmt_record_key(key)}: missing from fresh run")
+            continue
+        keys, cols = gated[key[0]]
+        if cols is ALL:
+            cols = [c for c in rec if c != "type" and c not in keys]
+        for col in cols:
+            if rec.get(col) != other.get(col):
+                failures.append(
+                    f"{fmt_record_key(key)}: {col} {other.get(col)} != "
+                    f"baseline {rec.get(col)}")
+    extra = len(set(fresh) - set(base))
+    counts = {}
+    for key in base:
+        counts[key[0]] = counts.get(key[0], 0) + 1
+    summary = ", ".join(f"{n} {t}" for t, n in sorted(counts.items()))
+    print(f"bench_gate: {len(base)} gated records ({summary}); "
+          f"{extra} fresh-only record(s) ignored")
+    return failures
+
+
+# ------------------------------------------------------------- bench JSON
 
 
 def load(path):
@@ -108,171 +180,7 @@ def load(path):
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
     except (OSError, ValueError) as e:
-        print(f"bench_gate: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
-
-
-def load_fleet(path):
-    """Reads a fleet JSONL sink into the bench-JSON shape the gate walks.
-
-    The sink header (the manifest line) and any truncated/partial lines are
-    skipped; wall_ms is folded into the advisory `seconds` column.
-    """
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except ValueError:
-                    continue  # truncated final line of a killed campaign
-                if not isinstance(obj, dict) or "run" not in obj:
-                    continue
-                obj["seconds"] = float(obj.get("wall_ms", 0.0)) / 1000.0
-                rows.append(obj)
-    except OSError as e:
-        print(f"bench_gate: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
-    return {"bench": "fleet", "results": rows}
-
-
-def load_profile(path):
-    """Reads a --profile-out JSONL sink into the bench-JSON shape.
-
-    The per-phase summaries become the result rows (busy time folded into
-    the advisory `seconds` column); the profile_header contributes the
-    worker count and the exactly-gated round count.
-    """
-    header = None
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except ValueError:
-                    continue
-                if not isinstance(obj, dict):
-                    continue
-                if obj.get("type") == "profile_header":
-                    header = obj
-                elif obj.get("type") == "phase_summary":
-                    obj["seconds"] = float(obj.get("busy_ns", 0)) / 1e9
-                    rows.append(obj)
-    except OSError as e:
-        print(f"bench_gate: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
-    if header is None:
-        print(f"bench_gate: {path} has no profile_header line "
-              "(produce one with --profile-out)", file=sys.stderr)
-        sys.exit(2)
-    return {
-        "bench": "profile",
-        "workers": header.get("workers"),
-        "rounds": header.get("rounds"),
-        "hardware_concurrency": header.get("hardware_concurrency"),
-        "results": rows,
-    }
-
-
-def load_node(path):
-    """Reads a --node-telemetry-out JSONL sink into the bench-JSON shape.
-
-    The node_summary lines become the result rows. The single-run stream
-    carries no run tags (key half defaults to 0); the shared fleet sink
-    tags every row with its run id, so both forms key by (run, node).
-    There is no wall-clock column: rows get seconds=0 and the advisory
-    ratio is always a clean 1.0.
-    """
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except ValueError:
-                    continue  # truncated final line of a killed run
-                if not isinstance(obj, dict):
-                    continue
-                if obj.get("type") == "node_summary":
-                    obj["seconds"] = 0.0
-                    rows.append(obj)
-    except OSError as e:
-        print(f"bench_gate: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
-    if not rows:
-        print(f"bench_gate: {path} has no node_summary lines "
-              "(produce one with --node-telemetry-out)", file=sys.stderr)
-        sys.exit(2)
-    return {"bench": "node", "results": rows}
-
-
-def load_quality(path):
-    """Reads a --quality-out JSONL sink into the bench-JSON shape.
-
-    The quality_summary lines become the result rows. The single-run stream
-    carries exactly one untagged summary (key defaults to run 0); the shared
-    fleet quality sink tags every summary with its run id. There is no
-    wall-clock column: rows get seconds=0 and the advisory ratio is always a
-    clean 1.0.
-    """
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except ValueError:
-                    continue  # truncated final line of a killed run
-                if not isinstance(obj, dict):
-                    continue
-                if obj.get("type") == "quality_summary":
-                    obj["seconds"] = 0.0
-                    rows.append(obj)
-    except OSError as e:
-        print(f"bench_gate: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
-    if not rows:
-        print(f"bench_gate: {path} has no quality_summary lines "
-              "(produce one with --quality-out)", file=sys.stderr)
-        sys.exit(2)
-    return {"bench": "quality", "results": rows}
-
-
-def quality_row_key(row):
-    return (row.get("run", 0),)
-
-
-def fmt_quality_key(key):
-    return f"run {key[0]}"
-
-
-def node_row_key(row):
-    return (row.get("run", 0), row.get("node"))
-
-
-def fmt_node_key(key):
-    return f"run {key[0]} node {key[1]}"
-
-
-def profile_row_key(row):
-    return (row.get("phase"),)
-
-
-def fmt_profile_key(key):
-    return f"phase {key[0]}"
+        fail_io(f"cannot read {path}: {e}")
 
 
 def row_key(row):
@@ -285,114 +193,18 @@ def fmt_key(key):
     return f"{key[0]} nodes={key[1]} threads={key[2]}"
 
 
-def fleet_row_key(row):
-    return (
-        row.get("model"),
-        row.get("nodes"),
-        row.get("degree"),
-        row.get("tau"),
-        row.get("loss"),
-        row.get("seed"),
-    )
-
-
-def fmt_fleet_key(key):
-    model, nodes, degree, tau, loss, seed = key
-    return (f"{model} n={nodes} deg={degree} tau={tau} "
-            f"loss={loss} seed={seed}")
-
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--baseline", required=True, help="committed BENCH_*.json")
-    ap.add_argument("--fresh", required=True, help="bench JSON from this build")
-    ap.add_argument(
-        "--tolerance",
-        type=float,
-        default=3.0,
-        help="advisory seconds ratio fresh/baseline to report (default 3.0)",
-    )
-    ap.add_argument(
-        "--advisory",
-        action="store_true",
-        help="report regressions but always exit 0",
-    )
-    ap.add_argument(
-        "--fleet",
-        action="store_true",
-        help="inputs are tgcover fleet JSONL sinks, keyed by grid cell",
-    )
-    ap.add_argument(
-        "--profile",
-        action="store_true",
-        help="inputs are --profile-out JSONL sinks, keyed by phase",
-    )
-    ap.add_argument(
-        "--node",
-        action="store_true",
-        help="inputs are --node-telemetry-out JSONL sinks, keyed by "
-             "(run, node)",
-    )
-    ap.add_argument(
-        "--quality",
-        action="store_true",
-        help="inputs are --quality-out JSONL sinks, keyed by run",
-    )
-    args = ap.parse_args()
-    if sum((args.fleet, args.profile, args.node, args.quality)) > 1:
-        print("bench_gate: --fleet, --profile, --node, and --quality are "
-              "mutually exclusive", file=sys.stderr)
-        sys.exit(2)
-
-    pre_failures = []
-    if args.quality:
-        baseline = load_quality(args.baseline)
-        fresh = load_quality(args.fresh)
-        key_of, fmt, gated = quality_row_key, fmt_quality_key, QUALITY_FIELDS
-    elif args.node:
-        baseline = load_node(args.baseline)
-        fresh = load_node(args.fresh)
-        key_of, fmt, gated = node_row_key, fmt_node_key, NODE_FIELDS
-    elif args.fleet:
-        baseline = load_fleet(args.baseline)
-        fresh = load_fleet(args.fresh)
-        key_of, fmt, gated = fleet_row_key, fmt_fleet_key, FLEET_FIELDS
-    elif args.profile:
-        baseline = load_profile(args.baseline)
-        fresh = load_profile(args.fresh)
-        key_of, fmt, gated = profile_row_key, fmt_profile_key, PROFILE_FIELDS
-        if baseline.get("rounds") != fresh.get("rounds"):
-            pre_failures.append(
-                f"rounds {fresh.get('rounds')} != baseline "
-                f"{baseline.get('rounds')} (machine-independent — this is a "
-                f"behaviour change, not noise)")
-        if baseline.get("workers") == fresh.get("workers"):
-            gated = gated + ("tasks",)
-        else:
-            print("bench_gate: worker counts differ "
-                  f"(baseline {baseline.get('workers')}, fresh "
-                  f"{fresh.get('workers')}) — per-phase task counts follow "
-                  "chunk scheduling and are not gated; items still are")
-    else:
-        baseline = load(args.baseline)
-        fresh = load(args.fresh)
-        key_of, fmt, gated = row_key, fmt_key, LOGICAL_FIELDS
-
+def gate_bench(args):
+    baseline = load(args.baseline)
+    fresh = load(args.fresh)
     if baseline.get("bench") != fresh.get("bench"):
-        print(
-            f"bench_gate: bench name mismatch: baseline "
-            f"{baseline.get('bench')!r} vs fresh {fresh.get('bench')!r}",
-            file=sys.stderr,
-        )
-        sys.exit(2)
-
-    base_rows = {key_of(r): r for r in baseline.get("results", [])}
-    fresh_rows = {key_of(r): r for r in fresh.get("results", [])}
+        fail_io(f"bench name mismatch: baseline {baseline.get('bench')!r} "
+                f"vs fresh {fresh.get('bench')!r}")
+    base_rows = {row_key(r): r for r in baseline.get("results", [])}
+    fresh_rows = {row_key(r): r for r in fresh.get("results", [])}
     if not base_rows:
-        print("bench_gate: baseline has no result rows", file=sys.stderr)
-        sys.exit(2)
+        fail_io("baseline has no result rows")
 
-    failures = list(pre_failures)
+    failures = []
     advisories = []
     skipped_fields = set()
     # Speedup columns recorded on a single-core host never exercised real
@@ -407,12 +219,12 @@ def main():
     for key, base in sorted(base_rows.items()):
         fresh_row = fresh_rows.get(key)
         if fresh_row is None:
-            failures.append(f"{fmt(key)}: missing from fresh run")
-            print(f"{fmt(key):<40} {'-':>10} {'-':>10} {'-':>9} {'-':>9} "
+            failures.append(f"{fmt_key(key)}: missing from fresh run")
+            print(f"{fmt_key(key):<40} {'-':>10} {'-':>10} {'-':>9} {'-':>9} "
                   f"{'-':>7}  MISSING")
             continue
         verdicts = []
-        for field in gated:
+        for field in LOGICAL_FIELDS:
             if field not in base:
                 skipped_fields.add(field)
                 continue
@@ -420,45 +232,57 @@ def main():
                 verdicts.append(
                     f"{field} {fresh_row.get(field)} != baseline "
                     f"{base.get(field)} (machine-independent — this is a "
-                    f"behaviour change, not noise)"
-                )
+                    f"behaviour change, not noise)")
         base_s = float(base.get("seconds", 0.0))
         fresh_s = float(fresh_row.get("seconds", 0.0))
         if base_s > 0:
             ratio = fresh_s / base_s
         else:
-            # Both zero (an idle profile phase) is a clean 1.0, not "inf
-            # slower"; work appearing where the baseline had none is inf.
             ratio = 1.0 if fresh_s == 0 else float("inf")
         slow = ratio > args.tolerance
         if slow:
-            advisories.append(
-                f"{fmt(key)}: {ratio:.2f}x slower than baseline "
-                f"(advisory: wall-clock never gates)"
-            )
+            advisories.append(f"{fmt_key(key)}: {ratio:.2f}x slower than "
+                              "baseline (advisory: wall-clock never gates)")
         status = ("FAIL: " + "; ".join(verdicts)) if verdicts else (
             "ok (slow, advisory)" if slow else "ok")
         if (base_single_core and not verdicts
                 and "speedup_vs_1t" in base and base.get("threads", 1) > 1):
             status += " [speedup unverifiable: baseline captured on 1 core]"
-        print(f"{fmt(key):<40} {base.get('logical_cost', '-'):>10} "
+        print(f"{fmt_key(key):<40} {base.get('logical_cost', '-'):>10} "
               f"{fresh_row.get('logical_cost', '-'):>10} "
               f"{base_s:>9.4f} {fresh_s:>9.4f} {ratio:>6.2f}x  {status}")
         for v in verdicts:
-            failures.append(f"{fmt(key)}: {v}")
+            failures.append(f"{fmt_key(key)}: {v}")
 
-    extra = sorted(set(fresh_rows) - set(base_rows))
-    for key in extra:
-        print(f"{fmt(key):<40} (new row, not in baseline — ignored)")
+    for key in sorted(set(fresh_rows) - set(base_rows)):
+        print(f"{fmt_key(key):<40} (new row, not in baseline — ignored)")
     if skipped_fields:
         print("bench_gate: baseline predates logical column(s) "
               f"{sorted(skipped_fields)} — not gated this run")
-
     for a in advisories:
         print(f"bench_gate: advisory: {a}", file=sys.stderr)
+    return failures
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--baseline", required=True,
+                    help="committed BENCH_*.json, or a JSONL stream / bundle")
+    ap.add_argument("--fresh", required=True,
+                    help="the same kind of input from this build")
+    ap.add_argument("--tolerance", type=float, default=3.0,
+                    help="advisory seconds ratio fresh/baseline to report "
+                         "(bench JSON only; default 3.0)")
+    ap.add_argument("--advisory", action="store_true",
+                    help="report regressions but always exit 0")
+    args = ap.parse_args(argv)
+    if is_records(args.baseline) != is_records(args.fresh):
+        fail_io("--baseline and --fresh must both be bench JSON or both be "
+                "JSONL streams / bundle directories")
+
+    failures = (gate_records if is_records(args.baseline) else gate_bench)(args)
     if failures:
-        print(f"\nbench_gate: {len(failures)} logical regression(s):",
-              file=sys.stderr)
+        print(f"\nbench_gate: {len(failures)} regression(s):", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         if args.advisory:
@@ -466,7 +290,7 @@ def main():
                   file=sys.stderr)
             return 0
         return 1
-    print("bench_gate: no logical regressions")
+    print("bench_gate: no regressions")
     return 0
 
 

@@ -1,5 +1,7 @@
 // The `tgcover` command-line tool: generate / schedule / verify / quality /
-// render / distributed / repair / stats / trace-analyze / report / version.
+// render / trace / distributed / repair / fleet / report / scale / compare /
+// version. Runs write observability bundles with --obs-out DIR; `report` is
+// the one renderer.
 // All logic lives in tgc_app (src/app/cli.cpp) so it is unit-tested; this
 // translation unit is just the process entry point.
 #include <iostream>
