@@ -10,13 +10,12 @@
 //    cross-checks that every thread count produces identical verdict
 //    vectors.
 //
-//  * "dcc_inc" / "dcc_full" — full multi-round DCC schedules with the
-//    incremental engine (cross-round verdict caching + dirty-frontier
-//    invalidation, DESIGN.md §11) against full per-round recompute, at node
-//    counts up to 16× the sweep's large size (25,600 at the defaults). The
-//    bench asserts bit-identical schedules between the two modes and across
-//    thread counts, and records the incremental counters
-//    (`verdict_cache_hits`, `dirty_nodes`) plus per-round logical cost.
+//  * "dcc_inc" — full multi-round DCC schedules (cross-round verdict caching
+//    with dirty-frontier invalidation, DESIGN.md §11) at node counts up to
+//    16× the sweep's large size (25,600 at the defaults). The bench asserts
+//    bit-identical schedules across thread counts and records the cache
+//    counters (`verdict_cache_hits`, `dirty_nodes`) plus per-round logical
+//    cost.
 //
 // `--json PATH` additionally emits a machine-readable record so future PRs
 // can diff perf trajectories (the committed baseline is BENCH_parallel.json;
@@ -44,7 +43,7 @@ namespace {
 using namespace tgc;
 
 struct Sample {
-  std::string mode;  // "sweep" | "dcc_inc" | "dcc_full"
+  std::string mode;  // "sweep" | "dcc_inc"
   std::size_t nodes = 0;
   unsigned threads = 0;
   std::size_t tests = 0;
@@ -52,7 +51,7 @@ struct Sample {
   std::uint64_t logical_cost = 0;    // machine-independent scalar per run
   std::uint64_t cache_hits = 0;      // verdicts reused (dcc_inc only)
   std::uint64_t dirty_nodes = 0;     // dirty-frontier marks (dcc_inc only)
-  std::size_t rounds = 0;            // deletion rounds (dcc modes)
+  std::size_t rounds = 0;            // deletion rounds (dcc_inc only)
   double seconds = 0.0;
   double tests_per_sec = 0.0;
   double speedup = 1.0;  // vs the 1-thread row of the same deployment
@@ -190,14 +189,13 @@ int main(int argc, char** argv) {
   std::puts("every run). Speedup tracks the physical core count; on a");
   std::puts("single-core host all rows collapse to ~1x.");
 
-  // ------------------- multi-round DCC: incremental vs full recompute
+  // --------------------------------------------------- multi-round DCC
   //
   // Node counts large_n, 4·large_n, 16·large_n (1,600 / 6,400 / 25,600 at
-  // the defaults). At the base size both modes run at 1/2/4 threads and the
-  // bench asserts identical schedules everywhere; at the larger sizes one
-  // thread count keeps the full-recompute leg affordable while the
-  // incremental leg shows the asymptotics.
-  std::printf("\nMulti-round DCC: incremental engine vs full recompute\n\n");
+  // the defaults). At the base size the schedule runs at 1/2/4 threads and
+  // the bench asserts identical schedules; the larger sizes run once at 4
+  // threads to show the asymptotics.
+  std::printf("\nMulti-round DCC schedules\n\n");
   for (const std::size_t n : {large_n, 4 * large_n, 16 * large_n}) {
     util::Rng rng(seed);
     const core::Network net = core::prepare_network(
@@ -208,71 +206,55 @@ int main(int argc, char** argv) {
         n == large_n ? std::vector<unsigned>{1, 2, 4}
                      : std::vector<unsigned>{4};
     std::vector<bool> reference_active;
-    for (const bool incremental : {true, false}) {
-      // The 16× deployment exists to show the incremental engine's
-      // asymptotics; a full-recompute leg there would dominate the whole
-      // bench's wall-clock for a counterfactual already measured at 1× and
-      // 4×.
-      if (!incremental && n == 16 * large_n) continue;
-      double serial_rate = 0.0;
-      for (const unsigned threads : dcc_threads) {
-        core::DccConfig config;
-        config.tau = tau;
-        config.seed = seed;
-        config.num_threads = threads;
-        config.incremental = incremental;
+    double serial_rate = 0.0;
+    for (const unsigned threads : dcc_threads) {
+      core::DccConfig config;
+      config.tau = tau;
+      config.seed = seed;
+      config.num_threads = threads;
 
-        const obs::Metrics before = obs::snapshot();
-        const auto start = std::chrono::steady_clock::now();
-        const core::ScheduleSummary sum = core::run_dcc(net, config);
-        const auto stop = std::chrono::steady_clock::now();
-        const obs::Metrics delta = obs::snapshot() - before;
+      const obs::Metrics before = obs::snapshot();
+      const auto start = std::chrono::steady_clock::now();
+      const core::ScheduleSummary sum = core::run_dcc(net, config);
+      const auto stop = std::chrono::steady_clock::now();
+      const obs::Metrics delta = obs::snapshot() - before;
 
-        // Every (mode, thread-count) combination must produce the same
-        // schedule — the incremental-rounds contract.
-        if (reference_active.empty()) {
-          reference_active = sum.result.active;
-        } else {
-          TGC_CHECK_MSG(sum.result.active == reference_active,
-                        "schedule diverged at n=" << n << " threads="
-                            << threads << " incremental=" << incremental);
-        }
-
-        Sample s;
-        s.mode = incremental ? "dcc_inc" : "dcc_full";
-        s.nodes = n;
-        s.threads = threads;
-        s.tests = sum.result.vpt_tests;
-        s.bfs_expansions = delta.get(obs::CounterId::kBfsExpansions);
-        s.logical_cost = obs::logical_cost(obs::CostVec{delta.counters});
-        s.cache_hits = delta.get(obs::CounterId::kVerdictCacheHits);
-        s.dirty_nodes = delta.get(obs::CounterId::kDirtyNodes);
-        s.rounds = sum.result.rounds;
-        s.seconds = std::chrono::duration<double>(stop - start).count();
-        s.tests_per_sec = static_cast<double>(s.tests) / s.seconds;
-        if (threads == dcc_threads.front()) serial_rate = s.tests_per_sec;
-        s.speedup = s.tests_per_sec / serial_rate;
-        samples.push_back(s);
-        std::fprintf(stderr, "  n %zu %s threads %u: %.3fs (%zu rounds)\n", n,
-                     s.mode.c_str(), threads, s.seconds, s.rounds);
+      // Every thread count must produce the same schedule.
+      if (reference_active.empty()) {
+        reference_active = sum.result.active;
+      } else {
+        TGC_CHECK_MSG(sum.result.active == reference_active,
+                      "schedule diverged at n=" << n << " threads="
+                                                << threads);
       }
+
+      Sample s;
+      s.mode = "dcc_inc";
+      s.nodes = n;
+      s.threads = threads;
+      s.tests = sum.result.vpt_tests;
+      s.bfs_expansions = delta.get(obs::CounterId::kBfsExpansions);
+      s.logical_cost = obs::logical_cost(obs::CostVec{delta.counters});
+      s.cache_hits = delta.get(obs::CounterId::kVerdictCacheHits);
+      s.dirty_nodes = delta.get(obs::CounterId::kDirtyNodes);
+      s.rounds = sum.result.rounds;
+      s.seconds = std::chrono::duration<double>(stop - start).count();
+      s.tests_per_sec = static_cast<double>(s.tests) / s.seconds;
+      if (threads == dcc_threads.front()) serial_rate = s.tests_per_sec;
+      s.speedup = s.tests_per_sec / serial_rate;
+      samples.push_back(s);
+      std::fprintf(stderr, "  n %zu dcc threads %u: %.3fs (%zu rounds)\n", n,
+                   threads, s.seconds, s.rounds);
     }
   }
 
-  util::Table dcc_table({"nodes", "mode", "threads", "rounds", "vpt tests",
+  util::Table dcc_table({"nodes", "threads", "rounds", "vpt tests",
                          "cache hits", "dirty", "bfs", "cost/round",
                          "seconds"});
-  std::uint64_t base_inc_work = 0;
-  std::uint64_t base_full_work = 0;
   for (const Sample& s : samples) {
     if (s.mode == "sweep") continue;
-    const std::uint64_t work =
-        static_cast<std::uint64_t>(s.tests) + s.bfs_expansions;
-    if (s.nodes == large_n && s.threads == 1) {
-      (s.mode == "dcc_inc" ? base_inc_work : base_full_work) = work;
-    }
     dcc_table.add_row(
-        {std::to_string(s.nodes), s.mode, std::to_string(s.threads),
+        {std::to_string(s.nodes), std::to_string(s.threads),
          std::to_string(s.rounds), std::to_string(s.tests),
          std::to_string(s.cache_hits), std::to_string(s.dirty_nodes),
          std::to_string(s.bfs_expansions),
@@ -281,15 +263,6 @@ int main(int argc, char** argv) {
          util::Table::num(s.seconds, 3)});
   }
   dcc_table.print();
-  if (base_inc_work > 0) {
-    std::printf("\nincremental work reduction at n=%zu: %.1fx fewer "
-                "(vpt_tests + bfs_expansions): %llu -> %llu\n",
-                large_n,
-                static_cast<double>(base_full_work) /
-                    static_cast<double>(base_inc_work),
-                static_cast<unsigned long long>(base_full_work),
-                static_cast<unsigned long long>(base_inc_work));
-  }
 
   if (!json_path.empty()) {
     std::ofstream& out = json_out;

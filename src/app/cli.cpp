@@ -65,6 +65,19 @@ core::Network network_of(gen::Deployment dep, double band) {
   return core::prepare_network(std::move(dep), band);
 }
 
+/// Loads a node mask (awake set or crash set) for `net`, rejecting one whose
+/// node count differs from the network's: every command indexes the mask by
+/// the network's node ids.
+std::vector<bool> load_mask_for(const std::string& path,
+                                const core::Network& net) {
+  std::vector<bool> mask = io::load_mask(path);
+  TGC_CHECK_MSG(mask.size() == net.dep.graph.num_vertices(),
+                "mask '" << path << "' has " << mask.size()
+                         << " nodes but the network has "
+                         << net.dep.graph.num_vertices());
+  return mask;
+}
+
 // ----------------------------------------------------------- shared flags
 
 /// The repeated per-command flag parsing, hoisted so a help-text or default
@@ -177,18 +190,6 @@ obs::RunManifest make_manifest(const std::string& command,
 }
 
 // --------------------------------------------------------- observability
-
-/// Declares the incremental-rounds escape hatch shared by the scheduling
-/// commands. Incremental (cross-round verdict caching with dirty-frontier
-/// invalidation, DESIGN.md §11) is the default; `--no-incremental` re-tests
-/// every node every round. Schedules are bit-identical either way, so this
-/// is execution detail — like `--threads`, never a semantic manifest key.
-bool declare_incremental(util::ArgParser& args) {
-  return !args.get_flag(
-      "no-incremental",
-      "disable cross-round VPT verdict caching (re-test every node every "
-      "round; schedules are bit-identical — ablation escape hatch)");
-}
 
 /// Declares --obs-out / --obs / --rs, the one observability surface of the
 /// run commands (DESIGN.md §8). None of them is a semantic manifest key:
@@ -404,7 +405,6 @@ int cmd_schedule(util::ArgParser& args, std::ostream& out) {
   const double band = declare_band(args);
   const unsigned threads = declare_threads(
       args, 1, "VPT worker threads (0 = hardware concurrency)");
-  const bool incremental = declare_incremental(args);
   ObsFlags obs_flags = declare_obs(args);
   configure_logging(args);
   args.finish();
@@ -417,7 +417,6 @@ int cmd_schedule(util::ArgParser& args, std::ostream& out) {
   config.tau = tau;
   config.seed = seed;
   config.num_threads = threads;
-  config.incremental = incremental;
   RunObservers observers(obs_flags.request, net, tau, threads);
   config.collector = observers.collector();
   const core::ScheduleSummary s = core::run_dcc(net, config);
@@ -444,9 +443,7 @@ int cmd_verify(util::ArgParser& args, std::ostream& out) {
 
   const core::Network net = network_of(io::load_deployment(in_path), band);
   std::vector<bool> active(net.dep.graph.num_vertices(), true);
-  if (!schedule_path.empty()) active = io::load_mask(schedule_path);
-  TGC_CHECK_MSG(active.size() == net.dep.graph.num_vertices(),
-                "schedule size does not match the network");
+  if (!schedule_path.empty()) active = load_mask_for(schedule_path, net);
   const bool ok = core::criterion_holds(net.dep.graph, active, net.cb, tau);
   out << "cycle-partition criterion at tau=" << tau << ": "
       << (ok ? "HOLDS — tau-confine coverage certified"
@@ -490,7 +487,7 @@ int cmd_quality(util::ArgParser& args, std::ostream& out) {
 
   const core::Network net = network_of(io::load_deployment(in_path), band);
   std::vector<bool> active(net.dep.graph.num_vertices(), true);
-  if (!schedule_path.empty()) active = io::load_mask(schedule_path);
+  if (!schedule_path.empty()) active = load_mask_for(schedule_path, net);
   const core::QualityReport q =
       core::assess_quality(net.dep.graph, active, net.cb, cap);
   out << "cycle space dimension: " << q.cycle_space_dim << "\n";
@@ -523,7 +520,7 @@ int cmd_render(util::ArgParser& args, std::ostream& out) {
 
   const core::Network net = network_of(io::load_deployment(in_path), band);
   std::vector<bool> active(net.dep.graph.num_vertices(), true);
-  if (!schedule_path.empty()) active = io::load_mask(schedule_path);
+  if (!schedule_path.empty()) active = load_mask_for(schedule_path, net);
   std::vector<io::NodeRole> roles(net.dep.graph.num_vertices());
   for (graph::VertexId v = 0; v < roles.size(); ++v) {
     roles[v] = net.boundary[v] ? io::NodeRole::kBoundary
@@ -583,7 +580,6 @@ int cmd_distributed(util::ArgParser& args, std::ostream& out) {
       args.get_int("net-seed", 1, "link delay / loss seed (async)"));
   const double retransmit = args.get_double(
       "retransmit", 4.0, "retransmission interval for unacked messages");
-  const bool incremental = declare_incremental(args);
   ObsFlags obs_flags = declare_obs(args);
   configure_logging(args);
   args.finish();
@@ -602,7 +598,6 @@ int cmd_distributed(util::ArgParser& args, std::ostream& out) {
   config.tau = tau;
   config.seed = seed;
   config.num_threads = threads;
-  config.incremental = incremental;
   RunObservers observers(obs_flags.request, net, tau, threads);
   config.collector = observers.collector();
   core::DccDistributedResult result;
@@ -652,7 +647,6 @@ int cmd_repair(util::ArgParser& args, std::ostream& out) {
   const double band = declare_band(args);
   const unsigned threads = declare_threads(
       args, 1, "VPT worker threads (0 = hardware concurrency)");
-  const bool incremental = declare_incremental(args);
   ObsFlags obs_flags = declare_obs(args);
   configure_logging(args);
   args.finish();
@@ -661,15 +655,11 @@ int cmd_repair(util::ArgParser& args, std::ostream& out) {
       "repair", args, {"in", "schedule", "failed", "tau", "band"});
 
   const core::Network net = network_of(io::load_deployment(in_path), band);
-  const auto active = io::load_mask(schedule_path);
-  const auto failed = io::load_mask(failed_path);
-  TGC_CHECK_MSG(active.size() == net.dep.graph.num_vertices() &&
-                    failed.size() == net.dep.graph.num_vertices(),
-                "mask sizes do not match the network");
+  const auto active = load_mask_for(schedule_path, net);
+  const auto failed = load_mask_for(failed_path, net);
   core::DccConfig config;
   config.tau = tau;
   config.num_threads = threads;
-  config.incremental = incremental;
   RunObservers observers(obs_flags.request, net, tau, threads);
   config.collector = observers.collector();
   const core::RepairResult result = core::dcc_repair(
@@ -822,7 +812,6 @@ int cmd_scale(util::ArgParser& args, std::ostream& out) {
                                    "speedup-curve JSON sink (empty = none)");
   opts.html_path = args.get_string("out", "scale.html",
                                    "speedup-curve HTML chart (empty = none)");
-  opts.incremental = declare_incremental(args);
   configure_logging(args);
   args.finish();
   const obs::RunManifest manifest =

@@ -19,7 +19,6 @@ struct ScaleOptions {
   unsigned tau = 4;
   std::uint64_t seed = 1;
   double band = 1.0;
-  bool incremental = true;
   std::vector<unsigned> threads = {1, 2, 4};  ///< must start at 1
   unsigned repeat = 3;          ///< wall time = min over repeats per rung
   std::string json_path;        ///< speedup-curve JSON sink (empty = none)

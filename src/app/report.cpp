@@ -561,15 +561,13 @@ void profile_sections(std::ostringstream& out, const obs::ProfileData& data) {
   out << "<section>\n<h2>Memory</h2>\n";
   const std::vector<obs::MemorySample>& samples = data.memory.samples;
   if (!samples.empty()) {
-    out << "<p class=\"note\">peak RSS (monotone high-water) and ball-cache "
-           "arena residency at each sampled boundary</p>\n";
+    out << "<p class=\"note\">peak RSS (monotone high-water) at each "
+           "sampled boundary</p>\n";
     charts::LineChartSpec spec;
     spec.aria_label = "memory over sampled boundaries";
-    spec.legend = {{"line1", "peak RSS MiB"}, {"line2", "arena MiB"}};
+    spec.legend = {{"line1", "peak RSS MiB"}};
     spec.axis_name = "sample";
     charts::LineSeries rss;
-    charts::LineSeries arena;
-    arena.series = "2";
     for (std::size_t i = 0; i < samples.size(); ++i) {
       const obs::MemorySample& s = samples[i];
       const std::string at = "sample " + std::to_string(i + 1) + " @ " +
@@ -578,11 +576,8 @@ void profile_sections(std::ostringstream& out, const obs::ProfileData& data) {
       rss.values.push_back(mib(s.peak_rss_bytes));
       rss.titles.push_back(at + "peak RSS " + fnum(mib(s.peak_rss_bytes), 1) +
                            " MiB");
-      arena.values.push_back(mib(s.arena_bytes));
-      arena.titles.push_back(at + "arena " + fnum(mib(s.arena_bytes), 2) +
-                             " MiB");
     }
-    spec.lines = {std::move(rss), std::move(arena)};
+    spec.lines = {std::move(rss)};
     charts::line_chart(out, spec);
   }
   const obs::MemoryTelemetry& m = data.memory;
@@ -591,16 +586,7 @@ void profile_sections(std::ostringstream& out, const obs::ProfileData& data) {
       << fnum(mib(m.peak_rss_begin_bytes), 1) << " MiB</td></tr>\n"
       << "<tr><td>peak RSS at end</td><td>"
       << fnum(mib(m.peak_rss_end_bytes), 1) << " MiB</td></tr>\n"
-      << "<tr><td>ball-arena high water</td><td>"
-      << fnum(mib(m.arena_hwm_bytes), 2) << " MiB</td></tr>\n"
-      << "<tr><td>ball captures</td><td>" << m.arena_allocations
-      << "</td></tr>\n";
-  for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
-    if (m.phase_arena_hwm[p] == 0) continue;
-    out << "<tr><td>arena high water (" << phase_name(p) << ")</td><td>"
-        << fnum(mib(m.phase_arena_hwm[p]), 2) << " MiB</td></tr>\n";
-  }
-  out << "</table>\n</section>\n";
+      << "</table>\n</section>\n";
 }
 
 // ==================================================== node-telemetry sections
@@ -1303,19 +1289,13 @@ obs::ProfileData profile_of(const Bundle& b) {
     }
   }
   for (const obs::JsonRecord& rec : b.of("mem_sample")) {
-    data.memory.samples.push_back(obs::MemorySample{
-        rec.u64("t_ns"), rec.u64("peak_rss_bytes"), rec.u64("arena_bytes")});
+    data.memory.samples.push_back(
+        obs::MemorySample{rec.u64("t_ns"), rec.u64("peak_rss_bytes")});
   }
   for (const obs::JsonRecord& rec : b.of("memory_summary")) {
     obs::MemoryTelemetry& m = data.memory;
     m.peak_rss_begin_bytes = rec.u64("peak_rss_begin_bytes");
     m.peak_rss_end_bytes = rec.u64("peak_rss_end_bytes");
-    m.arena_hwm_bytes = rec.u64("arena_hwm_bytes");
-    m.arena_allocations = rec.u64("arena_allocations");
-    for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
-      m.phase_arena_hwm[p] =
-          rec.u64("arena_hwm_" + phase_name(p) + "_bytes");
-    }
   }
   return data;
 }

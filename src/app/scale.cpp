@@ -38,9 +38,7 @@ void write_scale_json(const ScaleOptions& opts,
   out << "{\"bench\":\"scale\",\"hardware_concurrency\":" << hw
       << ",\"repeat\":" << opts.repeat << ",\"in\":\"" << opts.in_path
       << "\",\"tau\":" << opts.tau << ",\"seed\":" << opts.seed
-      << ",\"band\":" << html::axis_label(opts.band)
-      << ",\"incremental\":" << (opts.incremental ? 1 : 0)
-      << ",\"results\":[";
+      << ",\"band\":" << html::axis_label(opts.band) << ",\"results\":[";
   for (std::size_t i = 0; i < rungs.size(); ++i) {
     const ScaleRung& r = rungs[i];
     if (i > 0) out << ",";
@@ -151,7 +149,6 @@ int run_scale(const ScaleOptions& opts, const obs::RunManifest& manifest,
       config.tau = opts.tau;
       config.seed = opts.seed;
       config.num_threads = threads;
-      config.incremental = opts.incremental;
       const obs::CostSnapshot before = obs::cost_snapshot();
       const std::uint64_t t0 = obs::now_ns();
       const core::ScheduleSummary s = core::run_dcc(net, config);

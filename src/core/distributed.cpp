@@ -168,7 +168,7 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
       to_test.clear();
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         if (!out.schedule.active[v] || !internal[v]) continue;
-        if (!config.incremental || dirty[v] || verdict[v] == kUnknown) {
+        if (dirty[v] || verdict[v] == kUnknown) {
           to_test.push_back(v);
         } else {
           ++out.schedule.cache_hits;
@@ -186,9 +186,9 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
         dirty[v] = false;
       }
       // One ascending pass over cached and fresh verdicts alike: candidates
-      // and kVerdict trace events come out in the same node order whether a
-      // verdict was re-evaluated or reused, so the trace stream stays
-      // byte-identical between incremental and full runs.
+      // and kVerdict trace events come out in node order whether a verdict
+      // was re-evaluated or reused, so the trace stream does not depend on
+      // which nodes the deletion floods dirtied.
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         if (!out.schedule.active[v] || !internal[v]) continue;
         if (traced) {

@@ -1,11 +1,9 @@
 #include "tgcover/core/edge_scheduler.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <unordered_map>
 
-#include "tgcover/cycle/span.hpp"
-#include "tgcover/graph/algorithms.hpp"
+#include "tgcover/core/vpt.hpp"
 #include "tgcover/sim/mis.hpp"
 #include "tgcover/util/check.hpp"
 #include "tgcover/util/rng.hpp"
@@ -18,72 +16,30 @@ using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
 
-/// Masked BFS (both node and edge masks) from `source`, truncated at `k`
-/// hops; marks distances into `dist` (pre-sized, kUnreached-initialized
-/// entries are overwritten lazily via the epoch trick is overkill here —
-/// callers pass a fresh map).
-void masked_bfs(const Graph& g, const std::vector<bool>& node_active,
-                const std::vector<bool>& edge_active, VertexId source,
-                unsigned k, std::unordered_map<VertexId, unsigned>& dist) {
-  if (dist.count(source) == 0) dist.emplace(source, 0);
-  std::deque<VertexId> queue{source};
-  while (!queue.empty()) {
-    const VertexId u = queue.front();
-    queue.pop_front();
-    const unsigned du = dist.at(u);
-    if (du >= k) continue;
-    const auto nbrs = g.neighbors(u);
-    const auto eids = g.incident_edges(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId w = nbrs[i];
-      if (!node_active[w] || !edge_active[eids[i]]) continue;
-      if (dist.count(w) > 0) continue;
-      dist.emplace(w, du + 1);
-      queue.push_back(w);
-    }
-  }
-}
-
-/// The τ-VPT edge test on the masked topology: the k-hop neighbourhood of
-/// edge `e`'s endpoints, minus the edge itself, must be connected with all
-/// irreducible cycles ≤ τ.
-bool edge_deletable_masked(const Graph& g, const std::vector<bool>& node_active,
-                           const std::vector<bool>& edge_active, EdgeId e,
-                           const VptConfig& config) {
+/// The nodes within `k` hops of link `e`'s endpoints over the masked
+/// topology (active nodes, active links), found by one BFS seeded with both
+/// endpoints.
+std::vector<VertexId> link_ball(const Graph& g,
+                                const std::vector<bool>& node_active,
+                                const std::vector<bool>& edge_active, EdgeId e,
+                                unsigned k) {
   const auto [u, v] = g.edge(e);
-  const unsigned k = config.effective_k();
-
-  std::unordered_map<VertexId, unsigned> dist;
-  masked_bfs(g, node_active, edge_active, u, k, dist);
-  masked_bfs(g, node_active, edge_active, v, k, dist);
-
-  std::vector<VertexId> members;
-  members.reserve(dist.size());
-  for (const auto& [node, d] : dist) {
-    (void)d;
-    members.push_back(node);
-  }
-  std::sort(members.begin(), members.end());
-
-  std::unordered_map<VertexId, VertexId> local_of;
-  for (VertexId i = 0; i < members.size(); ++i) local_of.emplace(members[i], i);
-  graph::GraphBuilder builder(members.size());
-  for (const VertexId a : members) {
+  std::unordered_map<VertexId, unsigned> dist{{u, 0}, {v, 0}};
+  std::vector<VertexId> ball{u, v};
+  for (std::size_t head = 0; head < ball.size(); ++head) {
+    const VertexId a = ball[head];
+    const unsigned da = dist.at(a);
+    if (da == k) continue;
     const auto nbrs = g.neighbors(a);
     const auto eids = g.incident_edges(a);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId b = nbrs[i];
-      if (!node_active[b] || !edge_active[eids[i]]) continue;
-      if (eids[i] == e) continue;  // puncture the edge under test
-      const auto lb = local_of.find(b);
-      if (lb == local_of.end()) continue;
-      builder.add_edge(local_of.at(a), lb->second);
+      const VertexId w = nbrs[i];
+      if (!node_active[w] || !edge_active[eids[i]]) continue;
+      if (!dist.emplace(w, da + 1).second) continue;
+      ball.push_back(w);
     }
   }
-  const Graph punctured = builder.build();
-  if (punctured.num_vertices() == 0) return true;
-  if (!graph::is_connected(punctured)) return false;
-  return cycle::short_cycles_span(punctured, config.tau);
+  return ball;
 }
 
 }  // namespace
@@ -111,17 +67,17 @@ EdgeScheduleResult dcc_schedule_edges(const Graph& g,
   enum class Verdict : char { kUnknown, kDeletable, kNotDeletable };
   std::vector<Verdict> verdict(g.num_edges(), Verdict::kUnknown);
   std::vector<bool> dirty(g.num_edges(), true);
+  VptWorkspace ws;
 
   while (result.rounds < config.max_rounds) {
     // Candidate links: deletable per the VPT edge operator.
     std::vector<EdgeId> candidates;
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       if (!result.edge_active[e] || is_protected(e)) continue;
-      if (dirty[e] || verdict[e] == Verdict::kUnknown ||
-          !config.incremental) {
+      if (dirty[e] || verdict[e] == Verdict::kUnknown) {
         ++result.vpt_tests;
-        verdict[e] = edge_deletable_masked(g, node_active, result.edge_active,
-                                           e, vpt)
+        verdict[e] = vpt_edge_deletable(g, node_active, result.edge_active, e,
+                                        vpt, ws)
                          ? Verdict::kDeletable
                          : Verdict::kNotDeletable;
         dirty[e] = false;
@@ -133,7 +89,9 @@ EdgeScheduleResult dcc_schedule_edges(const Graph& g,
 
     // Greedy-by-priority MIS over links: two candidate links conflict when
     // their endpoint sets are within k hops — the same independence distance
-    // as simultaneous vertex deletions.
+    // as simultaneous vertex deletions. Then no selected link lies in, or
+    // on a short path into, another selected link's k-hop ball, so the
+    // round's deletions keep each other's verdicts.
     const std::uint64_t round_seed =
         util::splitmix64(config.seed + 0x5eed + result.rounds);
     std::sort(candidates.begin(), candidates.end(), [&](EdgeId a, EdgeId b) {
@@ -147,27 +105,21 @@ EdgeScheduleResult dcc_schedule_edges(const Graph& g,
       const auto [u, v] = g.edge(e);
       if (node_blocked[u] || node_blocked[v]) continue;
       selected.push_back(e);
-      std::unordered_map<VertexId, unsigned> dist;
-      masked_bfs(g, node_active, result.edge_active, u, k, dist);
-      masked_bfs(g, node_active, result.edge_active, v, k, dist);
-      for (const auto& [node, d] : dist) {
-        (void)d;
-        node_blocked[node] = true;
+      for (const VertexId w :
+           link_ball(g, node_active, result.edge_active, e, k)) {
+        node_blocked[w] = true;
       }
     }
     TGC_CHECK(!selected.empty());
 
     // Delete the selected links; verdicts near them go stale.
     for (const EdgeId e : selected) {
-      const auto [u, v] = g.edge(e);
-      std::unordered_map<VertexId, unsigned> dist;
-      masked_bfs(g, node_active, result.edge_active, u, k + 1, dist);
-      masked_bfs(g, node_active, result.edge_active, v, k + 1, dist);
+      const std::vector<VertexId> stale =
+          link_ball(g, node_active, result.edge_active, e, k + 1);
       result.edge_active[e] = false;
       ++result.pruned;
-      for (const auto& [node, dd] : dist) {
-        (void)dd;
-        for (const EdgeId ne : g.incident_edges(node)) dirty[ne] = true;
+      for (const VertexId w : stale) {
+        for (const EdgeId ne : g.incident_edges(w)) dirty[ne] = true;
       }
     }
   }

@@ -24,18 +24,13 @@ struct DccConfig {
   std::uint64_t seed = 1;
   /// Safety cap on deletion rounds (the fixpoint terminates on its own).
   std::size_t max_rounds = static_cast<std::size_t>(-1);
-  /// Incremental rounds (default): VPT verdicts are cached across rounds and
-  /// only nodes whose k-hop ball intersected a deletion wave are re-tested
-  /// (VerdictCache dirty-frontier invalidation). Schedules are bit-identical
-  /// either way — verdicts are pure functions of the ball — so `false` is an
-  /// escape hatch (`--no-incremental`) that re-tests every node every round,
-  /// used by the equivalence tests and the ablation benches.
-  bool incremental = true;
   /// Optional external verdict cache surviving across scheduler calls.
-  /// `dcc_repair` threads one through its escalating waves so verdicts far
-  /// from the failure are not re-evaluated wave after wave; `prepare`
-  /// re-dirties exactly the neighbourhood of the awake-set delta. Null: the
-  /// scheduler uses a private per-call cache.
+  /// Every executor caches VPT verdicts across rounds and re-tests only the
+  /// nodes whose punctured k-hop ball a deletion wave touched (DESIGN.md
+  /// §11). `dcc_repair` threads one cache through its escalating waves so
+  /// verdicts far from the failure are not re-evaluated wave after wave;
+  /// `prepare` re-dirties exactly the neighbourhood of the awake-set delta.
+  /// Null: the scheduler uses a private per-call cache.
   VerdictCache* cache = nullptr;
   /// Optional fixed per-node MIS priorities (higher = deleted earlier),
   /// overriding the seeded random ones. Used by the energy-aware lifetime
@@ -67,9 +62,8 @@ struct DccResult {
   std::size_t deleted = 0;
   std::size_t rounds = 0;
   std::vector<DccRoundInfo> per_round;
-  std::size_t vpt_tests = 0;  ///< VPT evaluations performed (cache ablation)
-  /// Verdicts reused from the cache instead of re-evaluated (incremental
-  /// mode; 0 with `incremental = false`).
+  std::size_t vpt_tests = 0;  ///< VPT evaluations performed
+  /// Verdicts reused from the cache instead of re-evaluated.
   std::size_t cache_hits = 0;
   /// Nodes marked dirty by deletion/wake frontiers across the run.
   std::size_t dirty_marked = 0;

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "tgcover/core/ball_cache.hpp"
 #include "tgcover/cycle/span.hpp"
 #include "tgcover/graph/graph.hpp"
 #include "tgcover/graph/subgraph.hpp"
@@ -81,28 +80,22 @@ bool vpt_vertex_deletable_local(const sim::LocalView& view,
 bool vpt_vertex_deletable_local(const sim::LocalView& view,
                                 const VptConfig& config, VptWorkspace& ws);
 
-/// Re-evaluates the vertex test for `v` inside its pooled ball (captured at
-/// `v`'s first test this scheduler call) filtered by the current `active`
-/// mask. Because the active set only shrinks within a call, the filtered
-/// capture reproduces a fresh BFS exactly (see BallCache) — the verdict is
-/// bit-identical to `vpt_vertex_deletable` while never traversing the global
-/// graph: the work is charged to ball-view bytes, not BFS expansions.
-bool vpt_vertex_deletable_cached(const BallCache::View& view,
-                                 const std::vector<bool>& active,
-                                 graph::VertexId v, const VptConfig& config,
-                                 VptWorkspace& ws);
-
 /// The τ-VPT edge-deletability test: edge (u, v) may be deleted iff the
 /// k-hop neighbourhood of the edge (nodes within k hops of u or v) minus the
 /// edge itself is connected with maximum irreducible cycle ≤ τ. DCC
 /// schedules vertices; the edge operator completes Definition 5 and powers
-/// the link-pruning extension exercised in tests and ablations.
+/// the link-pruning scheduler (edge_scheduler.hpp).
+///
+/// `active` masks the nodes and `edge_active` (indexed by edge id) the
+/// links of the current topology; `e` and both its endpoints must be
+/// active.
 bool vpt_edge_deletable(const graph::Graph& g, const std::vector<bool>& active,
-                        graph::EdgeId e, const VptConfig& config);
+                        const std::vector<bool>& edge_active, graph::EdgeId e,
+                        const VptConfig& config);
 
 /// Workspace overload: identical verdicts, no per-test allocations.
 bool vpt_edge_deletable(const graph::Graph& g, const std::vector<bool>& active,
-                        graph::EdgeId e, const VptConfig& config,
-                        VptWorkspace& ws);
+                        const std::vector<bool>& edge_active, graph::EdgeId e,
+                        const VptConfig& config, VptWorkspace& ws);
 
 }  // namespace tgc::core

@@ -1,6 +1,5 @@
 #include "tgcover/core/scheduler.hpp"
 
-#include "tgcover/core/ball_cache.hpp"
 #include "tgcover/core/verdict_cache.hpp"
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/obs/log.hpp"
@@ -52,15 +51,6 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
   cache.prepare(g, result.active, k);
   result.dirty_marked += cache.last_dirty_marked();
 
-  // Pooled k-hop balls (DESIGN.md §11): a node's first test this call
-  // captures its ball into a flat arena; every re-test after a dirtying
-  // deletion then runs inside the pooled rows filtered by the live active
-  // mask — exact, because active only shrinks within a call. The pool is
-  // strictly per-call: repair waves wake nodes between calls, which would
-  // break the shrink-only argument.
-  BallCache balls;
-  if (config.incremental) balls.reset(g.num_vertices(), pool.num_workers());
-
   std::vector<VertexId> to_test;
   std::vector<VertexId> deleted_wave;
   // Per-node fresh verdicts for the current round's fan-out. Workers write
@@ -77,20 +67,20 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
   while (result.rounds < config.max_rounds) {
     if (config.collector != nullptr) config.collector->begin_round();
     // Step 1 (Section V-B): every internal node tests its own deletability
-    // from local connectivity. In incremental mode only dirty (or
-    // never-evaluated) nodes are tested; the rest reuse their cached
-    // verdict, which is sound because the cache's invariant guarantees the
-    // ball they were computed against is unchanged. Each verdict reads only
-    // the graph and the pre-round `active` snapshot and writes only its own
-    // slot (a distinct char — no word sharing), so the dirty set fans out
-    // over the pool and the outcome is bit-identical to the serial loop.
+    // from local connectivity. Only dirty (or never-evaluated) nodes are
+    // tested; the rest reuse their cached verdict, which is sound because
+    // the cache's invariant guarantees the ball they were computed against
+    // is unchanged. Each verdict reads only the graph and the pre-round
+    // `active` snapshot and writes only its own slot (a distinct char — no
+    // word sharing), so the dirty set fans out over the pool and the outcome
+    // is bit-identical to the serial loop.
     {
       TGC_OBS_SPAN(obs::SpanId::kVerdicts);
       const obs::CostPhaseScope cost_phase(obs::CostPhase::kVerdicts);
       to_test.clear();
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         if (!result.active[v] || !internal[v]) continue;
-        if (!config.incremental || cache.dirty(v) ||
+        if (cache.dirty(v) ||
             cache.verdict(v) == VerdictCache::Verdict::kUnknown) {
           to_test.push_back(v);
         } else {
@@ -101,24 +91,10 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
       result.vpt_tests += to_test.size();
       pool.parallel_for(0, to_test.size(), [&](std::size_t i, unsigned worker) {
         const VertexId v = to_test[i];
-        VptWorkspace& ws = workspaces[worker];
-        bool verdict;
-        if (config.incremental && balls.has(v)) {
-          // Re-test inside the pooled ball: no global-graph traversal.
-          verdict = vpt_vertex_deletable_cached(balls.view(v), result.active,
-                                                v, vpt, ws);
-        } else {
-          verdict = vpt_vertex_deletable(g, result.active, v, vpt, ws);
-          if (config.incremental) {
-            // The fresh kernel left the punctured member set in ws.members;
-            // capture the ball for the re-tests to come. Workers append to
-            // their own shard and publish distinct per-node slots.
-            obs::add(obs::CounterId::kBallViewBytes,
-                     balls.capture(worker, g, result.active, v, ws.members));
-            obs::profile_count_allocations(1);
-          }
-        }
-        fresh[v] = verdict ? 1 : 0;
+        fresh[v] = vpt_vertex_deletable(g, result.active, v, vpt,
+                                        workspaces[worker])
+                       ? 1
+                       : 0;
       });
       for (const VertexId v : to_test) cache.store(v, fresh[v] != 0);
     }
@@ -191,13 +167,6 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
     }
     if (obs::profile_active()) {
       obs::profile_round(result.rounds);
-      if (config.incremental) {
-        // Ball-arena high-water mark, read at round quiescence (workers'
-        // shard appends have drained) and charged to the verdict phase that
-        // grew it — the verdict scope itself already closed above.
-        obs::profile_note_arena(balls.resident_bytes(),
-                                obs::CostPhase::kVerdicts);
-      }
       obs::profile_mem_sample();
     }
     TGC_LOG(kDebug) << "dcc round" << obs::kv("round", result.rounds)

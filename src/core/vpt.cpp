@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "tgcover/core/ball_cache.hpp"
 #include "tgcover/cycle/span.hpp"
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/obs/obs.hpp"
@@ -17,11 +16,14 @@ using graph::VertexId;
 
 /// BFS over the active topology from `source`, truncated at `k` hops;
 /// appends the visited vertices excluding the source to `out` (unsorted,
-/// BFS discovery order). Uses the workspace's stamped dist array and flat
-/// frontier — no per-call allocation once the buffers are warm.
+/// BFS discovery order). `link_up(edge id)` masks links as well as nodes
+/// (the edge kernel's pruned links). Uses the workspace's stamped dist
+/// array and flat frontier — no per-call allocation once the buffers are
+/// warm.
+template <typename LinkFn>
 void append_active_k_hop(const Graph& g, const std::vector<bool>& active,
                          VertexId source, unsigned k, VptWorkspace& ws,
-                         std::vector<VertexId>& out) {
+                         std::vector<VertexId>& out, LinkFn&& link_up) {
   ws.dist.clear();
   ws.queue.clear();
   ws.dist.put(source, 0);
@@ -30,14 +32,19 @@ void append_active_k_hop(const Graph& g, const std::vector<bool>& active,
     const VertexId u = ws.queue[head];
     const std::uint32_t du = ws.dist.get(u);
     if (du == k) continue;
-    for (const VertexId w : g.neighbors(u)) {
-      if (!active[w] || ws.dist.contains(w)) continue;
+    const auto nbrs = g.neighbors(u);
+    const auto eids = g.incident_edges(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const VertexId w = nbrs[i];
+      if (!active[w] || !link_up(eids[i]) || ws.dist.contains(w)) continue;
       ws.dist.put(w, du + 1);
       out.push_back(w);
       ws.queue.push_back(w);
     }
   }
 }
+
+constexpr auto kEveryLink = [](graph::EdgeId) { return true; };
 
 /// Assigns punctured-local ids 0..|members|-1 in member order through the
 /// workspace's stamped `local` array (replacing the per-test hash map).
@@ -59,9 +66,9 @@ bool neighbourhood_passes(const G& punctured, unsigned tau,
 /// Accounts one finished deletability test (any operator flavour): the test
 /// itself, its verdict, the global-graph BFS frontier it expanded, and the
 /// ball-view bytes it materialized. `expansions` counts only vertices
-/// discovered by traversing the *global* topology — kernels that evaluate
-/// inside an already-materialized view (pooled ball, distributed local view)
-/// pass 0 and their work shows up under ball-view bytes instead.
+/// discovered by traversing the *global* topology — the distributed
+/// local-view kernel evaluates inside a node's collected view, passes 0, and
+/// its work shows up under ball-view bytes instead.
 bool record_verdict(bool deletable, std::size_t expansions,
                     std::size_t ball_bytes) {
   obs::add(obs::CounterId::kVptTests, 1);
@@ -90,7 +97,7 @@ bool vpt_vertex_deletable(const Graph& g, const std::vector<bool>& active,
   ws.ensure(g.num_vertices());
 
   ws.members.clear();
-  append_active_k_hop(g, active, v, k, ws, ws.members);
+  append_active_k_hop(g, active, v, k, ws, ws.members, kEveryLink);
   std::sort(ws.members.begin(), ws.members.end());
 
   // Build the punctured neighbourhood directly: v is not a member, so its
@@ -162,85 +169,28 @@ bool vpt_vertex_deletable_local(const sim::LocalView& view,
                             ws.ball.bytes());
 }
 
-bool vpt_vertex_deletable_cached(const BallCache::View& view,
-                                 const std::vector<bool>& active, VertexId v,
-                                 const VptConfig& config, VptWorkspace& ws) {
-  TGC_CHECK(!view.members.empty());
-  TGC_CHECK_MSG(active[v], "VPT test on inactive vertex " << v);
-  const unsigned k = config.effective_k();
-  // Member ids are global; the sorted list's back bounds every id the BFS
-  // and the local-id map will touch.
-  ws.ensure(static_cast<std::size_t>(view.members.back()) + 1);
-
-  // Map member → pooled row index so the BFS can follow rows by id.
-  ws.local.clear();
-  for (VertexId i = 0; i < view.members.size(); ++i) {
-    ws.local.put(view.members[i], i);
-  }
-
-  // BFS inside the pooled ball, filtered by the *current* active mask.
-  // Deletions since capture only shrink the active set, so every live ≤ k-hop
-  // path lies within the captured members and rows (see BallCache) — the
-  // membership this computes is exactly what a fresh BFS over the active
-  // topology would find, without touching the global graph.
-  ws.dist.clear();
-  ws.queue.clear();
-  ws.members.clear();
-  ws.dist.put(v, 0);
-  ws.queue.push_back(v);
-  std::size_t bytes_scanned = view.members.size() * sizeof(VertexId);
-  for (std::size_t head = 0; head < ws.queue.size(); ++head) {
-    const VertexId u = ws.queue[head];
-    const std::uint32_t du = ws.dist.get(u);
-    if (du == k) continue;
-    const auto row = view.row(ws.local.get(u));
-    bytes_scanned += row.size() * sizeof(VertexId);
-    for (const VertexId w : row) {
-      if (!active[w] || ws.dist.contains(w)) continue;
-      ws.dist.put(w, du + 1);
-      ws.members.push_back(w);
-      ws.queue.push_back(w);
-    }
-  }
-  std::sort(ws.members.begin(), ws.members.end());
-
-  // Build the punctured neighbourhood from the pooled rows. Reassigning
-  // ws.local to punctured ids loses the row index, so rows are re-found by
-  // binary search over the sorted member list; v itself never gets a
-  // punctured id, so its edges vanish exactly as in the fresh kernel.
-  assign_local_ids(ws.members, ws);
-  ws.ball.build(ws.members.size(), [&](VertexId lu, auto&& emit) {
-    const VertexId u = ws.members[lu];
-    const std::size_t iu = static_cast<std::size_t>(
-        std::lower_bound(view.members.begin(), view.members.end(), u) -
-        view.members.begin());
-    for (const VertexId w : view.row(iu)) {
-      if (active[w] && ws.local.contains(w)) emit(ws.local.get(w));
-    }
-  });
-  return record_verdict(neighbourhood_passes(ws.ball, config.tau, ws.span), 0,
-                        bytes_scanned + ws.ball.bytes());
-}
-
 bool vpt_edge_deletable(const Graph& g, const std::vector<bool>& active,
-                        graph::EdgeId e, const VptConfig& config) {
+                        const std::vector<bool>& edge_active, graph::EdgeId e,
+                        const VptConfig& config) {
   VptWorkspace ws;
-  return vpt_edge_deletable(g, active, e, config, ws);
+  return vpt_edge_deletable(g, active, edge_active, e, config, ws);
 }
 
 bool vpt_edge_deletable(const Graph& g, const std::vector<bool>& active,
-                        graph::EdgeId e, const VptConfig& config,
-                        VptWorkspace& ws) {
+                        const std::vector<bool>& edge_active, graph::EdgeId e,
+                        const VptConfig& config, VptWorkspace& ws) {
   TGC_CHECK(active.size() == g.num_vertices());
+  TGC_CHECK(edge_active.size() == g.num_edges());
   const auto [u, v] = g.edge(e);
-  TGC_CHECK(active[u] && active[v]);
+  TGC_CHECK(active[u] && active[v] && edge_active[e]);
   const unsigned k = config.effective_k();
   ws.ensure(g.num_vertices());
+  const auto link_up = [&](graph::EdgeId l) { return edge_active[l]; };
 
   ws.members.clear();
-  append_active_k_hop(g, active, u, k, ws, ws.members);
+  append_active_k_hop(g, active, u, k, ws, ws.members, link_up);
   ws.members.push_back(u);  // the edge's endpoints stay; only the link goes
-  append_active_k_hop(g, active, v, k, ws, ws.members);
+  append_active_k_hop(g, active, v, k, ws, ws.members, link_up);
   ws.members.push_back(v);
   std::sort(ws.members.begin(), ws.members.end());
   ws.members.erase(std::unique(ws.members.begin(), ws.members.end()),
@@ -248,11 +198,14 @@ bool vpt_edge_deletable(const Graph& g, const std::vector<bool>& active,
 
   assign_local_ids(ws.members, ws);
   ws.ball.build(ws.members.size(), [&](VertexId la, auto&& emit) {
-    const VertexId a = ws.members[la];
-    for (const VertexId b : g.neighbors(a)) {
-      if (!active[b] || !ws.local.contains(b)) continue;
-      if ((a == u && b == v) || (a == v && b == u)) continue;  // puncture
-      emit(ws.local.get(b));
+    const auto nbrs = g.neighbors(ws.members[la]);
+    const auto eids = g.incident_edges(ws.members[la]);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const VertexId b = nbrs[i];
+      if (eids[i] == e) continue;  // puncture
+      if (active[b] && edge_active[eids[i]] && ws.local.contains(b)) {
+        emit(ws.local.get(b));
+      }
     }
   });
   return record_verdict(neighbourhood_passes(ws.ball, config.tau, ws.span),

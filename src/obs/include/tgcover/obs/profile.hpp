@@ -10,8 +10,8 @@
 #include "tgcover/obs/cost.hpp"
 
 /// The parallel-execution profiler (DESIGN.md §13): per-worker event rings
-/// plus a memory-telemetry channel, recorded inside util::ThreadPool and the
-/// scheduler/VPT/repair hot paths and exported as a manifest-headed JSONL
+/// plus peak-RSS samples, recorded inside util::ThreadPool and the
+/// scheduler/repair round loops and exported as a manifest-headed JSONL
 /// stream (a bundle's profile.jsonl) or Perfetto/Chrome per-worker tracks.
 ///
 /// Where the logical-cost counters (cost.hpp) answer "how much work ran",
@@ -30,9 +30,8 @@
 /// (repair waves construct one pool per wave) is ordered by the pools' own
 /// join/condvar handshakes, and profile_end runs at quiescence, after the
 /// last pool completed — the same happens-before edges the schedules
-/// themselves rely on. Cross-thread channels (arena high-water marks,
-/// allocation counts, memory samples) are rare-event and go through relaxed
-/// atomics or a mutex-guarded sample vector.
+/// themselves rely on. The cross-thread session counters go through relaxed
+/// atomics and the rare memory samples through a mutex-guarded vector.
 ///
 /// Rings wrap: when a lane overflows its capacity (default 1<<15 events,
 /// overridable via the TGC_PROFILE_RING env var) the oldest events are
@@ -92,15 +91,11 @@ struct WorkerProfile {
 struct MemorySample {
   std::uint64_t t_ns = 0;
   std::uint64_t peak_rss_bytes = 0;  ///< getrusage high-water (monotone)
-  std::uint64_t arena_bytes = 0;     ///< last-noted ball-cache residency
 };
 
 struct MemoryTelemetry {
   std::uint64_t peak_rss_begin_bytes = 0;
   std::uint64_t peak_rss_end_bytes = 0;
-  std::uint64_t arena_hwm_bytes = 0;  ///< ball-cache byte high-water mark
-  std::uint64_t arena_allocations = 0;  ///< ball captures noted
-  std::array<std::uint64_t, kNumPhases> phase_arena_hwm{};
   std::vector<MemorySample> samples;
 };
 
@@ -169,16 +164,8 @@ void profile_fork(std::uint64_t start_ns, std::uint64_t dur_ns,
 /// Instant: a scheduler round (or repair wave) completed.
 void profile_round(std::uint64_t round);
 
-/// Notes the current ball-cache arena residency, updating the global and
-/// per-phase high-water marks. `phase` defaults to the current cost phase;
-/// the scheduler passes kVerdicts explicitly because it samples at round
-/// end, after the verdict scope closed.
-void profile_note_arena(std::uint64_t bytes);
-void profile_note_arena(std::uint64_t bytes, CostPhase phase);
-/// Counts arena allocation events (ball captures). Relaxed atomic.
-void profile_count_allocations(std::uint64_t n);
-/// Appends one MemorySample (peak RSS + last-noted arena bytes). Mutex-
-/// guarded; call at coarse boundaries (round/run ends), not in hot loops.
+/// Appends one MemorySample (peak RSS). Mutex-guarded; call at coarse
+/// boundaries (round/run ends), not in hot loops.
 void profile_mem_sample();
 
 /// Current process peak RSS in bytes via getrusage (0 where unsupported).
@@ -201,7 +188,7 @@ void write_profile_jsonl(const ProfileData& data, std::ostream& out);
 /// Chrome/Perfetto trace-event JSON: per-worker tracks under pid 2 (the
 /// causal node traces of trace_export.cpp own pid 1, so a fused view shows
 /// protocol causality next to pool execution), instant phase/round marks,
-/// and counter tracks for peak RSS / arena bytes.
+/// and a counter track for peak RSS.
 void write_profile_chrome_trace(const ProfileData& data, std::ostream& out);
 
 }  // namespace tgc::obs

@@ -54,11 +54,7 @@ struct ProfilerState {
   std::atomic<std::uint64_t> parallel_ns{0};
   std::atomic<std::uint64_t> forks{0};
   std::atomic<std::uint64_t> rounds{0};
-  // Memory channel (cross-thread: relaxed atomics / sample mutex).
-  std::atomic<std::uint64_t> arena_bytes{0};
-  std::atomic<std::uint64_t> arena_hwm{0};
-  std::array<std::atomic<std::uint64_t>, kNumPhases> phase_arena_hwm{};
-  std::atomic<std::uint64_t> allocations{0};
+  // Memory channel (cross-thread: sample mutex).
   std::uint64_t peak_rss_begin = 0;
   std::mutex sample_mutex;
   std::vector<MemorySample> samples;
@@ -90,13 +86,6 @@ std::uint64_t rebase(std::uint64_t abs_ns) {
 void push(Lane& lane, const ProfileEvent& ev) {
   lane.ring[lane.pushed % lane.ring.size()] = ev;
   ++lane.pushed;
-}
-
-void atomic_fetch_max(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
-  std::uint64_t cur = slot.load(std::memory_order_relaxed);
-  while (cur < value &&
-         !slot.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
 }
 
 std::size_t resolve_ring_capacity(std::size_t requested) {
@@ -177,10 +166,6 @@ void profile_begin(unsigned workers, std::size_t ring_capacity) {
   s.parallel_ns.store(0, std::memory_order_relaxed);
   s.forks.store(0, std::memory_order_relaxed);
   s.rounds.store(0, std::memory_order_relaxed);
-  s.arena_bytes.store(0, std::memory_order_relaxed);
-  s.arena_hwm.store(0, std::memory_order_relaxed);
-  for (auto& hwm : s.phase_arena_hwm) hwm.store(0, std::memory_order_relaxed);
-  s.allocations.store(0, std::memory_order_relaxed);
   {
     const std::lock_guard<std::mutex> lock(s.sample_mutex);
     s.samples.clear();
@@ -234,13 +219,6 @@ ProfileData profile_end() {
 
   data.memory.peak_rss_begin_bytes = s.peak_rss_begin;
   data.memory.peak_rss_end_bytes = peak_rss_bytes();
-  data.memory.arena_hwm_bytes = s.arena_hwm.load(std::memory_order_relaxed);
-  data.memory.arena_allocations =
-      s.allocations.load(std::memory_order_relaxed);
-  for (std::size_t p = 0; p < kNumPhases; ++p) {
-    data.memory.phase_arena_hwm[p] =
-        s.phase_arena_hwm[p].load(std::memory_order_relaxed);
-  }
   {
     const std::lock_guard<std::mutex> lock(s.sample_mutex);
     data.memory.samples = std::move(s.samples);
@@ -318,30 +296,12 @@ void profile_round(std::uint64_t round) {
   emit(*lane, ProfKind::kRound, now_ns(), 0, round, current_phase());
 }
 
-void profile_note_arena(std::uint64_t bytes) {
-  profile_note_arena(bytes, current_phase());
-}
-
-void profile_note_arena(std::uint64_t bytes, CostPhase phase) {
-  if (!profile_active()) return;
-  ProfilerState& s = prof();
-  s.arena_bytes.store(bytes, std::memory_order_relaxed);
-  atomic_fetch_max(s.arena_hwm, bytes);
-  atomic_fetch_max(s.phase_arena_hwm[static_cast<std::size_t>(phase)], bytes);
-}
-
-void profile_count_allocations(std::uint64_t n) {
-  if (!profile_active()) return;
-  prof().allocations.fetch_add(n, std::memory_order_relaxed);
-}
-
 void profile_mem_sample() {
   if (!profile_active()) return;
   ProfilerState& s = prof();
   MemorySample sample;
   sample.t_ns = rebase(now_ns());
   sample.peak_rss_bytes = peak_rss_bytes();
-  sample.arena_bytes = s.arena_bytes.load(std::memory_order_relaxed);
   const std::lock_guard<std::mutex> lock(s.sample_mutex);
   s.samples.push_back(sample);
 }

@@ -105,20 +105,11 @@ void write_profile_jsonl(const ProfileData& data, std::ostream& out) {
 
   for (const MemorySample& sample : data.memory.samples) {
     out << "{\"type\":\"mem_sample\",\"t_ns\":" << sample.t_ns
-        << ",\"peak_rss_bytes\":" << sample.peak_rss_bytes
-        << ",\"arena_bytes\":" << sample.arena_bytes << "}\n";
+        << ",\"peak_rss_bytes\":" << sample.peak_rss_bytes << "}\n";
   }
   out << "{\"type\":\"memory_summary\",\"peak_rss_begin_bytes\":"
       << data.memory.peak_rss_begin_bytes << ",\"peak_rss_end_bytes\":"
-      << data.memory.peak_rss_end_bytes << ",\"arena_hwm_bytes\":"
-      << data.memory.arena_hwm_bytes << ",\"arena_allocations\":"
-      << data.memory.arena_allocations;
-  for (std::size_t p = 0; p < kNumPhases; ++p) {
-    if (data.memory.phase_arena_hwm[p] == 0) continue;
-    out << ",\"arena_hwm_" << cost_phase_name(static_cast<CostPhase>(p))
-        << "_bytes\":" << data.memory.phase_arena_hwm[p];
-  }
-  out << "}\n";
+      << data.memory.peak_rss_end_bytes << "}\n";
 
   out << "{\"type\":\"profile_summary\",\"wall_ns\":" << data.wall_ns
       << ",\"busy_ns\":" << data.total_busy_ns()
@@ -195,8 +186,7 @@ void write_profile_chrome_trace(const ProfileData& data, std::ostream& out) {
   for (const MemorySample& sample : data.memory.samples) {
     rec() << "{\"ph\":\"C\",\"pid\":" << kPid << ",\"tid\":0,\"ts\":"
           << us(sample.t_ns) << ",\"name\":\"memory\",\"args\":{"
-          << "\"peak_rss_bytes\":" << sample.peak_rss_bytes
-          << ",\"arena_bytes\":" << sample.arena_bytes << "}}";
+          << "\"peak_rss_bytes\":" << sample.peak_rss_bytes << "}}";
   }
 
   out << "\n],\"displayTimeUnit\":\"ms\"}\n";

@@ -40,10 +40,36 @@ class CliFixture : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
+  /// Generates a 60-node network into net_ and writes a mask one node short
+  /// of it (node 0 set); returns the mask's path.
+  std::string short_mask() {
+    EXPECT_EQ(run({"generate", "--nodes", "60", "--degree", "10", "--seed",
+                   "2", "--out", net_.c_str()}),
+              0);
+    const std::string path = (dir_ / "short.tgc").string();
+    std::ofstream(path) << "tgcover-mask 1\nnodes 59\nset 0\n";
+    return path;
+  }
+
   fs::path dir_;
   std::string net_;
   std::string sched_;
 };
+
+/// Runs a command that must refuse the 59-node `mask` on the 60-node
+/// network, with an error naming the file and both node counts.
+void expect_short_mask_refused(std::initializer_list<const char*> argv,
+                               const std::string& mask) {
+  try {
+    run(argv);
+    ADD_FAILURE() << "a mask one node short was accepted";
+  } catch (const tgc::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "mask '" + mask + "' has 59 nodes but the network has 60"),
+              std::string::npos)
+        << e.what();
+  }
+}
 
 TEST_F(CliFixture, FullWorkflow) {
   std::string out;
@@ -407,6 +433,45 @@ TEST_F(CliFixture, RepairCommand) {
   EXPECT_TRUE(fs::exists(repaired));
   // No failures: repair restores iff the schedule certified to begin with.
   EXPECT_EQ(rc, verify_rc);
+}
+
+TEST_F(CliFixture, VerifyRejectsAMaskOfTheWrongSize) {
+  const std::string mask = short_mask();
+  expect_short_mask_refused(
+      {"verify", "--in", net_.c_str(), "--schedule", mask.c_str()}, mask);
+}
+
+TEST_F(CliFixture, QualityRejectsAMaskOfTheWrongSize) {
+  const std::string mask = short_mask();
+  expect_short_mask_refused(
+      {"quality", "--in", net_.c_str(), "--schedule", mask.c_str()}, mask);
+}
+
+TEST_F(CliFixture, RenderRejectsAMaskOfTheWrongSize) {
+  const std::string mask = short_mask();
+  const std::string svg = (dir_ / "net.svg").string();
+  expect_short_mask_refused({"render", "--in", net_.c_str(), "--schedule",
+                             mask.c_str(), "--out", svg.c_str()},
+                            mask);
+  EXPECT_FALSE(fs::exists(svg));
+}
+
+TEST_F(CliFixture, RepairRejectsAMaskOfTheWrongSize) {
+  const std::string mask = short_mask();
+  ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--tau", "4", "--out",
+                 sched_.c_str()}),
+            0);
+  const std::string out = (dir_ / "repaired.tgc").string();
+  // A short crash mask next to a well-sized schedule, then the reverse.
+  expect_short_mask_refused({"repair", "--in", net_.c_str(), "--schedule",
+                             sched_.c_str(), "--failed", mask.c_str(),
+                             "--out", out.c_str()},
+                            mask);
+  expect_short_mask_refused({"repair", "--in", net_.c_str(), "--schedule",
+                             mask.c_str(), "--failed", sched_.c_str(),
+                             "--out", out.c_str()},
+                            mask);
+  EXPECT_FALSE(fs::exists(out));
 }
 
 TEST(Cli, HelpAndErrors) {

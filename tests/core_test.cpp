@@ -19,6 +19,8 @@
 #include "tgcover/util/rng.hpp"
 #include "tgcover/util/thread_pool.hpp"
 
+#include "reference_replay.hpp"
+
 namespace tgc::core {
 namespace {
 
@@ -217,8 +219,15 @@ TEST(Vpt, EdgeDeletion) {
   }
   const Graph g1 = k4.build();
   const std::vector<bool> active4(4, true);
-  EXPECT_TRUE(
-      vpt_edge_deletable(g1, active4, *g1.edge_between(0, 1), VptConfig{3, 0}));
+  const std::vector<bool> links1(g1.num_edges(), true);
+  const graph::EdgeId e01 = *g1.edge_between(0, 1);
+  EXPECT_TRUE(vpt_edge_deletable(g1, active4, links1, e01, VptConfig{3, 0}));
+  // With link (2,3) pruned, the punctured neighbourhood is the 4-cycle
+  // 0-2-1-3: deletable from τ=4 on.
+  std::vector<bool> pruned1 = links1;
+  pruned1[*g1.edge_between(2, 3)] = false;
+  EXPECT_FALSE(vpt_edge_deletable(g1, active4, pruned1, e01, VptConfig{3, 0}));
+  EXPECT_TRUE(vpt_edge_deletable(g1, active4, pruned1, e01, VptConfig{4, 0}));
 
   // 3×2 grid: removing the middle rung merges the two squares into a 6-cycle
   // void, so the rung is deletable at τ=6 but not below.
@@ -232,10 +241,30 @@ TEST(Vpt, EdgeDeletion) {
   grid.add_edge(2, 5);
   const Graph g2 = grid.build();
   const std::vector<bool> active6(6, true);
+  const std::vector<bool> links2(g2.num_edges(), true);
   const graph::EdgeId rung = *g2.edge_between(1, 4);
-  EXPECT_FALSE(vpt_edge_deletable(g2, active6, rung, VptConfig{4, 0}));
-  EXPECT_FALSE(vpt_edge_deletable(g2, active6, rung, VptConfig{5, 0}));
-  EXPECT_TRUE(vpt_edge_deletable(g2, active6, rung, VptConfig{6, 0}));
+  EXPECT_FALSE(vpt_edge_deletable(g2, active6, links2, rung, VptConfig{4, 0}));
+  EXPECT_FALSE(vpt_edge_deletable(g2, active6, links2, rung, VptConfig{5, 0}));
+  EXPECT_TRUE(vpt_edge_deletable(g2, active6, links2, rung, VptConfig{6, 0}));
+  // With the left rung pruned the punctured neighbourhood is a path, so the
+  // middle rung goes at τ=4 too.
+  std::vector<bool> pruned2 = links2;
+  pruned2[*g2.edge_between(0, 3)] = false;
+  EXPECT_TRUE(vpt_edge_deletable(g2, active6, pruned2, rung, VptConfig{4, 0}));
+
+  // K4 plus node 4 hanging off node 2: pruning link (2,4) takes node 4 out of
+  // the ball rather than leaving it isolated in it.
+  GraphBuilder pendant(5);
+  for (VertexId u = 0; u < 4; ++u) {
+    for (VertexId v = u + 1; v < 4; ++v) pendant.add_edge(u, v);
+  }
+  pendant.add_edge(2, 4);
+  const Graph g3 = pendant.build();
+  const std::vector<bool> active5(5, true);
+  std::vector<bool> pruned3(g3.num_edges(), true);
+  pruned3[*g3.edge_between(2, 4)] = false;
+  EXPECT_TRUE(vpt_edge_deletable(g3, active5, pruned3, *g3.edge_between(0, 1),
+                                 VptConfig{3, 0}));
 }
 
 TEST(Vpt, LocalViewMatchesOracle) {
@@ -392,13 +421,12 @@ TEST_F(SchedulerFixture, DeterministicForSeed) {
 }
 
 TEST_F(SchedulerFixture, VerdictCacheDoesNotChangeResult) {
-  DccConfig cached;
-  cached.tau = 4;
-  cached.seed = 3;
-  DccConfig uncached = cached;
-  uncached.incremental = false;
-  const DccResult a = dcc_schedule(dep_.graph, internal_, cached);
-  const DccResult b = dcc_schedule(dep_.graph, internal_, uncached);
+  DccConfig config;
+  config.tau = 4;
+  config.seed = 3;
+  const DccResult a = dcc_schedule(dep_.graph, internal_, config);
+  const reference::Replay b =
+      reference::replay_dcc(dep_.graph, internal_, config);
   EXPECT_EQ(a.active, b.active);
   EXPECT_LT(a.vpt_tests, b.vpt_tests);  // the cache must actually save work
 }

@@ -1,10 +1,10 @@
-// Equivalence suite for the incremental round engine (DESIGN.md §11).
+// Equivalence suite for the cross-round verdict cache (DESIGN.md §11).
 //
-// The contract under test: with `DccConfig::incremental` on (the default),
-// VPT verdicts are cached across rounds and only the dirty frontier of each
-// deletion wave is re-tested — and the schedule is *bit-identical* to the
-// full recompute (`--no-incremental`), at every thread count, on every
-// executor (oracle, synchronous distributed, asynchronous lossy), through
+// The contract under test: VPT verdicts are cached across rounds and only
+// the dirty frontier of each deletion wave is re-tested — and the schedule
+// is *bit-identical* to a brute-force replay that re-tests every node every
+// round (reference_replay.hpp), at every thread count, on every executor
+// (oracle, synchronous distributed, asynchronous lossy), through
 // mid-protocol deactivation and across repair waves. Verdicts are pure
 // functions of the punctured k-hop ball, so any divergence is a cache
 // invalidation bug, not noise.
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "tgcover/boundary/label.hpp"
+#include "tgcover/core/criterion.hpp"
 #include "tgcover/core/distributed.hpp"
 #include "tgcover/core/pipeline.hpp"
 #include "tgcover/core/repair.hpp"
@@ -28,9 +29,10 @@
 #include "tgcover/graph/subgraph.hpp"
 #include "tgcover/obs/cost.hpp"
 #include "tgcover/obs/round_log.hpp"
-#include "tgcover/sim/mis.hpp"
 #include "tgcover/util/gf2.hpp"
 #include "tgcover/util/rng.hpp"
+
+#include "reference_replay.hpp"
 
 namespace tgc::core {
 namespace {
@@ -60,25 +62,23 @@ Instance make_instance(std::uint64_t seed, std::size_t n = 150,
 
 TEST(IncrementalEquivalence, RandomizedDeletionWaves) {
   // Randomized deletion-wave equivalence: across instances, taus, and
-  // thread counts, the incremental schedule must equal the full recompute
-  // in every observable (active mask, round trace, deletion counts) while
-  // doing strictly less VPT work on multi-round runs.
+  // thread counts, the cached schedule must equal the replay in every
+  // observable (active mask, round trace, deletion counts) while doing
+  // strictly less VPT work on multi-round runs.
   for (const std::uint64_t instance : {0ull, 1ull, 2ull}) {
     for (const unsigned tau : {3u, 4u}) {
       const Instance inst = make_instance(instance * 17 + tau);
-      DccConfig full;
-      full.tau = tau;
-      full.seed = 21 + instance;
-      full.incremental = false;
-      const DccResult want = dcc_schedule(inst.dep.graph, inst.internal, full);
+      DccConfig config;
+      config.tau = tau;
+      config.seed = 21 + instance;
+      const reference::Replay want =
+          reference::replay_dcc(inst.dep.graph, inst.internal, config);
       ASSERT_GT(want.deleted, 0u);
 
-      DccConfig inc = full;
-      inc.incremental = true;
       for (const unsigned threads : {1u, 2u, 4u}) {
-        inc.num_threads = threads;
+        config.num_threads = threads;
         const DccResult got =
-            dcc_schedule(inst.dep.graph, inst.internal, inc);
+            dcc_schedule(inst.dep.graph, inst.internal, config);
         EXPECT_EQ(got.active, want.active)
             << "instance " << instance << " tau " << tau << " threads "
             << threads;
@@ -101,32 +101,27 @@ TEST(IncrementalEquivalence, RandomizedDeletionWaves) {
 
 TEST(IncrementalEquivalence, CostStreamIdenticalAcrossThreads) {
   // The machine-independent cost stream (a bundle's cost.jsonl) must be
-  // byte-identical across thread counts *within* each mode. (Incremental
-  // and full streams legitimately differ from each other — fewer vpt_tests
-  // per round is the whole point — but neither may depend on the pool.)
+  // byte-identical across thread counts: which verdicts the cache reuses
+  // may not depend on the pool.
   const Instance inst = make_instance(5);
   obs::set_enabled(true);
-  for (const bool incremental : {true, false}) {
-    std::string reference;
-    for (const unsigned threads : {1u, 2u, 4u}) {
-      DccConfig config;
-      config.tau = 4;
-      config.seed = 9;
-      config.incremental = incremental;
-      config.num_threads = threads;
-      obs::RoundCollector collector;
-      config.collector = &collector;
-      const DccResult r = dcc_schedule(inst.dep.graph, inst.internal, config);
-      collector.finalize(r.survivors);
-      std::ostringstream out;
-      collector.write_cost_jsonl(out);
-      if (threads == 1) {
-        reference = out.str();
-        EXPECT_FALSE(reference.empty());
-      } else {
-        EXPECT_EQ(out.str(), reference)
-            << "incremental " << incremental << " threads " << threads;
-      }
+  std::string reference;
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    DccConfig config;
+    config.tau = 4;
+    config.seed = 9;
+    config.num_threads = threads;
+    obs::RoundCollector collector;
+    config.collector = &collector;
+    const DccResult r = dcc_schedule(inst.dep.graph, inst.internal, config);
+    collector.finalize(r.survivors);
+    std::ostringstream out;
+    collector.write_cost_jsonl(out);
+    if (threads == 1) {
+      reference = out.str();
+      EXPECT_FALSE(reference.empty());
+    } else {
+      EXPECT_EQ(out.str(), reference) << "threads " << threads;
     }
   }
   obs::set_enabled(false);
@@ -136,38 +131,30 @@ TEST(IncrementalEquivalence, CostStreamIdenticalAcrossThreads) {
 
 TEST(IncrementalEquivalence, DistributedSyncAndAsyncLossy) {
   // The distributed executors keep per-node verdict caches invalidated by
-  // the deletion floods (the heard set IS the dirty frontier). Sync and
-  // async-lossy runs must match the oracle in both modes.
+  // the deletion floods (the heard set IS the dirty frontier). The oracle,
+  // sync and async-lossy runs must all match the replay.
   const Instance inst = make_instance(11, 110, 4.6);
   DccConfig config;
   config.tau = 4;
   config.seed = 31;
 
-  config.incremental = false;
-  const DccResult oracle_full =
-      dcc_schedule(inst.dep.graph, inst.internal, config);
-  config.incremental = true;
-  const DccResult oracle_inc =
-      dcc_schedule(inst.dep.graph, inst.internal, config);
-  ASSERT_EQ(oracle_inc.active, oracle_full.active);
-  ASSERT_GT(oracle_inc.deleted, 0u);
+  const reference::Replay want =
+      reference::replay_dcc(inst.dep.graph, inst.internal, config);
+  ASSERT_GT(want.deleted, 0u);
+  const DccResult oracle = dcc_schedule(inst.dep.graph, inst.internal, config);
+  EXPECT_EQ(oracle.active, want.active);
 
-  for (const bool incremental : {true, false}) {
-    config.incremental = incremental;
-    const DccDistributedResult sync =
-        dcc_schedule_distributed(inst.dep.graph, inst.internal, config);
-    EXPECT_EQ(sync.schedule.active, oracle_full.active)
-        << "sync incremental=" << incremental;
+  const DccDistributedResult sync =
+      dcc_schedule_distributed(inst.dep.graph, inst.internal, config);
+  EXPECT_EQ(sync.schedule.active, want.active);
 
-    DccAsyncOptions async;
-    async.net.loss_probability = 0.15;
-    async.net.seed = 77;
-    const DccDistributedResult lossy = dcc_schedule_distributed_async(
-        inst.dep.graph, inst.internal, config, async);
-    EXPECT_EQ(lossy.schedule.active, oracle_full.active)
-        << "async incremental=" << incremental;
-    EXPECT_GT(lossy.messages_lost, 0u);
-  }
+  DccAsyncOptions async;
+  async.net.loss_probability = 0.15;
+  async.net.seed = 77;
+  const DccDistributedResult lossy = dcc_schedule_distributed_async(
+      inst.dep.graph, inst.internal, config, async);
+  EXPECT_EQ(lossy.schedule.active, want.active);
+  EXPECT_GT(lossy.messages_lost, 0u);
 }
 
 // ------------------------------------------- mid-protocol state transitions
@@ -176,8 +163,7 @@ TEST(IncrementalEquivalence, MidProtocolDeactivation) {
   // Deactivations between scheduler calls (nodes that went to sleep or
   // died outside any deletion wave) reach the cache only through
   // `prepare`'s awake-set diff. A cache that survived a previous run must
-  // produce the same schedule as a cold full recompute on the degraded
-  // network.
+  // produce the same schedule as the replay on the degraded network.
   const Instance inst = make_instance(23);
   const std::size_t n = inst.dep.graph.num_vertices();
   DccConfig config;
@@ -207,68 +193,94 @@ TEST(IncrementalEquivalence, MidProtocolDeactivation) {
   const DccResult warm =
       dcc_schedule_from(inst.dep.graph, inst.internal, degraded, config);
 
-  DccConfig cold = config;
-  cold.cache = nullptr;
-  cold.incremental = false;
-  const DccResult want =
-      dcc_schedule_from(inst.dep.graph, inst.internal, degraded, cold);
+  const reference::Replay want = reference::replay_dcc_from(
+      inst.dep.graph, inst.internal, degraded, config);
   EXPECT_EQ(warm.active, want.active);
   EXPECT_EQ(warm.rounds, want.rounds);
-  // The warm cache actually reused verdicts from the first run.
+  // The warm cache actually reused verdicts.
   EXPECT_LT(warm.vpt_tests, want.vpt_tests);
 }
 
 TEST(IncrementalEquivalence, RepairWavesMatchFullRecompute) {
-  // dcc_repair threads one VerdictCache through its escalating waves; the
-  // repaired awake set must match the cache-free recompute exactly.
+  // dcc_repair threads one VerdictCache through its escalating waves. Each
+  // wave it ran is replayed from scratch: wake the sleepers within the
+  // wave's radius of a failure, replay the fixpoint with only the woken
+  // internal nodes deletable, and check the criterion. Every wave before
+  // the last must fail to restore the certificate (or the repair would have
+  // stopped there), and the last must reproduce the repair's outcome.
   util::Rng rng(73);
   Network net = prepare_network(gen::random_connected_udg(300, 5.5, 1.0, rng),
                                 1.0);
+  const Graph& g = net.dep.graph;
+  const std::size_t n = g.num_vertices();
   DccConfig config;
   config.tau = 4;
   config.seed = 5;
   const ScheduleSummary schedule = run_dcc(net, config);
+  const std::vector<bool>& before = schedule.result.active;
 
-  std::vector<bool> failed(net.dep.graph.num_vertices(), false);
+  std::vector<bool> failed(n, false);
   util::Rng kill_rng(74);
   std::size_t kills = 0;
-  for (VertexId v = 0; v < net.dep.graph.num_vertices() && kills < 6; ++v) {
-    if (schedule.result.active[v] && net.internal[v] &&
-        kill_rng.bernoulli(0.3)) {
+  for (VertexId v = 0; v < n && kills < 6; ++v) {
+    if (before[v] && net.internal[v] && kill_rng.bernoulli(0.3)) {
       failed[v] = true;
       ++kills;
     }
   }
   ASSERT_GT(kills, 0u);
 
+  const unsigned k = config.vpt().effective_k();
   for (const util::Gf2Vector& cb : {net.cb, util::Gf2Vector()}) {
-    config.incremental = true;
-    const RepairResult inc = dcc_repair(
-        net.dep.graph, net.internal, schedule.result.active, failed, cb,
-        config);
-    config.incremental = false;
-    const RepairResult full = dcc_repair(
-        net.dep.graph, net.internal, schedule.result.active, failed, cb,
-        config);
-    EXPECT_EQ(inc.active, full.active) << "cb size " << cb.size();
-    EXPECT_EQ(inc.woken, full.woken);
-    EXPECT_EQ(inc.redeleted, full.redeleted);
-    EXPECT_EQ(inc.final_radius, full.final_radius);
-    EXPECT_EQ(inc.criterion_restored, full.criterion_restored);
+    const RepairResult got =
+        dcc_repair(g, net.internal, before, failed, cb, config);
+    ASSERT_GE(got.final_radius, k);
+    for (unsigned radius = k; radius <= got.final_radius; radius *= 2) {
+      std::vector<bool> near(n, false);
+      for (VertexId f = 0; f < n; ++f) {
+        if (!failed[f]) continue;
+        const std::vector<std::uint32_t> dist =
+            graph::bfs_distances(g, f, radius);
+        for (VertexId v = 0; v < n; ++v) {
+          if (dist[v] != graph::kUnreached) near[v] = true;
+        }
+      }
+      std::vector<bool> awake(n, false);
+      std::vector<bool> deletable(n, false);
+      std::size_t woken = 0;
+      for (VertexId v = 0; v < n; ++v) {
+        if (failed[v]) continue;
+        const bool wake = !before[v] && near[v];
+        awake[v] = before[v] || wake;
+        deletable[v] = wake && net.internal[v];
+        if (wake) ++woken;
+      }
+      const reference::Replay wave =
+          reference::replay_dcc_from(g, deletable, awake, config);
+      const bool restored =
+          cb.size() != 0 && criterion_holds(g, wave.active, cb, config.tau);
+      if (radius < got.final_radius) {
+        EXPECT_FALSE(restored) << "cb size " << cb.size() << " radius "
+                               << radius;
+        continue;
+      }
+      EXPECT_EQ(got.active, wave.active) << "cb size " << cb.size();
+      EXPECT_EQ(got.woken, woken);
+      EXPECT_EQ(got.redeleted, wave.deleted);
+      EXPECT_EQ(got.criterion_restored, restored);
+    }
   }
 }
 
 // ------------------------------------------------------ adversarial verdicts
 
 TEST(IncrementalEquivalence, VerdictFlipsBothWaysUnderReplay) {
-  // Brute-force replay of the deletion fixpoint: every round, re-test EVERY
-  // active internal node from scratch and elect the same MIS. The replay
-  // must land on the scheduler's schedule, and across the instances the
-  // verdict history must contain flips in BOTH directions — deletable →
-  // not-deletable (a deletion disconnects a neighbour's punctured ball) and
-  // not-deletable → deletable (a deletion shortens the neighbour's maximum
-  // irreducible cycle). A cache that only handled one direction would pass
-  // weaker tests.
+  // The scheduler must land on the replay's schedule, and across the
+  // instances the replay's verdict history must contain flips in BOTH
+  // directions — deletable → not-deletable (a deletion disconnects a
+  // neighbour's punctured ball) and not-deletable → deletable (a deletion
+  // shortens the neighbour's maximum irreducible cycle). A cache that only
+  // handled one direction would pass weaker tests.
   std::size_t flips_to_not = 0;
   std::size_t flips_to_deletable = 0;
   for (const std::uint64_t instance : {0ull, 1ull, 2ull, 3ull}) {
@@ -280,38 +292,17 @@ TEST(IncrementalEquivalence, VerdictFlipsBothWaysUnderReplay) {
     const DccResult scheduled =
         dcc_schedule(inst.dep.graph, inst.internal, config);
 
-    const VptConfig vpt = config.vpt();
-    VptWorkspace ws;
-    std::vector<bool> active(n, true);
     std::vector<char> history(n, -1);  // -1 unseen, else last verdict
-    std::size_t round = 0;
-    while (true) {
-      std::vector<bool> candidate(n, false);
-      std::size_t num_candidates = 0;
-      for (VertexId v = 0; v < n; ++v) {
-        if (!active[v] || !inst.internal[v]) continue;
-        const bool deletable =
-            vpt_vertex_deletable(inst.dep.graph, active, v, vpt, ws);
-        const char now = deletable ? 1 : 0;
-        if (history[v] == 0 && now == 1) ++flips_to_deletable;
-        if (history[v] == 1 && now == 0) ++flips_to_not;
-        history[v] = now;
-        if (deletable) {
-          candidate[v] = true;
-          ++num_candidates;
-        }
-      }
-      if (num_candidates == 0) break;
-      ++round;
-      const std::uint64_t round_seed = util::splitmix64(config.seed + round);
-      const std::vector<bool> selected = sim::elect_mis_oracle(
-          inst.dep.graph, active, candidate, vpt.mis_radius(), round_seed);
-      for (VertexId v = 0; v < n; ++v) {
-        if (selected[v]) active[v] = false;
-      }
-    }
-    EXPECT_EQ(active, scheduled.active) << "instance " << instance;
-    EXPECT_EQ(round, scheduled.rounds);
+    const reference::Replay replay = reference::replay_dcc_from(
+        inst.dep.graph, inst.internal, std::vector<bool>(n, true), config,
+        [&](VertexId v, bool deletable) {
+          const char now = deletable ? 1 : 0;
+          if (history[v] == 0 && now == 1) ++flips_to_deletable;
+          if (history[v] == 1 && now == 0) ++flips_to_not;
+          history[v] = now;
+        });
+    EXPECT_EQ(replay.active, scheduled.active) << "instance " << instance;
+    EXPECT_EQ(replay.rounds, scheduled.rounds);
   }
   EXPECT_GT(flips_to_not, 0u);
   EXPECT_GT(flips_to_deletable, 0u);
