@@ -87,12 +87,13 @@ unsigned smallest_certifiable_tau(const graph::Graph& g,
   const std::optional<util::Gf2Vector> awake = try_remap(g, cb_sum, filtered);
   if (!awake.has_value()) return 0;
   const util::Gf2Vector& cb = *awake;
-  if (!cycle::short_cycles_contain(filtered, tau_cap, cb)) return 0;
+  cycle::SpanScratch scratch;  // one set of arenas for every probe below
+  if (!cycle::short_cycles_contain(filtered, tau_cap, cb, scratch)) return 0;
   unsigned lo = 3;
   unsigned hi = tau_cap;
   while (lo < hi) {
     const unsigned mid = lo + (hi - lo) / 2;
-    if (cycle::short_cycles_contain(filtered, mid, cb)) {
+    if (cycle::short_cycles_contain(filtered, mid, cb, scratch)) {
       hi = mid;
     } else {
       lo = mid + 1;

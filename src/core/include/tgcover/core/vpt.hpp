@@ -26,12 +26,12 @@ struct VptConfig {
 /// Reusable scratch storage for the VPT kernels.
 ///
 /// A VPT test is a pure function of (graph, active, vertex), but evaluating
-/// it needs a BFS frontier, an induced punctured subgraph, and GF(2)
-/// candidate vectors — previously all allocated per test through hash maps.
-/// The workspace hoists them into flat epoch-stamped arrays sized once to
-/// the graph order, and the punctured subgraph into an arena-backed
-/// graph::BallView, so back-to-back tests (the scheduler runs thousands per
-/// round) touch the allocator only on capacity growth.
+/// it needs a BFS frontier, an induced punctured subgraph, and the τ-span
+/// kernel's trees, candidates and GF(2) rows. The workspace hoists them into
+/// flat epoch-stamped arrays sized once to the graph order, an arena-backed
+/// graph::BallView and the kernel's cycle::SpanScratch, so back-to-back
+/// tests (the scheduler runs thousands per round) touch the allocator only
+/// on capacity growth.
 ///
 /// One workspace per thread: instances are not synchronized. The scheduler
 /// keeps one per pool worker; results are bit-identical with or without a
@@ -42,7 +42,7 @@ struct VptWorkspace {
   std::vector<graph::VertexId> queue;        ///< flat BFS frontier
   std::vector<graph::VertexId> members;      ///< collected k-hop neighbourhood
   graph::BallView ball;                      ///< arena-backed punctured view
-  cycle::SpanScratch span;                   ///< candidate vector + dedup table
+  cycle::SpanScratch span;                   ///< tree, dedup, GF(2) row arena
 
   /// Grows the vertex-indexed arrays to cover ids < n (never shrinks).
   void ensure(std::size_t n) {

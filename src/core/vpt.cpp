@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "tgcover/cycle/span.hpp"
-#include "tgcover/graph/algorithms.hpp"
 #include "tgcover/obs/obs.hpp"
 #include "tgcover/util/check.hpp"
 
@@ -53,14 +52,28 @@ void assign_local_ids(const std::vector<VertexId>& members, VptWorkspace& ws) {
   for (VertexId i = 0; i < members.size(); ++i) ws.local.put(members[i], i);
 }
 
-/// The two Definition-5 conditions on an already-built punctured
-/// neighbourhood (Graph or arena-backed BallView).
-template <typename G>
-bool neighbourhood_passes(const G& punctured, unsigned tau,
-                          cycle::SpanScratch& scratch) {
-  if (punctured.num_vertices() == 0) return true;  // nothing local to preserve
-  if (!graph::is_connected(punctured)) return false;
-  return cycle::short_cycles_span(punctured, tau, scratch);
+/// The two Definition-5 conditions on the workspace's punctured ball. One
+/// BFS from local vertex 0, through the stamped `dist` array and the flat
+/// `queue` (the member BFS is done with them), decides connectivity; a
+/// connected ball's cycle space has dimension ν = |E| − |V| + 1.
+bool neighbourhood_passes(unsigned tau, VptWorkspace& ws) {
+  const graph::BallView& ball = ws.ball;
+  const std::size_t nv = ball.num_vertices();
+  if (nv == 0) return true;  // nothing local to preserve
+  ws.dist.clear();
+  ws.queue.clear();
+  ws.dist.put(0, 0);
+  ws.queue.push_back(0);
+  for (std::size_t head = 0; head < ws.queue.size(); ++head) {
+    for (const VertexId w : ball.neighbors(ws.queue[head])) {
+      if (ws.dist.contains(w)) continue;
+      ws.dist.put(w, 0);
+      ws.queue.push_back(w);
+    }
+  }
+  if (ws.queue.size() != nv) return false;  // disconnected
+  return cycle::short_cycles_span(ball, tau, ball.num_edges() + 1 - nv,
+                                  ws.span);
 }
 
 /// Accounts one finished deletability test (any operator flavour): the test
@@ -110,7 +123,7 @@ bool vpt_vertex_deletable(const Graph& g, const std::vector<bool>& active,
       if (active[b] && ws.local.contains(b)) emit(ws.local.get(b));
     }
   });
-  return record_verdict(neighbourhood_passes(ws.ball, config.tau, ws.span),
+  return record_verdict(neighbourhood_passes(config.tau, ws),
                         ws.members.size(), ws.ball.bytes());
 }
 
@@ -164,7 +177,7 @@ bool vpt_vertex_deletable_local(const sim::LocalView& view,
   });
   // No global-graph traversal happened: the BFS ran over the view's arena
   // records (the collection protocol's cost is accounted as messages).
-  return record_verdict(neighbourhood_passes(ws.ball, config.tau, ws.span), 0,
+  return record_verdict(neighbourhood_passes(config.tau, ws), 0,
                         ws.members.size() * sizeof(VertexId) +
                             ws.ball.bytes());
 }
@@ -208,7 +221,7 @@ bool vpt_edge_deletable(const Graph& g, const std::vector<bool>& active,
       }
     }
   });
-  return record_verdict(neighbourhood_passes(ws.ball, config.tau, ws.span),
+  return record_verdict(neighbourhood_passes(config.tau, ws),
                         ws.members.size(), ws.ball.bytes());
 }
 

@@ -1,8 +1,8 @@
 #include "tgcover/cycle/candidates.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
+#include "chords.hpp"
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/util/check.hpp"
 
@@ -15,64 +15,106 @@ using graph::Graph;
 using graph::ShortestPathTree;
 using graph::VertexId;
 
-/// Writes the incidence vector of the fundamental cycle of chord (x, y) in
-/// `spt` into `vec` (re-zeroed here; capacity is reused across candidates).
-void fundamental_cycle(const Graph& g, const ShortestPathTree& spt, VertexId x,
-                       VertexId y, EdgeId chord, VertexId lca,
-                       util::Gf2Vector& vec) {
-  vec.assign_zero(g.num_edges());
-  for (VertexId u = x; u != lca; u = spt.parent(u)) vec.set(spt.parent_edge(u));
-  for (VertexId u = y; u != lca; u = spt.parent(u)) vec.set(spt.parent_edge(u));
-  vec.set(chord);
-}
+constexpr std::uint64_t kEmpty = 0;
+constexpr std::uint64_t kOffsetMask = 0xffffffffull;
 
 }  // namespace
+
+std::uint64_t CycleDedup::hash(std::span<const EdgeId> ids) {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  std::uint64_t h = 0xcbf29ce484222325ull ^ ids.size();
+  std::size_t i = 0;
+  for (; i + 1 < ids.size(); i += 2) {
+    h ^= std::uint64_t{ids[i]} | std::uint64_t{ids[i + 1]} << 32;
+    h *= kMul;
+  }
+  if (i < ids.size()) {
+    h ^= ids[i];
+    h *= kMul;
+  }
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+void CycleDedup::reserve(std::size_t expected) {
+  std::size_t slots = 16;
+  while (slots < 2 * expected) slots *= 2;
+  if (slots > slots_.size()) rehash(slots);
+}
+
+void CycleDedup::rehash(std::size_t slots) {
+  slots_.assign(slots, kEmpty);
+  const std::size_t mask = slots - 1;
+  for (std::size_t at = 0; at < keys_.size(); at += 1 + keys_[at]) {
+    const std::uint64_t h = hash({keys_.data() + at + 1, keys_[at]});
+    std::size_t i = h & mask;
+    while (slots_[i] != kEmpty) i = (i + 1) & mask;
+    slots_[i] = (h >> 32 << 32) | (at + 1);
+  }
+}
+
+bool CycleDedup::insert(std::span<const EdgeId> ids) {
+  if (2 * (size_ + 1) > slots_.size()) {
+    rehash(std::max<std::size_t>(16, 2 * slots_.size()));
+  }
+  const std::uint64_t h = hash(ids);
+  const std::uint64_t tag = h >> 32 << 32;
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = h & mask;
+  for (; slots_[i] != kEmpty; i = (i + 1) & mask) {
+    if ((slots_[i] & ~kOffsetMask) != tag) continue;
+    const std::size_t at = (slots_[i] & kOffsetMask) - 1;
+    if (keys_[at] == ids.size() &&
+        std::equal(ids.begin(), ids.end(), keys_.begin() + at + 1)) {
+      return false;
+    }
+  }
+  const std::size_t at = keys_.size();
+  TGC_CHECK_MSG(at + 1 < kOffsetMask, "CycleDedup key arena exceeds 2^32 ids");
+  keys_.push_back(static_cast<EdgeId>(ids.size()));
+  keys_.insert(keys_.end(), ids.begin(), ids.end());
+  slots_[i] = tag | (at + 1);
+  ++size_;
+  return true;
+}
+
+void CycleDedup::clear() {
+  std::fill(slots_.begin(), slots_.end(), kEmpty);
+  keys_.clear();
+  size_ = 0;
+}
 
 std::vector<CandidateCycle> fundamental_cycle_candidates(
     const Graph& g, const CandidateOptions& options) {
   std::vector<CandidateCycle> out;
-  // Dedup by content hash; collisions are resolved by comparing vectors.
-  // Buckets hold indices into `out` so each kept vector is stored once. The
-  // table spans every root — reserve from the chord-count estimate (ν chords
-  // per spanning tree; deeper overlap between roots mostly dedups away).
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> seen;
+  // The table spans every root — reserve from the chord-count estimate (ν
+  // chords per spanning tree; deeper overlap between roots mostly dedups
+  // away).
+  CycleDedup seen;
   const std::size_t nu = g.num_edges() + 1 - std::min(g.num_edges() + 1,
                                                       g.num_vertices());
   seen.reserve(std::max<std::size_t>(16, 2 * nu));
-  util::Gf2Vector scratch;  // one allocation per growth, not per candidate
+  ShortestPathTree spt;
+  std::vector<EdgeId> ids;
 
   for (VertexId root = 0; root < g.num_vertices(); ++root) {
-    const ShortestPathTree spt(g, root, options.depth_limit);
-    for (VertexId x = 0; x < g.num_vertices(); ++x) {
-      if (!spt.reached(x)) continue;
-      const auto nbrs = g.neighbors(x);
-      const auto eids = g.incident_edges(x);
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const VertexId y = nbrs[i];
-        if (y <= x || !spt.reached(y)) continue;  // each chord once per tree
-        const EdgeId e = eids[i];
-        if (spt.parent_edge(x) == e || spt.parent_edge(y) == e) continue;
-        const VertexId lca = spt.lca(x, y);
-        if (options.lca_at_root_only && lca != root) continue;
-        // Length from tree depths alone — the incidence vector is only
-        // materialised for candidates that survive the cap.
-        const std::uint32_t len =
-            spt.depth(x) + spt.depth(y) + 1 - 2 * spt.depth(lca);
-        if (len > options.max_length) continue;
-        if (len < 3) continue;  // chord parallel to a tree edge cannot occur
-                                // in a simple graph; defensive only
-        fundamental_cycle(g, spt, x, y, e, lca, scratch);
-        const std::uint64_t h = scratch.hash();
-        auto& bucket = seen[h];
-        const bool duplicate =
-            std::any_of(bucket.begin(), bucket.end(), [&](std::size_t idx) {
-              return out[idx].edges == scratch;
-            });
-        if (duplicate) continue;
-        bucket.push_back(out.size());
-        out.push_back(CandidateCycle{scratch, len});
-      }
-    }
+    spt.rebuild(g, root, options.depth_limit);
+    for_each_chord(g, spt, options.max_length, ids, [&](VertexId lca) {
+      if (options.lca_at_root_only && lca != root) return true;
+      if (ids.size() < 3) return true;  // chord parallel to a tree edge
+                                        // cannot occur in a simple graph;
+                                        // defensive only
+      if (!seen.insert(ids)) return true;
+      util::Gf2Vector edges(g.num_edges());
+      for (const EdgeId id : ids) edges.set(id);
+      out.push_back(CandidateCycle{std::move(edges),
+                                   static_cast<std::uint32_t>(ids.size())});
+      return true;
+    });
   }
 
   std::stable_sort(out.begin(), out.end(),

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "tgcover/graph/algorithms.hpp"
@@ -10,38 +10,45 @@
 
 namespace tgc::cycle {
 
-/// Content-addressed set of cycle incidence vectors.
+/// Set of cycles keyed by their edge-id lists.
 ///
 /// Candidates are regenerated from many BFS roots, so both the candidate
-/// enumerator and the streaming span test dedup by `Gf2Vector::hash()` with
-/// an exact vector comparison on hash collision — a colliding pair of
-/// *distinct* cycles must both survive (regression-tested in cycle_test).
-/// `reserve` from the chord-count estimate up front: the table spans every
-/// root, and growing it mid-stream rehashes all buckets.
+/// enumerator and the streaming span test keep only the first occurrence of
+/// each cycle. The key is the cycle's edge ids in increasing order (callers
+/// sort them; the table compares sequences) — at most τ ids, so hashing and
+/// comparing cost O(τ) rather than O(|E|/64) words. Keys sit back to back in
+/// one flat id arena, each behind its length, and an open-addressing table
+/// of (hash tag, arena offset) slots indexes them. Every probe whose tag
+/// matches compares the stored ids, so a colliding pair of *distinct*
+/// cycles both survive (regression-tested in cycle_test). `clear` keeps the
+/// capacity of both arrays: a worker deduping stream after stream stops
+/// allocating once they have grown.
 class CycleDedup {
  public:
-  void reserve(std::size_t expected) { seen_.reserve(expected); }
+  /// Sizes the table for `expected` keys up front: the table spans every
+  /// root, and growing it mid-stream re-inserts every key.
+  void reserve(std::size_t expected);
 
-  /// Returns true iff `vec` was not seen before, recording a copy if so.
-  bool insert(const util::Gf2Vector& vec) {
-    auto& bucket = seen_[vec.hash()];
-    for (const util::Gf2Vector& prev : bucket) {
-      if (prev == vec) return false;
-    }
-    bucket.push_back(vec);
-    ++size_;
-    return true;
-  }
+  /// Returns true iff `ids` was not seen before, recording a copy if so.
+  bool insert(std::span<const graph::EdgeId> ids);
 
   std::size_t size() const { return size_; }
 
-  void clear() {
-    seen_.clear();  // keeps the bucket array for the next stream
-    size_ = 0;
-  }
+  /// Probe-table slots: a power of two that grows with the stream and is
+  /// kept by `clear`.
+  std::size_t table_size() const { return slots_.size(); }
+
+  void clear();
+
+  /// The key hash: ids folded two per 64-bit word, then avalanched.
+  static std::uint64_t hash(std::span<const graph::EdgeId> ids);
 
  private:
-  std::unordered_map<std::uint64_t, std::vector<util::Gf2Vector>> seen_;
+  /// Re-sizes the table to `slots` and re-inserts every stored key.
+  void rehash(std::size_t slots);
+
+  std::vector<std::uint64_t> slots_;  // hash >> 32 << 32 | offset + 1; 0 empty
+  std::vector<graph::EdgeId> keys_;   // per key: length, then its ids
   std::size_t size_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -22,14 +23,18 @@ namespace tgc::cycle {
 /// materializing the full candidate set.
 bool short_cycles_span(const graph::Graph& g, std::uint32_t tau);
 
-/// Reusable scratch for the streaming span kernel: the candidate incidence
-/// vector is built in place and the dedup table keeps its buckets across
-/// calls. One instance per worker thread (it is not synchronized); the VPT
-/// workspace owns one so back-to-back deletability tests stop hitting the
-/// allocator.
+/// Reusable scratch for the streaming span kernel: the shortest-path tree
+/// rebuilt per root, the current candidate's edge ids, the sparse
+/// candidate dedup and the eliminator, all re-filled in place. One instance
+/// per worker thread (it is not synchronized); the VPT workspace owns one,
+/// so back-to-back deletability tests stop allocating once the arrays have
+/// grown to the largest ball. After a call, `elim` holds the basis the test
+/// stopped at.
 struct SpanScratch {
+  graph::ShortestPathTree tree;
+  std::vector<graph::EdgeId> ids;
   CycleDedup seen;
-  util::Gf2Vector vec;
+  util::Gf2Eliminator elim;
 };
 
 /// `short_cycles_span` evaluated through caller-owned scratch storage.
@@ -44,6 +49,12 @@ bool short_cycles_span(const graph::Graph& g, std::uint32_t tau,
 bool short_cycles_span(const graph::BallView& g, std::uint32_t tau,
                        SpanScratch& scratch);
 
+/// The BallView test for a caller that already knows the cycle-space
+/// dimension `nu` of `g` (the VPT kernel checks the ball is connected, so
+/// ν = |E| − |V| + 1).
+bool short_cycles_span(const graph::BallView& g, std::uint32_t tau,
+                       std::size_t nu, SpanScratch& scratch);
+
 /// Streaming membership test: is `target` (an edge-incidence vector over g's
 /// edges) in the subspace S_τ spanned by cycles of length ≤ τ? This is the
 /// τ-partitionability test of Definitions 2/3 without materializing the full
@@ -51,6 +62,11 @@ bool short_cycles_span(const graph::BallView& g, std::uint32_t tau,
 /// short-circuits as soon as S_τ is known to span the whole cycle space.
 bool short_cycles_contain(const graph::Graph& g, std::uint32_t tau,
                           const util::Gf2Vector& target);
+
+/// `short_cycles_contain` evaluated through caller-owned scratch storage.
+bool short_cycles_contain(const graph::Graph& g, std::uint32_t tau,
+                          const util::Gf2Vector& target,
+                          SpanScratch& scratch);
 
 /// A basis of the subspace S_τ spanned by all cycles of length ≤ τ, with
 /// optional explicit partition certificates.

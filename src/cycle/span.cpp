@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "chords.hpp"
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/obs/obs.hpp"
 #include "tgcover/util/check.hpp"
@@ -10,82 +11,47 @@ namespace tgc::cycle {
 
 namespace {
 
-using graph::EdgeId;
 using graph::Graph;
-using graph::ShortestPathTree;
 using graph::VertexId;
 
-/// Shared per-root candidate enumeration for the streaming span test:
-/// builds each fundamental cycle of length ≤ tau of the depth-⌊τ/2⌋ tree
-/// rooted at `root` into `scratch` and calls `sink(scratch, length)`; the
-/// sink copies only what it keeps. Returns false early when the sink asks to
-/// stop. Generic over Graph-like types (Graph, BallView).
-template <typename G, typename Sink>
-bool emit_root_candidates(const G& g, VertexId root, std::uint32_t tau,
-                          util::Gf2Vector& scratch, Sink&& sink) {
-  const ShortestPathTree spt(g, root, tau / 2);
-  for (VertexId x = 0; x < g.num_vertices(); ++x) {
-    if (!spt.reached(x)) continue;
-    const auto nbrs = g.neighbors(x);
-    const auto eids = g.incident_edges(x);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId y = nbrs[i];
-      if (y <= x || !spt.reached(y)) continue;
-      const EdgeId e = eids[i];
-      if (spt.parent_edge(x) == e || spt.parent_edge(y) == e) continue;
-      const VertexId lca = spt.lca(x, y);
-      const std::uint32_t len =
-          spt.depth(x) + spt.depth(y) + 1 - 2 * spt.depth(lca);
-      if (len > tau) continue;
-      scratch.assign_zero(g.num_edges());
-      for (VertexId u = x; u != lca; u = spt.parent(u))
-        scratch.set(spt.parent_edge(u));
-      for (VertexId u = y; u != lca; u = spt.parent(u))
-        scratch.set(spt.parent_edge(u));
-      scratch.set(e);
-      if (!sink(scratch, len)) return false;
-    }
-  }
-  return true;
-}
-
-/// Streams all short-cycle candidates into an eliminator, stopping early as
-/// soon as the rank reaches `nu` (S_τ then spans the whole cycle space).
+/// Streams every short-cycle candidate into `scratch.elim`, stopping as soon
+/// as the rank reaches `nu` (S_τ then spans the whole cycle space). Per BFS
+/// root, the depth-⌊τ/2⌋ tree yields the fundamental cycle of each chord of
+/// length ≤ τ; its edge ids are deduped in sparse form, and only a cycle
+/// seen for the first time is densified, straight into the eliminator's
+/// scratch row. Generic over Graph-like types (Graph, BallView).
 template <typename G>
-util::Gf2Eliminator build_streaming_basis(const G& g, std::uint32_t tau,
-                                          std::size_t nu,
-                                          SpanScratch& scratch) {
-  util::Gf2Eliminator elim(g.num_edges());
+void build_streaming_basis(const G& g, std::uint32_t tau, std::size_t nu,
+                           SpanScratch& scratch) {
+  scratch.elim.reset(g.num_edges());
   // Identical candidates are regenerated from many roots, and every
-  // dependent insert costs a full reduction pass, so dedup by content hash
-  // with exact comparison on collision (CycleDedup).
+  // dependent insert costs a full reduction pass.
   scratch.seen.clear();
   scratch.seen.reserve(std::max<std::size_t>(16, 2 * nu));
 
   std::uint64_t emitted = 0;
   for (VertexId root = 0; root < g.num_vertices(); ++root) {
-    const bool keep_going = emit_root_candidates(
-        g, root, tau, scratch.vec,
-        [&](const util::Gf2Vector& vec, std::uint32_t /*len*/) {
+    scratch.tree.rebuild(g, root, tau / 2);
+    const bool keep_going =
+        for_each_chord(g, scratch.tree, tau, scratch.ids, [&](VertexId) {
           ++emitted;
-          if (!scratch.seen.insert(vec)) return true;  // duplicate, skip
-          elim.insert(vec);
-          return elim.rank() < nu;  // stop as soon as S_τ spans
+          if (!scratch.seen.insert(scratch.ids)) return true;  // duplicate
+          scratch.elim.insert(scratch.ids);
+          return scratch.elim.rank() < nu;  // stop as soon as S_τ spans
         });
     if (!keep_going) break;
   }
   obs::add(obs::CounterId::kHortonCandidates, emitted);
-  return elim;
 }
 
 /// The streaming span test shared by the Graph and BallView overloads.
 template <typename G>
-bool short_cycles_span_impl(const G& g, std::uint32_t tau,
+bool short_cycles_span_impl(const G& g, std::uint32_t tau, std::size_t nu,
                             SpanScratch& scratch) {
   TGC_CHECK(tau >= 3);
-  const std::size_t nu = graph::cycle_space_dimension(g);
   if (nu == 0) return true;
-  return build_streaming_basis(g, tau, nu, scratch).rank() == nu;
+  build_streaming_basis(g, tau, nu, scratch);
+  return scratch.elim.rank() == nu;
 }
 
 }  // namespace
@@ -97,32 +63,44 @@ bool short_cycles_span(const Graph& g, std::uint32_t tau) {
 
 bool short_cycles_span(const Graph& g, std::uint32_t tau,
                        SpanScratch& scratch) {
-  return short_cycles_span_impl(g, tau, scratch);
+  return short_cycles_span_impl(g, tau, graph::cycle_space_dimension(g),
+                                scratch);
 }
 
 bool short_cycles_span(const graph::BallView& g, std::uint32_t tau,
                        SpanScratch& scratch) {
-  return short_cycles_span_impl(g, tau, scratch);
+  return short_cycles_span_impl(g, tau, graph::cycle_space_dimension(g),
+                                scratch);
+}
+
+bool short_cycles_span(const graph::BallView& g, std::uint32_t tau,
+                       std::size_t nu, SpanScratch& scratch) {
+  return short_cycles_span_impl(g, tau, nu, scratch);
 }
 
 bool short_cycles_contain(const Graph& g, std::uint32_t tau,
                           const util::Gf2Vector& target) {
+  SpanScratch scratch;
+  return short_cycles_contain(g, tau, target, scratch);
+}
+
+bool short_cycles_contain(const Graph& g, std::uint32_t tau,
+                          const util::Gf2Vector& target,
+                          SpanScratch& scratch) {
   TGC_CHECK(tau >= 3);
   TGC_CHECK(target.size() == g.num_edges());
   if (target.is_zero()) return true;
-  const std::size_t nu = graph::cycle_space_dimension(g);
-  SpanScratch scratch;
   // When the basis spans the whole cycle space, membership in S_τ reduces to
   // membership in the cycle space, which the reduction also decides exactly.
-  return build_streaming_basis(g, tau, nu, scratch).in_span(target);
+  build_streaming_basis(g, tau, graph::cycle_space_dimension(g), scratch);
+  return scratch.elim.in_span(target);
 }
 
 ShortCycleBasis::ShortCycleBasis(const Graph& g, std::uint32_t tau,
                                  bool with_certificates)
     : tau_(tau),
       nu_(graph::cycle_space_dimension(g)),
-      with_certificates_(with_certificates),
-      elim_(0) {
+      with_certificates_(with_certificates) {
   TGC_CHECK(tau >= 3);
   CandidateOptions options;
   options.depth_limit = tau / 2;
@@ -131,9 +109,9 @@ ShortCycleBasis::ShortCycleBasis(const Graph& g, std::uint32_t tau,
 
   // aug_dim must stay positive even with an empty candidate set so that
   // partition_of still answers (only the zero vector is partitionable then).
-  elim_ = util::Gf2Eliminator(
-      g.num_edges(),
-      with_certificates ? std::max<std::size_t>(1, candidates.size()) : 0);
+  elim_.reset(g.num_edges(), with_certificates
+                                 ? std::max<std::size_t>(1, candidates.size())
+                                 : 0);
   for (auto& cand : candidates) {
     if (!with_certificates && elim_.rank() == nu_) break;
     elim_.insert(cand.edges);

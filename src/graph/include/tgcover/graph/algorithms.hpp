@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -24,9 +25,9 @@ std::vector<std::uint32_t> connected_components(const Graph& g,
 bool is_connected(const Graph& g);
 
 /// Generic overloads over any Graph-like type exposing num_vertices /
-/// num_edges / neighbors / incident_edges (Graph, BallView). The VPT kernels
-/// run these on arena-backed ball views; the non-template Graph overloads
-/// above stay preferred for Graph arguments.
+/// num_edges / neighbors / incident_edges (Graph, BallView). The span
+/// kernel's BallView overload runs these on arena-backed ball views; the
+/// non-template Graph overloads stay preferred for Graph arguments.
 template <typename G>
 std::size_t count_components(const G& g) {
   const std::size_t n = g.num_vertices();
@@ -50,11 +51,6 @@ std::size_t count_components(const G& g) {
     ++components;
   }
   return components;
-}
-
-template <typename G>
-bool is_connected(const G& g) {
-  return g.num_vertices() <= 1 || count_components(g) == 1;
 }
 
 /// Dimension of the GF(2) cycle space: |E| - |V| + #components.
@@ -81,6 +77,9 @@ std::size_t cycle_space_dimension(const Graph& g);
 /// set MCB-containing (Algorithm 1 of the paper, lines 2-6).
 class ShortestPathTree {
  public:
+  /// An empty tree; `rebuild` fills it.
+  ShortestPathTree() = default;
+
   /// Builds the SPT of `g` rooted at `root`, truncated at `max_depth`.
   /// Generic over Graph-like types (Graph, BallView) — the streaming span
   /// kernel builds one per root over arena-backed ball views.
@@ -94,21 +93,43 @@ class ShortestPathTree {
   template <typename G>
   ShortestPathTree(const G& g, VertexId root,
                    std::uint32_t max_depth = kUnreached,
-                   VertexId stop_at = kInvalidVertex)
-      : root_(root),
-        parent_(g.num_vertices(), kInvalidVertex),
-        parent_edge_(g.num_vertices(), kInvalidEdge),
-        depth_(g.num_vertices(), kUnreached) {
+                   VertexId stop_at = kInvalidVertex) {
+    rebuild(g, root, max_depth, stop_at);
+  }
+
+  /// Re-roots the tree in place, reusing the parent, depth and layer
+  /// arrays: only the vertices the previous build reached are reset, so a
+  /// caller building one tree per root of a ball stops allocating once the
+  /// arrays cover the largest ball.
+  template <typename G>
+  void rebuild(const G& g, VertexId root,
+               std::uint32_t max_depth = kUnreached,
+               VertexId stop_at = kInvalidVertex) {
+    for (const VertexId v : order_) {
+      parent_[v] = kInvalidVertex;
+      parent_edge_[v] = kInvalidEdge;
+      depth_[v] = kUnreached;
+    }
+    order_.clear();
+    const std::size_t n = g.num_vertices();
+    parent_.resize(n, kInvalidVertex);
+    parent_edge_.resize(n, kInvalidEdge);
+    depth_.resize(n, kUnreached);
+    root_ = root;
+
     depth_[root] = 0;
+    order_.push_back(root);
     // Layered BFS processing vertices in increasing id within each layer;
     // combined with sorted adjacency this assigns every vertex the
-    // smallest-id eligible parent (lexicographic tie-breaking).
-    std::vector<VertexId> layer{root};
+    // smallest-id eligible parent (lexicographic tie-breaking). The layers
+    // sit back to back in order_, each sorted once it is complete.
+    std::size_t begin = 0;
     std::uint32_t d = 0;
-    while (!layer.empty() && d < max_depth &&
+    while (begin < order_.size() && d < max_depth &&
            (stop_at == kInvalidVertex || depth_[stop_at] == kUnreached)) {
-      std::vector<VertexId> next;
-      for (const VertexId u : layer) {
+      const std::size_t end = order_.size();
+      for (std::size_t i = begin; i < end; ++i) {
+        const VertexId u = order_[i];
         const auto nbrs = g.neighbors(u);
         const auto eids = g.incident_edges(u);
         for (std::size_t j = 0; j < nbrs.size(); ++j) {
@@ -117,12 +138,13 @@ class ShortestPathTree {
             depth_[w] = d + 1;
             parent_[w] = u;
             parent_edge_[w] = eids[j];
-            next.push_back(w);
+            order_.push_back(w);
           }
         }
       }
-      std::sort(next.begin(), next.end());
-      layer = std::move(next);
+      std::sort(order_.begin() + static_cast<std::ptrdiff_t>(end),
+                order_.end());
+      begin = end;
       ++d;
     }
   }
@@ -145,10 +167,11 @@ class ShortestPathTree {
   std::vector<VertexId> path_from_root(VertexId v) const;
 
  private:
-  VertexId root_;
+  VertexId root_ = kInvalidVertex;
   std::vector<VertexId> parent_;
   std::vector<EdgeId> parent_edge_;
   std::vector<std::uint32_t> depth_;
+  std::vector<VertexId> order_;  // reached vertices, layer by layer
 };
 
 }  // namespace tgc::graph

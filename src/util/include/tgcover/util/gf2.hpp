@@ -33,14 +33,6 @@ class Gf2Vector {
 
   void flip(std::size_t i) { words_[i >> 6] ^= std::uint64_t{1} << (i & 63); }
 
-  /// Re-shapes to an all-zero vector of `size` bits, reusing the existing
-  /// word storage when it is large enough (the scratch-vector idiom of the
-  /// candidate kernels).
-  void assign_zero(std::size_t size) {
-    size_ = size;
-    words_.assign((size + 63) / 64, 0);
-  }
-
   /// GF(2) addition: *this += other (bitwise XOR). Sizes must match.
   void xor_assign(const Gf2Vector& other);
 
@@ -71,6 +63,11 @@ class Gf2Vector {
 
   /// All set-bit indices in increasing order.
   std::vector<std::size_t> set_bits() const;
+
+  /// The packed words, bit i in word i / 64 (bits past size() stay zero).
+  std::size_t num_words() const { return words_.size(); }
+  const std::uint64_t* data() const { return words_.data(); }
+  std::uint64_t* data() { return words_.data(); }
 
   friend bool operator==(const Gf2Vector& a, const Gf2Vector& b) {
     return a.size_ == b.size_ && a.words_ == b.words_;

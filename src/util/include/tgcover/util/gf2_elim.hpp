@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "tgcover/util/gf2.hpp"
@@ -21,19 +22,35 @@ namespace tgc::util {
 /// produce it. This lets callers extract explicit cycle-partition
 /// certificates (Definition 2): a reduced-to-zero target vector is the GF(2)
 /// sum of a known subset of the inserted generators.
+///
+/// Storage is one flat word arena (each row followed by its certificate
+/// words) plus one scratch row, so an eliminator that is `reset` between
+/// streams stops allocating once both have grown. A candidate is reduced in
+/// the scratch row and copied into the arena only when it is independent.
+/// The reduction tracks the scratch row's top non-zero word: the row stored
+/// at a pivot is zero above the pivot's word, so each XOR touches only the
+/// words up to it, and the next pivot is found by stepping down from there.
 class Gf2Eliminator {
  public:
   /// @param dim      bit width of the vectors being eliminated
   /// @param aug_dim  maximum number of `insert` calls to track for
   ///                 certificate extraction; 0 disables augmentation
-  explicit Gf2Eliminator(std::size_t dim, std::size_t aug_dim = 0);
+  explicit Gf2Eliminator(std::size_t dim = 0, std::size_t aug_dim = 0);
+
+  /// Empties the eliminator and re-shapes it as if freshly constructed with
+  /// these arguments, keeping the arena, scratch and pivot-table capacity.
+  void reset(std::size_t dim, std::size_t aug_dim = 0);
 
   std::size_t dim() const { return dim_; }
-  std::size_t rank() const { return rows_.size(); }
+  std::size_t rank() const { return rank_; }
 
   /// Inserts `v` if it is linearly independent of the stored rows.
   /// Returns true iff the row was added (i.e. `v` was independent).
-  bool insert(Gf2Vector v);
+  bool insert(const Gf2Vector& v);
+
+  /// The same for the vector whose set bits are `bits` (distinct indices
+  /// below dim(), any order) — the sparse form of a short cycle.
+  bool insert(std::span<const std::uint32_t> bits);
 
   /// True iff `v` lies in the span of the inserted vectors.
   bool in_span(const Gf2Vector& v) const;
@@ -51,11 +68,28 @@ class Gf2Eliminator {
   std::size_t inserted_count() const { return inserted_; }
 
  private:
-  std::size_t dim_;
-  std::size_t aug_dim_;
+  /// Opens the next insertion: checks the certificate capacity and seeds
+  /// the scratch row's certificate words with the insertion's own bit.
+  void begin_insert();
+  /// Reduces the scratch row (words [0, end) hold it) and stores it when
+  /// it is independent.
+  bool finish_insert(std::size_t end);
+  /// Reduces the vector in words [0, end) of `w` (words from `end` on count
+  /// as zero and are never read) against the stored rows, XORing each used
+  /// row's certificate words into `aug` when it is non-null. Stops at the
+  /// first pivot without a row and returns it, or npos once the vector is
+  /// zero. Counts one `gf2_pivots` step per row XOR.
+  std::size_t reduce_words(std::uint64_t* w, std::size_t end,
+                           std::uint64_t* aug) const;
+
+  std::size_t dim_ = 0;
+  std::size_t words_ = 0;      // words per row
+  std::size_t aug_dim_ = 0;
+  std::size_t aug_words_ = 0;  // certificate words per row
   std::size_t inserted_ = 0;
-  std::vector<Gf2Vector> rows_;
-  std::vector<Gf2Vector> aug_rows_;       // parallel to rows_ when augmented
+  std::size_t rank_ = 0;
+  std::vector<std::uint64_t> arena_;    // rank_ rows of words_ + aug_words_
+  std::vector<std::uint64_t> scratch_;  // one row of words_ + aug_words_
   std::vector<std::int32_t> pivot_to_row_;  // dim_-sized, -1 = no row
 };
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 #include "tgcover/cycle/candidates.hpp"
@@ -260,46 +261,87 @@ TEST(Candidates, LengthCapFilters) {
   for (const auto& c : cands) EXPECT_LE(c.length, 4u);
 }
 
-// Builds a 128-bit vector from two explicit words.
-util::Gf2Vector vector_from_words(std::uint64_t w0, std::uint64_t w1) {
-  util::Gf2Vector v(128);
-  for (std::size_t b = 0; b < 64; ++b) {
-    if ((w0 >> b) & 1u) v.set(b);
-    if ((w1 >> b) & 1u) v.set(64 + b);
-  }
-  return v;
+// The CycleDedup key of two explicit 64-bit words: the hash folds ids two
+// per word, low id first.
+std::vector<graph::EdgeId> key_from_words(std::uint64_t w0, std::uint64_t w1) {
+  return {static_cast<graph::EdgeId>(w0), static_cast<graph::EdgeId>(w0 >> 32),
+          static_cast<graph::EdgeId>(w1), static_cast<graph::EdgeId>(w1 >> 32)};
 }
 
 TEST(Candidates, DedupSurvivesHashCollision) {
-  // Engineer two distinct edge vectors with identical Gf2Vector::hash().
-  // The hash folds words with h = (h ^ w) * p and finishes with a bijective
-  // avalanche, so two 2-word vectors collide iff their pre-avalanche values
-  // match: flip word 0 by `a`, then word 1 must absorb the resulting fold
-  // difference `d`.
-  const std::uint64_t p = 0x100000001b3ull;
-  const std::uint64_t seed = 0xcbf29ce484222325ull ^ 128u;
+  // Engineer two distinct 4-id keys with identical CycleDedup::hash(). The
+  // hash folds the words (id0 | id1 << 32), (id2 | id3 << 32) with
+  // h = (h ^ w) * m and finishes with a bijective avalanche, so the keys
+  // collide iff their pre-avalanche values match: flip word 0 by `a`, then
+  // word 1 must absorb the resulting fold difference `d`.
+  const std::uint64_t m = 0x9e3779b97f4a7c15ull;
+  const std::uint64_t seed = 0xcbf29ce484222325ull ^ 4u;
   const std::uint64_t w0 = 0x0123456789abcdefull;
   const std::uint64_t w1 = 0xfedcba9876543210ull;
   const std::uint64_t a = 0x5555aaaa5555aaaaull;
-  const std::uint64_t d = ((seed ^ w0) * p) ^ ((seed ^ w0 ^ a) * p);
+  const std::uint64_t d = ((seed ^ w0) * m) ^ ((seed ^ w0 ^ a) * m);
 
-  const util::Gf2Vector c1 = vector_from_words(w0, w1);
-  const util::Gf2Vector c2 = vector_from_words(w0 ^ a, w1 ^ d);
-  ASSERT_FALSE(c1 == c2);
-  ASSERT_EQ(c1.hash(), c2.hash());
+  const std::vector<graph::EdgeId> c1 = key_from_words(w0, w1);
+  const std::vector<graph::EdgeId> c2 = key_from_words(w0 ^ a, w1 ^ d);
+  ASSERT_NE(c1, c2);
+  ASSERT_EQ(CycleDedup::hash(c1), CycleDedup::hash(c2));
 
-  // A hash-only dedup would drop the second cycle; the exact-compare bucket
-  // must keep both, while genuine duplicates are still rejected.
+  // A hash-only dedup would drop the second cycle; comparing the stored ids
+  // on every probe hit must keep both, while genuine duplicates are still
+  // rejected — also when the colliding key is a fresh copy.
   CycleDedup dedup;
   EXPECT_TRUE(dedup.insert(c1));
   EXPECT_TRUE(dedup.insert(c2));
   EXPECT_FALSE(dedup.insert(c1));
-  EXPECT_FALSE(dedup.insert(c2));
+  EXPECT_FALSE(dedup.insert(key_from_words(w0 ^ a, w1 ^ d)));
   EXPECT_EQ(dedup.size(), 2u);
 
   dedup.clear();
   EXPECT_EQ(dedup.size(), 0u);
   EXPECT_TRUE(dedup.insert(c2));
+  EXPECT_TRUE(dedup.insert(c1));
+}
+
+TEST(Candidates, DedupGrowsAndClearKeepsCapacity) {
+  // A stream of sorted edge-id lists of length 3..12 with repeats, long
+  // enough to grow the probe table many times, against std::set.
+  util::Rng rng(17);
+  std::vector<std::vector<graph::EdgeId>> stream;
+  for (std::size_t i = 0; i < 6000; ++i) {
+    if (!stream.empty() && rng.bernoulli(0.3)) {
+      stream.push_back(stream[rng.next_below(stream.size())]);
+      continue;
+    }
+    std::vector<graph::EdgeId> key;
+    const std::size_t len = 3 + rng.next_below(10);
+    while (key.size() < len) {
+      const auto id = static_cast<graph::EdgeId>(rng.next_below(400));
+      if (std::find(key.begin(), key.end(), id) == key.end()) key.push_back(id);
+    }
+    std::sort(key.begin(), key.end());
+    stream.push_back(std::move(key));
+  }
+
+  CycleDedup dedup;
+  EXPECT_EQ(dedup.table_size(), 0u);
+  for (int pass = 0; pass < 2; ++pass) {
+    std::set<std::vector<graph::EdgeId>> reference;
+    for (const auto& key : stream) {
+      ASSERT_EQ(dedup.insert(key), reference.insert(key).second);
+    }
+    EXPECT_EQ(dedup.size(), reference.size());
+    EXPECT_LE(2 * dedup.size(), dedup.table_size());
+    EXPECT_GT(dedup.table_size(), 2 * 1024u);
+
+    // clear keeps the table: the second pass replays the stream without
+    // growing it, and sees every key afresh.
+    const std::size_t slots = dedup.table_size();
+    dedup.clear();
+    EXPECT_EQ(dedup.size(), 0u);
+    EXPECT_EQ(dedup.table_size(), slots);
+    dedup.reserve(16);
+    EXPECT_EQ(dedup.table_size(), slots);
+  }
 }
 
 TEST(Candidates, CandidatesSpanCycleSpace) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <span>
 #include <stdexcept>
 
 #include "tgcover/util/args.hpp"
@@ -185,6 +186,47 @@ TEST(Gf2Eliminator, CombinationForOutsideSpanIsNull) {
   Gf2Vector q(4);
   q.set(3);
   EXPECT_FALSE(elim.combination_for(q).has_value());
+}
+
+TEST(Gf2Eliminator, ChecksWidthAndCapacity) {
+  Gf2Eliminator elim(10, 2);
+  EXPECT_THROW(elim.insert(Gf2Vector(11)), tgc::CheckError);
+  const std::uint32_t too_wide[] = {3, 10};
+  EXPECT_THROW(elim.insert(std::span<const std::uint32_t>(too_wide)),
+               tgc::CheckError);
+  EXPECT_EQ(elim.inserted_count(), 0u);  // rejected rows take no slot
+
+  const std::uint32_t low[] = {3};
+  const std::uint32_t high[] = {9, 3};
+  EXPECT_TRUE(elim.insert(std::span<const std::uint32_t>(low)));
+  EXPECT_TRUE(elim.insert(std::span<const std::uint32_t>(high)));
+  EXPECT_THROW(elim.insert(std::span<const std::uint32_t>(low)),
+               tgc::CheckError);
+  Gf2Vector nine(10);
+  nine.set(9);
+  EXPECT_EQ(elim.combination_for(nine), (std::vector<std::size_t>{0, 1}));
+}
+
+TEST(Gf2Eliminator, ResetForgetsRowsAndReshapes) {
+  Gf2Eliminator elim(70);
+  Gf2Vector a(70);
+  a.set(3);
+  a.set(69);
+  EXPECT_TRUE(elim.insert(a));
+  EXPECT_FALSE(elim.insert(a));
+  elim.reset(70);
+  EXPECT_EQ(elim.rank(), 0u);
+  EXPECT_EQ(elim.inserted_count(), 0u);
+  EXPECT_FALSE(elim.in_span(a));
+  EXPECT_TRUE(elim.insert(a));  // the old row is gone
+
+  elim.reset(5, 1);
+  EXPECT_EQ(elim.dim(), 5u);
+  Gf2Vector b(5);
+  b.set(4);
+  EXPECT_TRUE(elim.insert(b));
+  EXPECT_EQ(elim.combination_for(b), std::vector<std::size_t>{0});
+  EXPECT_TRUE(elim.reduce(b).is_zero());
 }
 
 // -------------------------------------------------------------------- Rng
