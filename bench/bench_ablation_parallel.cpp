@@ -19,11 +19,14 @@
 //
 // `--json PATH` additionally emits a machine-readable record so future PRs
 // can diff perf trajectories (the committed baseline is BENCH_parallel.json;
-// every logical column is exact-match gated by tools/bench_gate.py).
+// every logical column is exact-match gated by tools/bench_gate.py). A row's
+// `speedup_vs_1t` is null when its deployment has no 1-thread row or its
+// thread count exceeds `hardware_concurrency`.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,8 +57,18 @@ struct Sample {
   std::size_t rounds = 0;            // deletion rounds (dcc_inc only)
   double seconds = 0.0;
   double tests_per_sec = 0.0;
-  double speedup = 1.0;  // vs the 1-thread row of the same deployment
+  // Vs the 1-thread row of the same deployment; empty when that row was
+  // never measured or threads exceed the machine's cores.
+  std::optional<double> speedup;
 };
+
+/// The speedup a row may claim: none without a 1-thread rate to divide by,
+/// and none for an oversubscribed row.
+std::optional<double> speedup_of(double tests_per_sec, double serial_rate,
+                                 unsigned threads, unsigned hw) {
+  if (serial_rate <= 0.0 || threads > hw) return std::nullopt;
+  return tests_per_sec / serial_rate;
+}
 
 /// One timed sweep: every internal node's verdict, fanned over `threads`
 /// workers. Returns wall-clock seconds and fills `verdicts`.
@@ -169,7 +182,7 @@ int main(int argc, char** argv) {
       s.seconds = best;
       s.tests_per_sec = static_cast<double>(to_test.size()) / best;
       if (threads == 1) serial_rate = s.tests_per_sec;
-      s.speedup = s.tests_per_sec / serial_rate;
+      s.speedup = speedup_of(s.tests_per_sec, serial_rate, threads, hw);
       samples.push_back(s);
       std::fprintf(stderr, "  n %zu threads %u: %.3fs (%.0f tests/sec)\n", n,
                    threads, best, s.tests_per_sec);
@@ -182,19 +195,21 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(s.nodes), std::to_string(s.threads),
                    std::to_string(s.tests), util::Table::num(s.seconds, 3),
                    util::Table::num(s.tests_per_sec, 1),
-                   util::Table::num(s.speedup, 2)});
+                   s.speedup.has_value() ? util::Table::num(*s.speedup, 2)
+                                         : "-"});
   }
   table.print();
   std::puts("\nVerdicts are bit-identical across all thread counts (checked");
-  std::puts("every run). Speedup tracks the physical core count; on a");
-  std::puts("single-core host all rows collapse to ~1x.");
+  std::puts("every run). Speedup tracks the physical core count; rows with");
+  std::puts("more threads than cores claim none (-).");
 
   // --------------------------------------------------- multi-round DCC
   //
   // Node counts large_n, 4·large_n, 16·large_n (1,600 / 6,400 / 25,600 at
   // the defaults). At the base size the schedule runs at 1/2/4 threads and
   // the bench asserts identical schedules; the larger sizes run once at 4
-  // threads to show the asymptotics.
+  // threads to show the asymptotics, with no 1-thread row to claim a
+  // speedup against.
   std::printf("\nMulti-round DCC schedules\n\n");
   for (const std::size_t n : {large_n, 4 * large_n, 16 * large_n}) {
     util::Rng rng(seed);
@@ -240,8 +255,8 @@ int main(int argc, char** argv) {
       s.rounds = sum.result.rounds;
       s.seconds = std::chrono::duration<double>(stop - start).count();
       s.tests_per_sec = static_cast<double>(s.tests) / s.seconds;
-      if (threads == dcc_threads.front()) serial_rate = s.tests_per_sec;
-      s.speedup = s.tests_per_sec / serial_rate;
+      if (threads == 1) serial_rate = s.tests_per_sec;
+      s.speedup = speedup_of(s.tests_per_sec, serial_rate, threads, hw);
       samples.push_back(s);
       std::fprintf(stderr, "  n %zu dcc threads %u: %.3fs (%zu rounds)\n", n,
                    threads, s.seconds, s.rounds);
@@ -286,8 +301,13 @@ int main(int argc, char** argv) {
           << ", \"rounds\": " << s.rounds
           << ", \"seconds\": " << s.seconds
           << ", \"tests_per_sec\": " << s.tests_per_sec
-          << ", \"speedup_vs_1t\": " << s.speedup << "}"
-          << (i + 1 < samples.size() ? "," : "") << "\n";
+          << ", \"speedup_vs_1t\": ";
+      if (s.speedup.has_value()) {
+        out << *s.speedup;
+      } else {
+        out << "null";
+      }
+      out << "}" << (i + 1 < samples.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::printf("wrote %s\n", json_path.c_str());

@@ -7,24 +7,23 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "tgcover/app/compare.hpp"
 #include "tgcover/app/fleet.hpp"
 #include "tgcover/app/quality_audit.hpp"
 #include "tgcover/app/report.hpp"
 #include "tgcover/app/run_bundle.hpp"
-#include "tgcover/app/scale.hpp"
 #include "tgcover/core/confine.hpp"
 #include "tgcover/core/criterion.hpp"
 #include "tgcover/core/distributed.hpp"
@@ -454,8 +453,7 @@ int cmd_verify(util::ArgParser& args, std::ostream& out) {
     // the boundary cycle (Definition 2).
     const auto parts = core::find_partition(net.dep.graph, active, net.cb, tau);
     TGC_CHECK(parts.has_value());
-    std::ofstream cert(cert_path);
-    TGC_CHECK_MSG(cert.good(), "cannot open '" << cert_path << "'");
+    std::ofstream cert = io::open_out(cert_path);
     cert << "# cycle partition certificate: boundary = XOR of " << parts->size()
          << " cycles, each of length <= " << tau << "\n";
     for (const cycle::Cycle& c : *parts) {
@@ -466,6 +464,7 @@ int cmd_verify(util::ArgParser& args, std::ostream& out) {
       }
       cert << "\n";
     }
+    io::close_out(cert, cert_path);
     out << "wrote certificate with " << parts->size() << " cycles to "
         << cert_path << "\n";
   }
@@ -797,122 +796,6 @@ int cmd_fleet(util::ArgParser& args, std::ostream& out) {
   return run_fleet(opts, manifest, out);
 }
 
-int cmd_scale(util::ArgParser& args, std::ostream& out) {
-  ScaleOptions opts;
-  opts.in_path = args.get_string("in", "network.tgc", "input network file");
-  opts.tau = declare_tau(args);
-  opts.seed = declare_mis_seed(args);
-  opts.band = declare_band(args);
-  const std::string ladder = args.get_string(
-      "threads", "1,2,4",
-      "comma-separated thread ladder, must start at 1 (the serial baseline)");
-  opts.repeat = static_cast<unsigned>(args.get_int(
-      "repeat", 3, "repeats per rung; wall time is the minimum"));
-  opts.json_path = args.get_string("json", "speedup.json",
-                                   "speedup-curve JSON sink (empty = none)");
-  opts.html_path = args.get_string("out", "scale.html",
-                                   "speedup-curve HTML chart (empty = none)");
-  configure_logging(args);
-  args.finish();
-  const obs::RunManifest manifest =
-      make_manifest("scale", args, {"in", "tau", "seed", "band"});
-
-  opts.threads.clear();
-  for (const std::string& item : split_commas(ladder)) {
-    char* stop = nullptr;
-    const unsigned long v = std::strtoul(item.c_str(), &stop, 10);
-    TGC_CHECK_MSG(stop != nullptr && *stop == '\0' && v >= 1 && v <= 1024,
-                  "bad --threads rung '" << item
-                                         << "' (want integers in [1, 1024])");
-    opts.threads.push_back(static_cast<unsigned>(v));
-  }
-
-  const int rc = run_scale(opts, manifest, out);
-  if (rc == 0 && !opts.json_path.empty()) {
-    const std::string dir =
-        std::filesystem::path(opts.json_path).parent_path().string();
-    if (!write_manifest_sidecar(manifest, dir.empty() ? "." : dir)) return 1;
-  }
-  return rc;
-}
-
-/// Copies a run (directory or single JSONL file) into the baseline slot,
-/// replacing whatever was saved before.
-void save_baseline(const std::string& src, const std::string& dir,
-                   std::ostream& out) {
-  namespace fs = std::filesystem;
-  TGC_CHECK_MSG(fs::exists(src), "cannot save missing run '" << src << "'");
-  TGC_CHECK_MSG(!fs::exists(dir) || !fs::equivalent(src, dir),
-                "refusing to save the baseline onto itself ('" << src
-                                                               << "')");
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  if (fs::is_directory(src)) {
-    fs::copy(src, dir,
-             fs::copy_options::recursive | fs::copy_options::overwrite_existing);
-  } else {
-    fs::copy_file(src, fs::path(dir) / fs::path(src).filename(),
-                  fs::copy_options::overwrite_existing);
-  }
-  out << "saved baseline " << src << " -> " << dir << "\n";
-}
-
-int cmd_compare(std::vector<std::string> runs, util::ArgParser& args,
-                std::ostream& out) {
-  const std::string allow = args.get_string(
-      "allow-diff", "",
-      "comma-separated semantic config keys allowed to differ (e.g. "
-      "\"seed\"; \"manifest\" compares runs without provenance)");
-  const double threshold = args.get_double(
-      "threshold", 5.0, "highlight logical-cost regressions above this %");
-  const std::string json_path = args.get_string(
-      "json", "compare.json", "machine-readable delta sink (empty = none)");
-  const std::string html_path = args.get_string(
-      "out", "compare.html", "HTML diff dashboard sink (empty = none)");
-  const std::string title = args.get_string(
-      "title", "tgcover run comparison", "dashboard headline");
-  const bool save = args.get_flag(
-      "save",
-      "after a clean compare, store the last run as the saved baseline "
-      "(with a single run and no --against-last: save without comparing)");
-  const bool against_last = args.get_flag(
-      "against-last", "compare the given run(s) against the saved baseline");
-  const std::string baseline_dir = args.get_string(
-      "baseline-dir", ".tgcover/baseline",
-      "where --save / --against-last keep the baseline run");
-  configure_logging(args);
-  args.finish();
-
-  if (against_last) {
-    if (!std::filesystem::exists(baseline_dir)) {
-      out << "error: no saved baseline at '" << baseline_dir
-          << "' — create one with `tgcover compare RUN --save`\n";
-      return 1;
-    }
-    runs.insert(runs.begin(), baseline_dir);
-  }
-  if (save && runs.size() == 1) {
-    // Seeding the workflow: nothing to diff yet, just remember this run.
-    save_baseline(runs.front(), baseline_dir, out);
-    return 0;
-  }
-
-  CompareOptions opts;
-  opts.runs = runs;
-  opts.allow_diff = split_commas(allow);
-  opts.threshold_pct = threshold;
-  opts.json_path = json_path;
-  opts.html_path = html_path;
-  opts.title = title;
-  const int rc = compare_runs(opts, out);
-  if (save && rc == 0) {
-    // Only a clean compare advances the baseline — a regressed run must
-    // never silently become the new reference.
-    save_baseline(runs.back(), baseline_dir, out);
-  }
-  return rc;
-}
-
 int cmd_version(std::ostream& out) {
   out << kToolName << " " << kToolVersion << "\n"
       << "git:      " << kGitSha << "\n"
@@ -964,22 +847,6 @@ void print_help(std::ostream& out) {
          "               [--title T]); exits 1 on trace invariant violations,"
          " streams\n"
          "               from different runs, or unreadable lines\n"
-         "  scale        re-run one config at --threads 1,2,.. (ladder starts"
-         " at 1), fail\n"
-         "               unless every rung yields the bit-identical schedule"
-         " digest, write\n"
-         "               the speedup curve to --json FILE and --out HTML;"
-         " rungs beyond the\n"
-         "               machine's cores make no speedup claim\n"
-         "  compare      diff two or more runs by machine-independent logical"
-         " cost\n"
-         "               (compare RUN1 RUN2 [RUN...] [--allow-diff key,...]"
-         " [--threshold PCT]\n"
-         "               [--json compare.json] [--out compare.html]; refuses"
-         " runs whose\n"
-         "               semantic config differs; --save / --against-last /"
-         " --baseline-dir\n"
-         "               keep a saved baseline)\n"
          "  version      print tool version, git revision, and build flags\n"
          "  help         this text\n\n"
          "schedule / distributed / repair / fleet accept --obs-out DIR: the"
@@ -998,6 +865,8 @@ void print_help(std::ostream& out) {
          " Proposition 1\n"
          "bound; --rs R sets the sensing radius). Arming changes no"
          " schedule.\n"
+         "tools/bench_gate.py --baseline DIR --fresh DIR diffs two bundles"
+         " by logical cost.\n"
          "every command accepts --log-level debug|info|warn|error|off,"
          " --log-out FILE,\n"
          "and --flight N (keep the last N log lines per thread for crash"
@@ -1020,6 +889,21 @@ int run_cli(int argc, const char* const* argv, std::ostream& out) {
   if (command == "version" || command == "--version" || command == "-V") {
     return cmd_version(out);
   }
+  using Command = int (*)(util::ArgParser&, std::ostream&);
+  const std::pair<std::string_view, Command> kCommands[] = {
+      {"generate", cmd_generate},       {"schedule", cmd_schedule},
+      {"verify", cmd_verify},           {"quality", cmd_quality},
+      {"render", cmd_render},           {"trace", cmd_trace},
+      {"distributed", cmd_distributed}, {"repair", cmd_repair},
+      {"report", cmd_report},           {"fleet", cmd_fleet}};
+  const auto* found =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&](const auto& c) { return c.first == command; });
+  if (found == std::end(kCommands)) {
+    out << "unknown command '" << command << "'\n";
+    print_help(out);
+    return 2;
+  }
   // Re-pack so ArgParser sees "tgcover <command> --k v ..." — the composed
   // program name is what finish() prints in unknown-option errors, so the
   // message names the subcommand. `report` also takes its input
@@ -1033,34 +917,9 @@ int run_cli(int argc, const char* const* argv, std::ostream& out) {
     rest.push_back(argv[2]);
     first = 3;
   }
-  // `compare` takes its run directories positionally, before any options.
-  std::vector<std::string> compare_paths;
-  if (command == "compare") {
-    while (first < argc && argv[first][0] != '-') {
-      compare_paths.emplace_back(argv[first]);
-      ++first;
-    }
-  }
   for (int i = first; i < argc; ++i) rest.push_back(argv[i]);
   util::ArgParser args(static_cast<int>(rest.size()), rest.data());
-
-  if (command == "generate") return cmd_generate(args, out);
-  if (command == "schedule") return cmd_schedule(args, out);
-  if (command == "verify") return cmd_verify(args, out);
-  if (command == "quality") return cmd_quality(args, out);
-  if (command == "render") return cmd_render(args, out);
-  if (command == "trace") return cmd_trace(args, out);
-  if (command == "distributed") return cmd_distributed(args, out);
-  if (command == "repair") return cmd_repair(args, out);
-  if (command == "report") return cmd_report(args, out);
-  if (command == "fleet") return cmd_fleet(args, out);
-  if (command == "scale") return cmd_scale(args, out);
-  if (command == "compare") {
-    return cmd_compare(std::move(compare_paths), args, out);
-  }
-  out << "unknown command '" << command << "'\n";
-  print_help(out);
-  return 2;
+  return found->second(args, out);
 }
 
 }  // namespace tgc::app

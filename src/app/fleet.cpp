@@ -26,7 +26,6 @@
 #include "tgcover/obs/obs.hpp"
 #include "tgcover/obs/profile.hpp"
 #include "tgcover/obs/quality.hpp"
-#include "tgcover/obs/workers.hpp"
 #include "tgcover/util/check.hpp"
 #include "tgcover/util/digest.hpp"
 #include "tgcover/util/rng.hpp"
@@ -644,7 +643,6 @@ int run_fleet(const FleetOptions& opts, const obs::RunManifest& manifest,
   // The logical-cost counters are the payload of every record; campaigns
   // always run metered.
   obs::set_enabled(true);
-  obs::reset_worker_util();
 
   obs::JsonlWriter sink(opts.sink_path, append);
   if (!sink.ok()) {
@@ -670,9 +668,16 @@ int run_fleet(const FleetOptions& opts, const obs::RunManifest& manifest,
     obs::profile_begin(util::ThreadPool::resolve_num_threads(opts.threads));
   }
 
-  std::mutex mu;  // sink stream + progress counters
+  std::mutex mu;  // sink stream + progress counters + worker tally
   std::size_t done = 0;
   std::size_t failed = 0;
+  // Runs and busy time per worker lane, indexed by worker; a lane appears
+  // once it has run a cell.
+  struct WorkerTally {
+    std::uint64_t runs = 0;
+    std::uint64_t busy_ns = 0;
+  };
+  std::vector<WorkerTally> tally;
   const std::uint64_t t0 = obs::now_ns();
 
   util::ThreadPool pool(opts.threads);
@@ -689,10 +694,12 @@ int run_fleet(const FleetOptions& opts, const obs::RunManifest& manifest,
         }
         r.wall_ns = obs::now_ns() - start;
         r.worker = worker;
-        obs::record_worker_run(worker, r.wall_ns);
         const std::string line = record_line(cell, r, opts.spec.band);
 
         std::lock_guard<std::mutex> lock(mu);
+        if (tally.size() <= worker) tally.resize(worker + 1);
+        tally[worker].runs += 1;
+        tally[worker].busy_ns += r.wall_ns;
         sink.stream() << line << "\n";
         if (telemetry_sink != nullptr) *telemetry_sink << r.telemetry_block;
         if (quality_sink != nullptr) *quality_sink << r.quality_block;
@@ -739,10 +746,9 @@ int run_fleet(const FleetOptions& opts, const obs::RunManifest& manifest,
     // Worker utilization lands on stderr next to the progress line: skew
     // (one lane absorbing the big-n cells) is an operator concern, not part
     // of the deterministic artifact.
-    const std::vector<obs::WorkerStat> util = obs::worker_util_snapshot();
-    for (std::size_t w = 0; w < util.size(); ++w) {
-      std::cerr << "worker " << w << ": " << util[w].runs << " runs, "
-                << f1(static_cast<double>(util[w].busy_ns) / 1e9)
+    for (std::size_t w = 0; w < tally.size(); ++w) {
+      std::cerr << "worker " << w << ": " << tally[w].runs << " runs, "
+                << f1(static_cast<double>(tally[w].busy_ns) / 1e9)
                 << "s busy\n";
     }
   }

@@ -9,15 +9,15 @@
 
 /// Reusable inline-SVG chart builders layered over the html primitives.
 ///
-/// `tgcover report`, `tgcover compare`, and `tgcover scale` all draw
-/// from this one set of builders, so a chart idiom fixed here is fixed in
-/// every dashboard. Everything is byte-deterministic by construction (the
+/// Every section of `tgcover report` draws from this one set of builders,
+/// so a chart idiom fixed here is fixed in every section. Everything is
+/// byte-deterministic by construction (the
 /// html.hpp contract): fixed-precision locale-free numbers, no clocks, no
 /// iteration over unordered containers — callers hand in data in the order
 /// it should be drawn.
 ///
 /// Builders take pre-rendered tooltip titles rather than composing them,
-/// because the natural phrasing differs per dashboard ("round 3 — verdict
+/// because the natural phrasing differs per section ("round 3 — verdict
 /// 1.20 ms" vs "n=400 τ=3 — cost 812"); layout and color policy is what the
 /// module owns.
 

@@ -40,7 +40,7 @@ struct GenSpec {
 gen::Deployment generate_deployment(const GenSpec& spec);
 
 /// Splits a comma list, dropping empty items: the list grammar of fleet
-/// axes and of the CLI's `--obs`, `scale --threads`, and `--allow-diff`.
+/// axes and of the CLI's `--obs`.
 std::vector<std::string> split_commas(const std::string& text);
 
 /// The expanded parameter grid. Axes multiply; scalars apply to every run.

@@ -7,10 +7,10 @@
 #include <utility>
 #include <vector>
 
-/// Shared building blocks for the self-contained HTML dashboards rendered by
-/// `tgcover report` and `tgcover compare`. Everything here is
-/// byte-deterministic by construction: fixed-precision locale-free number
-/// formatting, no clocks, no iteration over unordered containers.
+/// Building blocks for the self-contained HTML dashboard rendered by
+/// `tgcover report`. Everything here is byte-deterministic by construction:
+/// fixed-precision locale-free number formatting, no clocks, no iteration
+/// over unordered containers.
 
 namespace tgc::app::html {
 

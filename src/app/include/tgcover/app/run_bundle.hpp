@@ -18,8 +18,8 @@
 /// `--obs-out DIR` makes a run write a directory holding `manifest.json`
 /// plus one stream per collector; every stream is JSONL whose records carry
 /// a string `type` field, headed by the run's embedded manifest line.
-/// `tgcover report`, `tgcover compare` and `tools/bench_gate.py` all read
-/// bundles through the same record-type grouping.
+/// `tgcover report` and `tools/bench_gate.py` both read bundles by this
+/// record-type grouping.
 
 namespace tgc::app {
 
@@ -57,11 +57,6 @@ class BundleWriter {
   obs::RunManifest manifest_;
   std::vector<std::unique_ptr<obs::JsonlWriter>> streams_;
 };
-
-/// Writes `manifest.json` (the sidecar form: timestamp and execution keys
-/// included) into `dir`. False after logging when the write fails.
-[[nodiscard]] bool write_manifest_sidecar(const obs::RunManifest& m,
-                                          const std::string& dir);
 
 /// A loaded bundle: every record of every stream, grouped by its `type`
 /// field in file order (trace events in their own compact vector). The

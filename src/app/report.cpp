@@ -131,8 +131,8 @@ void chart_cost_phases(std::ostringstream& out,
                        entries, slots);
 }
 
-/// The per-round logical-cost curve (the scalar the bench gate and
-/// `tgcover compare` reason about).
+/// The per-round logical-cost curve (the scalar the bench gate reasons
+/// about).
 void chart_cost_curve(std::ostringstream& out,
                       const std::vector<RoundRow>& rows) {
   charts::LineChartSpec spec;
@@ -230,8 +230,8 @@ void section_cost_totals(std::ostringstream& out,
   out << "<section>\n<h2>Logical cost by phase</h2>\n"
          "<p class=\"note\">Run-total work units per protocol phase. These "
          "numbers are byte-identical across machines, thread counts, and "
-         "log levels — compare them across runs with `tgcover "
-         "compare`.</p>\n<table>\n<tr><th>phase</th>";
+         "log levels — gate one run against another with "
+         "`tools/bench_gate.py`.</p>\n<table>\n<tr><th>phase</th>";
   for (const auto& [name, id] : kCostColumns) out << "<th>" << name << "</th>";
   out << "<th>cost</th></tr>\n";
   const auto row = [&out](const std::string& label, const obs::CostVec& v,
@@ -280,8 +280,7 @@ void run_sections(std::ostringstream& out, const Bundle& b) {
   if (!rows.empty()) {
     out << "<section>\n<h2>Logical cost curve</h2>\n"
            "<p class=\"note\">The per-round logical-cost scalar — the "
-           "quantity `tgcover compare` diffs and the bench gate "
-           "enforces.</p>\n";
+           "quantity the bench gate enforces.</p>\n";
     chart_cost_curve(out, rows);
     out << "</section>\n";
 
@@ -544,8 +543,8 @@ void profile_sections(std::ostringstream& out, const obs::ProfileData& data) {
 
   out << "<section>\n<h2>Parallel efficiency</h2>\n"
          "<p class=\"note\">Amdahl projection from the measured serial "
-         "fraction (wall time outside any fork-join region); verify the real "
-         "curve with `tgcover scale`</p>\n"
+         "fraction (wall time outside any fork-join region); measure the "
+         "real curve with `bench_ablation_parallel`</p>\n"
          "<table><tr><th>threads</th><th>predicted speedup</th>"
          "<th>predicted efficiency</th></tr>\n";
   std::set<unsigned> ladder = {2, 4, 8};

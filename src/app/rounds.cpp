@@ -63,7 +63,7 @@ CostRow cost_from_record(const obs::JsonRecord& rec) {
         std::string(obs::counter_name(static_cast<obs::CounterId>(i))));
   }
   // Trust the recomputation, not the recorded field — a hand-edited file
-  // cannot smuggle an inconsistent scalar past `compare`.
+  // cannot smuggle an inconsistent scalar into `report`.
   c.logical_cost = obs::logical_cost(c.vec);
   return c;
 }

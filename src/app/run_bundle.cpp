@@ -37,24 +37,20 @@ bool BundleWriter::close(std::ostream& out) {
       return false;
     }
   }
-  if (!write_manifest_sidecar(manifest_, dir_)) return false;
+  obs::JsonlWriter sidecar((fs::path(dir_) / "manifest.json").string());
+  if (sidecar.ok()) {
+    sidecar.stream() << obs::manifest_sidecar_line(manifest_) << "\n";
+  }
+  if (!sidecar.close()) {
+    TGC_LOG(kError) << "manifest sidecar failed"
+                    << obs::kv("error", sidecar.error());
+    return false;
+  }
   out << "wrote bundle " << dir_ << ": manifest.json";
   for (const auto& w : streams_) {
     out << ' ' << fs::path(w->path()).filename().string();
   }
   out << "\n";
-  return true;
-}
-
-bool write_manifest_sidecar(const obs::RunManifest& m,
-                            const std::string& dir) {
-  obs::JsonlWriter w((fs::path(dir) / "manifest.json").string());
-  if (w.ok()) w.stream() << obs::manifest_sidecar_line(m) << "\n";
-  if (!w.close()) {
-    TGC_LOG(kError) << "manifest sidecar failed"
-                    << obs::kv("error", w.error());
-    return false;
-  }
   return true;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -49,5 +50,13 @@ std::uint64_t mask_digest(const std::vector<bool>& mask);
 void save_roles_csv(const geom::Embedding& positions,
                     const std::vector<std::string>& roles,
                     const std::string& path);
+
+/// Opens `path` for writing; throws, naming the path, when it cannot.
+std::ofstream open_out(const std::string& path);
+
+/// Flushes and closes a stream from open_out; throws, naming `path`, when
+/// any write to it failed. A full disk shows up only here: the stream opens
+/// fine and buffers the bytes it later cannot write.
+void close_out(std::ofstream& out, const std::string& path);
 
 }  // namespace tgc::io

@@ -14,13 +14,18 @@
 
 namespace tgc::io {
 
-namespace {
-
 std::ofstream open_out(const std::string& path) {
   std::ofstream out(path);
   TGC_CHECK_MSG(out.good(), "cannot open '" << path << "' for writing");
   return out;
 }
+
+void close_out(std::ofstream& out, const std::string& path) {
+  out.close();
+  TGC_CHECK_MSG(!out.fail(), "cannot write '" << path << "'");
+}
+
+namespace {
 
 std::ifstream open_in(const std::string& path) {
   std::ifstream in(path);
@@ -74,6 +79,7 @@ void save_deployment(const gen::Deployment& dep, std::ostream& out) {
 void save_deployment(const gen::Deployment& dep, const std::string& path) {
   auto out = open_out(path);
   save_deployment(dep, out);
+  close_out(out, path);
 }
 
 gen::Deployment load_deployment(std::istream& in) {
@@ -146,6 +152,7 @@ void save_mask(const std::vector<bool>& mask, std::ostream& out) {
 void save_mask(const std::vector<bool>& mask, const std::string& path) {
   auto out = open_out(path);
   save_mask(mask, out);
+  close_out(out, path);
 }
 
 std::uint64_t mask_digest(const std::vector<bool>& mask) {
@@ -195,6 +202,7 @@ void save_roles_csv(const geom::Embedding& positions,
   for (std::size_t v = 0; v < positions.size(); ++v) {
     out << positions[v].x << ',' << positions[v].y << ',' << roles[v] << '\n';
   }
+  close_out(out, path);
 }
 
 }  // namespace tgc::io

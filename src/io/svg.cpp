@@ -4,6 +4,7 @@
 #include <fstream>
 #include <limits>
 
+#include "tgcover/io/network_io.hpp"
 #include "tgcover/util/check.hpp"
 
 namespace tgc::io {
@@ -38,8 +39,7 @@ void render_network_svg(const graph::Graph& g, const geom::Embedding& positions,
   auto X = [&](double x) { return (x - xmin) * scale; };
   auto Y = [&](double y) { return height_px - (y - ymin) * scale; };  // y-up
 
-  std::ofstream out(path);
-  TGC_CHECK_MSG(out.good(), "cannot open '" << path << "' for writing");
+  std::ofstream out = open_out(path);
   out << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\""
       << style.canvas_px << "\" height=\"" << height_px << "\" viewBox=\"0 0 "
       << style.canvas_px << ' ' << height_px << "\">\n";
@@ -102,6 +102,7 @@ void render_network_svg(const graph::Graph& g, const geom::Embedding& positions,
     }
   }
   out << "</svg>\n";
+  close_out(out, path);
 }
 
 }  // namespace tgc::io

@@ -15,8 +15,8 @@
 /// messages) are deterministic functions of the input and seed, so their
 /// per-round, per-phase profiles are byte-identical across machines, thread
 /// counts, log levels, and the TGC_OBS build flavour. That invariant is what
-/// `tgcover compare` and tools/bench_gate.py hard-fail on (see DESIGN.md
-/// §10); wall-clock numbers are advisory everywhere.
+/// tools/bench_gate.py hard-fails on (see DESIGN.md §10); wall-clock numbers
+/// are advisory everywhere.
 
 namespace tgc::obs {
 
@@ -102,7 +102,7 @@ struct CostVec {
   }
 };
 
-/// The scalar the bench gate and `tgcover compare` rank runs by: one unit of
+/// The scalar the bench gate and `tgcover report` rank runs by: one unit of
 /// logical cost per primitive operation. Sub-counts (deletable/vetoed are a
 /// partition of tests, lost is a subset of messages) and payload_words (a
 /// different unit) are excluded to avoid double counting — see DESIGN.md §10.

@@ -32,8 +32,8 @@ struct RoundEvent {
 /// The collector works with the span timers compiled out too (TGC_OBS=OFF):
 /// ns_* deltas are all zero then, but the logical counters and the
 /// scheduler-provided fields (active/candidates/deleted) still populate, so
-/// JSONL output, `tgcover report`, and `tgcover compare` stay byte-identical
-/// on the logical columns across build flavours.
+/// JSONL output and `tgcover report` stay byte-identical on the logical
+/// columns across build flavours.
 class RoundCollector {
  public:
   /// Captures the baseline snapshot; run totals are measured from here.

@@ -3,7 +3,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
+#include <system_error>
 
 #include "tgcover/util/check.hpp"
 
@@ -36,15 +36,16 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
   }
 }
 
-std::int64_t ArgParser::get_int(const std::string& key, std::int64_t def,
-                                const std::string& help) {
-  const auto it = values_.find(key);
-  const std::int64_t v = it == values_.end() ? def : std::stoll(it->second);
-  declared_[key] = {help, std::to_string(def), std::to_string(v)};
-  return v;
-}
-
 namespace {
+
+/// Parses all of `text` as a T. False for an empty token, trailing
+/// characters ("4x", or "1e3" for an integer) or an out-of-range value.
+template <typename T>
+bool parse_whole(const std::string& text, T& value) {
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  return ec == std::errc() && end == last;
+}
 
 /// Shortest round-trip decimal form ("0.1", not std::to_string's
 /// "0.100000") — doubles land in manifests and the report's provenance
@@ -57,10 +58,28 @@ std::string repr_double(double v) {
 
 }  // namespace
 
+std::int64_t ArgParser::get_int(const std::string& key, std::int64_t def,
+                                const std::string& help) {
+  const auto it = values_.find(key);
+  std::int64_t v = def;
+  if (it != values_.end()) {
+    TGC_CHECK_MSG(parse_whole(it->second, v),
+                  program_ << ": --" << key << " wants an integer, got '"
+                           << it->second << "'");
+  }
+  declared_[key] = {help, std::to_string(def), std::to_string(v)};
+  return v;
+}
+
 double ArgParser::get_double(const std::string& key, double def,
                              const std::string& help) {
   const auto it = values_.find(key);
-  const double v = it == values_.end() ? def : std::stod(it->second);
+  double v = def;
+  if (it != values_.end()) {
+    TGC_CHECK_MSG(parse_whole(it->second, v),
+                  program_ << ": --" << key << " wants a number, got '"
+                           << it->second << "'");
+  }
   declared_[key] = {help, repr_double(def), repr_double(v)};
   return v;
 }

@@ -331,6 +331,38 @@ TEST_F(CliFixture, SinkFailuresExitNonzero) {
             1);
 }
 
+/// Runs a command whose output file is /dev/full, which opens fine and
+/// fails every write: the command must throw an error naming the path, not
+/// report the file as written.
+void expect_full_disk_refused(std::initializer_list<const char*> argv) {
+  std::string out;
+  try {
+    const int rc = run(argv, &out);
+    ADD_FAILURE() << "write to /dev/full exited " << rc << ": " << out;
+  } catch (const tgc::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot write '/dev/full'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(CliFixture, WritesToAFullDiskFailNamingThePath) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  // 200 nodes at the default degree: certifies at tau 5 with a 110-cycle
+  // certificate.
+  ASSERT_EQ(run({"generate", "--nodes", "200", "--seed", "1", "--out",
+                 net_.c_str()}),
+            0);
+  expect_full_disk_refused(
+      {"generate", "--nodes", "60", "--degree", "10", "--out", "/dev/full"});
+  expect_full_disk_refused(
+      {"schedule", "--in", net_.c_str(), "--out", "/dev/full"});
+  expect_full_disk_refused(
+      {"render", "--in", net_.c_str(), "--out", "/dev/full"});
+  expect_full_disk_refused({"verify", "--in", net_.c_str(), "--tau", "5",
+                            "--certificate", "/dev/full"});
+}
+
 TEST_F(CliFixture, ObsCollectorUsageErrorsExitTwo) {
   std::string out;
   ASSERT_EQ(run({"generate", "--nodes", "60", "--degree", "10", "--seed",
@@ -480,6 +512,13 @@ TEST(Cli, HelpAndErrors) {
   EXPECT_NE(out.find("commands:"), std::string::npos);
   EXPECT_EQ(run({"frobnicate"}, &out), 2);
   EXPECT_NE(out.find("unknown command"), std::string::npos);
+  // Deleted commands: tools/bench_gate.py compares runs and
+  // bench_ablation_parallel owns the thread ladder. Their positional
+  // arguments must not turn the usage error into a parse error.
+  EXPECT_EQ(run({"compare", "run-a", "run-b"}, &out), 2);
+  EXPECT_NE(out.find("unknown command 'compare'"), std::string::npos);
+  EXPECT_EQ(run({"scale", "--threads", "1,2"}, &out), 2);
+  EXPECT_NE(out.find("unknown command 'scale'"), std::string::npos);
   EXPECT_EQ(run({}, &out), 2);  // no subcommand
 }
 

@@ -17,7 +17,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "tools"))
 import bench_gate  # noqa: E402
 
-MANIFEST = {"type": "manifest", "command": "schedule", "cfg_tau": "4"}
+MANIFEST = {"type": "manifest", "git_sha": "0123abcd", "command": "schedule",
+            "cfg_tau": "4", "cfg_seed": "3"}
 
 
 def profile_records(workers, tasks):
@@ -30,32 +31,32 @@ def profile_records(workers, tasks):
     ]
 
 
-def bundle_records(workers=1, tasks=7):
+def bundle_records(workers=1, tasks=7, manifest=MANIFEST):
     """One record of every gated stream type, as a run bundle holds them."""
     return {
         "cost.jsonl": [
-            MANIFEST,
+            manifest,
             {"type": "cost", "round": 1, "phase": "verdicts",
              "vpt_tests": 40, "gf2_pivots": 900, "logical_cost": 940},
             {"type": "cost_total", "phase": "verdicts", "vpt_tests": 40,
              "gf2_pivots": 900, "logical_cost": 940},
         ],
-        "profile.jsonl": [MANIFEST] + profile_records(workers, tasks),
+        "profile.jsonl": [manifest] + profile_records(workers, tasks),
         "nodes.jsonl": [
-            MANIFEST,
+            manifest,
             {"type": "node_summary", "node": 0, "sent": 5, "received": 4,
              "lost": 1, "dropped": 0, "retransmits": 1, "sent_words": 20,
              "recv_words": 16, "backlog_peak": 2, "rounds_active": 3,
              "energy": 7.5},
         ],
         "quality.jsonl": [
-            MANIFEST,
+            manifest,
             {"type": "quality_summary", "rounds_sampled": 4,
              "min_coverage_fraction": "0.981000", "violations": 0,
              "bound_margin": "0.400000", "final_certifiable_tau": 4},
         ],
         "trace.jsonl": [
-            MANIFEST,
+            manifest,
             {"type": "trace_header", "events": 1},
             {"type": "trace_event", "seq": 1, "kind": "send"},
         ],
@@ -153,6 +154,30 @@ class GateTest(unittest.TestCase):
         rc, text = self.gate(os.path.join(a, "cost.jsonl"),
                              os.path.join(b, "cost.jsonl"))
         self.assertEqual(rc, 0, text)
+
+    def test_runs_of_different_configs_are_refused_naming_the_key(self):
+        a = self.write_bundle("a", bundle_records())
+        b = self.write_bundle("b", bundle_records(
+            manifest=dict(MANIFEST, cfg_seed="5")))
+        rc, text = self.gate(a, b)
+        self.assertEqual(rc, 2, text)
+        self.assertIn("config key 'seed': baseline '3', fresh '5'", text)
+
+    def test_build_identity_may_differ(self):
+        a = self.write_bundle("a", bundle_records())
+        b = self.write_bundle("b", bundle_records(
+            manifest=dict(MANIFEST, git_sha="fedc9876",
+                          build_flags="TGC_OBS=OFF")))
+        rc, text = self.gate(a, b)
+        self.assertEqual(rc, 0, text)
+        self.assertIn("no regressions", text)
+
+    def test_missing_fresh_path_is_named(self):
+        a = self.write_bundle("a", bundle_records())
+        missing = os.path.join(self.dir, "no-such-run")
+        rc, text = self.gate(a, missing)
+        self.assertEqual(rc, 2, text)
+        self.assertIn(f"--fresh {missing} does not exist", text)
 
     def test_bench_json_gates_logical_cost_exactly(self):
         row = {"mode": "dcc_inc", "nodes": 400, "threads": 1,

@@ -1,18 +1,15 @@
 // Logical cost model tests: the machine-independent work-unit layer that
-// `tgcover compare` and the bench gate reason about.
+// `tgcover report` and the bench gate (tools/bench_gate.py) reason about.
 //
 //  * CostVec arithmetic, phase attribution (CostPhaseScope), CostModel
 //    round profiles;
-//  * the acceptance contract: --cost-out streams are byte-identical across
+//  * the acceptance contract: cost.jsonl streams are byte-identical across
 //    thread counts and log levels on the same build;
-//  * `tgcover compare`: zero delta for identical-config runs, refusal
-//    (naming the key) for mismatched configs, --allow-diff, and
-//    byte-deterministic artifacts;
 //  * `tgcover report` / the bundle loader on malformed inputs: missing
 //    files, truncated final lines, blank lines, duplicate round ids, and
 //    manifest-only files are clean named errors, never crashes or silent
 //    skips;
-//  * HTML escaping of user-controlled strings in report and compare.
+//  * HTML escaping of user-controlled strings in the report.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -283,113 +280,6 @@ TEST_F(CostCliFixture, MetricsStreamCarriesCostRecordsPerPhase) {
     }
   }
   EXPECT_TRUE(saw_verdicts);
-}
-
-// ------------------------------------------------------------- compare
-
-TEST_F(CostCliFixture, CompareIdenticalConfigsReportsZeroDelta) {
-  make_network();
-  const std::string ra = make_run("a", "1");
-  const std::string rb = make_run("b", "1", {"--threads", "4"});
-  const std::string json = (dir_ / "cmp.json").string();
-  const std::string html = (dir_ / "cmp.html").string();
-  std::string out;
-  ASSERT_EQ(run({"compare", ra.c_str(), rb.c_str(), "--json", json.c_str(),
-                 "--out", html.c_str()},
-                &out),
-            0)
-      << out;
-  EXPECT_NE(out.find("delta 0, 0.00%"), std::string::npos) << out;
-  EXPECT_NE(out.find("0 regression(s)"), std::string::npos) << out;
-
-  const std::string delta = read_file(json);
-  EXPECT_NE(delta.find("\"logical_cost_delta\":0"), std::string::npos);
-  EXPECT_NE(delta.find("\"wall_clock\":\"advisory\""), std::string::npos);
-  EXPECT_NE(delta.find("\"regressions\":[]"), std::string::npos);
-}
-
-TEST_F(CostCliFixture, CompareRefusesMismatchedConfigNamingTheKey) {
-  make_network();
-  const std::string ra = make_run("a", "1");
-  const std::string rb = make_run("b", "9");
-  std::string out;
-  EXPECT_EQ(run({"compare", ra.c_str(), rb.c_str(), "--json", "", "--out",
-                 ""},
-                &out),
-            1)
-      << out;
-  EXPECT_NE(out.find("error:"), std::string::npos) << out;
-  EXPECT_NE(out.find("'seed'"), std::string::npos) << out;
-  EXPECT_NE(out.find("--allow-diff seed"), std::string::npos) << out;
-}
-
-TEST_F(CostCliFixture, CompareAllowDiffAdmitsTheNamedKey) {
-  make_network();
-  const std::string ra = make_run("a", "1");
-  const std::string rb = make_run("b", "9");
-  const std::string json = (dir_ / "cmp.json").string();
-  std::string out;
-  ASSERT_EQ(run({"compare", ra.c_str(), rb.c_str(), "--allow-diff", "seed",
-                 "--json", json.c_str(), "--out",
-                 (dir_ / "cmp.html").string().c_str()},
-                &out),
-            0)
-      << out;
-  EXPECT_NE(read_file(json).find("\"type\":\"compare\""), std::string::npos);
-}
-
-TEST_F(CostCliFixture, CompareArtifactsAreByteDeterministic) {
-  make_network();
-  const std::string ra = make_run("a", "1");
-  const std::string rb = make_run("b", "9");
-  std::string out;
-  for (const char* suffix : {"1", "2"}) {
-    const std::string json = (dir_ / (std::string("d") + suffix + ".json"))
-                                 .string();
-    const std::string html = (dir_ / (std::string("d") + suffix + ".html"))
-                                 .string();
-    ASSERT_EQ(run({"compare", ra.c_str(), rb.c_str(), "--allow-diff", "seed",
-                   "--json", json.c_str(), "--out", html.c_str()},
-                  &out),
-              0)
-        << out;
-  }
-  EXPECT_EQ(read_file(dir_ / "d1.html"), read_file(dir_ / "d2.html"));
-  EXPECT_EQ(read_file(dir_ / "d1.json"), read_file(dir_ / "d2.json"));
-}
-
-TEST_F(CostCliFixture, CompareNeedsTwoRunsAndNamesMissingOnes) {
-  std::string out;
-  EXPECT_EQ(run({"compare", "only-one"}, &out), 1);
-  EXPECT_NE(out.find("at least two runs"), std::string::npos) << out;
-
-  make_network();
-  const std::string ra = make_run("a", "1");
-  EXPECT_EQ(run({"compare", ra.c_str(), (dir_ / "nope").string().c_str()},
-                &out),
-            1);
-  EXPECT_NE(out.find("error:"), std::string::npos) << out;
-  EXPECT_NE(out.find("nope"), std::string::npos) << out;
-}
-
-TEST_F(CostCliFixture, CompareEscapesHostileStringsInTheDashboard) {
-  make_network();
-  // A run directory whose name carries every character the HTML layer must
-  // escape; it flows into the dashboard via labels and the manifest table.
-  const std::string ra = make_run("evil <&\"> run", "1");
-  const std::string rb = make_run("b", "1");
-  const std::string html = (dir_ / "cmp.html").string();
-  std::string out;
-  ASSERT_EQ(run({"compare", ra.c_str(), rb.c_str(), "--json", "", "--out",
-                 html.c_str(), "--title", "cmp <&\"> title"},
-                &out),
-            0)
-      << out;
-  const std::string doc = read_file(html);
-  EXPECT_NE(doc.find("evil &lt;&amp;&quot;&gt; run"), std::string::npos);
-  EXPECT_NE(doc.find("cmp &lt;&amp;&quot;&gt; title"), std::string::npos);
-  EXPECT_EQ(doc.find("evil <&\"> run"), std::string::npos)
-      << "unescaped user-controlled string reached the dashboard";
 }
 
 TEST_F(CostCliFixture, ReportEscapesHostilePathsAndTitles) {

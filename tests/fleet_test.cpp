@@ -3,8 +3,7 @@
 // JSONL sink with its embedded manifest, per-run schedule digests matching
 // individually-run `tgcover schedule`, failed cells as status:"failed" rows
 // with a non-zero drain exit, byte-deterministic `tgcover report` rendering
-// across invocations and thread counts, the JSON spec file, and the
-// compare --save / --against-last baseline workflow.
+// across invocations and thread counts, the JSON spec file, and --resume.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -224,54 +223,6 @@ TEST_F(FleetFixture, BadSpecInputsAreNamedErrors) {
     f << "[1,2,3]\n";
   }
   EXPECT_FALSE(load_fleet_spec(bad, spec, error));
-}
-
-TEST_F(FleetFixture, CompareSaveAndAgainstLastRoundTrip) {
-  const std::string net = (dir_ / "net.tgc").string();
-  const std::string mask = (dir_ / "mask.tgc").string();
-  const fs::path run_a = dir_ / "run-a";
-  const fs::path run_b = dir_ / "run-b";
-  const std::string baseline = (dir_ / "baseline").string();
-  fs::create_directories(run_a);
-  fs::create_directories(run_b);
-  ASSERT_EQ(run({"generate", "--type", "udg", "--nodes", "60", "--degree",
-                 "10", "--seed", "1", "--out", net.c_str()}),
-            0);
-  ASSERT_EQ(run({"schedule", "--in", net.c_str(), "--tau", "3", "--out",
-                 mask.c_str(), "--obs-out", run_a.string().c_str()}),
-            0);
-  ASSERT_EQ(run({"schedule", "--in", net.c_str(), "--tau", "3", "--out",
-                 mask.c_str(), "--obs-out", run_b.string().c_str()}),
-            0);
-
-  // No baseline yet: --against-last is a named error, not a crash.
-  std::string out;
-  EXPECT_EQ(run({"compare", run_b.string().c_str(), "--against-last",
-                 "--baseline-dir", baseline.c_str()},
-                &out),
-            1);
-  EXPECT_NE(out.find("no saved baseline"), std::string::npos);
-
-  // Seed the slot with a single run (no comparison happens).
-  ASSERT_EQ(run({"compare", run_a.string().c_str(), "--save",
-                 "--baseline-dir", baseline.c_str()},
-                &out),
-            0)
-      << out;
-  EXPECT_NE(out.find("saved baseline"), std::string::npos);
-  EXPECT_TRUE(fs::exists(fs::path(baseline) / "cost.jsonl"));
-
-  // Same build + config: the diff is clean, and --save rolls the baseline.
-  const std::string json = (dir_ / "cmp.json").string();
-  const std::string html = (dir_ / "cmp.html").string();
-  ASSERT_EQ(run({"compare", run_b.string().c_str(), "--against-last",
-                 "--save", "--baseline-dir", baseline.c_str(), "--json",
-                 json.c_str(), "--out", html.c_str()},
-                &out),
-            0)
-      << out;
-  EXPECT_NE(out.find("logical cost"), std::string::npos);
-  EXPECT_NE(out.find("saved baseline"), std::string::npos);
 }
 
 // ------------------------------------------------------------------ resume

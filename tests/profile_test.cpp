@@ -2,9 +2,8 @@
 // lane rings with exact accumulators under wraparound, RSS high-water
 // semantics, the `--obs profile` CLI surface (profiler-off invariance of the
 // cost stream, pinned-timestamp sidecar determinism), byte-deterministic
-// `tgcover report` profile sections, and the honest scaling harness
-// (bit-identical digests across the thread ladder, thread-count-invariant
-// phase items).
+// `tgcover report` profile sections, and thread-count-invariant phase
+// items.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -22,7 +21,6 @@
 #include "tgcover/obs/jsonl.hpp"
 #include "tgcover/obs/obs.hpp"
 #include "tgcover/obs/profile.hpp"
-#include "tgcover/util/check.hpp"
 
 namespace tgc::app {
 namespace {
@@ -233,52 +231,6 @@ TEST_F(ProfileFixture, ReportRefusesASinkWithoutAProfileHeader) {
                 &out),
             1);
   EXPECT_NE(out.find("no profile_header record"), std::string::npos) << out;
-}
-
-// ------------------------------------------------------------ scale harness
-
-TEST_F(ProfileFixture, ScaleLadderProducesBitIdenticalDigests) {
-  generate("100");
-  const std::string json = path("speedup.json");
-  std::string out;
-  ASSERT_EQ(run({"scale", "--in", net_.c_str(), "--threads", "1,2", "--repeat",
-                 "1", "--json", json.c_str(), "--out",
-                 path("scale.html").c_str()},
-                &out),
-            0)
-      << out;
-  EXPECT_NE(out.find("bit-identical schedules across the ladder"),
-            std::string::npos)
-      << out;
-  const std::string body = read_file(json);
-  EXPECT_NE(body.find("\"hardware_concurrency\":"), std::string::npos);
-  EXPECT_NE(body.find("\"threads\":1"), std::string::npos);
-  EXPECT_NE(body.find("\"threads\":2"), std::string::npos);
-  // One digest, twice: the ladder agreed.
-  const std::string marker = "\"schedule_digest\":\"";
-  const std::size_t first = body.find(marker);
-  ASSERT_NE(first, std::string::npos);
-  const std::string digest = body.substr(first + marker.size(), 16);
-  EXPECT_NE(body.find(marker + digest, first + 1), std::string::npos) << body;
-  // The digest is a semantic artifact: a second run reproduces it exactly
-  // (wall times vary, so only the digest is compared across runs).
-  ASSERT_EQ(run({"scale", "--in", net_.c_str(), "--threads", "1,2", "--repeat",
-                 "1", "--json", path("speedup2.json").c_str(), "--out",
-                 path("scale2.html").c_str()},
-                &out),
-            0)
-      << out;
-  EXPECT_NE(read_file(path("speedup2.json")).find(marker + digest),
-            std::string::npos);
-}
-
-TEST_F(ProfileFixture, ScaleRefusesALadderNotStartingAtOne) {
-  generate("80");
-  std::string out;
-  EXPECT_THROW(run({"scale", "--in", net_.c_str(), "--threads", "2,4",
-                    "--repeat", "1", "--json", "", "--out", ""},
-                   &out),
-               tgc::CheckError);
 }
 
 TEST_F(ProfileFixture, PhaseItemsAreInvariantAcrossThreadCounts) {

@@ -308,12 +308,14 @@ TEST_F(ReportFixture, HelpEnumeratesEverySubcommand) {
   EXPECT_EQ(run({"help"}, &out), 0);
   for (const char* cmd :
        {"generate", "schedule", "verify", "quality", "render", "distributed",
-        "repair", "fleet", "report", "scale", "compare", "version"}) {
+        "repair", "fleet", "report", "version"}) {
     EXPECT_NE(out.find(cmd), std::string::npos) << cmd;
   }
-  // `report` is the only renderer.
-  for (const char* gone : {"stats", "trace-analyze", "fleet-report",
-                           "profile-report", "node-report", "quality-report"}) {
+  // `report` is the only renderer; tools/bench_gate.py diffs runs and
+  // bench_ablation_parallel owns the thread ladder.
+  for (const char* gone :
+       {"stats", "trace-analyze", "fleet-report", "profile-report",
+        "node-report", "quality-report", "scale", "compare"}) {
     EXPECT_EQ(out.find(gone), std::string::npos) << gone;
   }
   EXPECT_NE(out.find("--log-level"), std::string::npos);

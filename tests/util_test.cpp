@@ -450,6 +450,51 @@ TEST(ArgParser, EmptyKeyBeforeEqualsThrows) {
   EXPECT_THROW(ArgParser(2, argv), tgc::CheckError);
 }
 
+/// The CheckError message of reading `value` as option --x of the given
+/// type, or "" when it parsed.
+template <typename Get>
+std::string numeric_error(const char* value, Get get) {
+  const char* argv[] = {"prog", "--x", value};
+  ArgParser args(3, argv);
+  try {
+    get(args);
+  } catch (const tgc::CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ArgParser, NumbersMustBeTheWholeToken) {
+  const auto get_int = [](ArgParser& a) { (void)a.get_int("x", 0); };
+  const auto get_double = [](ArgParser& a) { (void)a.get_double("x", 0.0); };
+  // A number's prefix is not the number: seed "1e3" must not run seed 1,
+  // tau "4x" must not run tau 4, loss "0.1x" must not run loss 0.1.
+  for (const char* bad : {"1e3", "4x", "0.5", "", "abc", " 4",
+                          "99999999999999999999"}) {
+    const std::string error = numeric_error(bad, get_int);
+    EXPECT_NE(error.find(std::string("prog: --x wants an integer, got '") +
+                         bad + "'"),
+              std::string::npos)
+        << "'" << bad << "': " << error;
+  }
+  for (const char* bad : {"0.1x", "", "1e", "x1"}) {
+    const std::string error = numeric_error(bad, get_double);
+    EXPECT_NE(error.find(std::string("prog: --x wants a number, got '") +
+                         bad + "'"),
+              std::string::npos)
+        << "'" << bad << "': " << error;
+  }
+
+  const char* argv[] = {"prog", "--i", "-3", "--d", "0.25",
+                        "--e", "1e-05", "--n", "-3"};
+  ArgParser args(9, argv);
+  EXPECT_EQ(args.get_int("i", 0), -3);
+  EXPECT_DOUBLE_EQ(args.get_double("d", 0.0), 0.25);
+  EXPECT_DOUBLE_EQ(args.get_double("e", 0.0), 1e-05);
+  EXPECT_DOUBLE_EQ(args.get_double("n", 0.0), -3.0);
+  args.finish();
+}
+
 // ------------------------------------------------------------------- Table
 
 TEST(Table, AlignsAndCsv) {

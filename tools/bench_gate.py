@@ -23,7 +23,11 @@ Two kinds of input, picked by the paths given:
     the quality rollups. Profile `tasks` (chunk counts) gate only when both
     sides ran the same worker count — the serial inline path records one
     task per fork where the pool records one per chunk. This is how CI
-    proves a 2-thread bundle matches a serial one.
+    proves a 2-thread bundle matches a serial one. Both sides must come
+    from one config: their first `manifest` records must agree on `command`
+    and every `cfg_*` key, or the gate exits 2 naming the key and both
+    values. Build identity (`git_sha`, `build_flags`, ...) may differ, so a
+    parent build can be gated against a change.
 
 Stdlib only. Exit codes: 0 ok, 1 regression, 2 usage/IO error. With
 --advisory, regressions are reported but the exit code stays 0 (used on PR
@@ -109,6 +113,32 @@ def read_records(path):
     return records
 
 
+def semantic_config(records):
+    """The first manifest's command and cfg_* keys (not the build identity)."""
+    for rec in records:
+        if rec.get("type") == "manifest":
+            return {k: v for k, v in rec.items()
+                    if k == "command" or k.startswith("cfg_")}
+    return {}
+
+
+def shown(value):
+    return "<absent>" if value is None else repr(value)
+
+
+def check_same_config(base_records, fresh_records):
+    base = semantic_config(base_records)
+    fresh = semantic_config(fresh_records)
+    # The command first: two commands differ in most cfg_ keys too.
+    keys = sorted(set(base) | set(fresh), key=lambda k: (k != "command", k))
+    for key in keys:
+        if base.get(key) != fresh.get(key):
+            name = key[len("cfg_"):] if key.startswith("cfg_") else key
+            fail_io(f"the runs differ in config key '{name}': baseline "
+                    f"{shown(base.get(key))}, fresh {shown(fresh.get(key))} "
+                    "— the gate compares runs of one config only")
+
+
 def index_records(records):
     """(type, key values...) -> record, for every gated record type."""
     rows = {}
@@ -133,8 +163,11 @@ def workers(rows):
 
 
 def gate_records(args):
-    base = index_records(read_records(args.baseline))
-    fresh = index_records(read_records(args.fresh))
+    base_records = read_records(args.baseline)
+    fresh_records = read_records(args.fresh)
+    check_same_config(base_records, fresh_records)
+    base = index_records(base_records)
+    fresh = index_records(fresh_records)
     if not base:
         fail_io(f"{args.baseline} has no gated records "
                 f"(types: {', '.join(sorted(GATED))})")
@@ -276,6 +309,9 @@ def main(argv=None):
     ap.add_argument("--advisory", action="store_true",
                     help="report regressions but always exit 0")
     args = ap.parse_args(argv)
+    for flag, path in (("--baseline", args.baseline), ("--fresh", args.fresh)):
+        if not os.path.exists(path):
+            fail_io(f"{flag} {path} does not exist")
     if is_records(args.baseline) != is_records(args.fresh):
         fail_io("--baseline and --fresh must both be bench JSON or both be "
                 "JSONL streams / bundle directories")
