@@ -157,8 +157,6 @@ int main(int argc, char** argv) {
         best = std::min(best, timed_sweep(net, vpt, to_test, threads, verdicts));
       }
       const obs::Metrics delta = obs::snapshot() - before;
-      // Logical counters are live in both TGC_OBS builds, so the registry
-      // cross-check is unconditional.
       const std::size_t tests = delta.get(obs::CounterId::kVptTests) / reps;
       TGC_CHECK_MSG(tests == to_test.size(),
                     "registry counted " << tests << " VPT tests per sweep, "
@@ -177,8 +175,7 @@ int main(int argc, char** argv) {
       s.threads = threads;
       s.tests = tests;
       s.bfs_expansions = delta.get(obs::CounterId::kBfsExpansions) / reps;
-      s.logical_cost =
-          obs::logical_cost(obs::CostVec{delta.counters}) / reps;
+      s.logical_cost = obs::logical_cost(delta.cost.total()) / reps;
       s.seconds = best;
       s.tests_per_sec = static_cast<double>(to_test.size()) / best;
       if (threads == 1) serial_rate = s.tests_per_sec;
@@ -249,7 +246,7 @@ int main(int argc, char** argv) {
       s.threads = threads;
       s.tests = sum.result.vpt_tests;
       s.bfs_expansions = delta.get(obs::CounterId::kBfsExpansions);
-      s.logical_cost = obs::logical_cost(obs::CostVec{delta.counters});
+      s.logical_cost = obs::logical_cost(delta.cost.total());
       s.cache_hits = delta.get(obs::CounterId::kVerdictCacheHits);
       s.dirty_nodes = delta.get(obs::CounterId::kDirtyNodes);
       s.rounds = sum.result.rounds;

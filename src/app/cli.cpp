@@ -270,13 +270,7 @@ class RunObservers {
       : req_(req) {
     if (req_.dir.empty()) return;
     obs::set_enabled(true);
-    if (req_.trace) {
-      if (!obs::kCompiledIn) {
-        TGC_LOG(kWarn) << "tracing is compiled out (TGC_OBS=OFF); traces "
-                          "will have no events";
-      }
-      obs::trace_begin();
-    }
+    if (req_.trace) obs::trace_begin();
     if (req_.profile) {
       obs::profile_begin(util::ThreadPool::resolve_num_threads(threads));
     }
@@ -800,12 +794,7 @@ int cmd_version(std::ostream& out) {
   out << kToolName << " " << kToolVersion << "\n"
       << "git:      " << kGitSha << "\n"
       << "build:    " << kBuildType << " (" << kCompiler << ")\n"
-      << "flags:    " << kBuildFlags << "\n"
-      << "span timers " << (obs::kCompiledIn ? "compiled in" : "compiled out")
-      << " (logical counters always on), log floor "
-      << obs::log_level_name(
-             static_cast<obs::LogLevel>(TGC_LOG_FLOOR))
-      << "\n";
+      << "flags:    " << kBuildFlags << "\n";
   return 0;
 }
 

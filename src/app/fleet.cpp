@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -26,6 +25,7 @@
 #include "tgcover/obs/obs.hpp"
 #include "tgcover/obs/profile.hpp"
 #include "tgcover/obs/quality.hpp"
+#include "tgcover/util/args.hpp"
 #include "tgcover/util/check.hpp"
 #include "tgcover/util/digest.hpp"
 #include "tgcover/util/rng.hpp"
@@ -87,24 +87,6 @@ std::vector<std::string> split_commas(const std::string& text) {
 
 namespace {
 
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || end == text.c_str()) return false;
-  out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-bool parse_f64(const std::string& text, double& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || end == text.c_str()) return false;
-  out = v;
-  return true;
-}
-
 template <typename T, typename Parse>
 bool parse_axis(const std::string& key, const std::string& value,
                 Parse&& parse, std::vector<T>& out, std::string& error) {
@@ -127,7 +109,7 @@ bool parse_axis(const std::string& key, const std::string& value,
 
 bool parse_scalar_f64(const std::string& key, const std::string& value,
                       double& out, std::string& error) {
-  if (parse_f64(value, out)) return true;
+  if (util::parse_whole(value, out)) return true;
   error = "bad value '" + value + "' for fleet key '" + key + "'";
   return false;
 }
@@ -136,9 +118,6 @@ bool parse_scalar_f64(const std::string& key, const std::string& value,
 
 bool apply_fleet_key(FleetSpec& spec, const std::string& key,
                      const std::string& value, std::string& error) {
-  const auto u64_of = [](const std::string& t, std::uint64_t& v) {
-    return parse_u64(t, v);
-  };
   if (key == "models") {
     spec.models = split_commas(value);
     if (spec.models.empty()) {
@@ -150,25 +129,26 @@ bool apply_fleet_key(FleetSpec& spec, const std::string& key,
   if (key == "nodes") {
     return parse_axis<std::size_t>(
         key, value,
-        [&](const std::string& t, std::size_t& v) {
-          std::uint64_t u = 0;
-          if (!u64_of(t, u) || u == 0) return false;
-          v = static_cast<std::size_t>(u);
-          return true;
+        [](const std::string& t, std::size_t& v) {
+          return util::parse_whole(t, v) && v > 0;
         },
         spec.nodes, error);
   }
   if (key == "degrees") {
-    return parse_axis<double>(key, value, parse_f64, spec.degrees, error);
+    return parse_axis<double>(
+        key, value,
+        [](const std::string& t, double& v) {
+          return util::parse_whole(t, v) && std::isfinite(v) && v > 0.0;
+        },
+        spec.degrees, error);
   }
   if (key == "taus") {
     return parse_axis<unsigned>(
         key, value,
-        [&](const std::string& t, unsigned& v) {
-          std::uint64_t u = 0;
-          if (!u64_of(t, u) || u == 0 || u > 1u << 20) return false;
-          v = static_cast<unsigned>(u);
-          return true;
+        [](const std::string& t, unsigned& v) {
+          // τ ≥ 3: a confine cycle has at least three edges (DCC's own
+          // TGC_CHECK), so a smaller τ could only become a failed cell.
+          return util::parse_whole(t, v) && v >= 3 && v <= 1u << 20;
         },
         spec.taus, error);
   }
@@ -178,12 +158,13 @@ bool apply_fleet_key(FleetSpec& spec, const std::string& key,
         [](const std::string& t, double& v) {
           // 0.9 caps the axis: the α-synchronizer recovers from loss, but a
           // near-certain drop rate turns one cell into an unbounded run.
-          return parse_f64(t, v) && v >= 0.0 && v <= 0.9;
+          return util::parse_whole(t, v) && v >= 0.0 && v <= 0.9;
         },
         spec.losses, error);
   }
   if (key == "seeds") {
-    return parse_axis<std::uint64_t>(key, value, u64_of, spec.seeds, error);
+    return parse_axis<std::uint64_t>(
+        key, value, util::parse_whole<std::uint64_t>, spec.seeds, error);
   }
   if (key == "band") return parse_scalar_f64(key, value, spec.band, error);
   if (key == "alpha") return parse_scalar_f64(key, value, spec.alpha, error);

@@ -287,16 +287,7 @@ void run_sections(std::ostringstream& out, const Bundle& b) {
     out << "<section>\n<h2>Round timeline</h2>\n"
            "<p class=\"note\">Scheduler time per deletion round, split by "
            "phase (ms). Wall-clock is advisory: it varies with host and "
-           "load.";
-    bool any_phase = false;
-    for (const RoundRow& r : rows) {
-      if (r.ns_verdicts + r.ns_mis + r.ns_deletion > 0) any_phase = true;
-    }
-    if (!any_phase) {
-      out << " All phase timers are zero — span timers were compiled out "
-             "(-DTGC_OBS=OFF); the logical cost sections are unaffected.";
-    }
-    out << "</p>\n";
+           "load.</p>\n";
     chart_phases(out, rows);
     out << "</section>\n";
 
@@ -467,9 +458,7 @@ void profile_sections(std::ostringstream& out, const obs::ProfileData& data) {
     for (const obs::WorkerProfile& w : data.workers) dropped += w.dropped;
     out << " Timeline truncated: " << dropped
         << " oldest event(s) overwrote the per-worker rings (capacity "
-        << data.ring_capacity
-        << " — raise TGC_PROFILE_RING to keep more); the summary tables "
-           "stay exact.";
+        << data.ring_capacity << "); the summary tables stay exact.";
   }
   if (data.off_lane_events > 0) {
     out << " " << data.off_lane_events
@@ -1233,10 +1222,6 @@ void section_provenance(std::ostringstream& out, const Bundle& b) {
                           "compiler", "build_flags", "command"}) {
     if (m.has(key)) row(key, m.text(key));
   }
-  if (m.has("obs_compiled")) {
-    row("span timers",
-        m.u64("obs_compiled") != 0 ? "compiled in" : "compiled out");
-  }
   for (const auto& [key, value] : m.fields()) {
     if (key.rfind("cfg_", 0) == 0) row("--" + key.substr(4), m.text(key));
   }
@@ -1359,21 +1344,13 @@ std::string render_report_text(const Bundle& b, const TraceStats* trace) {
         << " survivors, wall "
         << util::Table::num(s.number("wall_ns") / 1e6, 1) << " ms, "
         << s.u64("vpt_tests") << " VPT tests, " << s.u64("messages")
-        << " messages, logical cost " << cost;
-    if (s.u64("obs_compiled") == 0) {
-      out << " (span timers were compiled out: ms columns are zero)";
-    }
-    out << "\n";
+        << " messages, logical cost " << cost << "\n";
   }
   if (trace == nullptr) return out.str();
 
   const TraceStats& t = *trace;
   for (const std::string& v : t.violations) out << "violation: " << v << "\n";
-  out << "trace: " << t.events << " events";
-  if (t.header.has_value() && t.header->u64("obs_compiled") == 0) {
-    out << " (tracing was compiled out)";
-  }
-  out << "\n";
+  out << "trace: " << t.events << " events\n";
   if (t.events > 0) {
     out << "scheduler: " << t.deletion_rounds << " deletion rounds, "
         << t.fixpoint_probes << " fixpoint probe(s), " << t.engine_rounds

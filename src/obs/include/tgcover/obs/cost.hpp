@@ -5,18 +5,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
-/// The logical cost model: machine-independent work-unit accounting.
+/// The telemetry registry: machine-independent work-unit counters and the
+/// phase span timers, kept in one per-thread shard.
 ///
-/// Unlike the span timers in obs.hpp, everything here is ALWAYS compiled —
-/// `-DTGC_OBS=OFF` removes wall-clock instrumentation only. Logical units
-/// (VPT tests, BFS expansions, Horton candidates, GF(2) pivots, simulated
-/// messages) are deterministic functions of the input and seed, so their
-/// per-round, per-phase profiles are byte-identical across machines, thread
-/// counts, log levels, and the TGC_OBS build flavour. That invariant is what
-/// tools/bench_gate.py hard-fails on (see DESIGN.md §10); wall-clock numbers
-/// are advisory everywhere.
+/// Logical units (VPT tests, BFS expansions, Horton candidates, GF(2)
+/// pivots, simulated messages) are deterministic functions of the input and
+/// seed, so their per-round, per-phase profiles are byte-identical across
+/// machines, thread counts and log levels. That invariant is what
+/// tools/bench_gate.py hard-fails on (see DESIGN.md §10); the span timers
+/// (obs.hpp) are wall-clock and advisory everywhere.
 
 namespace tgc::obs {
 
@@ -47,6 +45,23 @@ inline constexpr std::size_t kNumCounters =
 
 /// Snake_case counter names used as JSONL keys and table headers.
 std::string_view counter_name(CounterId id);
+
+/// Scoped-timer identities (obs.hpp's Span). Each span id owns a run count
+/// and a nanosecond sum per thread shard; per-phase nanoseconds in the round
+/// log are deltas of the sums.
+enum class SpanId : unsigned {
+  kVerdicts,     ///< DCC Step 1: the per-round VPT verdict fan-out
+  kMis,          ///< DCC Step 2: m-hop MIS election
+  kDeletion,     ///< DCC Step 3: deletion + dirty propagation
+  kKhopCollect,  ///< distributed executor: k-hop view collection
+  kRepairWave,   ///< one wake-radius escalation of dcc_repair
+  kCount
+};
+inline constexpr std::size_t kNumSpans =
+    static_cast<std::size_t>(SpanId::kCount);
+
+/// Snake_case names used as JSONL keys and table headers.
+std::string_view span_name(SpanId id);
 
 /// The protocol phase a work unit is attributed to. Phases are fork-join
 /// sequential (the scheduler moves through them one at a time and workers
@@ -113,8 +128,7 @@ struct CostVec {
 /// as their own bench columns.
 std::uint64_t logical_cost(const CostVec& v);
 
-/// Registry state split by phase. `total()` collapses the phase axis and is
-/// what Metrics::counters is built from.
+/// Registry counters split by phase. `total()` collapses the phase axis.
 struct CostSnapshot {
   std::array<CostVec, kNumPhases> phases{};
 
@@ -138,25 +152,33 @@ struct CostSnapshot {
 
 namespace detail {
 
-/// One thread's slice of the cost registry (same never-reclaimed sharding
-/// scheme as the span registry in obs.hpp: one shard per thread, relaxed
-/// atomics, merged under a mutex by cost_snapshot()).
-struct CostShard {
+/// One thread's slice of the registry: work units by phase plus each span's
+/// run count and nanosecond sum. Slots are relaxed atomics so the owning
+/// thread's increments never race the merging reader; there is no
+/// cross-thread write sharing at all (one shard per thread, registered on
+/// first touch and kept for the life of the process so totals survive
+/// worker exit).
+struct Shard {
+  struct SpanSlot {
+    std::atomic<std::uint64_t> count{0};
+    std::atomic<std::uint64_t> sum_ns{0};
+  };
   std::array<std::array<std::atomic<std::uint64_t>, kNumCounters>, kNumPhases>
       units{};
+  std::array<SpanSlot, kNumSpans> spans{};
 };
 
-CostShard& local_cost_shard();
-std::atomic<bool>& cost_enabled_flag();
+Shard& local_shard();
+std::atomic<bool>& enabled_flag();
 std::atomic<unsigned>& current_phase_slot();
 
 }  // namespace detail
 
-/// Runtime master switch (default off) shared by the cost counters and the
-/// span timers. Disabled, every instrumentation site costs one relaxed bool
-/// load and a predicted-untaken branch.
+/// Runtime master switch (default off) for the counters and the span timers.
+/// Disabled, every instrumentation site costs one relaxed bool load and a
+/// predicted-untaken branch.
 inline bool enabled() {
-  return detail::cost_enabled_flag().load(std::memory_order_relaxed);
+  return detail::enabled_flag().load(std::memory_order_relaxed);
 }
 void set_enabled(bool on);
 
@@ -167,14 +189,12 @@ inline void add(CounterId id, std::uint64_t delta) {
   if (!enabled()) return;
   const unsigned phase =
       detail::current_phase_slot().load(std::memory_order_relaxed);
-  detail::local_cost_shard()
+  detail::local_shard()
       .units[phase][static_cast<std::size_t>(id)]
       .fetch_add(delta, std::memory_order_relaxed);
 }
 
-/// Merges every shard under the registry lock. Safe to call while other
-/// threads keep counting; the result is a consistent-enough monotonic view
-/// (per-slot atomic reads).
+/// The counters of obs::snapshot() (obs.hpp), by phase.
 CostSnapshot cost_snapshot();
 
 /// The calling thread's shard only, summed over phases. Because shards are
@@ -225,45 +245,6 @@ class CostAuditScope {
 
  private:
   std::array<std::array<std::uint64_t, kNumCounters>, kNumPhases> before_{};
-};
-
-/// One round's per-phase logical-cost delta.
-struct CostProfile {
-  std::uint64_t round = 0;  ///< 1-based, aligned with RoundEvent::round
-  CostSnapshot delta;       ///< registry activity during the round, by phase
-};
-
-/// Per-run logical-cost accounting: snapshot at round boundaries, buffer one
-/// CostProfile per round plus run totals. Driven from the scheduler loop
-/// (single-threaded by design) — RoundCollector owns one and keeps it in
-/// lockstep with its RoundEvents.
-class CostModel {
- public:
-  /// Captures the baseline snapshot; run totals are measured from here.
-  CostModel();
-
-  /// Stashes a snapshot for the round about to run. A begin without a
-  /// matching end is overwritten by the next begin and never emits a record.
-  void begin_round();
-
-  /// Closes the round opened by the last `begin_round` and buffers its
-  /// per-phase profile.
-  void end_round();
-
-  /// Freezes the run totals. Call once, after the schedule/repair returns.
-  void finalize();
-
-  const std::vector<CostProfile>& profiles() const { return profiles_; }
-  /// Per-phase activity from construction to `finalize` (to now, if not yet
-  /// finalized).
-  CostSnapshot totals() const;
-
- private:
-  CostSnapshot baseline_;
-  CostSnapshot round_start_;
-  CostSnapshot final_totals_;
-  bool finalized_ = false;
-  std::vector<CostProfile> profiles_;
 };
 
 }  // namespace tgc::obs

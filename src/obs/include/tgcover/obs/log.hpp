@@ -6,16 +6,6 @@
 #include <string_view>
 #include <type_traits>
 
-/// Build-time log floor (0=debug 1=info 2=warn 3=error). Call sites below
-/// the floor compile out entirely: the level comparison in `log_active` is a
-/// compile-time constant at each TGC_LOG site, so the whole statement —
-/// including the argument expressions — is dead code the optimizer deletes.
-/// tgc_obs exports it PUBLICly from the TGC_LOG_FLOOR CMake cache variable;
-/// the fallback keeps stray includes working.
-#ifndef TGC_LOG_FLOOR
-#define TGC_LOG_FLOOR 0
-#endif
-
 namespace tgc::obs {
 
 /// Diagnostic severities, ordered. `kOff` is a threshold only — no call
@@ -48,18 +38,9 @@ void reset_logging();
 /// the flight recorder's dump framing; everything else goes through TGC_LOG.
 void log_write_line(const std::string& line);
 
-namespace detail {
-/// True when a line at `level` should be *formatted* at all: it clears the
-/// compile floor and either clears the runtime threshold or the flight
-/// recorder would retain it. The floor comparison folds to a constant at
-/// every TGC_LOG site, which is what makes below-floor sites compile out.
-bool log_would_retain(LogLevel level);
-}  // namespace detail
-
-inline bool log_active(LogLevel level) {
-  if (static_cast<int>(level) < TGC_LOG_FLOOR) return false;
-  return detail::log_would_retain(level);
-}
+/// True when a line at `level` should be *formatted* at all: it either
+/// clears the runtime threshold or the flight recorder would retain it.
+bool log_active(LogLevel level);
 
 /// A typed `key=value` token for structured lines: numbers print bare,
 /// strings print quoted with backslash escaping, so `--log-out` files stay
@@ -127,8 +108,7 @@ struct LogVoidify {
 
 /// Leveled structured logging: `TGC_LOG(kWarn) << "message" <<
 /// obs::kv("round", r);`. Argument expressions are evaluated only when the
-/// line will actually be retained (sink or flight recorder); below the
-/// build-time floor the entire statement compiles out.
+/// line will actually be retained (sink or flight recorder).
 #define TGC_LOG(level)                                          \
   (!::tgc::obs::log_active(::tgc::obs::LogLevel::level))        \
       ? (void)0                                                 \

@@ -33,15 +33,13 @@
 /// themselves rely on. The cross-thread session counters go through relaxed
 /// atomics and the rare memory samples through a mutex-guarded vector.
 ///
-/// Rings wrap: when a lane overflows its capacity (default 1<<15 events,
-/// overridable via the TGC_PROFILE_RING env var) the oldest events are
-/// overwritten and counted as dropped, while the per-lane summary
+/// Rings wrap: when a lane overflows its capacity (1<<15 events) the oldest
+/// events are overwritten and counted as dropped, while the per-lane summary
 /// accumulators stay exact — a truncated timeline never corrupts the
 /// utilization/phase totals.
 ///
-/// Always compiled (like the cost counters, unlike the TGC_OBS span
-/// timers); runtime-gated by profile_active(), so a run without
-/// `--obs profile` pays one relaxed load per pool chunk and nothing else.
+/// Runtime-gated by profile_active(), so a run without `--obs profile` pays
+/// one relaxed load per pool chunk and nothing else.
 
 namespace tgc::obs {
 
@@ -136,8 +134,8 @@ bool profile_active();
 
 /// Opens a session recording `workers` lanes (clamped to >= 1). The calling
 /// thread becomes lane 0 (the driver). `ring_capacity` 0 picks the default
-/// (1<<15 per lane) unless the TGC_PROFILE_RING env var overrides it. A
-/// second begin while a session is open is ignored.
+/// (1<<15 per lane); tests pass a small one to force wraparound. A second
+/// begin while a session is open is ignored.
 void profile_begin(unsigned workers, std::size_t ring_capacity = 0);
 
 /// Closes the session and drains every lane. Must be called at quiescence

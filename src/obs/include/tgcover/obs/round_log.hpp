@@ -13,7 +13,8 @@ namespace tgc::obs {
 /// the scheduler several times on one collector); the counter/span activity
 /// is the registry delta across the round, so it includes everything the
 /// round's verdicts triggered transitively — BFS expansions, Horton
-/// candidates, GF(2) pivots, simulated messages.
+/// candidates, GF(2) pivots, simulated messages. `delta.cost` is the round's
+/// per-phase logical-cost profile.
 struct RoundEvent {
   std::uint64_t round = 0;       ///< 1-based sequence number in this run
   std::uint64_t active = 0;      ///< awake nodes after the round's deletions
@@ -23,17 +24,9 @@ struct RoundEvent {
 };
 
 /// Per-run accounting: the scheduler reports round boundaries, the collector
-/// snapshots the registry at each and buffers one RoundEvent per round plus
-/// run totals, keeping an obs::CostModel in lockstep so every round also has
-/// a per-phase logical-cost profile. Single-threaded by design — it is
-/// driven from the scheduler loop only (the *workers* report through the
-/// registry shards).
-///
-/// The collector works with the span timers compiled out too (TGC_OBS=OFF):
-/// ns_* deltas are all zero then, but the logical counters and the
-/// scheduler-provided fields (active/candidates/deleted) still populate, so
-/// JSONL output and `tgcover report` stay byte-identical on the logical
-/// columns across build flavours.
+/// takes one registry snapshot at each and buffers one RoundEvent per round
+/// plus run totals. Single-threaded by design — it is driven from the
+/// scheduler loop only (the *workers* report through the registry shards).
 class RoundCollector {
  public:
   /// Captures the baseline snapshot; run totals are measured from here.
@@ -54,8 +47,6 @@ class RoundCollector {
   void finalize(std::uint64_t survivors);
 
   const std::vector<RoundEvent>& events() const { return events_; }
-  /// Per-round, per-phase logical-cost profiles (aligned with events()).
-  const CostModel& cost() const { return cost_; }
   /// Registry activity from construction to `finalize` (to now, if not yet
   /// finalized).
   Metrics totals() const;
@@ -69,13 +60,12 @@ class RoundCollector {
 
   /// Emits only the machine-independent records: per-round per-phase "cost"
   /// lines plus "cost_total" lines. This is a bundle's cost.jsonl, byte-
-  /// identical across machines, thread counts, log levels, and TGC_OBS build
-  /// flavours for a given input/seed.
+  /// identical across machines, thread counts and log levels for a given
+  /// input/seed.
   void write_cost_jsonl(std::ostream& out) const;
 
  private:
   Metrics baseline_;
-  CostModel cost_;
   Metrics round_start_;
   std::uint64_t t0_ns_ = 0;
   std::uint64_t wall_ns_ = 0;  // frozen by finalize

@@ -19,11 +19,9 @@ namespace tgc::obs {
 /// Perfetto (trace_export.hpp) and a compact deterministic JSONL analyzed by
 /// `tgcover report`.
 ///
-/// Overhead policy mirrors the counters: compiled out entirely under
-/// TGC_OBS=OFF (all functions below become deletable no-ops, every type
-/// stays defined); compiled in but inactive costs one relaxed bool load per
-/// site. When active, events append to per-thread chunk buffers (a deque —
-/// stable chunks, no reallocation-copy of old events) guarded by a
+/// Overhead policy mirrors the counters: inactive costs one relaxed bool
+/// load per site. When active, events append to per-thread chunk buffers (a
+/// deque — stable chunks, no reallocation-copy of old events) guarded by a
 /// per-thread mutex that is uncontended in practice: the simulators emit
 /// from the driving thread only, and VPT worker threads emit nothing, which
 /// is also what makes traces byte-identical across --threads values.
@@ -83,8 +81,6 @@ struct TraceEvent {
   TraceKind kind = TraceKind::kSend;
 };
 
-#if TGC_OBS_ENABLED
-
 /// True while a trace is being collected. One relaxed load — instrumentation
 /// sites guard batches of emissions (and any event-argument computation)
 /// behind it.
@@ -106,18 +102,5 @@ std::uint64_t trace_emit(TraceKind kind, std::uint32_t node,
                          std::uint32_t peer, std::uint32_t type,
                          std::uint32_t value, double sim,
                          std::uint64_t flow = 0);
-
-#else  // !TGC_OBS_ENABLED — tracing compiles away entirely.
-
-inline bool trace_active() { return false; }
-inline void trace_begin() {}
-inline std::vector<TraceEvent> trace_end() { return {}; }
-inline std::uint64_t trace_emit(TraceKind, std::uint32_t, std::uint32_t,
-                                std::uint32_t, std::uint32_t, double,
-                                std::uint64_t = 0) {
-  return 0;
-}
-
-#endif  // TGC_OBS_ENABLED
 
 }  // namespace tgc::obs

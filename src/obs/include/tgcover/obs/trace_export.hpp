@@ -11,8 +11,8 @@ namespace tgc::obs {
 /// chrome://tracing: one track per node (tid = node + 1) plus a scheduler
 /// track (tid 0), handler spans as slices, and `s`/`f` flow arrows binding
 /// each delivery to its send, timed on the wall clock (where the simulator
-/// spends its time). Accepts an empty event vector (TGC_OBS=OFF runs) and
-/// still emits a valid, loadable file.
+/// spends its time). Accepts an empty event vector and still emits a valid,
+/// loadable file.
 void write_chrome_trace(const std::vector<TraceEvent>& events,
                         std::ostream& out);
 

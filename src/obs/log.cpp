@@ -105,9 +105,7 @@ void log_write_line(const std::string& line) {
   out.flush();  // diagnostics must survive a crash right after them
 }
 
-namespace detail {
-
-bool log_would_retain(LogLevel level) {
+bool log_active(LogLevel level) {
   if (static_cast<int>(level) >=
       log_state().level.load(std::memory_order_relaxed)) {
     return true;
@@ -117,8 +115,6 @@ bool log_would_retain(LogLevel level) {
   // while a post-mortem dump can still show the debug context.
   return flight_capacity() > 0;
 }
-
-}  // namespace detail
 
 LogLine::LogLine(LogLevel level, const char* file, int line) : level_(level) {
   buf_ << "level=" << log_level_name(level) << " src=" << basename_of(file)

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "tgcover/obs/obs.hpp"
 #include "tgcover/version.hpp"
 
 namespace tgc::obs {
@@ -31,7 +30,6 @@ void write_identity(std::ostream& out, const RunManifest& m) {
   write_kv(out, "build_type", kBuildType);
   write_kv(out, "compiler", kCompiler);
   write_kv(out, "build_flags", kBuildFlags);
-  out << ",\"obs_compiled\":" << (kCompiledIn ? 1 : 0);
   write_kv(out, "command", m.command);
   for (const auto& [key, value] : sorted(m.config)) {
     write_kv(out, "cfg_" + key, value);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -88,17 +87,6 @@ void push(Lane& lane, const ProfileEvent& ev) {
   ++lane.pushed;
 }
 
-std::size_t resolve_ring_capacity(std::size_t requested) {
-  if (requested != 0) return requested;
-  if (const char* env = std::getenv("TGC_PROFILE_RING")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != nullptr && *end == '\0' && v > 0) {
-      return static_cast<std::size_t>(v);
-    }
-  }
-  return kDefaultRingCapacity;
-}
 
 }  // namespace
 
@@ -155,7 +143,7 @@ bool profile_active() {
 void profile_begin(unsigned workers, std::size_t ring_capacity) {
   ProfilerState& s = prof();
   if (s.active.load(std::memory_order_relaxed)) return;
-  s.ring_capacity = resolve_ring_capacity(ring_capacity);
+  s.ring_capacity = ring_capacity != 0 ? ring_capacity : kDefaultRingCapacity;
   s.lanes.clear();
   const unsigned lanes = std::max(1u, workers);
   for (unsigned w = 0; w < lanes; ++w) {

@@ -9,9 +9,10 @@ namespace {
 /// Shared key order for round and summary records: scheduler-provided
 /// fields, then every counter by name, then per-span nanoseconds.
 void write_metrics_fields(std::ostream& out, const Metrics& m) {
+  const CostVec counters = m.cost.total();
   for (std::size_t i = 0; i < kNumCounters; ++i) {
     out << ",\"" << counter_name(static_cast<CounterId>(i))
-        << "\":" << m.counters[i];
+        << "\":" << counters.units[i];
   }
   for (std::size_t i = 0; i < kNumSpans; ++i) {
     out << ",\"ns_" << span_name(static_cast<SpanId>(i))
@@ -50,10 +51,7 @@ void write_cost_records(std::ostream& out, std::string_view type,
 RoundCollector::RoundCollector()
     : baseline_(snapshot()), round_start_(baseline_), t0_ns_(now_ns()) {}
 
-void RoundCollector::begin_round() {
-  round_start_ = snapshot();
-  cost_.begin_round();
-}
+void RoundCollector::begin_round() { round_start_ = snapshot(); }
 
 void RoundCollector::end_round(std::uint64_t active, std::uint64_t candidates,
                                std::uint64_t deleted) {
@@ -64,7 +62,6 @@ void RoundCollector::end_round(std::uint64_t active, std::uint64_t candidates,
   ev.deleted = deleted;
   ev.delta = snapshot() - round_start_;
   events_.push_back(std::move(ev));
-  cost_.end_round();
 }
 
 void RoundCollector::finalize(std::uint64_t survivors) {
@@ -72,7 +69,6 @@ void RoundCollector::finalize(std::uint64_t survivors) {
   wall_ns_ = now_ns() - t0_ns_;
   final_totals_ = snapshot() - baseline_;
   finalized_ = true;
-  cost_.finalize();
 }
 
 Metrics RoundCollector::totals() const {
@@ -84,36 +80,31 @@ std::uint64_t RoundCollector::wall_ns() const {
 }
 
 void RoundCollector::write_jsonl(std::ostream& out) const {
-  const std::vector<CostProfile>& profiles = cost_.profiles();
   for (const RoundEvent& ev : events_) {
     out << "{\"type\":\"round\",\"round\":" << ev.round
         << ",\"active\":" << ev.active << ",\"candidates\":" << ev.candidates
         << ",\"deleted\":" << ev.deleted;
     write_metrics_fields(out, ev.delta);
     out << "}\n";
-    // The collector drives both buffers in lockstep, so index == index.
-    if (ev.round <= profiles.size()) {
-      write_cost_records(out, "cost", ev.round, /*with_round=*/true,
-                         profiles[ev.round - 1].delta);
-    }
+    write_cost_records(out, "cost", ev.round, /*with_round=*/true,
+                       ev.delta.cost);
   }
-  write_cost_records(out, "cost_total", 0, /*with_round=*/false,
-                     cost_.totals());
+  const Metrics total = totals();
+  write_cost_records(out, "cost_total", 0, /*with_round=*/false, total.cost);
   out << "{\"type\":\"summary\",\"rounds\":" << events_.size()
       << ",\"survivors\":" << survivors_ << ",\"wall_ns\":" << wall_ns()
-      << ",\"obs_compiled\":" << (kCompiledIn ? 1 : 0)
-      << ",\"logical_cost\":" << logical_cost(cost_.totals().total());
-  write_metrics_fields(out, totals());
+      << ",\"logical_cost\":" << logical_cost(total.cost.total());
+  write_metrics_fields(out, total);
   out << "}\n";
 }
 
 void RoundCollector::write_cost_jsonl(std::ostream& out) const {
-  for (const CostProfile& profile : cost_.profiles()) {
-    write_cost_records(out, "cost", profile.round, /*with_round=*/true,
-                       profile.delta);
+  for (const RoundEvent& ev : events_) {
+    write_cost_records(out, "cost", ev.round, /*with_round=*/true,
+                       ev.delta.cost);
   }
   write_cost_records(out, "cost_total", 0, /*with_round=*/false,
-                     cost_.totals());
+                     totals().cost);
 }
 
 }  // namespace tgc::obs

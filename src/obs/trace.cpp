@@ -41,8 +41,6 @@ std::string_view trace_phase_name(std::uint32_t phase) {
   return "phase";
 }
 
-#if TGC_OBS_ENABLED
-
 namespace {
 
 /// One thread's event buffer. std::deque is the chunk structure: appends
@@ -54,7 +52,7 @@ struct TraceBuf {
   std::deque<TraceEvent> events;
 };
 
-/// Process-wide trace registry, mirroring the counter ShardRegistry:
+/// Process-wide trace registry, mirroring the counter shard registry:
 /// buffers live in a deque (stable addresses) and are never reclaimed, so a
 /// worker thread that exits leaves its events behind for the drain.
 struct TraceRegistry {
@@ -134,7 +132,5 @@ std::uint64_t trace_emit(TraceKind kind, std::uint32_t node,
   buf.events.push_back(ev);
   return ev.seq;
 }
-
-#endif  // TGC_OBS_ENABLED
 
 }  // namespace tgc::obs

@@ -161,8 +161,7 @@ void write_chrome_trace(const std::vector<TraceEvent>& events,
 void write_trace_jsonl(const std::vector<TraceEvent>& events,
                        std::ostream& out) {
   out << "{\"type\":\"trace_header\",\"version\":1,\"events\":"
-      << events.size() << ",\"obs_compiled\":" << (kCompiledIn ? 1 : 0)
-      << "}\n";
+      << events.size() << "}\n";
   for (const TraceEvent& ev : events) {
     out << "{\"type\":\"trace_event\",\"seq\":" << ev.seq
         << ",\"kind\":\"" << trace_kind_name(ev.kind)

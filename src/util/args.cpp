@@ -38,15 +38,6 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
 
 namespace {
 
-/// Parses all of `text` as a T. False for an empty token, trailing
-/// characters ("4x", or "1e3" for an integer) or an out-of-range value.
-template <typename T>
-bool parse_whole(const std::string& text, T& value) {
-  const char* const last = text.data() + text.size();
-  const auto [end, ec] = std::from_chars(text.data(), last, value);
-  return ec == std::errc() && end == last;
-}
-
 /// Shortest round-trip decimal form ("0.1", not std::to_string's
 /// "0.100000") — doubles land in manifests and the report's provenance
 /// table, where the canonical spelling should match what the user typed.

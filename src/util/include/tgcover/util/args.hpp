@@ -1,12 +1,25 @@
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
 namespace tgc::util {
+
+/// Parses all of `text` as a T. False for an empty token, a sign an unsigned
+/// T cannot take, leading whitespace, trailing characters ("4x", or "1e3"
+/// for an integer) or an out-of-range value.
+template <typename T>
+bool parse_whole(std::string_view text, T& value) {
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  return ec == std::errc() && end == last;
+}
 
 /// Minimal `--key value` / `--flag` command-line parser for the figure
 /// benches and examples. Unrecognized keys raise an error so that typos in

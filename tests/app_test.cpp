@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "tgcover/app/cli.hpp"
-#include "tgcover/obs/obs.hpp"
 #include "tgcover/util/check.hpp"
 
 namespace tgc::app {
@@ -253,7 +252,6 @@ TEST_F(CliFixture, TraceIsDeterministicAndDoesNotPerturbSchedule) {
 }
 
 TEST_F(CliFixture, TraceAnalyzeMatchesSchedulerRounds) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "tracing compiled out";
   std::string out;
   ASSERT_EQ(run({"generate", "--nodes", "130", "--degree", "20", "--seed",
                  "6", "--out", net_.c_str()},

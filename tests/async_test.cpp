@@ -335,8 +335,6 @@ TEST(AlphaSynchronizer, LossAndRetransmitCountersReachRegistry) {
 
   EXPECT_GT(engine.messages_lost(), 0u);
   EXPECT_GT(sync.retransmissions(), 0u);
-  // Logical counters are not behind the TGC_OBS gate, so this holds in
-  // both builds.
   EXPECT_EQ(delta.get(obs::CounterId::kMessagesLost),
             engine.messages_lost());
   EXPECT_EQ(delta.get(obs::CounterId::kRetransmissions),

@@ -167,7 +167,7 @@ class GateTest(unittest.TestCase):
         a = self.write_bundle("a", bundle_records())
         b = self.write_bundle("b", bundle_records(
             manifest=dict(MANIFEST, git_sha="fedc9876",
-                          build_flags="TGC_OBS=OFF")))
+                          build_flags="TGC_SANITIZE=address")))
         rc, text = self.gate(a, b)
         self.assertEqual(rc, 0, text)
         self.assertIn("no regressions", text)

@@ -1,8 +1,8 @@
 // Logical cost model tests: the machine-independent work-unit layer that
 // `tgcover report` and the bench gate (tools/bench_gate.py) reason about.
 //
-//  * CostVec arithmetic, phase attribution (CostPhaseScope), CostModel
-//    round profiles;
+//  * CostVec arithmetic, phase attribution (CostPhaseScope), RoundCollector
+//    per-phase round profiles;
 //  * the acceptance contract: cost.jsonl streams are byte-identical across
 //    thread counts and log levels on the same build;
 //  * `tgcover report` / the bundle loader on malformed inputs: missing
@@ -23,8 +23,10 @@
 #include "tgcover/app/rounds.hpp"
 #include "tgcover/app/run_bundle.hpp"
 #include "tgcover/obs/cost.hpp"
+#include "tgcover/obs/flight.hpp"
 #include "tgcover/obs/log.hpp"
 #include "tgcover/obs/obs.hpp"
+#include "tgcover/obs/round_log.hpp"
 
 namespace tgc {
 namespace {
@@ -104,39 +106,40 @@ TEST(CostPhase, ScopeAttributesAndRestores) {
   EXPECT_EQ(delta.total().get(obs::CounterId::kVptTests), 3u);
 }
 
-TEST(CostModel, RoundProfilesAndTotals) {
+TEST(RoundCollector, RoundProfilesAndTotals) {
   obs::set_enabled(true);
-  obs::CostModel model;
-  model.begin_round();
+  obs::RoundCollector collector;
+  collector.begin_round();
   {
     obs::CostPhaseScope scope(obs::CostPhase::kVerdicts);
     obs::add(obs::CounterId::kVptTests, 4);
   }
-  model.end_round();
-  model.begin_round();
+  collector.end_round(/*active=*/9, /*candidates=*/4, /*deleted=*/1);
+  collector.begin_round();
   {
     obs::CostPhaseScope scope(obs::CostPhase::kDeletion);
     obs::add(obs::CounterId::kBfsExpansions, 9);
   }
-  model.end_round();
-  model.finalize();
+  collector.end_round(/*active=*/8, /*candidates=*/1, /*deleted=*/1);
+  collector.finalize(/*survivors=*/8);
   // Work after finalize must not leak into the frozen totals.
   obs::add(obs::CounterId::kVptTests, 100);
   obs::set_enabled(false);
 
-  ASSERT_EQ(model.profiles().size(), 2u);
-  EXPECT_EQ(model.profiles()[0]
-                .delta.phase(obs::CostPhase::kVerdicts)
+  const std::vector<obs::RoundEvent>& events = collector.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0]
+                .delta.cost.phase(obs::CostPhase::kVerdicts)
                 .get(obs::CounterId::kVptTests),
             4u);
   EXPECT_TRUE(
-      model.profiles()[0].delta.phase(obs::CostPhase::kDeletion).is_zero());
-  EXPECT_EQ(model.profiles()[1]
-                .delta.phase(obs::CostPhase::kDeletion)
+      events[0].delta.cost.phase(obs::CostPhase::kDeletion).is_zero());
+  EXPECT_EQ(events[1]
+                .delta.cost.phase(obs::CostPhase::kDeletion)
                 .get(obs::CounterId::kBfsExpansions),
             9u);
-  EXPECT_EQ(model.totals().total().get(obs::CounterId::kVptTests), 4u);
-  EXPECT_EQ(model.totals().total().get(obs::CounterId::kBfsExpansions), 9u);
+  EXPECT_EQ(collector.totals().get(obs::CounterId::kVptTests), 4u);
+  EXPECT_EQ(collector.totals().get(obs::CounterId::kBfsExpansions), 9u);
 }
 
 // ---------------------------------------------------------------- Fixture
@@ -172,6 +175,7 @@ class CostCliFixture : public ::testing::Test {
     unsetenv("TGC_RUN_TIMESTAMP");
     obs::set_enabled(false);
     obs::reset_logging();
+    obs::set_flight_capacity(0);
     fs::remove_all(dir_);
   }
 
@@ -232,8 +236,8 @@ TEST_F(CostCliFixture, CostStreamIdenticalAcrossThreadsAndLogLevels) {
       << out;
   ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--out",
                  (dir_ / "sc.tgc").string().c_str(), "--obs-out", c.c_str(),
-                 "--threads", "2", "--log-level", "debug", "--log-out",
-                 (dir_ / "c.log").string().c_str()},
+                 "--threads", "2", "--log-level", "debug", "--flight", "64",
+                 "--log-out", (dir_ / "c.log").string().c_str()},
                 &out),
             0)
       << out;

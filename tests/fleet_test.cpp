@@ -225,6 +225,49 @@ TEST_F(FleetFixture, BadSpecInputsAreNamedErrors) {
   EXPECT_FALSE(load_fleet_spec(bad, spec, error));
 }
 
+TEST_F(FleetFixture, ImpossibleAxisValuesAreRefusedBeforeAnyCellRuns) {
+  const std::string spec = (dir_ / "spaced.json").string();
+  {
+    std::ofstream f(spec);
+    f << "{\"nodes\":\" 60\"}\n";
+  }
+  // Each case overrides one flag of a valid one-cell grid (the last value of
+  // a repeated flag wins; the spec file is read before any flag applies).
+  const struct {
+    const char* flag;
+    std::string value;
+    const char* key;
+    const char* bad;
+  } cases[] = {
+      {"--seeds", "-1", "seeds", "-1"},
+      {"--nodes", "-60", "nodes", "-60"},
+      {"--spec", spec, "nodes", " 60"},
+      {"--taus", "2", "taus", "2"},
+      {"--degrees", "0", "degrees", "0"},
+      {"--degrees", "inf", "degrees", "inf"},
+  };
+  for (const auto& c : cases) {
+    const std::vector<const char*> argv = {
+        "tgcover", "fleet", "--models", "udg", "--nodes", "40", "--degrees",
+        "10", "--taus", "3", "--seeds", "1", "--no-progress", "--out",
+        sink_.c_str(), c.flag, c.value.c_str()};
+    std::ostringstream out;
+    try {
+      const int rc = run_cli(static_cast<int>(argv.size()), argv.data(), out);
+      ADD_FAILURE() << c.flag << " '" << c.value << "' exited " << rc;
+    } catch (const CheckError& e) {
+      // The binary turns this into exit 1 with the message on stderr.
+      EXPECT_NE(std::string(e.what()).find(std::string("bad value '") + c.bad +
+                                           "' for fleet key '" + c.key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(fs::exists(sink_) && load_bundle(sink_).has("run"))
+        << c.flag << " '" << c.value << "' ran a cell";
+    fs::remove(sink_);
+  }
+}
+
 // ------------------------------------------------------------------ resume
 
 TEST_F(FleetFixture, ResumeSkipsOkCellsAndAppendsOnlyTheMissing) {

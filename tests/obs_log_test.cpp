@@ -70,7 +70,6 @@ TEST_F(ObsLogTest, RuntimeThresholdFiltersSink) {
 }
 
 TEST_F(ObsLogTest, KvTokensFormatNumbersBareAndStringsQuoted) {
-  // kError: the one level that clears every supported TGC_LOG_FLOOR.
   TGC_LOG(kError) << "round done" << obs::kv("round", 7)
                  << obs::kv("loss", 0.25) << obs::kv("file", "a\"b\\c")
                  << obs::kv("ok", true);
@@ -131,7 +130,7 @@ TEST_F(ObsLogTest, FlightCapacityClampsAndTruncatesText) {
 TEST_F(ObsLogTest, CheckFailureDumpsTheRingToTheLogSink) {
   obs::set_flight_capacity(16);
   obs::set_log_level(LogLevel::kOff);  // breadcrumbs stay off the sink...
-  // kError so the breadcrumbs clear any TGC_LOG_FLOOR; kOff still mutes them.
+  // kOff mutes even kError breadcrumbs on the sink; the ring keeps them.
   TGC_LOG(kError) << "breadcrumb one" << obs::kv("round", 1);
   TGC_LOG(kError) << "breadcrumb two" << obs::kv("round", 2);
   EXPECT_EQ(sink_.str(), "");

@@ -1,12 +1,11 @@
 // Telemetry subsystem tests: shard merging across ThreadPool workers, span
 // nesting, JSONL round-trip through `tgcover report`, and the contract that
-// matters most — telemetry never changes a schedule. Every test is written
-// to pass both with TGC_OBS=ON (counters live) and TGC_OBS=OFF (everything
-// compiles to no-ops), branching on obs::kCompiledIn where the two differ.
+// matters most — telemetry never changes a schedule.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -45,15 +44,16 @@ TEST(ObsRegistry, CounterMergeAcrossThreads) {
   pool.parallel_for(0, kIncrements, [](std::size_t, unsigned) {
     obs::add(obs::CounterId::kMessages, 1);
     obs::add(obs::CounterId::kPayloadWords, 3);
+    TGC_OBS_SPAN(obs::SpanId::kKhopCollect);
   });
 
   const obs::Metrics delta = obs::snapshot() - before;
   obs::set_enabled(false);
   // Every worker counted into its own shard; the snapshot merge must not
-  // lose or double-count a single increment. Logical counters are NOT
-  // behind the TGC_OBS gate, so this holds in both builds.
+  // lose or double-count a single increment or span.
   EXPECT_EQ(delta.get(obs::CounterId::kMessages), kIncrements);
   EXPECT_EQ(delta.get(obs::CounterId::kPayloadWords), 3 * kIncrements);
+  EXPECT_EQ(delta.span(obs::SpanId::kKhopCollect).count, kIncrements);
 }
 
 TEST(ObsRegistry, DisabledAddsAreDropped) {
@@ -81,29 +81,19 @@ TEST(ObsSpan, NestingAndHistogram) {
   EXPECT_EQ(obs::span_depth(), 0);
   {
     TGC_OBS_SPAN(obs::SpanId::kVerdicts);
-    if (obs::kCompiledIn) EXPECT_EQ(obs::span_depth(), 1);
+    EXPECT_EQ(obs::span_depth(), 1);
     {
       TGC_OBS_SPAN(obs::SpanId::kMis);
-      if (obs::kCompiledIn) EXPECT_EQ(obs::span_depth(), 2);
+      EXPECT_EQ(obs::span_depth(), 2);
     }
-    if (obs::kCompiledIn) EXPECT_EQ(obs::span_depth(), 1);
+    EXPECT_EQ(obs::span_depth(), 1);
   }
   EXPECT_EQ(obs::span_depth(), 0);
 
   const obs::Metrics delta = obs::snapshot() - before;
   obs::set_enabled(false);
-  if (obs::kCompiledIn) {
-    EXPECT_EQ(delta.span(obs::SpanId::kVerdicts).count, 1u);
-    EXPECT_EQ(delta.span(obs::SpanId::kMis).count, 1u);
-    // Bucket mass must equal the recorded count.
-    std::uint64_t bucket_sum = 0;
-    for (const std::uint64_t b : delta.span(obs::SpanId::kVerdicts).buckets) {
-      bucket_sum += b;
-    }
-    EXPECT_EQ(bucket_sum, 1u);
-  } else {
-    EXPECT_EQ(delta.span(obs::SpanId::kVerdicts).count, 0u);
-  }
+  EXPECT_EQ(delta.span(obs::SpanId::kVerdicts).count, 1u);
+  EXPECT_EQ(delta.span(obs::SpanId::kMis).count, 1u);
 }
 
 TEST(ObsSpan, ToggleMidSpanNeverHalfRecords) {
@@ -171,6 +161,11 @@ TEST(ObsCollector, RoundTripThroughWriter) {
   std::size_t cost_totals = 0;
   std::uint64_t per_round_tests = 0;
   std::optional<obs::JsonRecord> summary;
+  std::map<std::uint64_t, obs::JsonRecord> round_records;
+  std::map<std::uint64_t, obs::CostVec> round_cost;  // summed over phases
+  const auto key_of = [](std::size_t i) {
+    return std::string(obs::counter_name(static_cast<obs::CounterId>(i)));
+  };
   while (std::getline(in, line)) {
     const auto rec = obs::parse_jsonl_line(line);
     ASSERT_TRUE(rec.has_value()) << line;
@@ -178,8 +173,13 @@ TEST(ObsCollector, RoundTripThroughWriter) {
     if (type == "round") {
       ++rounds;
       per_round_tests += rec->u64("vpt_tests");
+      round_records.emplace(rec->u64("round"), *rec);
     } else if (type == "cost") {
       ++cost_records;
+      obs::CostVec& sum = round_cost[rec->u64("round")];
+      for (std::size_t i = 0; i < obs::kNumCounters; ++i) {
+        sum.units[i] += rec->u64(key_of(i));
+      }
     } else if (type == "cost_total") {
       ++cost_totals;
     } else {
@@ -188,16 +188,22 @@ TEST(ObsCollector, RoundTripThroughWriter) {
     }
   }
   ASSERT_TRUE(summary.has_value());
-  // The stream interleaves per-phase logical-cost records with the rounds.
+  // The stream interleaves per-phase logical-cost records with the rounds,
+  // both cut from one snapshot pair: a round's counters are the sum of its
+  // cost records.
+  for (const auto& [round, rec] : round_records) {
+    for (std::size_t i = 0; i < obs::kNumCounters; ++i) {
+      EXPECT_EQ(rec.u64(key_of(i)), round_cost[round].units[i])
+          << "round " << round << " " << key_of(i);
+    }
+  }
   EXPECT_GT(cost_records, 0u);
   EXPECT_GT(cost_totals, 0u);
   EXPECT_EQ(rounds, s.result.rounds);
   EXPECT_EQ(summary->u64("rounds"), s.result.rounds);
   EXPECT_EQ(summary->u64("survivors"), s.result.survivors);
-  EXPECT_EQ(summary->u64("obs_compiled"), obs::kCompiledIn ? 1u : 0u);
   // The summary totals span the whole run, including the final fixpoint
   // round that found no candidates — so they dominate the per-round sum.
-  // Logical counters are live in both TGC_OBS builds.
   EXPECT_GE(summary->u64("vpt_tests"), per_round_tests);
   EXPECT_GT(per_round_tests, 0u);
   EXPECT_EQ(summary->u64("vpt_tests"), s.result.vpt_tests);

@@ -1,7 +1,6 @@
 // Causal event tracer: emission/drain roundtrip, sequence-number semantics,
 // multithreaded emission, the Chrome/Perfetto and JSONL exports, and the
-// checked JsonlWriter sink. Export tests build event vectors by hand so they
-// run under TGC_OBS=OFF too; emission tests skip when compiled out.
+// checked JsonlWriter sink. Export tests build event vectors by hand.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -19,7 +18,6 @@ namespace {
 namespace fs = std::filesystem;
 
 TEST(Trace, EmitDrainRoundtrip) {
-  if (!kCompiledIn) GTEST_SKIP() << "tracing compiled out";
   trace_begin();
   ASSERT_TRUE(trace_active());
   const std::uint64_t send_seq =
@@ -43,14 +41,11 @@ TEST(Trace, EmitDrainRoundtrip) {
 TEST(Trace, InactiveEmitsNothing) {
   const std::uint64_t seq = trace_emit(TraceKind::kSend, 0, 1, 1, 0, 0.0);
   EXPECT_EQ(seq, 0u);
-  if (kCompiledIn) {
-    trace_begin();
-    EXPECT_TRUE(trace_end().empty());
-  }
+  trace_begin();
+  EXPECT_TRUE(trace_end().empty());
 }
 
 TEST(Trace, SequenceResetsOnBegin) {
-  if (!kCompiledIn) GTEST_SKIP() << "tracing compiled out";
   // Two identical traced runs in one process must produce identical
   // sequence numbers — this is what makes repeated traces byte-identical.
   std::vector<std::uint64_t> first, second;
@@ -65,7 +60,6 @@ TEST(Trace, SequenceResetsOnBegin) {
 }
 
 TEST(Trace, MultithreadedEmissionKeepsUniqueSeqs) {
-  if (!kCompiledIn) GTEST_SKIP() << "tracing compiled out";
   constexpr int kThreads = 4;
   constexpr int kPerThread = 500;
   trace_begin();

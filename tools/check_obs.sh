@@ -7,7 +7,9 @@
 # For schedule, distributed --async --loss 0.1, and repair, and for every
 # collector each command supports: the mask and cost.jsonl are byte-identical
 # with the collector armed vs unarmed and at --threads 1 vs 2, and the
-# 2-thread bundle passes tools/bench_gate.py against the serial one. Then:
+# 2-thread bundle passes tools/bench_gate.py against the serial one. The
+# diagnostics knobs (--log-level debug --flight 64 --log-out) change neither
+# file either. Then:
 # report renders byte-identically twice and keeps its section headings, the
 # node ledger balances, a lossy async run holds Proposition 1's bound with
 # positive margin, the gate refuses (exit 2) runs that differ in seed, the
@@ -46,7 +48,7 @@ COLLECTORS[distributed]="trace profile nodes quality"
 COLLECTORS[repair]="profile nodes quality"
 
 for cmd in schedule distributed repair; do
-  step "$cmd: collectors perturb nothing, threads perturb nothing"
+  step "$cmd: collectors, threads and diagnostics perturb nothing"
   # repair exits 1 when the certificate cannot be restored; the artifacts
   # are what is compared here, not the verdict.
   run() { "$TGC" ${ARGS[$cmd]} "$@" || [ "$cmd" = repair ]; }
@@ -59,6 +61,10 @@ for cmd in schedule distributed repair; do
     done
     python3 "$GATE" --baseline "$cmd-$c-1" --fresh "$cmd-$c-2"
   done
+  run --threads 1 --out "$cmd-diag.tgc" --obs-out "$cmd-diag" \
+    --log-level debug --flight 64 --log-out "$cmd-diag.log"
+  cmp "$cmd-plain.tgc" "$cmd-diag.tgc"
+  cmp "$cmd-plain/cost.jsonl" "$cmd-diag/cost.jsonl"
   all=$(echo ${COLLECTORS[$cmd]} | tr ' ' ,)
   run --threads 2 --out "$cmd-all.tgc" --obs-out "$cmd-all" --obs "$all"
   cmp "$cmd-plain.tgc" "$cmd-all.tgc"
