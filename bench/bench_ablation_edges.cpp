@@ -19,13 +19,11 @@
 int main(int argc, char** argv) {
   using namespace tgc;
   util::ArgParser args(argc, argv);
-  const auto n =
-      static_cast<std::size_t>(args.get_int("nodes", 150, "deployed nodes"));
+  const auto n = args.get_uint<std::size_t>("nodes", 150, "deployed nodes");
   const double degree = args.get_double("degree", 15.0, "target avg degree");
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 29, "workload seed"));
-  const auto threads = static_cast<unsigned>(args.get_int(
-      "threads", 1, "VPT worker threads (0 = hardware concurrency)"));
+  const auto seed = args.get_uint<std::uint64_t>("seed", 29, "workload seed");
+  const auto threads = args.get_uint<unsigned>(
+      "threads", 1, "VPT worker threads (0 = hardware concurrency)");
   args.finish();
 
   util::Rng rng(seed);

@@ -16,13 +16,10 @@
 int main(int argc, char** argv) {
   using namespace tgc;
   util::ArgParser args(argc, argv);
-  const auto n =
-      static_cast<std::size_t>(args.get_int("nodes", 180, "deployed nodes"));
+  const auto n = args.get_uint<std::size_t>("nodes", 180, "deployed nodes");
   const double degree = args.get_double("degree", 18.0, "target avg degree");
-  const auto tau =
-      static_cast<unsigned>(args.get_int("tau", 4, "confine size"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 37, "workload seed"));
+  const auto tau = args.get_uint<unsigned>("tau", 4, "confine size");
+  const auto seed = args.get_uint<std::uint64_t>("seed", 37, "workload seed");
   args.finish();
 
   core::Network net;

@@ -97,18 +97,16 @@ int main(int argc, char** argv) {
   util::ArgParser args(argc, argv);
   const double degree =
       args.get_double("degree", 25.0, "target avg degree (paper: 25)");
-  const auto tau =
-      static_cast<unsigned>(args.get_int("tau", 4, "confine size"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 42, "deployment seed"));
-  const auto reps = static_cast<std::size_t>(
-      args.get_int("reps", 3, "timed repetitions per configuration (best-of)"));
+  const auto tau = args.get_uint<unsigned>("tau", 4, "confine size");
+  const auto seed = args.get_uint<std::uint64_t>("seed", 42, "deployment seed");
+  const auto reps = args.get_uint<std::size_t>(
+      "reps", 3, "timed repetitions per configuration (best-of)");
   const std::string json_path = args.get_string(
       "json", "", "write machine-readable results to this file");
-  const auto small_n = static_cast<std::size_t>(
-      args.get_int("nodes-small", 400, "small deployment size"));
-  const auto large_n = static_cast<std::size_t>(
-      args.get_int("nodes-large", 1600, "large deployment size"));
+  const auto small_n = args.get_uint<std::size_t>(
+      "nodes-small", 400, "small deployment size");
+  const auto large_n = args.get_uint<std::size_t>(
+      "nodes-large", 1600, "large deployment size");
   args.finish();
   obs::set_enabled(true);
 

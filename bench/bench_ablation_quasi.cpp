@@ -17,16 +17,13 @@
 int main(int argc, char** argv) {
   using namespace tgc;
   util::ArgParser args(argc, argv);
-  const auto n =
-      static_cast<std::size_t>(args.get_int("nodes", 280, "deployed nodes"));
+  const auto n = args.get_uint<std::size_t>("nodes", 280, "deployed nodes");
   const double side =
       args.get_double("side", 5.8, "square side (controls density)");
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 23, "workload seed"));
-  const auto tau =
-      static_cast<unsigned>(args.get_int("tau", 4, "confine size"));
-  const auto threads = static_cast<unsigned>(args.get_int(
-      "threads", 1, "VPT worker threads (0 = hardware concurrency)"));
+  const auto seed = args.get_uint<std::uint64_t>("seed", 23, "workload seed");
+  const auto tau = args.get_uint<unsigned>("tau", 4, "confine size");
+  const auto threads = args.get_uint<unsigned>(
+      "threads", 1, "VPT worker threads (0 = hardware concurrency)");
   args.finish();
 
   struct Model {

@@ -14,15 +14,13 @@
 int main(int argc, char** argv) {
   using namespace tgc;
   util::ArgParser args(argc, argv);
-  const auto n =
-      static_cast<std::size_t>(args.get_int("nodes", 200, "deployed nodes"));
+  const auto n = args.get_uint<std::size_t>("nodes", 200, "deployed nodes");
   const double degree = args.get_double("degree", 16.0, "target avg degree");
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 19, "workload seed"));
+  const auto seed = args.get_uint<std::uint64_t>("seed", 19, "workload seed");
   const auto tau_max =
-      static_cast<unsigned>(args.get_int("tau-max", 7, "largest confine size"));
-  const auto threads = static_cast<unsigned>(args.get_int(
-      "threads", 1, "VPT worker threads (0 = hardware concurrency)"));
+      args.get_uint<unsigned>("tau-max", 7, "largest confine size");
+  const auto threads = args.get_uint<unsigned>(
+      "threads", 1, "VPT worker threads (0 = hardware concurrency)");
   args.finish();
 
   util::Rng rng(seed);

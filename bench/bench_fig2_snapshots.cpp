@@ -16,21 +16,20 @@
 int main(int argc, char** argv) {
   using namespace tgc;
   util::ArgParser args(argc, argv);
-  const auto n = static_cast<std::size_t>(
-      args.get_int("nodes", 450, "number of deployed nodes"));
+  const auto n = args.get_uint<std::size_t>(
+      "nodes", 450, "number of deployed nodes");
   const double degree = args.get_double("degree", 25.0, "target avg degree");
-  const auto seed = static_cast<std::uint64_t>(
-      args.get_int("seed", 2010, "workload seed"));
+  const auto seed = args.get_uint<std::uint64_t>("seed", 2010, "workload seed");
   const auto tau_min =
-      static_cast<unsigned>(args.get_int("tau-min", 3, "smallest confine size"));
+      args.get_uint<unsigned>("tau-min", 3, "smallest confine size");
   const auto tau_max =
-      static_cast<unsigned>(args.get_int("tau-max", 6, "largest confine size"));
+      args.get_uint<unsigned>("tau-max", 6, "largest confine size");
   const std::string dump =
       args.get_string("dump", "", "CSV prefix for snapshot dumps");
   const std::string svg =
       args.get_string("svg", "", "SVG prefix for snapshot renders");
-  const auto threads = static_cast<unsigned>(args.get_int(
-      "threads", 1, "VPT worker threads (0 = hardware concurrency)"));
+  const auto threads = args.get_uint<unsigned>(
+      "threads", 1, "VPT worker threads (0 = hardware concurrency)");
   args.finish();
 
   const double side = gen::side_for_average_degree(n, 1.0, degree);

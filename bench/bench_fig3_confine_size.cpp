@@ -17,18 +17,17 @@
 int main(int argc, char** argv) {
   using namespace tgc;
   util::ArgParser args(argc, argv);
-  const auto n = static_cast<std::size_t>(
-      args.get_int("nodes", 300, "number of deployed nodes (paper: 1600)"));
+  const auto n = args.get_uint<std::size_t>(
+      "nodes", 300, "number of deployed nodes (paper: 1600)");
   const double degree =
       args.get_double("degree", 25.0, "target avg degree (paper: 25)");
-  const auto runs = static_cast<std::size_t>(
-      args.get_int("runs", 3, "random deployments to average (paper: 100)"));
+  const auto runs = args.get_uint<std::size_t>(
+      "runs", 3, "random deployments to average (paper: 100)");
   const auto tau_max =
-      static_cast<unsigned>(args.get_int("tau-max", 9, "largest confine size"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 42, "base seed"));
-  const auto threads = static_cast<unsigned>(args.get_int(
-      "threads", 1, "VPT worker threads (0 = hardware concurrency)"));
+      args.get_uint<unsigned>("tau-max", 9, "largest confine size");
+  const auto seed = args.get_uint<std::uint64_t>("seed", 42, "base seed");
+  const auto threads = args.get_uint<unsigned>(
+      "threads", 1, "VPT worker threads (0 = hardware concurrency)");
   args.finish();
 
   const double side = gen::side_for_average_degree(n, 1.0, degree);

@@ -22,20 +22,19 @@
 int main(int argc, char** argv) {
   using namespace tgc;
   util::ArgParser args(argc, argv);
-  const auto n = static_cast<std::size_t>(
-      args.get_int("nodes", 240, "number of deployed nodes (paper: 1600)"));
+  const auto n = args.get_uint<std::size_t>(
+      "nodes", 240, "number of deployed nodes (paper: 1600)");
   const double degree =
       args.get_double("degree", 25.0, "target avg degree (paper: 25)");
-  const auto runs = static_cast<std::size_t>(
-      args.get_int("runs", 3, "random deployments to average (paper: 100)"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 7, "base seed"));
+  const auto runs = args.get_uint<std::size_t>(
+      "runs", 3, "random deployments to average (paper: 100)");
+  const auto seed = args.get_uint<std::uint64_t>("seed", 7, "base seed");
   const bool paper_bound = args.get_flag(
       "paper-bound", "use only the paper's (tau-2)Rc bound for tau selection");
   const auto tau_cap =
-      static_cast<unsigned>(args.get_int("tau-cap", 9, "largest tau tried"));
-  const auto threads = static_cast<unsigned>(args.get_int(
-      "threads", 1, "VPT worker threads (0 = hardware concurrency)"));
+      args.get_uint<unsigned>("tau-cap", 9, "largest tau tried");
+  const auto threads = args.get_uint<unsigned>(
+      "threads", 1, "VPT worker threads (0 = hardware concurrency)");
   args.finish();
 
   const double side = gen::side_for_average_degree(n, 1.0, degree);

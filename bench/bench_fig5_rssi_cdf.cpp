@@ -13,12 +13,11 @@ int main(int argc, char** argv) {
   using namespace tgc;
   util::ArgParser args(argc, argv);
   trace::GreenOrbsOptions options;
-  options.nodes = static_cast<std::size_t>(
-      args.get_int("nodes", 296, "sensors in the forest strip"));
-  options.seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 2009, "workload seed"));
-  options.trace.epochs = static_cast<std::size_t>(args.get_int(
-      "epochs", 288, "packet epochs accumulated (two days at 10 min)"));
+  options.nodes = args.get_uint<std::size_t>(
+      "nodes", 296, "sensors in the forest strip");
+  options.seed = args.get_uint<std::uint64_t>("seed", 2009, "workload seed");
+  options.trace.epochs = args.get_uint<std::size_t>(
+      "epochs", 288, "packet epochs accumulated (two days at 10 min)");
   args.finish();
 
   const trace::GreenOrbsNetwork net = trace::build_greenorbs_network(options);

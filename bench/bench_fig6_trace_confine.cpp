@@ -15,16 +15,15 @@ int main(int argc, char** argv) {
   using namespace tgc;
   util::ArgParser args(argc, argv);
   trace::GreenOrbsOptions options;
-  options.nodes = static_cast<std::size_t>(
-      args.get_int("nodes", 296, "sensors in the forest strip"));
-  options.seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 2009, "workload seed"));
-  options.trace.epochs = static_cast<std::size_t>(
-      args.get_int("epochs", 288, "packet epochs accumulated"));
+  options.nodes = args.get_uint<std::size_t>(
+      "nodes", 296, "sensors in the forest strip");
+  options.seed = args.get_uint<std::uint64_t>("seed", 2009, "workload seed");
+  options.trace.epochs = args.get_uint<std::size_t>(
+      "epochs", 288, "packet epochs accumulated");
   const auto tau_max =
-      static_cast<unsigned>(args.get_int("tau-max", 8, "largest confine size"));
-  const auto threads = static_cast<unsigned>(args.get_int(
-      "threads", 1, "VPT worker threads (0 = hardware concurrency)"));
+      args.get_uint<unsigned>("tau-max", 8, "largest confine size");
+  const auto threads = args.get_uint<unsigned>(
+      "threads", 1, "VPT worker threads (0 = hardware concurrency)");
   args.finish();
 
   const trace::GreenOrbsNetwork net = trace::build_greenorbs_network(options);

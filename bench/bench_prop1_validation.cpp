@@ -17,15 +17,13 @@
 int main(int argc, char** argv) {
   using namespace tgc;
   util::ArgParser args(argc, argv);
-  const auto n = static_cast<std::size_t>(
-      args.get_int("nodes", 280, "number of deployed nodes"));
+  const auto n = args.get_uint<std::size_t>(
+      "nodes", 280, "number of deployed nodes");
   const double degree = args.get_double("degree", 25.0, "target avg degree");
-  const auto runs =
-      static_cast<std::size_t>(args.get_int("runs", 2, "runs per cell"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 11, "base seed"));
-  const auto threads = static_cast<unsigned>(args.get_int(
-      "threads", 1, "VPT worker threads (0 = hardware concurrency)"));
+  const auto runs = args.get_uint<std::size_t>("runs", 2, "runs per cell");
+  const auto seed = args.get_uint<std::uint64_t>("seed", 11, "base seed");
+  const auto threads = args.get_uint<unsigned>(
+      "threads", 1, "VPT worker threads (0 = hardware concurrency)");
   args.finish();
 
   const double side = gen::side_for_average_degree(n, 1.0, degree);

@@ -23,12 +23,10 @@
 int main(int argc, char** argv) {
   using namespace tgc;
   util::ArgParser args(argc, argv);
-  const auto n =
-      static_cast<std::size_t>(args.get_int("nodes", 220, "deployed nodes"));
+  const auto n = args.get_uint<std::size_t>("nodes", 220, "deployed nodes");
   const double gamma =
       args.get_double("gamma", 2.0, "sensing ratio Rc/Rs (sparse sensing)");
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 77, "workload seed"));
+  const auto seed = args.get_uint<std::uint64_t>("seed", 77, "workload seed");
   args.finish();
 
   // A deliberately sparse strip: not enough density for blanket coverage.

@@ -16,13 +16,11 @@
 int main(int argc, char** argv) {
   using namespace tgc;
   util::ArgParser args(argc, argv);
-  const auto tau =
-      static_cast<unsigned>(args.get_int("tau", 5, "confine size"));
+  const auto tau = args.get_uint<unsigned>("tau", 5, "confine size");
   trace::GreenOrbsOptions options;
-  options.nodes = static_cast<std::size_t>(
-      args.get_int("nodes", 296, "sensors in the forest"));
-  options.seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 2009, "workload seed"));
+  options.nodes = args.get_uint<std::size_t>(
+      "nodes", 296, "sensors in the forest");
+  options.seed = args.get_uint<std::uint64_t>("seed", 2009, "workload seed");
   args.finish();
 
   std::puts("forest monitoring: building the trace-derived topology...");

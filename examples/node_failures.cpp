@@ -19,14 +19,11 @@
 int main(int argc, char** argv) {
   using namespace tgc;
   util::ArgParser args(argc, argv);
-  const auto tau =
-      static_cast<unsigned>(args.get_int("tau", 4, "confine size"));
-  const auto n =
-      static_cast<std::size_t>(args.get_int("nodes", 350, "deployed nodes"));
-  const auto failures = static_cast<std::size_t>(
-      args.get_int("failures", 8, "awake nodes to crash"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 909, "workload seed"));
+  const auto tau = args.get_uint<unsigned>("tau", 4, "confine size");
+  const auto n = args.get_uint<std::size_t>("nodes", 350, "deployed nodes");
+  const auto failures = args.get_uint<std::size_t>(
+      "failures", 8, "awake nodes to crash");
+  const auto seed = args.get_uint<std::uint64_t>("seed", 909, "workload seed");
   args.finish();
 
   util::Rng rng(seed);

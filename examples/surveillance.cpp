@@ -25,10 +25,8 @@ int main(int argc, char** argv) {
       args.get_double("gamma", 1.6, "sensing ratio Rc/Rs (<= 2)");
   const double max_hole = args.get_double(
       "max-hole", 1.0, "largest tolerable hole diameter, in units of Rc");
-  const auto n =
-      static_cast<std::size_t>(args.get_int("nodes", 400, "deployed nodes"));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 2718, "workload seed"));
+  const auto n = args.get_uint<std::size_t>("nodes", 400, "deployed nodes");
+  const auto seed = args.get_uint<std::uint64_t>("seed", 2718, "workload seed");
   args.finish();
 
   // Pick τ from the requirement (largest admissible → sparsest set).

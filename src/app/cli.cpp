@@ -84,12 +84,12 @@ std::vector<bool> load_mask_for(const std::string& path,
 
 /// Confine size τ — the paper's single protocol parameter.
 unsigned declare_tau(util::ArgParser& args) {
-  return static_cast<unsigned>(args.get_int("tau", 4, "confine size"));
+  return args.get_uint<unsigned>("tau", 4, "confine size");
 }
 
 /// MIS election seed shared by the scheduling commands.
 std::uint64_t declare_mis_seed(util::ArgParser& args) {
-  return static_cast<std::uint64_t>(args.get_int("seed", 1, "MIS seed"));
+  return args.get_uint<std::uint64_t>("seed", 1, "MIS seed");
 }
 
 /// Periphery band width — prepare_network's only knob.
@@ -352,11 +352,9 @@ class RunObservers {
 int cmd_generate(util::ArgParser& args, std::ostream& out) {
   const std::string type =
       args.get_string("type", "udg", "workload type: udg | quasi | strip");
-  const auto n =
-      static_cast<std::size_t>(args.get_int("nodes", 400, "node count"));
+  const auto n = args.get_uint<std::size_t>("nodes", 400, "node count");
   const double degree = args.get_double("degree", 25.0, "target avg degree");
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1, "random seed"));
+  const auto seed = args.get_uint<std::uint64_t>("seed", 1, "random seed");
   const std::string path =
       args.get_string("out", "network.tgc", "output network file");
   const double alpha =
@@ -471,7 +469,7 @@ int cmd_quality(util::ArgParser& args, std::ostream& out) {
   const std::string schedule_path =
       args.get_string("schedule", "", "awake-set mask (empty = all awake)");
   const auto cap =
-      static_cast<unsigned>(args.get_int("tau-cap", 16, "certificate search cap"));
+      args.get_uint<unsigned>("tau-cap", 16, "certificate search cap");
   const double band = declare_band(args);
   const double gamma =
       args.get_double("gamma", 0.0, "sensing ratio for the Dmax bound (0 = skip)");
@@ -528,12 +526,11 @@ int cmd_render(util::ArgParser& args, std::ostream& out) {
 
 int cmd_trace(util::ArgParser& args, std::ostream& out) {
   trace::GreenOrbsOptions options;
-  options.nodes = static_cast<std::size_t>(
-      args.get_int("nodes", 296, "sensors in the forest strip"));
-  options.seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 2009, "workload seed"));
-  options.trace.epochs = static_cast<std::size_t>(
-      args.get_int("epochs", 288, "packet epochs accumulated"));
+  options.nodes = args.get_uint<std::size_t>(
+      "nodes", 296, "sensors in the forest strip");
+  options.seed = args.get_uint<std::uint64_t>("seed", 2009, "workload seed");
+  options.trace.epochs = args.get_uint<std::size_t>(
+      "epochs", 288, "packet epochs accumulated");
   const std::string path =
       args.get_string("out", "trace.tgc", "output network file");
   configure_logging(args);
@@ -569,8 +566,8 @@ int cmd_distributed(util::ArgParser& args, std::ostream& out) {
       args.get_double("min-delay", 0.5, "minimum link delay (async)");
   const double max_delay =
       args.get_double("max-delay", 1.5, "maximum link delay (async)");
-  const auto net_seed = static_cast<std::uint64_t>(
-      args.get_int("net-seed", 1, "link delay / loss seed (async)"));
+  const auto net_seed = args.get_uint<std::uint64_t>(
+      "net-seed", 1, "link delay / loss seed (async)");
   const double retransmit = args.get_double(
       "retransmit", 4.0, "retransmission interval for unacked messages");
   ObsFlags obs_flags = declare_obs(args);

@@ -144,12 +144,12 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
   // deletion-flood erasures, so a node re-evaluates exactly when it heard a
   // deletion notice (the dirty frontier flood_deletions returns) — no extra
   // messages needed; the invalidation signal is the protocol's own flood.
-  enum : char { kUnknown = 0, kDeletable = 1, kNotDeletable = 2 };
-  std::vector<char> verdict(g.num_vertices(), kUnknown);
+  // `verdict` holds each node's latest test (distinct char slots, written
+  // by the workers); every node starts dirty.
+  std::vector<char> verdict(g.num_vertices(), 0);
   std::vector<bool> dirty(g.num_vertices(), true);
-  std::vector<char> fresh(g.num_vertices(), 0);
 
-  while (out.schedule.rounds < config.max_rounds) {
+  while (true) {
     if (config.collector != nullptr) config.collector->begin_round();
     const bool traced = obs::trace_active();
     const auto attempt = static_cast<std::uint32_t>(out.schedule.rounds + 1);
@@ -168,7 +168,7 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
       to_test.clear();
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         if (!out.schedule.active[v] || !internal[v]) continue;
-        if (dirty[v] || verdict[v] == kUnknown) {
+        if (dirty[v]) {
           to_test.push_back(v);
         } else {
           ++out.schedule.cache_hits;
@@ -178,13 +178,10 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
       out.schedule.vpt_tests += to_test.size();
       pool.parallel_for(0, to_test.size(),
                         [&](std::size_t i, unsigned worker) {
-                          fresh[to_test[i]] = vpt_vertex_deletable_local(
+                          verdict[to_test[i]] = vpt_vertex_deletable_local(
                               views[to_test[i]], vpt, workspaces[worker]);
                         });
-      for (const VertexId v : to_test) {
-        verdict[v] = fresh[v] != 0 ? kDeletable : kNotDeletable;
-        dirty[v] = false;
-      }
+      for (const VertexId v : to_test) dirty[v] = false;
       // One ascending pass over cached and fresh verdicts alike: candidates
       // and kVerdict trace events come out in node order whether a verdict
       // was re-evaluated or reused, so the trace stream does not depend on
@@ -193,10 +190,9 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
         if (!out.schedule.active[v] || !internal[v]) continue;
         if (traced) {
           obs::trace_emit(obs::TraceKind::kVerdict, v, obs::kTraceNoNode, 0,
-                          verdict[v] == kDeletable ? 1 : 0,
-                          sched_clock(runner));
+                          verdict[v] != 0 ? 1 : 0, sched_clock(runner));
         }
-        if (verdict[v] == kDeletable) {
+        if (verdict[v] != 0) {
           candidate[v] = true;
           ++num_candidates;
         }
@@ -235,7 +231,6 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
       const std::vector<VertexId> dirtied =
           flood_deletions(runner, selected, k, views);
       for (const VertexId v : dirtied) dirty[v] = true;
-      out.schedule.dirty_marked += dirtied.size();
       obs::add(obs::CounterId::kDirtyNodes, dirtied.size());
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         if (!selected[v]) continue;

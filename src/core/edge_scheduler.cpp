@@ -1,48 +1,18 @@
 #include "tgcover/core/edge_scheduler.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "tgcover/core/vpt.hpp"
+#include "tgcover/graph/algorithms.hpp"
 #include "tgcover/sim/mis.hpp"
 #include "tgcover/util/check.hpp"
 #include "tgcover/util/rng.hpp"
 
 namespace tgc::core {
 
-namespace {
-
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
-
-/// The nodes within `k` hops of link `e`'s endpoints over the masked
-/// topology (active nodes, active links), found by one BFS seeded with both
-/// endpoints.
-std::vector<VertexId> link_ball(const Graph& g,
-                                const std::vector<bool>& node_active,
-                                const std::vector<bool>& edge_active, EdgeId e,
-                                unsigned k) {
-  const auto [u, v] = g.edge(e);
-  std::unordered_map<VertexId, unsigned> dist{{u, 0}, {v, 0}};
-  std::vector<VertexId> ball{u, v};
-  for (std::size_t head = 0; head < ball.size(); ++head) {
-    const VertexId a = ball[head];
-    const unsigned da = dist.at(a);
-    if (da == k) continue;
-    const auto nbrs = g.neighbors(a);
-    const auto eids = g.incident_edges(a);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId w = nbrs[i];
-      if (!node_active[w] || !edge_active[eids[i]]) continue;
-      if (!dist.emplace(w, da + 1).second) continue;
-      ball.push_back(w);
-    }
-  }
-  return ball;
-}
-
-}  // namespace
 
 EdgeScheduleResult dcc_schedule_edges(const Graph& g,
                                       const std::vector<bool>& node_active,
@@ -64,25 +34,36 @@ EdgeScheduleResult dcc_schedule_edges(const Graph& g,
     return protected_edges.size() != 0 && protected_edges.test(e);
   };
 
-  enum class Verdict : char { kUnknown, kDeletable, kNotDeletable };
-  std::vector<Verdict> verdict(g.num_edges(), Verdict::kUnknown);
+  // Per-call verdict cache: every link starts dirty and is re-tested only
+  // after a deletion lands near it.
+  std::vector<bool> deletable(g.num_edges(), false);
   std::vector<bool> dirty(g.num_edges(), true);
   VptWorkspace ws;
 
-  while (result.rounds < config.max_rounds) {
+  // The nodes within `depth` hops of link e's endpoints over the masked
+  // topology (active nodes, active links); valid until the next call.
+  graph::BoundedBfs ball;
+  const auto around = [&](EdgeId e, unsigned depth) {
+    const auto [u, v] = g.edge(e);
+    const VertexId ends[] = {u, v};
+    ball.run(g, ends, depth, [&](VertexId w, EdgeId we) {
+      return node_active[w] && result.edge_active[we];
+    });
+    return ball.reached();
+  };
+
+  while (true) {
     // Candidate links: deletable per the VPT edge operator.
     std::vector<EdgeId> candidates;
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       if (!result.edge_active[e] || is_protected(e)) continue;
-      if (dirty[e] || verdict[e] == Verdict::kUnknown) {
+      if (dirty[e]) {
         ++result.vpt_tests;
-        verdict[e] = vpt_edge_deletable(g, node_active, result.edge_active, e,
-                                        vpt, ws)
-                         ? Verdict::kDeletable
-                         : Verdict::kNotDeletable;
+        deletable[e] = vpt_edge_deletable(g, node_active, result.edge_active,
+                                          e, vpt, ws);
         dirty[e] = false;
       }
-      if (verdict[e] == Verdict::kDeletable) candidates.push_back(e);
+      if (deletable[e]) candidates.push_back(e);
     }
     if (candidates.empty()) break;
     ++result.rounds;
@@ -105,22 +86,17 @@ EdgeScheduleResult dcc_schedule_edges(const Graph& g,
       const auto [u, v] = g.edge(e);
       if (node_blocked[u] || node_blocked[v]) continue;
       selected.push_back(e);
-      for (const VertexId w :
-           link_ball(g, node_active, result.edge_active, e, k)) {
-        node_blocked[w] = true;
-      }
+      for (const VertexId w : around(e, k)) node_blocked[w] = true;
     }
     TGC_CHECK(!selected.empty());
 
     // Delete the selected links; verdicts near them go stale.
     for (const EdgeId e : selected) {
-      const std::vector<VertexId> stale =
-          link_ball(g, node_active, result.edge_active, e, k + 1);
-      result.edge_active[e] = false;
-      ++result.pruned;
-      for (const VertexId w : stale) {
+      for (const VertexId w : around(e, k + 1)) {
         for (const EdgeId ne : g.incident_edges(w)) dirty[ne] = true;
       }
+      result.edge_active[e] = false;
+      ++result.pruned;
     }
   }
 

@@ -15,8 +15,9 @@ namespace tgc::core {
 /// *sleeping* nodes within `wake_radius` hops of a failure, re-runs the
 /// deletion fixpoint with exactly those nodes deletable, and (when a
 /// boundary cycle is supplied) escalates the radius until the criterion
-/// certifies again or the whole network is awake — or stops after the first
-/// wave when a failed node carried a CB edge, which no wake brings back.
+/// certifies again or every node a failure can reach is awake — or stops
+/// after the first wave when a failed node carried a CB edge, which no wake
+/// brings back. Each wave is one fresh scheduler call.
 /// Safety is inherited from Theorem 5: re-deletions are VPT steps, so a
 /// restored certificate is never broken by the cleanup.
 struct RepairResult {

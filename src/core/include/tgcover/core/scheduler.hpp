@@ -12,26 +12,13 @@ class RoundCollector;
 
 namespace tgc::core {
 
-class VerdictCache;
-
 /// Configuration of a DCC scheduling run.
 struct DccConfig {
+  /// Confine size; the local radius is the minimum legal k = ⌈τ/2⌉.
   unsigned tau = 3;
-  /// Local radius override (0 → the minimum legal k = ⌈τ/2⌉).
-  unsigned k = 0;
   /// Seed for the per-round MIS priorities. The oracle and distributed
   /// executors produce identical schedules for identical seeds.
   std::uint64_t seed = 1;
-  /// Safety cap on deletion rounds (the fixpoint terminates on its own).
-  std::size_t max_rounds = static_cast<std::size_t>(-1);
-  /// Optional external verdict cache surviving across scheduler calls.
-  /// Every executor caches VPT verdicts across rounds and re-tests only the
-  /// nodes whose punctured k-hop ball a deletion wave touched (DESIGN.md
-  /// §11). `dcc_repair` threads one cache through its escalating waves so
-  /// verdicts far from the failure are not re-evaluated wave after wave;
-  /// `prepare` re-dirties exactly the neighbourhood of the awake-set delta.
-  /// Null: the scheduler uses a private per-call cache.
-  VerdictCache* cache = nullptr;
   /// Optional fixed per-node MIS priorities (higher = deleted earlier),
   /// overriding the seeded random ones. Used by the energy-aware lifetime
   /// scheduler. Oracle executor only; must be empty for the distributed one.
@@ -48,7 +35,7 @@ struct DccConfig {
   /// and without a collector (asserted by the obs determinism test).
   obs::RoundCollector* collector = nullptr;
 
-  VptConfig vpt() const { return VptConfig{tau, k}; }
+  VptConfig vpt() const { return VptConfig{tau, 0}; }
 };
 
 struct DccRoundInfo {
@@ -63,10 +50,11 @@ struct DccResult {
   std::size_t rounds = 0;
   std::vector<DccRoundInfo> per_round;
   std::size_t vpt_tests = 0;  ///< VPT evaluations performed
-  /// Verdicts reused from the cache instead of re-evaluated.
+  /// Verdicts reused from an earlier round of the same call instead of
+  /// re-evaluated: every executor caches verdicts across rounds and
+  /// re-tests only the nodes whose punctured k-hop ball a deletion wave
+  /// touched (DESIGN.md §11). No verdict outlives the call.
   std::size_t cache_hits = 0;
-  /// Nodes marked dirty by deletion/wake frontiers across the run.
-  std::size_t dirty_marked = 0;
 };
 
 /// DCC — the paper's distributed confine-coverage scheduling (Section V-B) —

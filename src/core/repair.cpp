@@ -1,10 +1,6 @@
 #include "tgcover/core/repair.hpp"
 
-#include <algorithm>
-#include <deque>
-
 #include "tgcover/core/criterion.hpp"
-#include "tgcover/core/verdict_cache.hpp"
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/obs/log.hpp"
 #include "tgcover/obs/obs.hpp"
@@ -13,45 +9,8 @@
 
 namespace tgc::core {
 
-namespace {
-
 using graph::Graph;
 using graph::VertexId;
-
-/// Non-failed nodes within `radius` hops of any failed node, measured over
-/// the full surviving topology (sleeping radios can be woken, so they relay
-/// for the purpose of this distance).
-std::vector<bool> near_failures(const Graph& g, const std::vector<bool>& failed,
-                                unsigned radius) {
-  std::vector<std::uint32_t> dist(g.num_vertices(), graph::kUnreached);
-  std::deque<VertexId> queue;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (failed[v]) {
-      dist[v] = 0;
-      queue.push_back(v);
-    }
-  }
-  std::uint64_t expanded = 0;
-  while (!queue.empty()) {
-    const VertexId u = queue.front();
-    queue.pop_front();
-    if (dist[u] == radius) continue;
-    for (const VertexId w : g.neighbors(u)) {
-      if (failed[w] || dist[w] != graph::kUnreached) continue;
-      dist[w] = dist[u] + 1;
-      queue.push_back(w);
-      ++expanded;
-    }
-  }
-  obs::add(obs::CounterId::kBfsExpansions, expanded);
-  std::vector<bool> near(g.num_vertices(), false);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    near[v] = !failed[v] && dist[v] != graph::kUnreached;
-  }
-  return near;
-}
-
-}  // namespace
 
 RepairResult dcc_repair(const Graph& g, const std::vector<bool>& internal,
                         const std::vector<bool>& active_before,
@@ -77,38 +36,39 @@ RepairResult dcc_repair(const Graph& g, const std::vector<bool>& internal,
     });
   }
 
-  // One verdict cache threaded through every escalating wave: each wave's
-  // awake set differs from the previous one only near the failures, so
-  // `prepare` re-dirties just that delta's k-neighbourhood and verdicts far
-  // from the failure survive wave re-entry instead of being recomputed from
-  // scratch each time the radius doubles.
-  VerdictCache wave_cache;
-  DccConfig wave_config = config;
-  if (wave_config.cache == nullptr) wave_config.cache = &wave_cache;
+  std::vector<VertexId> failures;
+  for (VertexId v = 0; v < n; ++v) {
+    if (failed[v]) failures.push_back(v);
+  }
+  graph::BoundedBfs near;
 
+  // Each wave is one fresh scheduler call: it restarts from the pre-failure
+  // schedule, so it re-wakes every sleeper the previous wave put back to
+  // sleep and no verdict from that wave could be reused (DESIGN.md §11).
   for (unsigned radius = k;; radius *= 2) {
     TGC_OBS_SPAN(obs::SpanId::kRepairWave);
     const obs::CostPhaseScope cost_phase(obs::CostPhase::kRepair);
     obs::add(obs::CounterId::kRepairWaves, 1);
-    // Wake the sleeping nodes near the failures (cumulative as the radius
-    // escalates: near_failures is monotone in radius).
-    const auto near = near_failures(g, failed, radius);
+    // Wake the sleeping nodes within `radius` hops of a failure, measured
+    // over the full surviving topology (sleeping radios can be woken, so
+    // they relay). The wake set grows with the radius.
+    near.run(g, failures, radius,
+             [&](VertexId w, graph::EdgeId) { return !failed[w]; });
+    obs::add(obs::CounterId::kBfsExpansions, near.expansions());
     std::vector<bool> awake(n, false);
+    for (VertexId v = 0; v < n; ++v) awake[v] = active_before[v] && !failed[v];
+    // Only the woken nodes are candidates for the cleanup deletions — the
+    // pre-failure schedule is left untouched.
     std::vector<bool> deletable(n, false);
     std::size_t woken = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      if (failed[v]) continue;
-      const bool was_awake = active_before[v];
-      const bool wake_now = !was_awake && near[v];
-      awake[v] = was_awake || wake_now;
-      // Only the woken nodes are candidates for the cleanup deletions — the
-      // pre-failure schedule is left untouched.
-      deletable[v] = wake_now && internal[v];
-      if (wake_now) ++woken;
+    for (const VertexId v : near.reached()) {
+      if (failed[v] || awake[v]) continue;
+      awake[v] = true;
+      deletable[v] = internal[v];
+      ++woken;
     }
 
-    const DccResult cleaned =
-        dcc_schedule_from(g, deletable, awake, wave_config);
+    const DccResult cleaned = dcc_schedule_from(g, deletable, awake, config);
     result.active = cleaned.active;
     result.woken = woken;
     result.redeleted = cleaned.deleted;
@@ -128,19 +88,14 @@ RepairResult dcc_repair(const Graph& g, const std::vector<bool>& internal,
                     << obs::kv("redeleted", cleaned.deleted)
                     << obs::kv("restored", result.criterion_restored);
 
-    if (!certify || result.criterion_restored || cb_severed) return result;
-
-    // Escalate until everything sleeping is awake; then give up (the
-    // survivors simply cannot certify τ any more). With no failures at all
-    // `near` never grows, so escalation cannot help either — give up after
-    // the first wave instead of doubling the radius forever.
-    bool everyone_near = true;
-    bool any_failed = false;
-    for (VertexId v = 0; v < n; ++v) {
-      if (failed[v]) any_failed = true;
-      if (!failed[v] && !near[v]) everyone_near = false;
+    // Escalate only while the search from the failures is cut off by the
+    // radius. Once it is not, every node a failure can reach is awake and a
+    // wider wave would wake nobody; with no failures that is the first wave.
+    // Nodes no failure reaches never hold the escalation open.
+    if (!certify || result.criterion_restored || cb_severed ||
+        !near.cut_off()) {
+      return result;
     }
-    if (everyone_near || !any_failed) return result;
   }
 }
 

@@ -1,6 +1,5 @@
 #include "tgcover/core/scheduler.hpp"
 
-#include "tgcover/core/verdict_cache.hpp"
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/obs/log.hpp"
 #include "tgcover/obs/node_stats.hpp"
@@ -41,22 +40,18 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
   DccResult result;
   result.active = initial_active;
 
-  // Cross-round verdict cache (DESIGN.md §11). A verdict depends only on the
-  // punctured k-hop ball, so it stays valid until a state change occurs
-  // within k hops; the cache tracks that dirty frontier. Callers may pass a
-  // cache that already saw an earlier awake set (repair waves) — `prepare`
-  // re-dirties exactly the delta neighbourhood.
-  VerdictCache local_cache;
-  VerdictCache& cache = config.cache != nullptr ? *config.cache : local_cache;
-  cache.prepare(g, result.active, k);
-  result.dirty_marked += cache.last_dirty_marked();
-
+  // Per-call verdict cache (DESIGN.md §11). A verdict depends only on the
+  // punctured k-hop ball, so it stays valid until a deletion lands within k
+  // hops. `verdict` holds each node's latest test; workers write distinct
+  // char slots (no word sharing), and the scheduler thread alone touches
+  // the packed dirty bits. Every node starts dirty.
+  const std::size_t n = g.num_vertices();
+  std::vector<char> verdict(n, 0);
+  std::vector<bool> dirty(n, true);
+  obs::add(obs::CounterId::kDirtyNodes, n);
+  graph::BoundedBfs frontier;
   std::vector<VertexId> to_test;
   std::vector<VertexId> deleted_wave;
-  // Per-node fresh verdicts for the current round's fan-out. Workers write
-  // distinct char slots (no word sharing, unlike the cache's packed dirty
-  // bits); the scheduler thread folds them into the cache afterwards.
-  std::vector<char> fresh(g.num_vertices(), 0);
 
   // Running awake count, maintained for the round log only.
   std::size_t num_active = 0;
@@ -64,24 +59,22 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
     if (a) ++num_active;
   }
 
-  while (result.rounds < config.max_rounds) {
+  while (true) {
     if (config.collector != nullptr) config.collector->begin_round();
     // Step 1 (Section V-B): every internal node tests its own deletability
-    // from local connectivity. Only dirty (or never-evaluated) nodes are
-    // tested; the rest reuse their cached verdict, which is sound because
-    // the cache's invariant guarantees the ball they were computed against
-    // is unchanged. Each verdict reads only the graph and the pre-round
-    // `active` snapshot and writes only its own slot (a distinct char — no
-    // word sharing), so the dirty set fans out over the pool and the outcome
-    // is bit-identical to the serial loop.
+    // from local connectivity. Only dirty nodes are tested; the rest reuse
+    // their verdict, which is sound because no deletion has reached their
+    // ball since it was computed. Each verdict reads only the graph and the
+    // pre-round `active` snapshot and writes only its own slot, so the dirty
+    // set fans out over the pool and the outcome is bit-identical to the
+    // serial loop.
     {
       TGC_OBS_SPAN(obs::SpanId::kVerdicts);
       const obs::CostPhaseScope cost_phase(obs::CostPhase::kVerdicts);
       to_test.clear();
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         if (!result.active[v] || !internal[v]) continue;
-        if (cache.dirty(v) ||
-            cache.verdict(v) == VerdictCache::Verdict::kUnknown) {
+        if (dirty[v]) {
           to_test.push_back(v);
         } else {
           ++result.cache_hits;
@@ -91,19 +84,17 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
       result.vpt_tests += to_test.size();
       pool.parallel_for(0, to_test.size(), [&](std::size_t i, unsigned worker) {
         const VertexId v = to_test[i];
-        fresh[v] = vpt_vertex_deletable(g, result.active, v, vpt,
-                                        workspaces[worker])
-                       ? 1
-                       : 0;
+        verdict[v] =
+            vpt_vertex_deletable(g, result.active, v, vpt, workspaces[worker]);
       });
-      for (const VertexId v : to_test) cache.store(v, fresh[v] != 0);
+      for (const VertexId v : to_test) dirty[v] = false;
     }
 
     std::vector<bool> candidate(g.num_vertices(), false);
     std::size_t num_candidates = 0;
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       if (!result.active[v] || !internal[v]) continue;
-      if (cache.verdict(v) == VerdictCache::Verdict::kDeletable) {
+      if (verdict[v] != 0) {
         candidate[v] = true;
         ++num_candidates;
       }
@@ -143,8 +134,18 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
         if (selected[v]) deleted_wave.push_back(v);
       }
       TGC_CHECK(!deleted_wave.empty());  // MIS of a non-empty set is non-empty
-      cache.note_deletions(g, result.active, deleted_wave, k);
-      result.dirty_marked += cache.last_dirty_marked();
+      frontier.run(g, deleted_wave, k, [&](VertexId w, graph::EdgeId) {
+        return result.active[w];
+      });
+      obs::add(obs::CounterId::kBfsExpansions, frontier.expansions());
+      std::size_t marked = 0;
+      for (const VertexId w : frontier.reached()) {
+        if (!dirty[w]) {
+          dirty[w] = true;
+          ++marked;
+        }
+      }
+      obs::add(obs::CounterId::kDirtyNodes, marked);
       for (const VertexId v : deleted_wave) {
         result.active[v] = false;
         ++result.deleted;

@@ -4,9 +4,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "tgcover/graph/graph.hpp"
+#include "tgcover/util/stamped.hpp"
 
 namespace tgc::graph {
 
@@ -67,6 +69,64 @@ std::vector<bool> largest_component_mask(const Graph& g);
 /// Vertices within `k` hops of `v`, excluding `v` itself — the paper's
 /// N^k_H(v). Sorted by vertex id.
 std::vector<VertexId> k_hop_neighbors(const Graph& g, VertexId v, unsigned k);
+
+/// Multi-source BFS truncated at a depth bound: the one answer to "which
+/// vertices lie within k hops of this set?" — a deletion wave's dirty
+/// frontier, a repair's wake set, a link's ball. Scratch is epoch-stamped
+/// and kept, so a caller running one search per round allocates only on
+/// growth. Counts nothing itself; callers charge `expansions()` where the
+/// cost model wants it.
+class BoundedBfs {
+ public:
+  /// Searches from `sources` (depth 0; duplicates ignored) out to `depth`
+  /// hops. A neighbour `w` reached over edge `e` joins iff `relay(w, e)`;
+  /// sources join unconditionally.
+  template <typename Relay>
+  void run(const Graph& g, std::span<const VertexId> sources,
+           std::uint32_t depth, Relay&& relay) {
+    depth_.resize(g.num_vertices());
+    depth_.clear();
+    order_.clear();
+    cut_off_ = false;
+    for (const VertexId s : sources) {
+      if (depth_.contains(s)) continue;
+      depth_.put(s, 0);
+      order_.push_back(s);
+    }
+    num_sources_ = order_.size();
+    for (std::size_t head = 0; head < order_.size(); ++head) {
+      const VertexId u = order_[head];
+      const std::uint32_t du = depth_.get(u);
+      if (du == depth && cut_off_) continue;
+      const auto nbrs = g.neighbors(u);
+      const auto eids = g.incident_edges(u);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        const VertexId w = nbrs[i];
+        if (depth_.contains(w) || !relay(w, eids[i])) continue;
+        if (du == depth) {  // w lies one hop past the bound
+          cut_off_ = true;
+          break;
+        }
+        depth_.put(w, du + 1);
+        order_.push_back(w);
+      }
+    }
+  }
+
+  /// The vertices the last run reached: sources first, then BFS order.
+  std::span<const VertexId> reached() const { return order_; }
+  /// Vertices discovered beyond the sources.
+  std::size_t expansions() const { return order_.size() - num_sources_; }
+  /// True iff the depth bound stopped the search: some vertex at the bound
+  /// has a neighbour the relay admits that was not reached.
+  bool cut_off() const { return cut_off_; }
+
+ private:
+  util::StampedArray<std::uint32_t> depth_;
+  std::vector<VertexId> order_;
+  std::size_t num_sources_ = 0;
+  bool cut_off_ = false;
+};
 
 /// Dimension of the GF(2) cycle space: |E| - |V| + #components.
 std::size_t cycle_space_dimension(const Graph& g);

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <system_error>
 
 #include "tgcover/util/check.hpp"
@@ -49,14 +50,20 @@ std::string repr_double(double v) {
 
 }  // namespace
 
+void ArgParser::reject(const std::string& key, const std::string& value,
+                       const char* what) const {
+  std::ostringstream msg;
+  msg << program_ << ": --" << key << " wants " << what << ", got '" << value
+      << "'";
+  detail::check_failed("parse_whole(value)", __FILE__, __LINE__, msg.str());
+}
+
 std::int64_t ArgParser::get_int(const std::string& key, std::int64_t def,
                                 const std::string& help) {
   const auto it = values_.find(key);
   std::int64_t v = def;
-  if (it != values_.end()) {
-    TGC_CHECK_MSG(parse_whole(it->second, v),
-                  program_ << ": --" << key << " wants an integer, got '"
-                           << it->second << "'");
+  if (it != values_.end() && !parse_whole(it->second, v)) {
+    reject(key, it->second, "an integer");
   }
   declared_[key] = {help, std::to_string(def), std::to_string(v)};
   return v;
@@ -66,10 +73,8 @@ double ArgParser::get_double(const std::string& key, double def,
                              const std::string& help) {
   const auto it = values_.find(key);
   double v = def;
-  if (it != values_.end()) {
-    TGC_CHECK_MSG(parse_whole(it->second, v),
-                  program_ << ": --" << key << " wants a number, got '"
-                           << it->second << "'");
+  if (it != values_.end() && !parse_whole(it->second, v)) {
+    reject(key, it->second, "a number");
   }
   declared_[key] = {help, repr_double(def), repr_double(v)};
   return v;

@@ -6,6 +6,7 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -32,6 +33,20 @@ class ArgParser {
   /// value, or `def` when absent.
   std::int64_t get_int(const std::string& key, std::int64_t def,
                        const std::string& help = "");
+  /// `get_int` for a count, size or seed, parsed straight into the unsigned
+  /// T so nothing wraps: "-3", or a value T cannot hold, fails with
+  /// "PROG: --KEY wants a non-negative integer, got 'V'".
+  template <typename T>
+  T get_uint(const std::string& key, T def, const std::string& help = "") {
+    static_assert(std::is_unsigned_v<T>);
+    const auto it = values_.find(key);
+    T v = def;
+    if (it != values_.end() && !parse_whole(it->second, v)) {
+      reject(key, it->second, "a non-negative integer");
+    }
+    declared_[key] = {help, std::to_string(def), std::to_string(v)};
+    return v;
+  }
   double get_double(const std::string& key, double def,
                     const std::string& help = "");
   std::string get_string(const std::string& key, const std::string& def,
@@ -57,6 +72,10 @@ class ArgParser {
     std::string default_repr;
     std::string value_repr;
   };
+
+  /// Throws the CheckError "PROG: --KEY wants WHAT, got 'VALUE'".
+  [[noreturn]] void reject(const std::string& key, const std::string& value,
+                           const char* what) const;
 
   std::string program_;
   std::map<std::string, std::string> values_;   // key -> raw value ("" = flag)

@@ -504,6 +504,38 @@ TEST_F(CliFixture, RepairRejectsAMaskOfTheWrongSize) {
   EXPECT_FALSE(fs::exists(out));
 }
 
+TEST_F(CliFixture, NegativeCountsAndSeedsAreRefused) {
+  // These used to wrap to huge unsigned values: schedule --tau -3 ran
+  // tau 4294967293, --seed -1 ran seed 2^64-1, trace --epochs -1 hung, and
+  // a negative --nodes died in vector::reserve.
+  ASSERT_EQ(run({"generate", "--nodes", "60", "--degree", "10", "--seed", "2",
+                 "--out", net_.c_str()}),
+            0);
+  const std::string out = (dir_ / "out.tgc").string();
+  const auto refused = [&](std::initializer_list<const char*> argv,
+                           const std::string& flag, const std::string& value) {
+    try {
+      run(argv);
+      ADD_FAILURE() << flag << " " << value << " was accepted";
+    } catch (const tgc::CheckError& e) {
+      const std::string want =
+          flag + " wants a non-negative integer, got '" + value + "'";
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(fs::exists(out)) << flag << " " << value;
+  };
+  refused({"schedule", "--in", net_.c_str(), "--tau", "-3", "--out",
+           out.c_str()},
+          "--tau", "-3");
+  refused({"schedule", "--in", net_.c_str(), "--seed", "-1", "--out",
+           out.c_str()},
+          "--seed", "-1");
+  refused({"trace", "--epochs", "-1", "--out", out.c_str()}, "--epochs", "-1");
+  refused({"generate", "--nodes", "-5", "--out", out.c_str()}, "--nodes", "-5");
+  refused({"trace", "--nodes", "-1", "--out", out.c_str()}, "--nodes", "-1");
+}
+
 TEST(Cli, HelpAndErrors) {
   std::string out;
   EXPECT_EQ(run({"help"}, &out), 0);

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "tgcover/core/criterion.hpp"
 #include "tgcover/core/edge_scheduler.hpp"
@@ -13,6 +15,7 @@
 #include "tgcover/cycle/cycle.hpp"
 #include "tgcover/gen/deployments.hpp"
 #include "tgcover/gen/fixtures.hpp"
+#include "tgcover/geom/point.hpp"
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/graph/subgraph.hpp"
 #include "tgcover/util/rng.hpp"
@@ -329,6 +332,55 @@ TEST_F(RepairFixture, NoFailuresWithCertificateTerminates) {
   EXPECT_EQ(repair.woken, 0u);
   EXPECT_EQ(repair.final_radius, config_.vpt().effective_k());
   EXPECT_EQ(repair.active, broken);
+}
+
+TEST(RepairEscalation, StopsWhenSomeNodeNoFailureReaches) {
+  // The network `tgcover generate --nodes 200 --degree 25 --seed 3` writes,
+  // plus one node with no links at the centre of its area. No search from
+  // the failures reaches that node, so it must not hold the escalation
+  // open: the repair used to double the wake radius up to 2^31, wrap to 0
+  // and loop forever.
+  util::Rng rng(3);
+  gen::Deployment dep = gen::random_connected_udg(
+      200, gen::side_for_average_degree(200, 1.0, 25.0), 1.0, rng);
+  GraphBuilder b(201);
+  for (EdgeId e = 0; e < dep.graph.num_edges(); ++e) {
+    const auto [u, v] = dep.graph.edge(e);
+    b.add_edge(u, v);
+  }
+  dep.graph = b.build();
+  const geom::Rect area = dep.area;
+  const geom::Point centre{0.5 * (area.xmin + area.xmax),
+                           0.5 * (area.ymin + area.ymax)};
+  dep.positions.push_back(centre);
+  const Network net = prepare_network(std::move(dep), 1.0);
+  const Graph& g = net.dep.graph;
+  DccConfig config;
+  config.tau = 4;
+  const std::vector<bool> before = run_dcc(net, config).result.active;
+  ASSERT_EQ(std::count(before.begin(), before.end(), true), 49);
+
+  // Crash the 12 awake nodes nearest the centre that lie more than 1.3 from
+  // the area's border.
+  std::vector<std::pair<double, VertexId>> order;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const geom::Point& p = net.dep.positions[v];
+    const double border = std::min({p.x - area.xmin, p.y - area.ymin,
+                                    area.xmax - p.x, area.ymax - p.y});
+    if (before[v] && border > 1.3) {
+      order.emplace_back(geom::dist2(p, centre), v);
+    }
+  }
+  std::sort(order.begin(), order.end());
+  ASSERT_GE(order.size(), 12u);
+  std::vector<bool> failed(g.num_vertices(), false);
+  for (std::size_t i = 0; i < 12; ++i) failed[order[i].second] = true;
+
+  const RepairResult repair =
+      dcc_repair(g, net.internal, before, failed, net.cb, config);
+  EXPECT_FALSE(repair.criterion_restored);
+  EXPECT_LE(repair.final_radius, 8u);
+  EXPECT_FALSE(repair.active[200]);
 }
 
 // A crashed or sleeping boundary-cycle node takes a CB edge out of the awake

@@ -146,6 +146,53 @@ TEST(KHopNeighbors, ExcludesSelfRespectsRadius) {
   EXPECT_EQ(n1, (std::vector<VertexId>{1}));
 }
 
+// ------------------------------------------------------------- bounded BFS
+
+TEST(BoundedBfs, LayersExpansionsAndExactCut) {
+  const Graph g = path_graph(10);
+  const auto all = [](VertexId, EdgeId) { return true; };
+  const std::vector<VertexId> sources{0, 9, 0};  // duplicates are ignored
+  BoundedBfs bfs;
+  bfs.run(g, sources, 2, all);
+  EXPECT_EQ(std::vector<VertexId>(bfs.reached().begin(), bfs.reached().end()),
+            (std::vector<VertexId>{0, 9, 1, 8, 2, 7}));
+  EXPECT_EQ(bfs.expansions(), 4u);
+  EXPECT_TRUE(bfs.cut_off());
+  // The two searches meet in the middle at depth 4: depth 3 leaves 4 and 5
+  // one hop past the bound, depth 4 leaves nothing.
+  bfs.run(g, sources, 3, all);
+  EXPECT_EQ(bfs.reached().size(), 8u);
+  EXPECT_TRUE(bfs.cut_off());
+  bfs.run(g, sources, 4, all);
+  EXPECT_EQ(bfs.reached().size(), 10u);
+  EXPECT_FALSE(bfs.cut_off());
+  bfs.run(g, {}, 4, all);
+  EXPECT_TRUE(bfs.reached().empty());
+  EXPECT_FALSE(bfs.cut_off());
+}
+
+TEST(BoundedBfs, RelayFiltersVerticesAndEdges) {
+  // A 6-cycle searched from 0 with link (0,1) and vertex 3 barred: the
+  // search reaches 5 and 4 only, and what the relay bars never counts as
+  // cut off, however small the bound.
+  const Graph g = cycle_graph(6);
+  const EdgeId barred = g.edge_between(0, 1).value();
+  const auto relay = [&](VertexId w, EdgeId e) {
+    return w != 3 && e != barred;
+  };
+  const std::vector<VertexId> sources{0};
+  BoundedBfs bfs;
+  bfs.run(g, sources, 5, relay);
+  EXPECT_EQ(std::vector<VertexId>(bfs.reached().begin(), bfs.reached().end()),
+            (std::vector<VertexId>{0, 5, 4}));
+  EXPECT_EQ(bfs.expansions(), 2u);
+  EXPECT_FALSE(bfs.cut_off());
+  bfs.run(g, sources, 2, relay);
+  EXPECT_FALSE(bfs.cut_off());
+  bfs.run(g, sources, 1, relay);
+  EXPECT_TRUE(bfs.cut_off());
+}
+
 TEST(CycleSpaceDimension, KnownValues) {
   EXPECT_EQ(cycle_space_dimension(path_graph(5)), 0u);        // tree
   EXPECT_EQ(cycle_space_dimension(cycle_graph(5)), 1u);       // one cycle

@@ -1,13 +1,13 @@
 // Equivalence suite for the cross-round verdict cache (DESIGN.md §11).
 //
-// The contract under test: VPT verdicts are cached across rounds and only
-// the dirty frontier of each deletion wave is re-tested — and the schedule
-// is *bit-identical* to a brute-force replay that re-tests every node every
-// round (reference_replay.hpp), at every thread count, on every executor
-// (oracle, synchronous distributed, asynchronous lossy), through
-// mid-protocol deactivation and across repair waves. Verdicts are pure
-// functions of the punctured k-hop ball, so any divergence is a cache
-// invalidation bug, not noise.
+// The contract under test: within one scheduler call, VPT verdicts are
+// cached across rounds and only the k-hop frontier of each deletion wave is
+// re-tested — and the schedule is *bit-identical* to a brute-force replay
+// that re-tests every node every round (reference_replay.hpp), at every
+// thread count, on every executor (oracle, synchronous distributed,
+// asynchronous lossy) and across repair waves. Verdicts are pure functions
+// of the punctured k-hop ball, so any divergence is a cache invalidation
+// bug, not noise.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "tgcover/core/pipeline.hpp"
 #include "tgcover/core/repair.hpp"
 #include "tgcover/core/scheduler.hpp"
-#include "tgcover/core/verdict_cache.hpp"
 #include "tgcover/core/vpt.hpp"
 #include "tgcover/gen/deployments.hpp"
 #include "tgcover/geom/point.hpp"
@@ -63,8 +62,9 @@ Instance make_instance(std::uint64_t seed, std::size_t n = 150,
 TEST(IncrementalEquivalence, RandomizedDeletionWaves) {
   // Randomized deletion-wave equivalence: across instances, taus, and
   // thread counts, the cached schedule must equal the replay in every
-  // observable (active mask, round trace, deletion counts) while doing
-  // strictly less VPT work on multi-round runs.
+  // observable (active mask, round trace, deletion counts) while running
+  // exactly the tests an exact k-hop frontier calls for — strictly fewer
+  // than the replay on multi-round runs.
   for (const std::uint64_t instance : {0ull, 1ull, 2ull}) {
     for (const unsigned tau : {3u, 4u}) {
       const Instance inst = make_instance(instance * 17 + tau);
@@ -94,6 +94,7 @@ TEST(IncrementalEquivalence, RandomizedDeletionWaves) {
           EXPECT_GT(got.cache_hits, 0u);
         }
         EXPECT_EQ(got.vpt_tests + got.cache_hits, want.vpt_tests);
+        EXPECT_EQ(got.vpt_tests, want.frontier_tests);
       }
     }
   }
@@ -157,54 +158,12 @@ TEST(IncrementalEquivalence, DistributedSyncAndAsyncLossy) {
   EXPECT_GT(lossy.messages_lost, 0u);
 }
 
-// ------------------------------------------- mid-protocol state transitions
-
-TEST(IncrementalEquivalence, MidProtocolDeactivation) {
-  // Deactivations between scheduler calls (nodes that went to sleep or
-  // died outside any deletion wave) reach the cache only through
-  // `prepare`'s awake-set diff. A cache that survived a previous run must
-  // produce the same schedule as the replay on the degraded network.
-  const Instance inst = make_instance(23);
-  const std::size_t n = inst.dep.graph.num_vertices();
-  DccConfig config;
-  config.tau = 4;
-  config.seed = 13;
-
-  // Stop the protocol after one round — mid-fixpoint, with internal nodes
-  // still awake and a warm cache — then let nodes die before it resumes.
-  VerdictCache cache;
-  config.cache = &cache;
-  config.max_rounds = 1;
-  const DccResult first = dcc_schedule(inst.dep.graph, inst.internal, config);
-  ASSERT_GT(first.deleted, 0u);
-  config.max_rounds = static_cast<std::size_t>(-1);
-
-  // Knock out a few awake internal nodes without telling the cache.
-  std::vector<bool> degraded = first.active;
-  std::size_t killed = 0;
-  for (VertexId v = 0; v < n && killed < 3; ++v) {
-    if (degraded[v] && inst.internal[v]) {
-      degraded[v] = false;
-      ++killed;
-    }
-  }
-  ASSERT_GT(killed, 0u);
-
-  const DccResult warm =
-      dcc_schedule_from(inst.dep.graph, inst.internal, degraded, config);
-
-  const reference::Replay want = reference::replay_dcc_from(
-      inst.dep.graph, inst.internal, degraded, config);
-  EXPECT_EQ(warm.active, want.active);
-  EXPECT_EQ(warm.rounds, want.rounds);
-  // The warm cache actually reused verdicts.
-  EXPECT_LT(warm.vpt_tests, want.vpt_tests);
-}
+// ------------------------------------------------------------- repair
 
 TEST(IncrementalEquivalence, RepairWavesMatchFullRecompute) {
-  // dcc_repair threads one VerdictCache through its escalating waves. Each
-  // wave it ran is replayed from scratch: wake the sleepers within the
-  // wave's radius of a failure, replay the fixpoint with only the woken
+  // dcc_repair runs one scheduler call per escalating wave. Each wave it
+  // ran is replayed from scratch: wake the sleepers within the wave's
+  // radius of a failure, replay the fixpoint with only the woken
   // internal nodes deletable, and check the criterion. Every wave before
   // the last must fail to restore the certificate (or the repair would have
   // stopped there), and the last must reproduce the repair's outcome.
@@ -308,12 +267,13 @@ TEST(IncrementalEquivalence, VerdictFlipsBothWaysUnderReplay) {
   EXPECT_GT(flips_to_deletable, 0u);
 }
 
-// --------------------------------------------------------- VerdictCache unit
+// ------------------------------------------------------- deletion frontier
 
-TEST(VerdictCacheTest, DeletionFrontierMatchesBruteForce) {
-  // note_deletions must mark dirty exactly the nodes within k hops of the
-  // wave over the pre-deletion active topology — no more (wasted re-tests),
-  // no fewer (stale verdicts, wrong schedules).
+TEST(BoundedBfs, DeletionFrontierMatchesBruteForce) {
+  // A deletion wave's frontier — the nodes within k hops of the wave over
+  // the pre-deletion active topology — must be exactly the nodes whose ball
+  // intersects the wave: no more (wasted re-tests), no fewer (stale
+  // verdicts, wrong schedules).
   const Instance inst = make_instance(81, 120, 4.4);
   const Graph& g = inst.dep.graph;
   const std::size_t n = g.num_vertices();
@@ -325,17 +285,13 @@ TEST(VerdictCacheTest, DeletionFrontierMatchesBruteForce) {
     if (rng.bernoulli(0.15)) active[v] = false;
   }
 
-  VerdictCache cache;
-  cache.prepare(g, active, k);
-  EXPECT_EQ(cache.last_dirty_marked(), n);  // cold cache: everything dirty
-  for (VertexId v = 0; v < n; ++v) cache.store(v, false);
-
   std::vector<VertexId> wave;
   for (VertexId v = 0; v < n && wave.size() < 5; ++v) {
     if (active[v] && rng.bernoulli(0.1)) wave.push_back(v);
   }
   ASSERT_FALSE(wave.empty());
-  cache.note_deletions(g, active, wave, k);
+  graph::BoundedBfs bfs;
+  bfs.run(g, wave, k, [&](VertexId w, graph::EdgeId) { return active[w]; });
 
   // Brute force: multi-source BFS over active relays, depth k.
   std::vector<std::uint32_t> dist(n, graph::kUnreached);
@@ -351,52 +307,22 @@ TEST(VerdictCacheTest, DeletionFrontierMatchesBruteForce) {
       }
     }
   }
+  std::vector<bool> reached(n, false);
+  for (const VertexId v : bfs.reached()) reached[v] = true;
   std::size_t marked = 0;
+  bool cut = false;
   for (VertexId v = 0; v < n; ++v) {
-    EXPECT_EQ(cache.dirty(v), dist[v] != graph::kUnreached) << "vertex " << v;
-    if (cache.dirty(v)) ++marked;
-  }
-  EXPECT_EQ(cache.last_dirty_marked(), marked);
-}
-
-TEST(VerdictCacheTest, PrepareDiffMarksUnionNeighbourhood) {
-  // prepare() on a reused cache must re-dirty the union-topology k-ball of
-  // every node whose active bit changed — covering both wakes (node now
-  // relays where it didn't) and silent deaths (node relayed when the cached
-  // verdicts were computed).
-  const Instance inst = make_instance(82, 120, 4.4);
-  const Graph& g = inst.dep.graph;
-  const std::size_t n = g.num_vertices();
-  const unsigned k = 2;
-
-  std::vector<bool> before(n, true);
-  before[3] = false;  // one sleeper that will wake
-  VerdictCache cache;
-  cache.prepare(g, before, k);
-  for (VertexId v = 0; v < n; ++v) cache.store(v, true);
-
-  std::vector<bool> after = before;
-  after[3] = true;   // wake
-  after[40] = false; // silent death
-  cache.prepare(g, after, k);
-
-  const std::vector<VertexId> changed{3, 40};
-  std::vector<std::uint32_t> dist(n, graph::kUnreached);
-  std::vector<VertexId> queue = changed;
-  for (const VertexId s : changed) dist[s] = 0;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const VertexId u = queue[head];
-    if (dist[u] == k) continue;
-    for (const VertexId w : g.neighbors(u)) {
-      if ((before[w] || after[w]) && dist[w] == graph::kUnreached) {
-        dist[w] = dist[u] + 1;
-        queue.push_back(w);
-      }
+    EXPECT_EQ(reached[v], dist[v] != graph::kUnreached) << "vertex " << v;
+    if (dist[v] == graph::kUnreached) continue;
+    ++marked;
+    for (const VertexId w : g.neighbors(v)) {
+      if (dist[v] == k && active[w] && dist[w] == graph::kUnreached) cut = true;
     }
   }
-  for (VertexId v = 0; v < n; ++v) {
-    EXPECT_EQ(cache.dirty(v), dist[v] != graph::kUnreached) << "vertex " << v;
-  }
+  EXPECT_EQ(bfs.reached().size(), marked);  // each vertex once
+  EXPECT_EQ(bfs.expansions(), marked - wave.size());
+  EXPECT_TRUE(cut);
+  EXPECT_EQ(bfs.cut_off(), cut);
 }
 
 // ------------------------------------------------------------ ball views

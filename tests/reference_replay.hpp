@@ -4,7 +4,9 @@
 // active link) every round with the plain VPT kernels and elect the same MIS
 // as the schedulers. They share no code with the schedulers' round loops,
 // verdict caches or dirty frontiers, so a scheduler that matches a replay
-// reused no verdict it should have re-tested.
+// reused no verdict it should have re-tested. The vertex replay also counts
+// the tests a cache with the exact k-hop deletion frontier would run, so a
+// scheduler that re-tests more than that is caught too.
 #pragma once
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 
 #include "tgcover/core/scheduler.hpp"
 #include "tgcover/core/vpt.hpp"
+#include "tgcover/graph/algorithms.hpp"
 #include "tgcover/graph/graph.hpp"
 #include "tgcover/sim/mis.hpp"
 #include "tgcover/util/gf2.hpp"
@@ -26,6 +29,10 @@ struct Replay {
   std::size_t rounds = 0;
   std::size_t deleted = 0;
   std::size_t vpt_tests = 0;  ///< every awake internal node, every round
+  /// The awake internal nodes that are untested or lie within k hops of the
+  /// previous round's deletions over the pre-deletion topology, summed over
+  /// rounds: what an exact-frontier verdict cache tests.
+  std::size_t frontier_tests = 0;
   std::vector<DccRoundInfo> per_round;
 };
 
@@ -43,8 +50,11 @@ Replay replay_dcc_from(const graph::Graph& g, const std::vector<bool>& internal,
                        std::vector<bool> active, const DccConfig& config,
                        OnVerdict on_verdict = {}) {
   const VptConfig vpt = config.vpt();
+  const std::uint32_t k = vpt.effective_k();
+  const std::size_t n = g.num_vertices();
   VptWorkspace ws;
   Replay out;
+  std::vector<bool> stale(n, true);
   while (true) {
     std::vector<bool> candidate(g.num_vertices(), false);
     std::size_t num_candidates = 0;
@@ -52,6 +62,7 @@ Replay replay_dcc_from(const graph::Graph& g, const std::vector<bool>& internal,
       if (!active[v] || !internal[v]) continue;
       const bool deletable = vpt_vertex_deletable(g, active, v, vpt, ws);
       ++out.vpt_tests;
+      if (stale[v]) ++out.frontier_tests;
       on_verdict(v, deletable);
       if (deletable) {
         candidate[v] = true;
@@ -63,6 +74,28 @@ Replay replay_dcc_from(const graph::Graph& g, const std::vector<bool>& internal,
     const std::vector<bool> selected =
         sim::elect_mis_oracle(g, active, candidate, vpt.mis_radius(),
                               util::splitmix64(config.seed + out.rounds));
+    // Hop distances from the deleted set over the pre-deletion topology.
+    std::vector<std::uint32_t> dist(n, graph::kUnreached);
+    std::vector<graph::VertexId> queue;
+    for (graph::VertexId v = 0; v < n; ++v) {
+      if (selected[v]) {
+        dist[v] = 0;
+        queue.push_back(v);
+      }
+    }
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const graph::VertexId u = queue[head];
+      if (dist[u] == k) continue;
+      for (const graph::VertexId w : g.neighbors(u)) {
+        if (active[w] && dist[w] == graph::kUnreached) {
+          dist[w] = dist[u] + 1;
+          queue.push_back(w);
+        }
+      }
+    }
+    for (graph::VertexId v = 0; v < n; ++v) {
+      stale[v] = dist[v] != graph::kUnreached;
+    }
     std::size_t num_selected = 0;
     for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
       if (!selected[v]) continue;

@@ -495,6 +495,29 @@ TEST(ArgParser, NumbersMustBeTheWholeToken) {
   args.finish();
 }
 
+TEST(ArgParser, UnsignedOptionsRefuseWhatTheyCannotHold) {
+  const auto get_unsigned = [](ArgParser& a) {
+    (void)a.get_uint<unsigned>("x", 0);
+  };
+  for (const char* bad : {"-3", "-0", "4294967296", "4x", "", "+4"}) {
+    const std::string error = numeric_error(bad, get_unsigned);
+    EXPECT_NE(error.find(std::string("prog: --x wants a non-negative "
+                                     "integer, got '") +
+                         bad + "'"),
+              std::string::npos)
+        << "'" << bad << "': " << error;
+  }
+  const char* argv[] = {"prog", "--u", "4294967295", "--s", "7"};
+  ArgParser args(5, argv);
+  EXPECT_EQ(args.get_uint<unsigned>("u", 0), 4294967295u);
+  EXPECT_EQ(args.get_uint<std::uint64_t>("s", 1), 7u);
+  EXPECT_EQ(args.get_uint<std::size_t>("missing", 9), 9u);
+  args.finish();
+  const auto resolved = args.resolved();
+  EXPECT_EQ(resolved.front(), (std::pair<std::string, std::string>{
+                                  "missing", "9"}));
+}
+
 // ------------------------------------------------------------------- Table
 
 TEST(Table, AlignsAndCsv) {
