@@ -260,9 +260,10 @@ std::vector<obs::NodePosition> node_positions_of(const gen::Deployment& dep) {
   return positions;
 }
 
-/// The collectors of one run command: armed at construction (before the
-/// run), drained and written into one bundle by finish() (after it). With
-/// no --obs-out everything stays on the unarmed one-relaxed-load path.
+/// The collectors of one run command: armed and bound to the thread by one
+/// RunScope at construction (before the run), drained and written into one
+/// bundle by finish() (after it). With no --obs-out everything stays on the
+/// unarmed one-relaxed-load path.
 class RunObservers {
  public:
   RunObservers(const ObsRequest& req, const core::Network& net, unsigned tau,
@@ -275,26 +276,15 @@ class RunObservers {
       obs::profile_begin(util::ThreadPool::resolve_num_threads(threads));
     }
     if (req_.nodes) {
-      telemetry_ = std::make_unique<obs::NodeTelemetry>(
-          net.dep.graph.num_vertices(), obs::EnergyModel{});
-      obs::set_node_telemetry(telemetry_.get());
+      telemetry_ =
+          std::make_unique<obs::NodeTelemetry>(net.dep.graph.num_vertices());
     }
-    if (req_.quality) {
-      quality_ = make_quality_auditor(net, tau, req_.rs);
-      obs::set_quality_auditor(quality_.get());
-    }
-  }
-  ~RunObservers() {
-    obs::set_node_telemetry(nullptr);
-    obs::set_quality_auditor(nullptr);
+    if (req_.quality) quality_ = make_quality_auditor(net, tau, req_.rs);
+    scope_.emplace(
+        obs::RunCollectors{&collector_, telemetry_.get(), quality_.get()});
   }
   RunObservers(const RunObservers&) = delete;
   RunObservers& operator=(const RunObservers&) = delete;
-
-  /// The per-round collector to hand the scheduler (null when unarmed).
-  obs::RoundCollector* collector() {
-    return req_.dir.empty() ? nullptr : &collector_;
-  }
 
   /// Drains every collector — the profiler first, so bundle I/O never
   /// pollutes its wall clock — and writes the bundle. False after logging
@@ -303,16 +293,11 @@ class RunObservers {
                             const std::vector<bool>& active,
                             const gen::Deployment& dep, std::ostream& out) {
     if (req_.dir.empty()) return true;
+    scope_.reset();
     obs::ProfileData profile;
     if (req_.profile) profile = obs::profile_end();
-    if (telemetry_ != nullptr) {
-      obs::set_node_telemetry(nullptr);
-      telemetry_->finalize();
-    }
-    if (quality_ != nullptr) {
-      obs::set_quality_auditor(nullptr);
-      quality_->finalize(active);
-    }
+    if (telemetry_ != nullptr) telemetry_->finalize();
+    if (quality_ != nullptr) quality_->finalize(active);
     std::vector<obs::TraceEvent> events;
     if (req_.trace) events = obs::trace_end();
     collector_.finalize(static_cast<std::uint64_t>(
@@ -347,6 +332,7 @@ class RunObservers {
   obs::RoundCollector collector_;
   std::unique_ptr<obs::NodeTelemetry> telemetry_;
   std::unique_ptr<obs::QualityAuditor> quality_;
+  std::optional<obs::RunScope> scope_;  ///< declared last: unbinds first
 };
 
 int cmd_generate(util::ArgParser& args, std::ostream& out) {
@@ -409,7 +395,6 @@ int cmd_schedule(util::ArgParser& args, std::ostream& out) {
   config.seed = seed;
   config.num_threads = threads;
   RunObservers observers(obs_flags.request, net, tau, threads);
-  config.collector = observers.collector();
   const core::ScheduleSummary s = core::run_dcc(net, config);
   if (!observers.finish(manifest, s.result.active, net.dep, out)) return 1;
   io::save_mask(s.result.active, out_path);
@@ -589,7 +574,6 @@ int cmd_distributed(util::ArgParser& args, std::ostream& out) {
   config.seed = seed;
   config.num_threads = threads;
   RunObservers observers(obs_flags.request, net, tau, threads);
-  config.collector = observers.collector();
   core::DccDistributedResult result;
   if (async) {
     core::DccAsyncOptions options;
@@ -651,7 +635,6 @@ int cmd_repair(util::ArgParser& args, std::ostream& out) {
   config.tau = tau;
   config.num_threads = threads;
   RunObservers observers(obs_flags.request, net, tau, threads);
-  config.collector = observers.collector();
   const core::RepairResult result = core::dcc_repair(
       net.dep.graph, net.internal, active, failed, net.cb, config);
   if (!observers.finish(manifest, result.active, net.dep, out)) return 1;

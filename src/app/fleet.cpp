@@ -25,6 +25,7 @@
 #include "tgcover/obs/obs.hpp"
 #include "tgcover/obs/profile.hpp"
 #include "tgcover/obs/quality.hpp"
+#include "tgcover/obs/round_log.hpp"
 #include "tgcover/util/args.hpp"
 #include "tgcover/util/check.hpp"
 #include "tgcover/util/digest.hpp"
@@ -397,32 +398,6 @@ std::string record_line(const FleetCell& cell, const RunOutcome& r,
   return os.str();
 }
 
-/// RAII thread-local collector binding: a throwing cell must never leave a
-/// dangling NodeTelemetry bound to its pool worker, where the next cell on
-/// that lane would record into freed memory.
-class ScopedNodeTelemetry {
- public:
-  explicit ScopedNodeTelemetry(obs::NodeTelemetry* telemetry) {
-    obs::set_node_telemetry(telemetry);
-  }
-  ~ScopedNodeTelemetry() { obs::set_node_telemetry(nullptr); }
-  ScopedNodeTelemetry(const ScopedNodeTelemetry&) = delete;
-  ScopedNodeTelemetry& operator=(const ScopedNodeTelemetry&) = delete;
-};
-
-/// Same dangling-binding guard for the per-cell quality auditor. The auditor
-/// captures its cell's Network by reference, so outliving the cell would be
-/// a use-after-free on top of cross-cell contamination.
-class ScopedQualityAuditor {
- public:
-  explicit ScopedQualityAuditor(obs::QualityAuditor* auditor) {
-    obs::set_quality_auditor(auditor);
-  }
-  ~ScopedQualityAuditor() { obs::set_quality_auditor(nullptr); }
-  ScopedQualityAuditor(const ScopedQualityAuditor&) = delete;
-  ScopedQualityAuditor& operator=(const ScopedQualityAuditor&) = delete;
-};
-
 /// Executes one cell on the calling pool worker. Single-threaded by design:
 /// the cross-run parallelism lives in the fleet pool, and a single-threaded
 /// run means the calling thread's cost-shard delta captures exactly this
@@ -444,20 +419,19 @@ RunOutcome execute_cell(const FleetCell& cell, const FleetSpec& spec,
   r.graph_nodes = net.dep.graph.num_vertices();
   r.graph_edges = net.dep.graph.num_edges();
 
-  // Per-cell collector on this worker's thread_local binding: cells run
+  // Per-cell collectors bound to this worker by one RunScope: cells run
   // whole on one pool lane with num_threads=1, so concurrent cells never
-  // share a collector.
+  // share a collector, and the scope unbinds them even when the cell throws
+  // (the auditor captures this cell's Network by reference).
   std::unique_ptr<obs::NodeTelemetry> telemetry;
   if (opts.obs.nodes) {
-    telemetry = std::make_unique<obs::NodeTelemetry>(r.graph_nodes,
-                                                     obs::EnergyModel{});
+    telemetry = std::make_unique<obs::NodeTelemetry>(r.graph_nodes);
   }
-  const ScopedNodeTelemetry binding(telemetry.get());
   std::unique_ptr<obs::QualityAuditor> quality;
   if (opts.obs.quality) {
     quality = make_quality_auditor(net, cell.tau, opts.obs.rs);
   }
-  const ScopedQualityAuditor quality_binding(quality.get());
+  const obs::RunScope scope({nullptr, telemetry.get(), quality.get()});
 
   core::DccConfig config;
   config.tau = cell.tau;

@@ -25,8 +25,8 @@ obs::QualityProbeResult probe_network_quality(const core::Network& net,
 /// sensing radius `rs` is an observation parameter (never a semantic
 /// manifest key), so arming changes no other stream. The returned auditor
 /// captures `net` by reference — it must not outlive the network. Binding
-/// to the thread is the caller's job (set_quality_auditor for CLI commands,
-/// a per-cell RAII scope in the fleet runner).
+/// to the thread is the caller's job: an obs::RunScope, held by the CLI's
+/// run observers or by each fleet cell.
 std::unique_ptr<obs::QualityAuditor> make_quality_auditor(
     const core::Network& net, unsigned tau, double rs);
 

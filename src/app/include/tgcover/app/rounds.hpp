@@ -19,24 +19,17 @@ struct RoundRow {
   std::uint64_t active = 0;
   std::uint64_t candidates = 0;
   std::uint64_t deleted = 0;
-  std::uint64_t vpt_tests = 0;
-  std::uint64_t cache_hits = 0;       ///< verdicts reused from the cache
-  std::uint64_t dirty_nodes = 0;      ///< nodes re-queued by dirty frontiers
-  std::uint64_t ball_view_bytes = 0;  ///< ball-view arena bytes materialized
-  std::uint64_t bfs_expansions = 0;
-  std::uint64_t horton_candidates = 0;
-  std::uint64_t gf2_pivots = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t messages_lost = 0;
-  std::uint64_t retransmissions = 0;
+  obs::CostVec counters;  ///< the round's registry counters, by CounterId
   std::uint64_t ns_verdicts = 0;
   std::uint64_t ns_mis = 0;
   std::uint64_t ns_deletion = 0;
-  /// Machine-independent scalar (obs::logical_cost of the round's counters).
-  std::uint64_t logical_cost = 0;
 
   RoundRow& operator+=(const RoundRow& rhs);
 };
+
+/// Every registry counter a record carries, keyed by obs::counter_name
+/// (absent keys read 0).
+obs::CostVec counters_of(const obs::JsonRecord& rec);
 
 RoundRow row_from_record(const obs::JsonRecord& rec);
 

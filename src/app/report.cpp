@@ -140,10 +140,11 @@ void chart_cost_curve(std::ostringstream& out,
   spec.legend = {{"c1", "logical cost per round"}};
   charts::LineSeries line;
   for (const RoundRow& r : rows) {
+    const std::uint64_t cost = obs::logical_cost(r.counters);
     spec.slot_ids.push_back(r.round);
-    line.values.push_back(static_cast<double>(r.logical_cost));
+    line.values.push_back(static_cast<double>(cost));
     line.titles.push_back(round_title(r.round) + "cost " +
-                          std::to_string(r.logical_cost));
+                          std::to_string(cost));
   }
   spec.lines.push_back(std::move(line));
   charts::line_chart(out, spec);
@@ -180,12 +181,13 @@ void chart_traffic(std::ostringstream& out, const std::vector<RoundRow>& rows) {
   for (const RoundRow& r : rows) {
     charts::BarSlot slot;
     slot.id = r.round;
-    const std::tuple<const char*, const char*, std::uint64_t> bars[] = {
-        {"s1", "messages", r.messages},
-        {"s2", "retransmissions", r.retransmissions},
-        {"s3", "lost", r.messages_lost},
+    const std::tuple<const char*, const char*, obs::CounterId> bars[] = {
+        {"s1", "messages", obs::CounterId::kMessages},
+        {"s2", "retransmissions", obs::CounterId::kRetransmissions},
+        {"s3", "lost", obs::CounterId::kMessagesLost},
     };
-    for (const auto& [cls, name, v] : bars) {
+    for (const auto& [cls, name, id] : bars) {
+      const std::uint64_t v = r.counters.get(id);
       slot.segs.push_back({cls, static_cast<double>(v),
                            round_title(r.round) + name + " " +
                                std::to_string(v)});
@@ -210,9 +212,11 @@ void section_round_table(std::ostringstream& out,
          "<th>verdict ms</th><th>MIS ms</th><th>deletion ms</th></tr>\n";
   const auto row = [&out](const std::string& label, const RoundRow& r) {
     out << "<tr><td>" << label << "</td><td>" << r.active << "</td><td>"
-        << r.deleted << "</td><td>" << r.messages << "</td><td>"
-        << r.retransmissions << "</td><td>" << r.messages_lost << "</td><td>"
-        << r.logical_cost << "</td><td>" << ms(r.ns_verdicts) << "</td><td>"
+        << r.deleted << "</td><td>" << r.counters.get(obs::CounterId::kMessages)
+        << "</td><td>" << r.counters.get(obs::CounterId::kRetransmissions)
+        << "</td><td>" << r.counters.get(obs::CounterId::kMessagesLost)
+        << "</td><td>" << obs::logical_cost(r.counters) << "</td><td>"
+        << ms(r.ns_verdicts) << "</td><td>"
         << ms(r.ns_mis) << "</td><td>" << ms(r.ns_deletion) << "</td></tr>\n";
   };
   RoundRow total;
@@ -583,7 +587,9 @@ void profile_sections(std::ostringstream& out, const obs::ProfileData& data) {
 struct NodeView {
   std::size_t nodes = 0;
   std::uint64_t rounds = 0;
-  obs::EnergyModel energy;
+  double tx_energy = 0.0;  ///< the energy model the header echoes
+  double rx_energy = 0.0;
+  double idle_energy = 0.0;
   std::vector<obs::NodePosition> positions;
   std::size_t placed = 0;  ///< node_pos records with a valid id
 };
@@ -593,9 +599,9 @@ NodeView node_view_of(const Bundle& b) {
   const obs::JsonRecord& h = b.of("node_telemetry_header").front();
   v.nodes = static_cast<std::size_t>(h.u64("nodes"));
   v.rounds = h.u64("rounds");
-  v.energy.tx_cost = h.number("energy_tx", v.energy.tx_cost);
-  v.energy.rx_cost = h.number("energy_rx", v.energy.rx_cost);
-  v.energy.idle_cost = h.number("energy_idle", v.energy.idle_cost);
+  v.tx_energy = h.number("energy_tx", obs::kTxEnergy);
+  v.rx_energy = h.number("energy_rx", obs::kRxEnergy);
+  v.idle_energy = h.number("energy_idle", obs::kIdleEnergy);
   for (const obs::JsonRecord& rec : b.of("node_pos")) {
     const auto node = static_cast<std::size_t>(rec.u64("node"));
     if (node >= v.nodes) continue;
@@ -722,9 +728,9 @@ void node_sections(std::ostringstream& out, const Bundle& b,
                    const NodeView& view) {
   out << "<section>\n<h2>Energy model</h2>\n<p class=\"note\">first-order "
          "radio charge per node: tx "
-      << fnum(view.energy.tx_cost, 3) << " per send, rx "
-      << fnum(view.energy.rx_cost, 3) << " per delivery, idle "
-      << fnum(view.energy.idle_cost, 3)
+      << fnum(view.tx_energy, 3) << " per send, rx "
+      << fnum(view.rx_energy, 3) << " per delivery, idle "
+      << fnum(view.idle_energy, 3)
       << " per awake round</p>\n</section>\n";
 
   if (view.nodes > 0 && view.placed == view.nodes) {
@@ -1332,14 +1338,7 @@ std::string render_report_text(const Bundle& b, const TraceStats* trace) {
   if (b.has("summary")) {
     const obs::JsonRecord& s = b.of("summary").back();
     std::uint64_t cost = s.u64("logical_cost");
-    if (cost == 0) {
-      obs::CostVec v;
-      for (std::size_t i = 0; i < obs::kNumCounters; ++i) {
-        v.units[i] = s.u64(
-            std::string(obs::counter_name(static_cast<obs::CounterId>(i))));
-      }
-      cost = obs::logical_cost(v);
-    }
+    if (cost == 0) cost = obs::logical_cost(counters_of(s));
     out << "summary: " << s.u64("rounds") << " rounds, " << s.u64("survivors")
         << " survivors, wall "
         << util::Table::num(s.number("wall_ns") / 1e6, 1) << " ms, "

@@ -2,10 +2,7 @@
 
 #include <unordered_set>
 
-#include "tgcover/obs/node_stats.hpp"
-#include "tgcover/obs/quality.hpp"
 #include "tgcover/obs/obs.hpp"
-#include "tgcover/obs/profile.hpp"
 #include "tgcover/obs/round_log.hpp"
 #include "tgcover/obs/trace.hpp"
 #include "tgcover/sim/khop.hpp"
@@ -117,18 +114,10 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
     TracedPhase traced(runner, obs::TracePhase::kKhop);
     views = sim::collect_k_hop_views(runner, k);
   }
-  if (obs::NodeTelemetry* const nt = obs::node_telemetry()) {
-    // Telemetry round 0 is the setup phase: the k-hop collection floods
-    // dominate a run's traffic and deserve their own bucket in the
-    // per-round stream rather than being folded into deletion round 1.
-    nt->end_round(runner.active());
-  }
-  if (obs::QualityAuditor* const qa = obs::quality_auditor()) {
-    // Pre-deletion baseline: the full deployment's coverage, against which
-    // the per-round samples show what the sleep schedule gives up.
-    qa->end_round(runner.active());
-  }
-  std::size_t num_active = g.num_vertices();
+  // Round 0: the k-hop collection floods dominate a run's traffic and get
+  // their own node-telemetry bucket, and the full deployment's coverage is
+  // the baseline the per-round quality samples are judged against.
+  obs::setup_end(runner.active());
 
   // In the field every node evaluates its own verdict; the simulator fans
   // the independent evaluations over the pool. Workers write only their
@@ -150,7 +139,7 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
   std::vector<bool> dirty(g.num_vertices(), true);
 
   while (true) {
-    if (config.collector != nullptr) config.collector->begin_round();
+    obs::round_begin();
     const bool traced = obs::trace_active();
     const auto attempt = static_cast<std::uint32_t>(out.schedule.rounds + 1);
     if (traced) {
@@ -242,20 +231,7 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
     }
     out.schedule.per_round.push_back(
         DccRoundInfo{num_candidates, num_selected});
-    num_active -= num_selected;
-    if (config.collector != nullptr) {
-      config.collector->end_round(num_active, num_candidates, num_selected);
-    }
-    if (obs::NodeTelemetry* const nt = obs::node_telemetry()) {
-      nt->end_round(runner.active());
-    }
-    if (obs::QualityAuditor* const qa = obs::quality_auditor()) {
-      qa->end_round(runner.active());
-    }
-    if (obs::profile_active()) {
-      obs::profile_round(out.schedule.rounds);
-      obs::profile_mem_sample();
-    }
+    obs::round_end(runner.active(), num_candidates, num_selected);
     if (traced) {
       // type 1: a completed deletion round. `tgcover report` counts these and
       // the count must equal the scheduler's reported rounds.

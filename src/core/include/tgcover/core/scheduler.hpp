@@ -6,10 +6,6 @@
 #include "tgcover/core/vpt.hpp"
 #include "tgcover/graph/graph.hpp"
 
-namespace tgc::obs {
-class RoundCollector;
-}
-
 namespace tgc::core {
 
 /// Configuration of a DCC scheduling run.
@@ -28,12 +24,6 @@ struct DccConfig {
   /// pre-round active snapshot, so the schedule is bit-identical for every
   /// value — this knob only changes wall-clock (see DESIGN.md §7).
   unsigned num_threads = 1;
-  /// Optional per-round telemetry sink (see obs/round_log.hpp). The
-  /// scheduler reports round boundaries and awake/candidate/deleted counts;
-  /// the collector attaches the registry deltas. Never read on the hot path
-  /// and never consulted for decisions — schedules are bit-identical with
-  /// and without a collector (asserted by the obs determinism test).
-  obs::RoundCollector* collector = nullptr;
 
   VptConfig vpt() const { return VptConfig{tau, 0}; }
 };

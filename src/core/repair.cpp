@@ -4,7 +4,6 @@
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/obs/log.hpp"
 #include "tgcover/obs/obs.hpp"
-#include "tgcover/obs/profile.hpp"
 #include "tgcover/util/check.hpp"
 
 namespace tgc::core {
@@ -76,13 +75,6 @@ RepairResult dcc_repair(const Graph& g, const std::vector<bool>& internal,
     result.survivors = cleaned.survivors;
     result.criterion_restored =
         certify && criterion_holds(g, cleaned.active, cb, config.tau);
-    if (obs::profile_active()) {
-      // One timeline landmark per escalation wave, tagged with the radius
-      // (the natural "round" of the repair loop), plus a memory sample so
-      // the dashboard shows the wake-radius doubling against RSS.
-      obs::profile_round(radius);
-      obs::profile_mem_sample();
-    }
     TGC_LOG(kDebug) << "repair wave" << obs::kv("radius", radius)
                     << obs::kv("woken", woken)
                     << obs::kv("redeleted", cleaned.deleted)

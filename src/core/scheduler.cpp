@@ -1,11 +1,10 @@
 #include "tgcover/core/scheduler.hpp"
 
+#include <algorithm>
+
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/obs/log.hpp"
-#include "tgcover/obs/node_stats.hpp"
-#include "tgcover/obs/quality.hpp"
 #include "tgcover/obs/obs.hpp"
-#include "tgcover/obs/profile.hpp"
 #include "tgcover/obs/round_log.hpp"
 #include "tgcover/sim/mis.hpp"
 #include "tgcover/util/check.hpp"
@@ -53,14 +52,8 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
   std::vector<VertexId> to_test;
   std::vector<VertexId> deleted_wave;
 
-  // Running awake count, maintained for the round log only.
-  std::size_t num_active = 0;
-  for (const bool a : result.active) {
-    if (a) ++num_active;
-  }
-
   while (true) {
-    if (config.collector != nullptr) config.collector->begin_round();
+    obs::round_begin();
     // Step 1 (Section V-B): every internal node tests its own deletability
     // from local connectivity. Only dirty nodes are tested; the rest reuse
     // their verdict, which is sound because no deletion has reached their
@@ -153,25 +146,10 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
     }
     const std::size_t num_selected = deleted_wave.size();
     result.per_round.push_back(DccRoundInfo{num_candidates, num_selected});
-    num_active -= num_selected;
-    if (config.collector != nullptr) {
-      config.collector->end_round(num_active, num_candidates, num_selected);
-    }
-    if (obs::NodeTelemetry* const nt = obs::node_telemetry()) {
-      // The oracle sends no messages, so these rounds record idle-energy
-      // charges only — the lifetime baseline a distributed run is judged
-      // against.
-      nt->end_round(result.active);
-    }
-    if (obs::QualityAuditor* const qa = obs::quality_auditor()) {
-      qa->end_round(result.active);
-    }
-    if (obs::profile_active()) {
-      obs::profile_round(result.rounds);
-      obs::profile_mem_sample();
-    }
+    obs::round_end(result.active, num_candidates, num_selected);
     TGC_LOG(kDebug) << "dcc round" << obs::kv("round", result.rounds)
-                    << obs::kv("active", num_active)
+                    << obs::kv("active", std::count(result.active.begin(),
+                                                    result.active.end(), true))
                     << obs::kv("candidates", num_candidates)
                     << obs::kv("deleted", num_selected);
   }

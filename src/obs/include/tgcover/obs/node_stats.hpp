@@ -15,17 +15,17 @@
 /// sent/received/lost/dropped message and payload-word counts, per-link
 /// traffic folded into a CSR matrix at finalize, α-synchronizer backlog
 /// depth and retransmission attribution, and a first-order radio energy
-/// model (configurable tx/rx/idle cost) charging each node's battery.
+/// model (fixed tx/rx/idle cost) charging each node's battery.
 ///
-/// Activation model. The collector is bound to the *driving thread* through
-/// a thread_local pointer (set_node_telemetry): all sim messaging runs on
-/// the thread that owns the engine — pool workers only evaluate verdicts,
-/// which send nothing — and fleet cells each run whole on one worker, so
-/// per-cell instances never race. An unarmed run pays exactly one
-/// thread_local pointer load per hook (the same discipline as
-/// ExecutionProfiler's relaxed gate), and arming perturbs nothing: the
-/// collector only observes calls the engines already make, so schedules,
-/// cost streams, and traces stay byte-identical on/off.
+/// Activation model. The collector is bound to the *driving thread* by an
+/// obs::RunScope (round_log.hpp): all sim messaging runs on the thread that
+/// owns the engine — pool workers only evaluate verdicts, which send
+/// nothing — and fleet cells each run whole on one worker under their own
+/// scope, so per-cell instances never race. An unarmed run pays exactly one
+/// thread_local load per hook (the same discipline as ExecutionProfiler's
+/// relaxed gate), and arming perturbs nothing: the collector only observes
+/// calls the engines already make, so schedules, cost streams, and traces
+/// stay byte-identical on/off.
 ///
 /// Conservation invariant (enforced by tests/node_stats_test.cpp): the
 /// hooks sit exactly where the engines bump the registry counters, so
@@ -40,13 +40,12 @@ namespace tgc::obs {
 
 /// First-order radio energy model, charged per message and per active
 /// round. Units are abstract "energy units"; only ratios matter for hotspot
-/// ranking. Defaults follow the common first-order model where transmission
-/// costs about twice reception and idle listening an order less.
-struct EnergyModel {
-  double tx_cost = 1.0;    ///< per message sent (includes lost/dropped tx)
-  double rx_cost = 0.5;    ///< per message received
-  double idle_cost = 0.05; ///< per round the node is active
-};
+/// ranking. The costs follow the common first-order model where
+/// transmission costs about twice reception and idle listening an order
+/// less; the stream header echoes them.
+inline constexpr double kTxEnergy = 1.0;     ///< per message sent (any fate)
+inline constexpr double kRxEnergy = 0.5;     ///< per message received
+inline constexpr double kIdleEnergy = 0.05;  ///< per round the node is awake
 
 /// Cumulative per-node counters (also used for per-round deltas).
 struct NodeCounters {
@@ -102,11 +101,11 @@ struct NodeTelemetrySummary {
 
 class NodeTelemetry {
  public:
-  explicit NodeTelemetry(std::size_t num_nodes, EnergyModel energy = {});
+  explicit NodeTelemetry(std::size_t num_nodes);
 
   // ------------------------------------------------ hot-path hooks
-  // Called by the sim engines through the thread_local binding below; each
-  // is a handful of array increments on pre-sized vectors.
+  // Called by the sim engines through node_telemetry() below; each is a
+  // handful of array increments on pre-sized vectors.
   void on_send(std::uint32_t from, std::uint32_t to, std::size_t words);
   void on_deliver(std::uint32_t to, std::uint32_t from, std::size_t words);
   void on_drop(std::uint32_t from, std::uint32_t to);
@@ -116,11 +115,11 @@ class NodeTelemetry {
   void on_backlog(std::uint32_t node, std::size_t depth);
 
   // ------------------------------------------------ round boundaries
-  /// Closes one protocol round: charges idle energy to every node active in
-  /// `active_mask`, converts the since-last-call counter deltas into
-  /// NodeRoundRecords, and advances the round index. The schedulers call
-  /// this at the same boundary as RoundCollector::end_round.
-  void end_round(const std::vector<bool>& active_mask);
+  /// Closes protocol round `round`: charges idle energy to every node
+  /// active in `active_mask` and converts the since-last-call counter deltas
+  /// into NodeRoundRecords labelled `round`. obs::round_end and
+  /// obs::setup_end call this with the run's round index.
+  void end_round(std::uint64_t round, const std::vector<bool>& active_mask);
 
   /// Flushes any post-round residual activity (no idle charge) and derives
   /// the summary, link CSR, and top-talker ranking. Idempotent-hostile:
@@ -129,7 +128,6 @@ class NodeTelemetry {
 
   // ------------------------------------------------ results
   std::size_t num_nodes() const { return nodes_.size(); }
-  const EnergyModel& energy_model() const { return energy_; }
   const std::vector<NodeCounters>& node_counters() const { return nodes_; }
   const std::vector<double>& node_energy() const { return energy_by_node_; }
   const std::vector<std::uint64_t>& node_backlog_peak() const {
@@ -150,9 +148,9 @@ class NodeTelemetry {
   bool finalized() const { return finalized_; }
 
  private:
-  void flush_round_deltas(const std::vector<bool>* active_mask);
+  void flush_round_deltas(std::uint64_t round,
+                          const std::vector<bool>* active_mask);
 
-  EnergyModel energy_;
   std::vector<NodeCounters> nodes_;
   std::vector<NodeCounters> prev_;  ///< snapshot at last end_round
   std::vector<double> energy_by_node_;
@@ -165,16 +163,14 @@ class NodeTelemetry {
   LinkMatrix links_;
   NodeTelemetrySummary summary_;
   std::vector<std::uint32_t> top_talkers_;
-  std::uint64_t round_ = 0;
+  std::uint64_t rounds_ = 0;      ///< end_round calls (the summary's rounds)
+  std::uint64_t next_round_ = 0;  ///< label of post-run residual records
   bool finalized_ = false;
 };
 
-// ------------------------------------------------------------ the binding
-
-/// Binds `telemetry` (may be nullptr to unbind) to the calling thread. The
-/// engines observe through node_telemetry() — one thread_local load when
-/// unarmed, which is the whole cost of an off run.
-void set_node_telemetry(NodeTelemetry* telemetry);
+/// The calling thread's bound telemetry (RunScope), or nullptr. The engines
+/// observe through this — one thread_local load when unarmed, which is the
+/// whole cost of an off run.
 NodeTelemetry* node_telemetry();
 
 // ------------------------------------------------------------ exporters

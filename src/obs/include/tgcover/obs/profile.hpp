@@ -10,8 +10,8 @@
 #include "tgcover/obs/cost.hpp"
 
 /// The parallel-execution profiler (DESIGN.md §13): per-worker event rings
-/// plus peak-RSS samples, recorded inside util::ThreadPool and the
-/// scheduler/repair round loops and exported as a manifest-headed JSONL
+/// plus peak-RSS samples, recorded inside util::ThreadPool and at the run's
+/// round boundaries (obs::round_end) and exported as a manifest-headed JSONL
 /// stream (a bundle's profile.jsonl) or Perfetto/Chrome per-worker tracks.
 ///
 /// Where the logical-cost counters (cost.hpp) answer "how much work ran",
@@ -51,7 +51,7 @@ enum class ProfKind : std::uint8_t {
   kBarrier,  ///< the caller draining workers at the fork-join end
   kFork,     ///< one whole parallel_for region, recorded on the caller lane
   kPhase,    ///< instant: the cost phase changed (value = new phase)
-  kRound,    ///< instant: scheduler round / repair wave boundary (value)
+  kRound,    ///< instant: a deletion round ended (value = run's index)
   kCount
 };
 inline constexpr std::size_t kNumProfKinds =
@@ -85,7 +85,7 @@ struct WorkerProfile {
 
 // ------------------------------------------------------- memory telemetry
 
-/// One periodic memory observation (scheduler round ends, fleet run ends).
+/// One periodic memory observation (round ends, fleet run ends).
 struct MemorySample {
   std::uint64_t t_ns = 0;
   std::uint64_t peak_rss_bytes = 0;  ///< getrusage high-water (monotone)
@@ -159,7 +159,8 @@ void profile_idle(std::uint64_t start_ns, std::uint64_t dur_ns);
 void profile_barrier(std::uint64_t start_ns, std::uint64_t dur_ns);
 void profile_fork(std::uint64_t start_ns, std::uint64_t dur_ns,
                   std::uint64_t items);
-/// Instant: a scheduler round (or repair wave) completed.
+/// Instant: deletion round `round` (the run's index, obs::round_end)
+/// completed.
 void profile_round(std::uint64_t round);
 
 /// Appends one MemorySample (peak RSS). Mutex-guarded; call at coarse

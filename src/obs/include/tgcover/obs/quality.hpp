@@ -27,10 +27,10 @@
 /// under a CostAuditScope (see cost.hpp) so re-entering counted kernels to
 /// measure quality never perturbs the gated cost stream.
 ///
-/// Activation model (identical to NodeTelemetry): the driving thread binds a
-/// collector via set_quality_auditor(); the scheduler's round hook performs
-/// one thread_local load plus a null check when unarmed. The fleet runner
-/// binds one auditor per campaign cell on the pool worker executing it.
+/// Activation model (identical to NodeTelemetry): the driving thread binds
+/// the auditor with an obs::RunScope (round_log.hpp), whose round boundaries
+/// cost one thread_local load plus a null check when unarmed. The fleet
+/// runner binds one scope per campaign cell on the pool worker executing it.
 /// Arming perturbs nothing — schedule digests, cost streams, and traces are
 /// byte-identical with the auditor on or off, at any thread count.
 
@@ -67,10 +67,9 @@ struct QualityConfig {
   /// γ ≤ 2, +inf otherwise. Precomputed by the app layer from
   /// core::paper_hole_diameter_bound so obs stays below core.
   double hole_diameter_bound = std::numeric_limits<double>::infinity();
-  std::uint64_t sample_every = 1;  ///< probe every Nth round (≥ 1)
-  double rs = 1.0;                 ///< sensing radius (header echo)
-  double gamma = 1.0;              ///< Rc / Rs (header echo)
-  double cell_size = 0.05;         ///< rasterizer cell (header echo)
+  double rs = 1.0;          ///< sensing radius (header echo)
+  double gamma = 1.0;       ///< Rc / Rs (header echo)
+  double cell_size = 0.05;  ///< rasterizer cell (header echo)
 };
 
 /// One sampled round boundary.
@@ -98,20 +97,19 @@ struct QualitySummary {
 
 /// Per-run solution-quality collector. Single-threaded by design: end_round
 /// runs on the scheduler's driving thread (rounds are fork-join sequential),
-/// so plain members suffice. Rounds are counted monotonically across
-/// scheduler re-entry — dcc_repair's escalating waves keep extending the
-/// same timeline.
+/// so plain members suffice. Rounds carry the run's index, which stays
+/// monotonic across scheduler re-entry — dcc_repair's escalating waves keep
+/// extending the same timeline.
 class QualityAuditor {
  public:
   QualityAuditor(QualityConfig config, QualityProbe probe);
 
-  /// Round hook: samples the probe on the first call (round 0, the
-  /// pre-deletion state) and then every `sample_every`-th round. Cheap when
-  /// skipping (one counter increment).
-  void end_round(const std::vector<bool>& active);
+  /// Round hook: samples the probe over `active`, labelled `round`.
+  void end_round(std::uint64_t round, const std::vector<bool>& active);
 
-  /// Samples the final awake set (unless the last end_round already covered
-  /// it) and freezes the summary. Call once, after the run returns.
+  /// Samples the final awake set as round 0 when no round hook fired (a
+  /// schedule that deletes nothing) and freezes the summary. Call once,
+  /// after the run returns.
   void finalize(const std::vector<bool>& active);
 
   const QualityConfig& config() const { return config_; }
@@ -120,23 +118,12 @@ class QualityAuditor {
   bool finalized() const { return finalized_; }
 
  private:
-  void sample(std::uint64_t round, const std::vector<bool>& active);
-
   QualityConfig config_;
   QualityProbe probe_;
-  std::uint64_t next_round_ = 0;  ///< rounds seen so far (0 ⇒ nothing yet)
-  std::uint64_t last_sampled_round_ = 0;
-  bool sampled_any_ = false;
   bool finalized_ = false;
   std::vector<QualityRoundRecord> rounds_;
   QualitySummary summary_;
 };
-
-/// Binds `auditor` as the calling thread's active quality collector (nullptr
-/// unbinds). Same contract as set_node_telemetry: the unarmed hook is one
-/// thread_local load plus a predicted-taken null check.
-void set_quality_auditor(QualityAuditor* auditor);
-QualityAuditor* quality_auditor();
 
 /// Full stream: `quality_header`, one `quality_round` per sample (plus a
 /// `bound_violation` event line after any violating round), and a closing

@@ -10,8 +10,6 @@ namespace tgc::obs {
 
 namespace {
 
-thread_local NodeTelemetry* t_node_telemetry = nullptr;
-
 /// Fixed-precision double repr shared by every telemetry line — the same
 /// %.6f discipline as the HTML/report writers, so streams are
 /// byte-deterministic across platforms.
@@ -23,9 +21,8 @@ std::string f6(double v) {
 
 }  // namespace
 
-NodeTelemetry::NodeTelemetry(std::size_t num_nodes, EnergyModel energy)
-    : energy_(energy),
-      nodes_(num_nodes),
+NodeTelemetry::NodeTelemetry(std::size_t num_nodes)
+    : nodes_(num_nodes),
       prev_(num_nodes),
       energy_by_node_(num_nodes, 0.0),
       backlog_peak_(num_nodes, 0),
@@ -68,7 +65,8 @@ void NodeTelemetry::on_backlog(std::uint32_t node, std::size_t depth) {
   backlog_peak_[node] = std::max(backlog_peak_[node], d);
 }
 
-void NodeTelemetry::flush_round_deltas(const std::vector<bool>* active_mask) {
+void NodeTelemetry::flush_round_deltas(std::uint64_t round,
+                                       const std::vector<bool>* active_mask) {
   for (std::uint32_t v = 0; v < nodes_.size(); ++v) {
     const NodeCounters& cur = nodes_[v];
     const NodeCounters& was = prev_[v];
@@ -82,10 +80,10 @@ void NodeTelemetry::flush_round_deltas(const std::vector<bool>* active_mask) {
     delta.recv_words = cur.recv_words - was.recv_words;
     const bool active =
         active_mask != nullptr && v < active_mask->size() && (*active_mask)[v];
-    double energy = energy_.tx_cost * static_cast<double>(delta.sent) +
-                    energy_.rx_cost * static_cast<double>(delta.received);
+    double energy = kTxEnergy * static_cast<double>(delta.sent) +
+                    kRxEnergy * static_cast<double>(delta.received);
     if (active) {
-      energy += energy_.idle_cost;
+      energy += kIdleEnergy;
       ++rounds_active_[v];
     }
     energy_by_node_[v] += energy;
@@ -95,7 +93,7 @@ void NodeTelemetry::flush_round_deltas(const std::vector<bool>* active_mask) {
                              round_backlog_peak_[v] != 0;
     if (has_traffic) {
       NodeRoundRecord rec;
-      rec.round = round_;
+      rec.round = round;
       rec.node = v;
       rec.delta = delta;
       rec.backlog_peak = round_backlog_peak_[v];
@@ -107,16 +105,18 @@ void NodeTelemetry::flush_round_deltas(const std::vector<bool>* active_mask) {
   }
 }
 
-void NodeTelemetry::end_round(const std::vector<bool>& active_mask) {
-  flush_round_deltas(&active_mask);
-  ++round_;
+void NodeTelemetry::end_round(std::uint64_t round,
+                              const std::vector<bool>& active_mask) {
+  flush_round_deltas(round, &active_mask);
+  ++rounds_;
+  next_round_ = round + 1;
 }
 
 void NodeTelemetry::finalize() {
   if (finalized_) return;
   // Residual traffic after the last round boundary (no idle charge — the
   // protocol is over, these are in-flight leftovers).
-  flush_round_deltas(nullptr);
+  flush_round_deltas(next_round_, nullptr);
   finalized_ = true;
 
   const std::size_t n = nodes_.size();
@@ -142,7 +142,7 @@ void NodeTelemetry::finalize() {
   }
 
   summary_ = {};
-  summary_.rounds = round_;
+  summary_.rounds = rounds_;
   for (std::uint32_t v = 0; v < n; ++v) {
     const NodeCounters& c = nodes_[v];
     summary_.total_sent += c.sent;
@@ -196,12 +196,6 @@ void NodeTelemetry::finalize() {
   }
 }
 
-void set_node_telemetry(NodeTelemetry* telemetry) {
-  t_node_telemetry = telemetry;
-}
-
-NodeTelemetry* node_telemetry() { return t_node_telemetry; }
-
 namespace {
 
 void write_node_summary_line(std::ostream& out, const NodeTelemetry& t,
@@ -242,12 +236,11 @@ void write_node_telemetry_jsonl(const NodeTelemetry& t,
                                 std::span<const NodePosition> positions,
                                 std::ostream& out) {
   const std::size_t n = t.num_nodes();
-  const EnergyModel& e = t.energy_model();
   out << "{\"type\":\"node_telemetry_header\",\"version\":1,\"nodes\":" << n
       << ",\"rounds\":" << t.summary().rounds
-      << ",\"energy_tx\":" << f6(e.tx_cost)
-      << ",\"energy_rx\":" << f6(e.rx_cost)
-      << ",\"energy_idle\":" << f6(e.idle_cost) << "}\n";
+      << ",\"energy_tx\":" << f6(kTxEnergy)
+      << ",\"energy_rx\":" << f6(kRxEnergy)
+      << ",\"energy_idle\":" << f6(kIdleEnergy) << "}\n";
   if (positions.size() == n) {
     for (std::uint32_t v = 0; v < n; ++v) {
       out << "{\"type\":\"node_pos\",\"node\":" << v

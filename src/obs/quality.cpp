@@ -11,8 +11,6 @@ namespace tgc::obs {
 
 namespace {
 
-thread_local QualityAuditor* t_quality_auditor = nullptr;
-
 /// Fixed-precision float formatting so streams are byte-identical across
 /// platforms (same contract as the metrics and node-telemetry exporters).
 std::string f6(double v) {
@@ -70,24 +68,14 @@ void write_summary_line(std::ostream& out, const QualitySummary& s,
 }  // namespace
 
 QualityAuditor::QualityAuditor(QualityConfig config, QualityProbe probe)
-    : config_(config), probe_(std::move(probe)) {
-  if (config_.sample_every == 0) config_.sample_every = 1;
-}
-
-void QualityAuditor::end_round(const std::vector<bool>& active) {
-  ++next_round_;
-  if ((next_round_ - 1) % config_.sample_every != 0) return;
-  sample(next_round_, active);
-}
+    : config_(config), probe_(std::move(probe)) {}
 
 void QualityAuditor::finalize(const std::vector<bool>& active) {
   if (finalized_) return;
   // The final awake set is what the run actually ships; make sure it is
-  // sampled even when the sampling stride skipped the last round (or no
-  // round hook ever fired, e.g. a schedule that deletes nothing).
-  if (!sampled_any_ || last_sampled_round_ != next_round_) {
-    sample(next_round_, active);
-  }
+  // sampled even when no round hook ever fired (a schedule that deletes
+  // nothing).
+  if (rounds_.empty()) end_round(0, active);
   summary_ = QualitySummary{};
   summary_.rounds_sampled = rounds_.size();
   bool first = true;
@@ -114,8 +102,8 @@ void QualityAuditor::finalize(const std::vector<bool>& active) {
   finalized_ = true;
 }
 
-void QualityAuditor::sample(std::uint64_t round,
-                            const std::vector<bool>& active) {
+void QualityAuditor::end_round(std::uint64_t round,
+                               const std::vector<bool>& active) {
   QualityRoundRecord rec;
   rec.round = round;
   rec.awake = count_awake(active);
@@ -124,22 +112,14 @@ void QualityAuditor::sample(std::uint64_t round,
     rec.bound_margin = config_.hole_diameter_bound - rec.m.max_hole_diameter;
     rec.violation = rec.m.max_hole_diameter > config_.hole_diameter_bound;
   }
-  last_sampled_round_ = round;
-  sampled_any_ = true;
   rounds_.push_back(std::move(rec));
 }
-
-void set_quality_auditor(QualityAuditor* auditor) {
-  t_quality_auditor = auditor;
-}
-
-QualityAuditor* quality_auditor() { return t_quality_auditor; }
 
 void write_quality_jsonl(const QualityAuditor& auditor, std::ostream& out) {
   const QualityConfig& c = auditor.config();
   const bool bound_finite = std::isfinite(c.hole_diameter_bound);
   out << "{\"type\":\"quality_header\",\"version\":1,\"tau\":" << c.tau
-      << ",\"sample_every\":" << c.sample_every << ",\"rs\":" << f6(c.rs)
+      << ",\"rs\":" << f6(c.rs)
       << ",\"gamma\":" << f6(c.gamma) << ",\"cell_size\":" << f6(c.cell_size)
       << ",\"bound_finite\":" << (bound_finite ? 1 : 0);
   if (bound_finite) out << ",\"bound\":" << f6(c.hole_diameter_bound);

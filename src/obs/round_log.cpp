@@ -1,10 +1,19 @@
 #include "tgcover/obs/round_log.hpp"
 
+#include <algorithm>
 #include <ostream>
+
+#include "tgcover/obs/node_stats.hpp"
+#include "tgcover/obs/profile.hpp"
+#include "tgcover/obs/quality.hpp"
 
 namespace tgc::obs {
 
 namespace {
+
+/// The calling thread's run binding and its round index.
+thread_local RunCollectors t_run;
+thread_local std::uint64_t t_round = 0;
 
 /// Shared key order for round and summary records: scheduler-provided
 /// fields, then every counter by name, then per-span nanoseconds.
@@ -53,11 +62,14 @@ RoundCollector::RoundCollector()
 
 void RoundCollector::begin_round() { round_start_ = snapshot(); }
 
-void RoundCollector::end_round(std::uint64_t active, std::uint64_t candidates,
+void RoundCollector::end_round(std::uint64_t round,
+                               const std::vector<bool>& active,
+                               std::uint64_t candidates,
                                std::uint64_t deleted) {
   RoundEvent ev;
-  ev.round = static_cast<std::uint64_t>(events_.size()) + 1;
-  ev.active = active;
+  ev.round = round;
+  ev.active = static_cast<std::uint64_t>(
+      std::count(active.begin(), active.end(), true));
   ev.candidates = candidates;
   ev.deleted = deleted;
   ev.delta = snapshot() - round_start_;
@@ -105,6 +117,38 @@ void RoundCollector::write_cost_jsonl(std::ostream& out) const {
   }
   write_cost_records(out, "cost_total", 0, /*with_round=*/false,
                      totals().cost);
+}
+
+RunScope::RunScope(RunCollectors collectors) {
+  t_run = collectors;
+  t_round = 0;
+}
+
+RunScope::~RunScope() { t_run = {}; }
+
+NodeTelemetry* node_telemetry() { return t_run.nodes; }
+
+void round_begin() {
+  if (t_run.rounds != nullptr) t_run.rounds->begin_round();
+}
+
+void round_end(const std::vector<bool>& active, std::uint64_t candidates,
+               std::uint64_t deleted) {
+  const std::uint64_t round = ++t_round;
+  if (t_run.rounds != nullptr) {
+    t_run.rounds->end_round(round, active, candidates, deleted);
+  }
+  if (t_run.nodes != nullptr) t_run.nodes->end_round(round, active);
+  if (t_run.quality != nullptr) t_run.quality->end_round(round, active);
+  if (profile_active()) {
+    profile_round(round);
+    profile_mem_sample();
+  }
+}
+
+void setup_end(const std::vector<bool>& active) {
+  if (t_run.nodes != nullptr) t_run.nodes->end_round(0, active);
+  if (t_run.quality != nullptr) t_run.quality->end_round(0, active);
 }
 
 }  // namespace tgc::obs

@@ -1,14 +1,11 @@
 #include "tgcover/sim/mis.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/util/check.hpp"
 #include "tgcover/util/rng.hpp"
-#include "tgcover/util/stamped.hpp"
 
 namespace tgc::sim {
 
@@ -188,32 +185,14 @@ std::vector<bool> elect_mis_oracle_with_priorities(
 
   std::vector<bool> selected(n, false);
   std::vector<bool> blocked(n, false);
-  // Epoch-stamped distances: clearing is an O(1) stamp bump, not an O(n)
-  // fill per selected vertex — the fills dominated large sparse rounds
-  // where the MIS has many members with small balls.
-  util::StampedArray<std::uint32_t> dist;
-  dist.resize(n);
-  std::vector<graph::VertexId> queue;
+  graph::BoundedBfs ball;
   for (const graph::VertexId v : order) {
     if (blocked[v]) continue;
     selected[v] = true;
     // Block all candidates within `radius` hops over the active topology.
-    dist.clear();
-    queue.clear();
-    dist.put(v, 0);
-    queue.push_back(v);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const graph::VertexId u = queue[head];
-      const std::uint32_t du = dist.get(u);
-      if (du == radius) continue;
-      for (const graph::VertexId w : g.neighbors(u)) {
-        if (active[w] && !dist.contains(w)) {
-          dist.put(w, du + 1);
-          blocked[w] = true;
-          queue.push_back(w);
-        }
-      }
-    }
+    ball.run(g, std::span(&v, 1), radius,
+             [&](graph::VertexId w, graph::EdgeId) { return active[w]; });
+    for (const graph::VertexId w : ball.reached()) blocked[w] = true;
   }
   return selected;
 }

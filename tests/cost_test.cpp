@@ -114,13 +114,16 @@ TEST(RoundCollector, RoundProfilesAndTotals) {
     obs::CostPhaseScope scope(obs::CostPhase::kVerdicts);
     obs::add(obs::CounterId::kVptTests, 4);
   }
-  collector.end_round(/*active=*/9, /*candidates=*/4, /*deleted=*/1);
+  std::vector<bool> awake(10, true);
+  awake[3] = false;
+  collector.end_round(/*round=*/1, awake, /*candidates=*/4, /*deleted=*/1);
   collector.begin_round();
   {
     obs::CostPhaseScope scope(obs::CostPhase::kDeletion);
     obs::add(obs::CounterId::kBfsExpansions, 9);
   }
-  collector.end_round(/*active=*/8, /*candidates=*/1, /*deleted=*/1);
+  awake[7] = false;
+  collector.end_round(/*round=*/2, awake, /*candidates=*/1, /*deleted=*/1);
   collector.finalize(/*survivors=*/8);
   // Work after finalize must not leak into the frozen totals.
   obs::add(obs::CounterId::kVptTests, 100);
@@ -128,6 +131,9 @@ TEST(RoundCollector, RoundProfilesAndTotals) {
 
   const std::vector<obs::RoundEvent>& events = collector.events();
   ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].round, 1u);
+  EXPECT_EQ(events[0].active, 9u);  // counted from the awake mask
+  EXPECT_EQ(events[1].active, 8u);
   EXPECT_EQ(events[0]
                 .delta.cost.phase(obs::CostPhase::kVerdicts)
                 .get(obs::CounterId::kVptTests),

@@ -113,7 +113,7 @@ TEST(IncrementalEquivalence, CostStreamIdenticalAcrossThreads) {
     config.seed = 9;
     config.num_threads = threads;
     obs::RoundCollector collector;
-    config.collector = &collector;
+    const obs::RunScope scope({&collector});
     const DccResult r = dcc_schedule(inst.dep.graph, inst.internal, config);
     collector.finalize(r.survivors);
     std::ostringstream out;

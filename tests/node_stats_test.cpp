@@ -14,6 +14,7 @@
 #include "tgcover/core/scheduler.hpp"
 #include "tgcover/gen/deployments.hpp"
 #include "tgcover/obs/node_stats.hpp"
+#include "tgcover/obs/round_log.hpp"
 #include "tgcover/util/rng.hpp"
 
 namespace tgc::obs {
@@ -27,30 +28,33 @@ using graph::VertexId;
 // ------------------------------------------------------------ unit tests
 
 TEST(NodeTelemetry, EnergyModelCharges) {
-  EnergyModel model;
-  model.tx_cost = 2.0;
-  model.rx_cost = 0.5;
-  model.idle_cost = 0.25;
-  NodeTelemetry t(3, model);
+  // The fixed first-order model: tx 1.0 per send, rx 0.5 per delivery,
+  // idle 0.05 per awake round.
+  NodeTelemetry t(3);
   t.on_send(0, 1, 4);
   t.on_send(0, 1, 4);
   t.on_deliver(1, 0, 4);
-  const std::vector<bool> all_active = {true, true, true};
-  t.end_round(all_active);
-  const std::vector<bool> only_two = {true, true, false};
-  t.end_round(only_two);
+  t.end_round(1, {true, true, true});
+  t.end_round(2, {true, true, false});
   t.finalize();
   // Node 0: 2 sends + 2 active rounds; node 1: 1 delivery + 2 active
   // rounds; node 2: one active round of idle listening only.
-  EXPECT_DOUBLE_EQ(t.node_energy()[0], 2 * 2.0 + 2 * 0.25);
-  EXPECT_DOUBLE_EQ(t.node_energy()[1], 0.5 + 2 * 0.25);
-  EXPECT_DOUBLE_EQ(t.node_energy()[2], 0.25);
+  EXPECT_DOUBLE_EQ(t.node_energy()[0], 2 * 1.0 + 2 * 0.05);
+  EXPECT_DOUBLE_EQ(t.node_energy()[1], 0.5 + 2 * 0.05);
+  EXPECT_DOUBLE_EQ(t.node_energy()[2], 0.05);
   EXPECT_EQ(t.node_rounds_active()[2], 1u);
   EXPECT_DOUBLE_EQ(t.summary().total_energy,
                    t.node_energy()[0] + t.node_energy()[1] +
                        t.node_energy()[2]);
   EXPECT_DOUBLE_EQ(t.summary().max_node_energy, t.node_energy()[0]);
   EXPECT_EQ(t.summary().max_energy_node, 0u);
+  // The stream header echoes the model the report's energy note prints.
+  std::ostringstream stream;
+  write_node_telemetry_jsonl(t, {}, stream);
+  EXPECT_NE(stream.str().find("\"energy_tx\":1.000000,\"energy_rx\":0.500000,"
+                              "\"energy_idle\":0.050000}"),
+            std::string::npos)
+      << stream.str();
 }
 
 TEST(NodeTelemetry, RoundRecordsOnlyForTraffic) {
@@ -59,8 +63,8 @@ TEST(NodeTelemetry, RoundRecordsOnlyForTraffic) {
   NodeTelemetry t(100);
   t.on_send(7, 8, 2);
   std::vector<bool> active(100, true);
-  t.end_round(active);
-  t.end_round(active);  // a fully silent round
+  t.end_round(0, active);
+  t.end_round(1, active);  // a fully silent round
   t.finalize();
   ASSERT_EQ(t.round_records().size(), 1u);
   EXPECT_EQ(t.round_records()[0].round, 0u);
@@ -130,9 +134,9 @@ TEST(NodeTelemetry, BacklogPeaks) {
   t.on_backlog(1, 4);
   t.on_backlog(1, 2);
   std::vector<bool> active(3, true);
-  t.end_round(active);
+  t.end_round(1, active);
   t.on_backlog(1, 7);
-  t.end_round(active);
+  t.end_round(2, active);
   t.finalize();
   EXPECT_EQ(t.node_backlog_peak()[1], 7u);
   ASSERT_EQ(t.round_records().size(), 2u);
@@ -152,12 +156,33 @@ TEST(NodeTelemetry, UndeliveredResidual) {
 }
 
 TEST(NodeTelemetry, ThreadLocalBinding) {
+  // A RunScope binds the collector to this thread and numbers the round
+  // boundaries (setup = 0, then 1, 2, ...); the next scope starts over.
   EXPECT_EQ(node_telemetry(), nullptr);
-  NodeTelemetry t(1);
-  set_node_telemetry(&t);
-  EXPECT_EQ(node_telemetry(), &t);
-  set_node_telemetry(nullptr);
+  NodeTelemetry t(2);
+  const std::vector<bool> active(2, true);
+  {
+    const RunScope scope({nullptr, &t, nullptr});
+    EXPECT_EQ(node_telemetry(), &t);
+    node_telemetry()->on_send(0, 1, 1);
+    setup_end(active);
+    round_end(active, 0, 0);
+    node_telemetry()->on_send(1, 0, 1);
+    round_end(active, 0, 0);
+  }
   EXPECT_EQ(node_telemetry(), nullptr);
+  round_end(active, 0, 0);  // unbound: reaches no collector
+  {
+    const RunScope scope({nullptr, &t, nullptr});
+    node_telemetry()->on_send(0, 1, 1);
+    round_end(active, 0, 0);
+  }
+  t.finalize();
+  ASSERT_EQ(t.round_records().size(), 3u);
+  EXPECT_EQ(t.round_records()[0].round, 0u);
+  EXPECT_EQ(t.round_records()[1].round, 2u);
+  EXPECT_EQ(t.round_records()[2].round, 1u);
+  EXPECT_EQ(t.summary().rounds, 4u);
 }
 
 TEST(NodeTelemetry, JsonlStreamsAreDeterministic) {
@@ -168,7 +193,7 @@ TEST(NodeTelemetry, JsonlStreamsAreDeterministic) {
     t.on_deliver(1, 0, 2);
     t.on_backlog(2, 1);
     std::vector<bool> active(3, true);
-    t.end_round(active);
+    t.end_round(1, active);
     t.finalize();
     return t;
   };
@@ -208,13 +233,6 @@ Instance make_instance(std::uint64_t seed, std::size_t n = 110) {
   return inst;
 }
 
-/// RAII binding so a failed ASSERT never leaks the thread_local pointer
-/// into the next test.
-struct ScopedTelemetry {
-  explicit ScopedTelemetry(NodeTelemetry* t) { set_node_telemetry(t); }
-  ~ScopedTelemetry() { set_node_telemetry(nullptr); }
-};
-
 void check_ledger(const NodeTelemetry& t, const DccDistributedResult& run) {
   const NodeTelemetrySummary& s = t.summary();
   // Global reconciliation: the collector saw exactly the traffic the
@@ -252,7 +270,7 @@ TEST(NodeTelemetryConservation, SyncDistributed) {
     config.seed = 7;
     config.num_threads = threads;
     NodeTelemetry t(inst.dep.graph.num_vertices());
-    const ScopedTelemetry bind(&t);
+    const RunScope bind({nullptr, &t, nullptr});
     const DccDistributedResult run =
         core::dcc_schedule_distributed(inst.dep.graph, inst.internal, config);
     t.finalize();
@@ -275,7 +293,7 @@ TEST(NodeTelemetryConservation, AsyncLossy) {
     async.net.loss_probability = 0.15;
     async.net.seed = 77;
     NodeTelemetry t(inst.dep.graph.num_vertices());
-    const ScopedTelemetry bind(&t);
+    const RunScope bind({nullptr, &t, nullptr});
     const DccDistributedResult run = core::dcc_schedule_distributed_async(
         inst.dep.graph, inst.internal, config, async);
     t.finalize();
@@ -291,7 +309,7 @@ TEST(NodeTelemetryConservation, AsyncLossless) {
   config.tau = 3;
   config.seed = 5;
   NodeTelemetry t(inst.dep.graph.num_vertices());
-  const ScopedTelemetry bind(&t);
+  const RunScope bind({nullptr, &t, nullptr});
   const DccDistributedResult run = core::dcc_schedule_distributed_async(
       inst.dep.graph, inst.internal, config, {});
   t.finalize();
@@ -311,7 +329,7 @@ TEST(NodeTelemetryConservation, ArmingDoesNotPerturbSchedule) {
   NodeTelemetry t(inst.dep.graph.num_vertices());
   DccDistributedResult on;
   {
-    const ScopedTelemetry bind(&t);
+    const RunScope bind({nullptr, &t, nullptr});
     on = core::dcc_schedule_distributed(inst.dep.graph, inst.internal, config);
   }
   t.finalize();

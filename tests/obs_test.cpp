@@ -137,8 +137,10 @@ TEST(ObsCollector, RoundTripThroughWriter) {
   core::DccConfig config;
   config.tau = 4;
   obs::RoundCollector collector;
-  config.collector = &collector;
-  const core::ScheduleSummary s = core::run_dcc(net, config);
+  const core::ScheduleSummary s = [&] {
+    const obs::RunScope scope({&collector});
+    return core::run_dcc(net, config);
+  }();
   collector.finalize(s.result.survivors);
   obs::set_enabled(false);
 
@@ -223,9 +225,10 @@ TEST(ObsDeterminism, TelemetryNeverChangesTheSchedule) {
 
     obs::set_enabled(true);
     obs::RoundCollector collector;
-    core::DccConfig metered = plain;
-    metered.collector = &collector;
-    const core::ScheduleSummary metered_run = core::run_dcc(net, metered);
+    const core::ScheduleSummary metered_run = [&] {
+      const obs::RunScope scope({&collector});
+      return core::run_dcc(net, plain);
+    }();
     collector.finalize(metered_run.result.survivors);
     obs::set_enabled(false);
 

@@ -9,10 +9,12 @@
 // stream, and the --resume armed/unarmed consistency refusal).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -187,6 +189,113 @@ TEST_F(QualityFixture, LossyAsyncRepairRunHoldsTheBoundWithMargin) {
   EXPECT_GT(repair.of("quality_summary").back().number("bound_margin"), 0.0);
 }
 
+/// Checks one bundle against the run's single round index: quality round N
+/// samples the awake set metrics round N reports, round 0 (the k-hop setup
+/// boundary) appears only when `setup_round`, the profile marks exactly the
+/// metrics rounds, and node records stay inside 0..R.
+void expect_one_round_index(const fs::path& dir, bool setup_round,
+                            std::size_t nodes) {
+  SCOPED_TRACE(dir.filename().string());
+  const Bundle b = load_bundle(dir.string());
+  ASSERT_TRUE(b.error.empty()) << b.error;
+  ASSERT_TRUE(b.has("summary"));
+  const std::uint64_t rounds = b.of("summary").back().u64("rounds");
+  std::map<std::uint64_t, std::uint64_t> active;  // metrics round -> awake
+  for (const obs::JsonRecord& rec : b.of("round")) {
+    active[rec.u64("round")] = rec.u64("active");
+  }
+  ASSERT_EQ(active.size(), rounds);
+  ASSERT_GT(rounds, 0u);
+  std::set<std::uint64_t> sampled;
+  for (const obs::JsonRecord& rec : b.of("quality_round")) {
+    const std::uint64_t n = rec.u64("round");
+    sampled.insert(n);
+    if (n == 0) {
+      EXPECT_EQ(rec.u64("awake"), nodes);
+      continue;
+    }
+    ASSERT_TRUE(active.count(n) == 1) << "quality round " << n;
+    EXPECT_EQ(rec.u64("awake"), active[n]) << "round " << n;
+  }
+  EXPECT_EQ(sampled.count(0) == 1, setup_round);
+  EXPECT_EQ(sampled.size(), rounds + (setup_round ? 1 : 0));
+  ASSERT_TRUE(b.has("profile_header"));
+  EXPECT_EQ(b.of("profile_header").front().u64("rounds"), rounds);
+  for (const obs::JsonRecord& rec : b.of("node_round")) {
+    EXPECT_LE(rec.u64("round"), rounds);
+  }
+}
+
+TEST_F(QualityFixture, OneRoundIndexAcrossEveryStream) {
+  // Every executor reports its round boundaries to one run index: the
+  // oracle schedule, both distributed substrates (whose k-hop setup is
+  // round 0) and a repair whose escalating waves re-enter the scheduler
+  // must number quality samples, profile marks and node records alike.
+  ASSERT_EQ(run({"generate", "--type", "udg", "--nodes", "150", "--degree",
+                 "20", "--seed", "3", "--out", net_.c_str()}),
+            0);
+  const std::string sched = (dir_ / "sched.tgc").string();
+  const std::string mask = (dir_ / "mask.tgc").string();
+  const fs::path b_sched = dir_ / "b-sched";
+  const fs::path b_sync = dir_ / "b-sync";
+  const fs::path b_lossy = dir_ / "b-lossy";
+  const fs::path b_repair = dir_ / "b-repair";
+  ASSERT_EQ(run({"schedule", "--in", net_.c_str(), "--tau", "4", "--out",
+                 sched.c_str(), "--obs-out", b_sched.string().c_str(),
+                 "--obs", "quality,profile"}),
+            0);
+  ASSERT_EQ(run({"distributed", "--in", net_.c_str(), "--tau", "4", "--out",
+                 mask.c_str(), "--obs-out", b_sync.string().c_str(), "--obs",
+                 "quality,nodes,profile"}),
+            0);
+  ASSERT_EQ(run({"distributed", "--in", net_.c_str(), "--tau", "4",
+                 "--async", "--loss", "0.1", "--out", mask.c_str(),
+                 "--obs-out", b_lossy.string().c_str(), "--obs",
+                 "quality,nodes,profile"}),
+            0);
+
+  // Crash the 6 awake nodes nearest the area centre: the repair needs a
+  // second, wider wake wave.
+  const gen::Deployment dep = io::load_deployment(net_);
+  const std::vector<bool> awake = io::load_mask(sched);
+  const geom::Point center{(dep.area.xmin + dep.area.xmax) / 2.0,
+                           (dep.area.ymin + dep.area.ymax) / 2.0};
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t v = 0; v < awake.size(); ++v) {
+    if (awake[v]) order.push_back(v);
+  }
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const double da = geom::dist(dep.positions[a], center);
+    const double db = geom::dist(dep.positions[b], center);
+    return da != db ? da < db : a < b;
+  });
+  ASSERT_GE(order.size(), 6u);
+  std::vector<bool> failed(awake.size(), false);
+  for (std::size_t i = 0; i < 6; ++i) failed[order[i]] = true;
+  const std::string failed_path = (dir_ / "failed.tgc").string();
+  io::save_mask(failed, failed_path);
+  const std::string repaired = (dir_ / "repaired.tgc").string();
+  // Exit 1 only says the certificate was not restorable; the waves ran and
+  // the bundle is written either way.
+  std::string out;
+  const int rc = run({"repair", "--in", net_.c_str(), "--tau", "4",
+                      "--schedule", sched.c_str(), "--failed",
+                      failed_path.c_str(), "--out", repaired.c_str(),
+                      "--obs-out", b_repair.string().c_str(), "--obs",
+                      "quality,profile,nodes"},
+                     &out);
+  ASSERT_TRUE(rc == 0 || rc == 1) << out;
+  const Bundle repair = load_bundle(b_repair.string());
+  ASSERT_TRUE(repair.has("summary"));
+  EXPECT_GE(repair.of("summary").back().u64("repair_waves"), 2u);
+
+  const std::size_t n = dep.graph.num_vertices();
+  expect_one_round_index(b_sched, /*setup_round=*/false, n);
+  expect_one_round_index(b_sync, /*setup_round=*/true, n);
+  expect_one_round_index(b_lossy, /*setup_round=*/true, n);
+  expect_one_round_index(b_repair, /*setup_round=*/false, n);
+}
+
 TEST_F(QualityFixture, OverDeletionRecordsABoundViolationEvent) {
   // Synthetic SLO breach: deactivate every node in a disk wider than the
   // (τ−2)·Rc = 2 bound around the target center. The auditor must flag the
@@ -216,8 +325,8 @@ TEST_F(QualityFixture, OverDeletionRecordsABoundViolationEvent) {
     }
   }
   ASSERT_GT(killed, 0u);
-  auditor->end_round(all_awake);  // round 1: intact, inside the bound
-  auditor->end_round(cratered);   // round 2: the crater
+  auditor->end_round(1, all_awake);  // intact, inside the bound
+  auditor->end_round(2, cratered);   // the crater
   auditor->finalize(cratered);
 
   const obs::QualitySummary& s = auditor->summary();
