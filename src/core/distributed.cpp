@@ -259,11 +259,11 @@ DccDistributedResult dcc_schedule_distributed_async(
     const graph::Graph& g, const std::vector<bool>& internal,
     const DccConfig& config, const DccAsyncOptions& async) {
   sim::AsyncEngine engine(g, async.net);
-  sim::AlphaRunner runner(engine, async.retransmit_interval);
+  sim::AlphaSynchronizer runner(engine, async.retransmit_interval);
   DccDistributedResult out = run_distributed(runner, g, internal, config);
   out.traffic = runner.stats();
   out.messages_lost = engine.messages_lost();
-  out.retransmissions = runner.synchronizer().retransmissions();
+  out.retransmissions = runner.retransmissions();
   out.sim_duration = engine.now();
   return out;
 }

@@ -20,11 +20,11 @@ namespace tgc::obs {
 /// `tgcover report`.
 ///
 /// Overhead policy mirrors the counters: inactive costs one relaxed bool
-/// load per site. When active, events append to per-thread chunk buffers (a
-/// deque — stable chunks, no reallocation-copy of old events) guarded by a
-/// per-thread mutex that is uncontended in practice: the simulators emit
-/// from the driving thread only, and VPT worker threads emit nothing, which
-/// is also what makes traces byte-identical across --threads values.
+/// load per site. When active, events append to one vector guarded by a
+/// mutex that is uncontended in practice: the simulators emit from the
+/// driving thread only, and VPT worker threads emit nothing, which is also
+/// what makes traces byte-identical across --threads values. Sequence
+/// numbers are taken under the mutex, so the buffer is always in seq order.
 
 /// Event discriminator. Keep in sync with kTraceKindNames (trace.cpp).
 enum class TraceKind : std::uint8_t {
@@ -39,7 +39,7 @@ enum class TraceKind : std::uint8_t {
   kSend,             ///< transmission (node -> peer); mints the flow id
   kDeliver,          ///< delivery at `node` from `peer` (flow = send's id)
   kDrop,             ///< delivery dropped: receiver powered down
-  kLoss,             ///< transmission lost on the air (async lossy links)
+  kLoss,             ///< transmission lost on the air (value = words)
   kRetransmit,       ///< α-synchronizer retransmission of an unacked message
   kTimerSet,         ///< async timer armed (flow pairs set with fire)
   kTimerFire,        ///< async timer fired
@@ -86,13 +86,12 @@ struct TraceEvent {
 /// behind it.
 bool trace_active();
 
-/// Clears all buffers, resets the sequence counter to 1 and activates
+/// Clears the buffer, resets the sequence counter to 1 and activates
 /// collection. Call from a quiescent point (no concurrent emitters); the
 /// reset is what makes repeated traced runs in one process byte-identical.
 void trace_begin();
 
-/// Deactivates collection and drains every thread's buffer into one vector
-/// sorted by sequence number.
+/// Deactivates collection and hands over the buffer, in sequence order.
 std::vector<TraceEvent> trace_end();
 
 /// Appends one event (no-op returning 0 when inactive). Returns the event's

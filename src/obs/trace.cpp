@@ -1,10 +1,9 @@
 #include "tgcover/obs/trace.hpp"
 
-#include <algorithm>
 #include <array>
 #include <atomic>
-#include <deque>
 #include <mutex>
+#include <utility>
 
 namespace tgc::obs {
 
@@ -43,82 +42,48 @@ std::string_view trace_phase_name(std::uint32_t phase) {
 
 namespace {
 
-/// One thread's event buffer. std::deque is the chunk structure: appends
-/// never move prior events, so a drain concurrent with no writers sees a
-/// stable sequence. The mutex is per-buffer and effectively uncontended —
-/// it is only ever shared between the owning thread (emit) and the drain.
-struct TraceBuf {
+/// The one trace buffer. Only the thread driving a simulator emits (VPT
+/// workers emit nothing), so the mutex is uncontended in practice; sequence
+/// numbers are taken under it, so the buffer is already in seq order.
+struct TraceState {
   std::mutex mutex;
-  std::deque<TraceEvent> events;
-};
-
-/// Process-wide trace registry, mirroring the counter shard registry:
-/// buffers live in a deque (stable addresses) and are never reclaimed, so a
-/// worker thread that exits leaves its events behind for the drain.
-struct TraceRegistry {
-  std::mutex mutex;
-  std::deque<TraceBuf> bufs;
+  std::vector<TraceEvent> events;
+  std::uint64_t next_seq = 1;
   std::atomic<bool> active{false};
-  std::atomic<std::uint64_t> next_seq{1};
 };
 
-TraceRegistry& trace_registry() {
-  static TraceRegistry r;
-  return r;
-}
-
-TraceBuf* register_trace_buf() {
-  TraceRegistry& r = trace_registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  return &r.bufs.emplace_back();
-}
-
-TraceBuf& local_trace_buf() {
-  thread_local TraceBuf* buf = register_trace_buf();
-  return *buf;
+TraceState& trace_state() {
+  static TraceState t;
+  return t;
 }
 
 }  // namespace
 
 bool trace_active() {
-  return trace_registry().active.load(std::memory_order_relaxed);
+  return trace_state().active.load(std::memory_order_relaxed);
 }
 
 void trace_begin() {
-  TraceRegistry& r = trace_registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  for (TraceBuf& buf : r.bufs) {
-    const std::lock_guard<std::mutex> buf_lock(buf.mutex);
-    buf.events.clear();
-  }
-  r.next_seq.store(1, std::memory_order_relaxed);
-  r.active.store(true, std::memory_order_relaxed);
+  TraceState& t = trace_state();
+  const std::lock_guard<std::mutex> lock(t.mutex);
+  t.events.clear();
+  t.next_seq = 1;
+  t.active.store(true, std::memory_order_relaxed);
 }
 
 std::vector<TraceEvent> trace_end() {
-  TraceRegistry& r = trace_registry();
-  r.active.store(false, std::memory_order_relaxed);
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<TraceEvent> all;
-  for (TraceBuf& buf : r.bufs) {
-    const std::lock_guard<std::mutex> buf_lock(buf.mutex);
-    all.insert(all.end(), buf.events.begin(), buf.events.end());
-    buf.events.clear();
-  }
-  std::sort(all.begin(), all.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              return a.seq < b.seq;
-            });
-  return all;
+  TraceState& t = trace_state();
+  const std::lock_guard<std::mutex> lock(t.mutex);
+  t.active.store(false, std::memory_order_relaxed);
+  return std::exchange(t.events, {});
 }
 
 std::uint64_t trace_emit(TraceKind kind, std::uint32_t node,
                          std::uint32_t peer, std::uint32_t type,
                          std::uint32_t value, double sim, std::uint64_t flow) {
-  TraceRegistry& r = trace_registry();
-  if (!r.active.load(std::memory_order_relaxed)) return 0;
+  TraceState& t = trace_state();
+  if (!t.active.load(std::memory_order_relaxed)) return 0;
   TraceEvent ev;
-  ev.seq = r.next_seq.fetch_add(1, std::memory_order_relaxed);
   ev.wall_ns = now_ns();
   ev.flow = flow;
   ev.sim = sim;
@@ -127,9 +92,9 @@ std::uint64_t trace_emit(TraceKind kind, std::uint32_t node,
   ev.type = type;
   ev.value = value;
   ev.kind = kind;
-  TraceBuf& buf = local_trace_buf();
-  const std::lock_guard<std::mutex> lock(buf.mutex);
-  buf.events.push_back(ev);
+  const std::lock_guard<std::mutex> lock(t.mutex);
+  ev.seq = t.next_seq++;
+  t.events.push_back(ev);
   return ev.seq;
 }
 

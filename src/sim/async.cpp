@@ -1,5 +1,7 @@
 #include "tgcover/sim/async.hpp"
 
+#include <algorithm>
+
 #include "tgcover/obs/log.hpp"
 #include "tgcover/obs/node_stats.hpp"
 #include "tgcover/obs/obs.hpp"
@@ -58,7 +60,8 @@ void AsyncEngine::send(graph::VertexId from, graph::VertexId to,
     obs::add(obs::CounterId::kMessagesLost, 1);
     if (nt != nullptr) nt->on_loss(from, to);
     if (traced) {
-      obs::trace_emit(obs::TraceKind::kLoss, from, to, type, 0, now_,
+      obs::trace_emit(obs::TraceKind::kLoss, from, to, type,
+                      static_cast<std::uint32_t>(payload.size()), now_,
                       trace_id);
     }
     return;
@@ -236,16 +239,15 @@ void AlphaSynchronizer::refresh_topology() {
   }
 }
 
-/// Sends an outgoing round message and arms its retransmission timer.
+/// Sends an outgoing round message and arms its retransmission timer; the
+/// timer's chain ends once the ack has retired the ledger entry.
 void AlphaSynchronizer::transmit(std::uint64_t link, std::uint32_t round) {
   const Outgoing& out = outgoing_.at(link).at(round);
-  if (out.acked) return;
   engine_->send(out.from, out.to, kMsgRound, out.payload);
   engine_->schedule(retransmit_interval_, [this, link, round] {
-    const auto link_it = outgoing_.find(link);
-    if (link_it == outgoing_.end()) return;
-    const auto it = link_it->second.find(round);
-    if (it == link_it->second.end() || it->second.acked) return;
+    auto& ledger = outgoing_.at(link);
+    const auto it = ledger.find(round);
+    if (it == ledger.end()) return;
     ++retransmissions_;
     obs::add(obs::CounterId::kRetransmissions, 1);
     if (obs::NodeTelemetry* const nt = obs::node_telemetry()) {
@@ -261,18 +263,16 @@ void AlphaSynchronizer::transmit(std::uint64_t link, std::uint32_t round) {
 
 /// Executes round `executed_[v]` at v: the handler consumes the previous
 /// round's messages and its sends ship as this round's combined messages.
-void AlphaSynchronizer::execute(graph::VertexId v,
-                                const SyncRunner::Handler& handler) {
+void AlphaSynchronizer::execute(graph::VertexId v, const Handler& handler) {
   const std::size_t round_index = executed_[v];
   std::vector<Message> inbox;
   if (round_index > 0) {
-    const auto key = static_cast<std::uint32_t>(round_index - 1);
-    const auto it = pending_[v].find(key);
-    if (it != pending_[v].end()) {
-      inbox = std::move(it->second);
-      pending_[v].erase(it);
+    const auto it =
+        inbox_[v].find(static_cast<std::uint32_t>(round_index - 1));
+    if (it != inbox_[v].end()) {
+      inbox = std::move(it->second.msgs);
+      inbox_[v].erase(it);
     }
-    got_[v].erase(key);
   }
   // Handler spans use the 1-based round number; transport-level deliver
   // events were already emitted at pop time (the gap between a combined
@@ -297,24 +297,25 @@ void AlphaSynchronizer::execute(graph::VertexId v,
         it == mailer.per_dest().end() ? kEmpty : it->second;
     const auto round32 = static_cast<std::uint32_t>(round_index);
     outgoing_[link_of(v, u)].emplace(
-        round32, Outgoing{v, u, pack_round(round32, msgs), false});
+        round32, Outgoing{v, u, pack_round(round32, msgs)});
     transmit(link_of(v, u), round32);
   }
   ++executed_[v];
 }
 
 void AlphaSynchronizer::try_advance(graph::VertexId v,
-                                    const SyncRunner::Handler& handler) {
+                                    const Handler& handler) {
   while (executed_[v] < target_rounds_) {
     if (executed_[v] == 0) {
       execute(v, handler);
       continue;
     }
-    const auto need = static_cast<std::uint32_t>(executed_[v] - 1);
-    const auto it = got_[v].find(need);
-    const std::size_t have = it == got_[v].end() ? 0 : it->second;
+    const auto it =
+        inbox_[v].find(static_cast<std::uint32_t>(executed_[v] - 1));
+    const std::size_t have =
+        it == inbox_[v].end() ? 0 : it->second.senders.size();
     // `have` can exceed the neighbor count when a neighbor was deactivated
-    // after sending its round-`need` beacon (between run_rounds calls);
+    // after sending that round's beacon (between run_rounds calls);
     // advancement then proceeds exactly as RoundEngine would.
     if (have < nbrs_[v].size()) break;
     execute(v, handler);
@@ -322,13 +323,12 @@ void AlphaSynchronizer::try_advance(graph::VertexId v,
 }
 
 void AlphaSynchronizer::run_rounds(std::size_t rounds,
-                                   const SyncRunner::Handler& handler) {
+                                   const Handler& handler) {
   if (rounds == 0) return;
   const std::size_t n = engine_->graph().num_vertices();
   if (executed_.empty() && n > 0) {
     executed_.assign(n, 0);
-    pending_.resize(n);
-    got_.resize(n);
+    inbox_.resize(n);
   }
   // Deactivations are only legal between calls (the network is quiescent
   // then), so a per-call topology snapshot is exact.
@@ -347,11 +347,7 @@ void AlphaSynchronizer::run_rounds(std::size_t rounds,
   engine_->run([&](double /*now*/, const Message& msg) {
     if (msg.type == kMsgAck) {
       TGC_CHECK(msg.payload.size() == 1);
-      const auto link_it = outgoing_.find(link_of(msg.to, msg.from));
-      if (link_it != outgoing_.end()) {
-        const auto it = link_it->second.find(msg.payload[0]);
-        if (it != link_it->second.end()) it->second.acked = true;
-      }
+      outgoing_.at(link_of(msg.to, msg.from)).erase(msg.payload[0]);
       return;
     }
     if (msg.type != kMsgRound) return;
@@ -359,31 +355,43 @@ void AlphaSynchronizer::run_rounds(std::size_t rounds,
     auto msgs = unpack_round(msg, &round);
     // Always (re-)ack — a previous ack may have been lost.
     engine_->send(msg.to, msg.from, kMsgAck, {round});
-    if (!delivered_[link_of(msg.from, msg.to)].insert(round).second) {
-      return;  // duplicate retransmission
-    }
-    auto& bucket = pending_[msg.to][round];
-    for (auto& m : msgs) bucket.push_back(std::move(m));
-    ++got_[msg.to][round];
+    // A retransmission is a duplicate when its round is already consumed
+    // (the receiver heard every neighbor's copy before consuming it) or its
+    // sender is already in that round's inbox.
+    if (round + 1 < executed_[msg.to]) return;
+    Inbox& in = inbox_[msg.to][round];
+    if (std::ranges::find(in.senders, msg.from) != in.senders.end()) return;
+    in.senders.push_back(msg.from);
+    for (auto& m : msgs) in.msgs.push_back(std::move(m));
     if (obs::NodeTelemetry* const nt = obs::node_telemetry()) {
       // Synchronizer backlog: protocol messages buffered at the receiver
-      // waiting for its round frontier to advance. The map is bounded by
-      // the round slack (a few buckets), so summing here is cheap and only
-      // happens when telemetry is armed.
+      // waiting for its round frontier to advance. A node holds at most two
+      // unconsumed rounds, so summing here is cheap and only happens when
+      // telemetry is armed.
       std::size_t depth = 0;
-      for (const auto& [r, buffered] : pending_[msg.to]) {
-        depth += buffered.size();
+      for (const auto& [r, buffered] : inbox_[msg.to]) {
+        depth += buffered.msgs.size();
       }
       nt->on_backlog(msg.to, depth);
     }
     try_advance(msg.to, handler);
   });
 
-  rounds_completed_ = target_rounds_;
+  // Quiescent: a drained queue means every retransmit chain has ended, so
+  // every round message was acked and the ledger is empty; each active node
+  // buffers only the round its next call consumes first.
+  stats_ = engine_->stats();
+  stats_.rounds = target_rounds_;
+  TGC_CHECK_MSG(std::all_of(outgoing_.begin(), outgoing_.end(),
+                            [](const auto& l) { return l.second.empty(); }),
+                "synchronizer left a round message unacked");
+  const auto last = static_cast<std::uint32_t>(target_rounds_ - 1);
   for (graph::VertexId v = 0; v < n; ++v) {
     if (engine_->is_active(v)) {
       TGC_CHECK_MSG(executed_[v] == target_rounds_,
                     "synchronizer stalled at node " << v);
+      TGC_CHECK_MSG(inbox_[v].size() == inbox_[v].count(last),
+                    "node " << v << " buffers a consumed or future round");
     }
   }
 }

@@ -5,7 +5,6 @@
 #include <queue>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "tgcover/sim/engine.hpp"
@@ -89,85 +88,43 @@ class AsyncEngine {
 /// Running a SyncRunner::Handler under it yields exactly the synchronous
 /// execution (same inboxes per round, arbitrary delivery order within a
 /// round — handlers must not depend on inbox order beyond sender identity,
-/// which ours do not; tests pin this down).
+/// which ours do not; tests pin this down). As a SyncRunner it lets the
+/// distributed DCC executor run unchanged on the lossy asynchronous engine,
+/// with schedules bit-identical to RoundEngine's (asserted by tests).
 ///
-/// The synchronizer is *incremental*: protocol state (undelivered round
-/// messages, per-round beacon counts, the reliable-delivery ledger)
-/// persists across run_rounds calls, so consecutive calls continue one
-/// synchronous execution — messages sent in the last round of one call are
-/// consumed in the first round of the next, exactly like back-to-back
+/// The synchronizer is *incremental*: protocol state persists across
+/// run_rounds calls, so consecutive calls continue one synchronous
+/// execution — messages sent in the last round of one call are consumed in
+/// the first round of the next, exactly like back-to-back
 /// RoundEngine::run_round calls. Every call returns at a quiescent point
 /// (event queue drained, all active nodes at the same round), which is when
 /// deactivating nodes between calls is legal; the topology is re-snapshotted
 /// at each call.
 ///
+/// It keeps only state a later event can still read: the ledger holds the
+/// unacked round messages (an ack retires its entry), and each node buffers
+/// only the rounds it has not consumed. At every quiescent point the ledger
+/// is empty and each active node buffers at most the round its next call
+/// consumes first (checked).
+///
 /// Reliability: every combined round message is acknowledged; unacked
 /// messages are retransmitted every `retransmit_interval`, so the
 /// synchronous semantics survive lossy links (AsyncEngine loss_probability).
-class AlphaSynchronizer {
+class AlphaSynchronizer final : public SyncRunner {
  public:
   explicit AlphaSynchronizer(AsyncEngine& engine,
                              double retransmit_interval = 4.0);
 
   /// Runs `rounds` further synchronous rounds of `handler` over the async
   /// engine (continuing from where the previous call stopped).
-  void run_rounds(std::size_t rounds, const SyncRunner::Handler& handler);
-
-  std::size_t rounds_completed() const { return rounds_completed_; }
-  std::size_t retransmissions() const { return retransmissions_; }
-
- private:
-  struct Outgoing {
-    graph::VertexId from = 0;
-    graph::VertexId to = 0;
-    std::vector<std::uint32_t> payload;
-    bool acked = false;
-  };
-
-  std::uint64_t link_of(graph::VertexId from, graph::VertexId to) const;
-  void refresh_topology();
-  void transmit(std::uint64_t link, std::uint32_t round);
-  void execute(graph::VertexId v, const SyncRunner::Handler& handler);
-  void try_advance(graph::VertexId v, const SyncRunner::Handler& handler);
-
-  AsyncEngine* engine_;
-  double retransmit_interval_;
-  std::size_t rounds_completed_ = 0;
-  std::size_t target_rounds_ = 0;
-  std::size_t retransmissions_ = 0;
-
-  // Persistent per-node protocol state (lazily sized on first run_rounds).
-  std::vector<std::vector<graph::VertexId>> nbrs_;
-  std::vector<std::size_t> executed_;  ///< handler invocations so far
-  /// pending_[v][r]: round-r protocol messages; got_[v][r]: senders heard.
-  std::vector<std::unordered_map<std::uint32_t, std::vector<Message>>>
-      pending_;
-  std::vector<std::unordered_map<std::uint32_t, std::size_t>> got_;
-  /// Reliable-delivery ledger, keyed by directed link then round.
-  std::unordered_map<std::uint64_t,
-                     std::unordered_map<std::uint32_t, Outgoing>>
-      outgoing_;
-  std::unordered_map<std::uint64_t, std::unordered_set<std::uint32_t>>
-      delivered_;  ///< receiver-side dedup
-};
-
-/// SyncRunner implemented by the α-synchronizer: each run_round simulates
-/// one synchronous round over the asynchronous (possibly lossy) engine.
-/// This is what lets the distributed DCC executor — written against
-/// SyncRunner — run unchanged on realistic network semantics, and the
-/// schedules stay bit-identical to RoundEngine's (asserted by tests).
-class AlphaRunner final : public SyncRunner {
- public:
-  explicit AlphaRunner(AsyncEngine& engine, double retransmit_interval = 4.0)
-      : engine_(&engine), sync_(engine, retransmit_interval) {}
+  void run_rounds(std::size_t rounds, const Handler& handler);
 
   const graph::Graph& graph() const override { return engine_->graph(); }
-  void run_round(const Handler& handler) override {
-    sync_.run_rounds(1, handler);
-    stats_ = engine_->stats();
-    stats_.rounds = sync_.rounds_completed();
+  void run_round(const Handler& handler) override { run_rounds(1, handler); }
+  void deactivate(graph::VertexId v) override {
+    engine_->deactivate(v);
+    if (v < inbox_.size()) inbox_[v].clear();  // never consumed now
   }
-  void deactivate(graph::VertexId v) override { engine_->deactivate(v); }
   bool is_active(graph::VertexId v) const override {
     return engine_->is_active(v);
   }
@@ -176,15 +133,46 @@ class AlphaRunner final : public SyncRunner {
   }
   /// Transport-level traffic (combined round messages, acks and
   /// retransmissions — the real radio cost), with `rounds` counting the
-  /// simulated synchronous rounds.
+  /// simulated synchronous rounds completed.
   const TrafficStats& stats() const override { return stats_; }
 
-  const AlphaSynchronizer& synchronizer() const { return sync_; }
+  std::size_t retransmissions() const { return retransmissions_; }
 
  private:
+  struct Outgoing {
+    graph::VertexId from = 0;
+    graph::VertexId to = 0;
+    std::vector<std::uint32_t> payload;
+  };
+  /// One unconsumed round at a receiver: who has been heard, and the
+  /// protocol messages they sent.
+  struct Inbox {
+    std::vector<graph::VertexId> senders;
+    std::vector<Message> msgs;
+  };
+
+  std::uint64_t link_of(graph::VertexId from, graph::VertexId to) const;
+  void refresh_topology();
+  void transmit(std::uint64_t link, std::uint32_t round);
+  void execute(graph::VertexId v, const Handler& handler);
+  void try_advance(graph::VertexId v, const Handler& handler);
+
   AsyncEngine* engine_;
-  AlphaSynchronizer sync_;
+  double retransmit_interval_;
+  std::size_t target_rounds_ = 0;
+  std::size_t retransmissions_ = 0;
   TrafficStats stats_;
+
+  // Persistent per-node protocol state (lazily sized on first run_rounds).
+  std::vector<std::vector<graph::VertexId>> nbrs_;
+  std::vector<std::size_t> executed_;  ///< handler invocations so far
+  /// inbox_[v][r]: round r as heard by v, until v's handler consumes it.
+  std::vector<std::unordered_map<std::uint32_t, Inbox>> inbox_;
+  /// Reliable-delivery ledger of unacked round messages, keyed by directed
+  /// link then round.
+  std::unordered_map<std::uint64_t,
+                     std::unordered_map<std::uint32_t, Outgoing>>
+      outgoing_;
 };
 
 }  // namespace tgc::sim

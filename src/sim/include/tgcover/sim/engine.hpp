@@ -60,8 +60,8 @@ class Mailer {
 /// The synchronous-rounds execution substrate the protocols (khop, mis,
 /// deletion floods, the distributed DCC executor) are written against. Two
 /// implementations exist: RoundEngine below (ideal reliable rounds) and
-/// AlphaRunner (async.hpp — each round simulated by the α-synchronizer over
-/// the lossy asynchronous engine). Handlers see identical inboxes per round
+/// AlphaSynchronizer (async.hpp — each round simulated over the lossy
+/// asynchronous engine). Handlers see identical inboxes per round
 /// on both, so one protocol implementation runs on either substrate.
 class SyncRunner {
  public:

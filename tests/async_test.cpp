@@ -166,7 +166,7 @@ TEST(AlphaSynchronizer, MatchesRoundEngineExactly) {
                            .seed = 31337});  // heavy jitter
     AlphaSynchronizer sync(engine);
     sync.run_rounds(rounds, max_aggregation(async_values));
-    EXPECT_EQ(sync.rounds_completed(), rounds);
+    EXPECT_EQ(sync.stats().rounds, rounds);
   }
 
   EXPECT_EQ(async_values, sync_values);
@@ -377,16 +377,63 @@ TEST(AlphaSynchronizer, IncrementalRoundsWithMidProtocolDeactivation) {
                            .max_delay = 2.5,
                            .loss_probability = 0.2,
                            .seed = 55});
-    AlphaRunner runner(engine, /*retransmit_interval=*/2.0);
+    AlphaSynchronizer sync(engine, /*retransmit_interval=*/2.0);
     const auto handler = max_aggregation(async_values);
     for (std::size_t r = 0; r < rounds; ++r) {
-      if (r == rounds / 2) runner.deactivate(victim);
-      runner.run_round(handler);
+      if (r == rounds / 2) sync.deactivate(victim);
+      sync.run_round(handler);
     }
-    EXPECT_EQ(runner.stats().rounds, rounds);
+    EXPECT_EQ(sync.stats().rounds, rounds);
   }
 
   EXPECT_EQ(async_values, sync_values);
+}
+
+/// Reference protocol 3 — tallying: every delivered message adds its value
+/// to the receiver's tally, and each node broadcasts a value derived from
+/// its tally. Unlike `max`, a sum sees a duplicated or missing message.
+RoundEngine::Handler tally_protocol(std::vector<std::uint64_t>& tally) {
+  return [&tally](VertexId node, std::span<const Message> inbox,
+                  Mailer& mailer) {
+    for (const Message& m : inbox) tally[node] += m.payload[0];
+    mailer.broadcast(3, {static_cast<std::uint32_t>(tally[node] % 997 +
+                                                    node + 1)});
+  };
+}
+
+TEST(AlphaSynchronizer, CountingHandlerSeesEachMessageOnce) {
+  // A retransmit interval below the round trip (>= 2 * 0.5) makes
+  // retransmissions arrive as duplicates; the synchronizer must drop each
+  // one whether the ten rounds run as one call or as ten.
+  util::Rng rng(408);
+  const auto dep = gen::random_connected_udg(40, 2.4, 1.0, rng);
+  const Graph& g = dep.graph;
+  const std::size_t rounds = 10;
+
+  std::vector<std::uint64_t> want(g.num_vertices(), 0);
+  {
+    RoundEngine engine(g);
+    const auto handler = tally_protocol(want);
+    for (std::size_t r = 0; r < rounds; ++r) engine.run_round(handler);
+  }
+
+  for (const bool one_call : {true, false}) {
+    std::vector<std::uint64_t> tally(g.num_vertices(), 0);
+    AsyncEngine engine(g, {.min_delay = 0.5,
+                           .max_delay = 3.0,
+                           .loss_probability = 0.2,
+                           .seed = 21});
+    AlphaSynchronizer sync(engine, /*retransmit_interval=*/0.7);
+    const auto handler = tally_protocol(tally);
+    if (one_call) {
+      sync.run_rounds(rounds, handler);
+    } else {
+      for (std::size_t r = 0; r < rounds; ++r) sync.run_round(handler);
+    }
+    EXPECT_EQ(tally, want) << (one_call ? "one call" : "ten calls");
+    EXPECT_EQ(sync.stats().rounds, rounds);
+    EXPECT_GT(sync.retransmissions(), 0u);
+  }
 }
 
 TEST(AsyncEngine, LossIsCounted) {

@@ -108,6 +108,9 @@ TEST_F(ReportFixture, ReportFusesARealRunAndIsByteDeterministic) {
             0)
       << out;
   EXPECT_NE(out.find("trace OK"), std::string::npos);
+  // Each loss event carries the words it lost, so a lossy run loses some.
+  EXPECT_NE(out.find(" words) lost on the air"), std::string::npos) << out;
+  EXPECT_EQ(out.find("(0 words) lost on the air"), std::string::npos) << out;
 
   const std::string html = read_file(html_path);
   // All four dashboard sections render from a real --async --loss run.

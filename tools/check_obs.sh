@@ -6,8 +6,9 @@
 #
 # For schedule, distributed --async --loss 0.1, and repair, and for every
 # collector each command supports: the mask and cost.jsonl are byte-identical
-# with the collector armed vs unarmed and at --threads 1 vs 2, and the
-# 2-thread bundle passes tools/bench_gate.py against the serial one. The
+# with the collector armed vs unarmed and at --threads 1 vs 2, so are the
+# trace, nodes and quality streams at --threads 1 vs 2, and the 2-thread
+# bundle passes tools/bench_gate.py against the serial one. The
 # diagnostics knobs (--log-level debug --flight 64 --log-out) change neither
 # file either. Then:
 # report renders byte-identically twice and keeps its section headings, the
@@ -59,6 +60,9 @@ for cmd in schedule distributed repair; do
       cmp "$cmd-plain.tgc" "$cmd-$c-$t.tgc"
       cmp "$cmd-plain/cost.jsonl" "$cmd-$c-$t/cost.jsonl"
     done
+    if [ "$c" != profile ]; then  # the profile holds wall-clock times
+      cmp "$cmd-$c-1/$c.jsonl" "$cmd-$c-2/$c.jsonl"
+    fi
     python3 "$GATE" --baseline "$cmd-$c-1" --fresh "$cmd-$c-2"
   done
   run --threads 1 --out "$cmd-diag.tgc" --obs-out "$cmd-diag" \
