@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <ctime>
 #include <fstream>
 #include <iostream>
@@ -24,6 +25,7 @@
 #include "tgcover/app/quality_audit.hpp"
 #include "tgcover/app/report.hpp"
 #include "tgcover/app/run_bundle.hpp"
+#include "tgcover/core/certificate.hpp"
 #include "tgcover/core/confine.hpp"
 #include "tgcover/core/criterion.hpp"
 #include "tgcover/core/distributed.hpp"
@@ -444,6 +446,23 @@ int cmd_verify(util::ArgParser& args, std::ostream& out) {
     io::close_out(cert, cert_path);
     out << "wrote certificate with " << parts->size() << " cycles to "
         << cert_path << "\n";
+    // Re-read what was written and re-check it with code that shares nothing
+    // with the kernel that found it (a pipe or device cannot be re-read).
+    if (std::filesystem::is_regular_file(cert_path)) {
+      std::vector<bool> cb_edges(net.dep.graph.num_edges());
+      for (graph::EdgeId e = 0; e < cb_edges.size(); ++e) {
+        cb_edges[e] = net.cb.test(e);
+      }
+      std::ifstream written(cert_path);
+      const core::CertificateVerdict check = core::check_certificate(
+          net.dep.graph, active, cb_edges, tau, written);
+      if (!check.ok) {
+        out << "certificate check FAILED";
+        if (check.line != 0) out << " at line " << check.line;
+        out << " of " << cert_path << ": " << check.error << "\n";
+        return 1;
+      }
+    }
   }
   return ok ? 0 : 1;
 }

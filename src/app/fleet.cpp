@@ -115,6 +115,19 @@ bool parse_scalar_f64(const std::string& key, const std::string& value,
   return false;
 }
 
+/// A link delay or retransmit interval: the async engine takes only finite
+/// positive times, so anything else could only become a failed cell.
+bool parse_sim_time(const std::string& key, const std::string& value,
+                    double& out, std::string& error) {
+  double v = 0.0;
+  if (util::parse_whole(value, v) && std::isfinite(v) && v > 0.0) {
+    out = v;
+    return true;
+  }
+  error = "bad value '" + value + "' for fleet key '" + key + "'";
+  return false;
+}
+
 }  // namespace
 
 bool apply_fleet_key(FleetSpec& spec, const std::string& key,
@@ -174,13 +187,13 @@ bool apply_fleet_key(FleetSpec& spec, const std::string& key,
   }
   if (key == "aspect") return parse_scalar_f64(key, value, spec.aspect, error);
   if (key == "min-delay") {
-    return parse_scalar_f64(key, value, spec.min_delay, error);
+    return parse_sim_time(key, value, spec.min_delay, error);
   }
   if (key == "max-delay") {
-    return parse_scalar_f64(key, value, spec.max_delay, error);
+    return parse_sim_time(key, value, spec.max_delay, error);
   }
   if (key == "retransmit") {
-    return parse_scalar_f64(key, value, spec.retransmit, error);
+    return parse_sim_time(key, value, spec.retransmit, error);
   }
   error = "unknown fleet spec key '" + key + "'";
   return false;

@@ -1,6 +1,8 @@
 #include "tgcover/sim/async.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "tgcover/obs/log.hpp"
 #include "tgcover/obs/node_stats.hpp"
@@ -10,14 +12,47 @@
 
 namespace tgc::sim {
 
+namespace {
+
+/// A released buffer keeps its storage only up to this many words; larger
+/// ones (k-hop collection rounds) give it back.
+constexpr std::size_t kPooledWords = 64;
+
+}  // namespace
+
 AsyncEngine::AsyncEngine(const graph::Graph& g, const Options& options)
     : g_(&g),
       options_(options),
       rng_(options.seed),
       active_(g.num_vertices(), true) {
-  TGC_CHECK(options.min_delay > 0.0);
-  TGC_CHECK(options.max_delay >= options.min_delay);
+  TGC_CHECK_MSG(std::isfinite(options.min_delay) && options.min_delay > 0.0,
+                "link delays must be finite and positive");
+  TGC_CHECK_MSG(std::isfinite(options.max_delay) &&
+                    options.max_delay >= options.min_delay,
+                "the maximum link delay must be finite and >= the minimum");
   TGC_CHECK(options.loss_probability >= 0.0 && options.loss_probability < 1.0);
+  const std::size_t n = g.num_vertices();
+  TGC_CHECK(2 * g.num_edges() < kTimerLink);
+  offsets_.assign(n + 1, 0);
+  for (graph::VertexId v = 0; v < n; ++v) {
+    offsets_[v + 1] = offsets_[v] + static_cast<std::uint32_t>(g.degree(v));
+  }
+  from_.resize(offsets_[n]);
+  to_.resize(offsets_[n]);
+  reverse_.resize(offsets_[n]);
+  // Adjacency lists are sorted, so scanning v upward meets v in each
+  // neighbor's list in list order: a cursor per node finds every reverse
+  // slot in one pass.
+  std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (graph::VertexId v = 0; v < n; ++v) {
+    std::uint32_t l = offsets_[v];
+    for (const graph::VertexId u : g.neighbors(v)) {
+      from_[l] = v;
+      to_[l] = u;
+      reverse_[l] = cursor[u]++;
+      ++l;
+    }
+  }
 }
 
 void AsyncEngine::deactivate(graph::VertexId v) {
@@ -29,22 +64,61 @@ void AsyncEngine::deactivate(graph::VertexId v) {
   }
 }
 
-void AsyncEngine::send(graph::VertexId from, graph::VertexId to,
-                       std::uint32_t type, std::vector<std::uint32_t> payload) {
-  TGC_CHECK_MSG(g_->has_edge(from, to),
+std::uint32_t AsyncEngine::link(graph::VertexId from,
+                                graph::VertexId to) const {
+  TGC_CHECK(from < active_.size());
+  const auto nbrs = g_->neighbors(from);
+  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), to);
+  TGC_CHECK_MSG(it != nbrs.end() && *it == to,
                 "node " << from << " cannot send to non-neighbor " << to);
+  return offsets_[from] + static_cast<std::uint32_t>(it - nbrs.begin());
+}
+
+std::uint32_t AsyncEngine::acquire() {
+  if (free_buffers_.empty()) {
+    TGC_CHECK(buffers_.size() < std::numeric_limits<std::uint32_t>::max());
+    buffers_.emplace_back();
+    refs_.push_back(1);
+    return static_cast<std::uint32_t>(buffers_.size() - 1);
+  }
+  const std::uint32_t buffer = free_buffers_.back();
+  free_buffers_.pop_back();
+  refs_[buffer] = 1;
+  return buffer;
+}
+
+void AsyncEngine::release(std::uint32_t buffer) {
+  if (--refs_[buffer] != 0) return;
+  std::vector<std::uint32_t>& w = buffers_[buffer];
+  if (w.capacity() > kPooledWords) {
+    std::vector<std::uint32_t>().swap(w);
+  } else {
+    w.clear();
+  }
+  free_buffers_.push_back(buffer);
+}
+
+void AsyncEngine::push(const Event& ev) {
+  heap_.push_back(ev);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+void AsyncEngine::send_link(std::uint32_t link, std::uint32_t type,
+                            std::uint32_t buffer) {
+  const graph::VertexId from = from_[link];
+  const graph::VertexId to = to_[link];
+  const std::size_t words = buffers_[buffer].size();
   ++stats_.messages;
-  stats_.payload_words += payload.size();
+  stats_.payload_words += words;
   obs::add(obs::CounterId::kMessages, 1);
-  obs::add(obs::CounterId::kPayloadWords, payload.size());
+  obs::add(obs::CounterId::kPayloadWords, words);
   obs::NodeTelemetry* const nt = obs::node_telemetry();
-  if (nt != nullptr) nt->on_send(from, to, payload.size());
+  if (nt != nullptr) nt->on_send(from, to, words);
   const bool traced = obs::trace_active();
   std::uint64_t trace_id = 0;
   if (traced) {
     trace_id = obs::trace_emit(obs::TraceKind::kSend, from, to, type,
-                               static_cast<std::uint32_t>(payload.size()),
-                               now_);
+                               static_cast<std::uint32_t>(words), now_);
   }
   if (!active_[to]) {
     if (nt != nullptr) nt->on_drop(from, to);
@@ -52,6 +126,7 @@ void AsyncEngine::send(graph::VertexId from, graph::VertexId to,
       obs::trace_emit(obs::TraceKind::kDrop, to, from, type, 0, now_,
                       trace_id);
     }
+    release(buffer);
     return;
   }
   if (options_.loss_probability > 0.0 &&
@@ -61,66 +136,78 @@ void AsyncEngine::send(graph::VertexId from, graph::VertexId to,
     if (nt != nullptr) nt->on_loss(from, to);
     if (traced) {
       obs::trace_emit(obs::TraceKind::kLoss, from, to, type,
-                      static_cast<std::uint32_t>(payload.size()), now_,
-                      trace_id);
+                      static_cast<std::uint32_t>(words), now_, trace_id);
     }
+    release(buffer);
     return;
   }
   // Events pushed before run() depart at time 0; events pushed from inside a
-  // delivery handler depart at that delivery's time (the engine clock).
+  // callback depart at that event's time (the engine clock).
   const double delay = rng_.uniform(options_.min_delay, options_.max_delay);
-  Message msg{from, to, type, std::move(payload)};
-  msg.trace_id = trace_id;
-  queue_.push(Event{now_ + delay, next_sequence_++, std::move(msg), nullptr});
+  push(Event{now_ + delay, next_sequence_++, buffer, trace_id, link, type});
 }
 
-void AsyncEngine::schedule(double delay, std::function<void()> callback) {
-  TGC_CHECK(delay > 0.0);
-  Event ev{now_ + delay, next_sequence_++, Message{}, std::move(callback)};
+void AsyncEngine::send(graph::VertexId from, graph::VertexId to,
+                       std::uint32_t type,
+                       const std::vector<std::uint32_t>& payload) {
+  const std::uint32_t l = link(from, to);
+  const std::uint32_t buffer = acquire();
+  buffers_[buffer].assign(payload.begin(), payload.end());
+  send_link(l, type, buffer);
+}
+
+void AsyncEngine::schedule(double delay, std::uint64_t tag) {
+  TGC_CHECK(std::isfinite(delay) && delay > 0.0);
+  Event ev{now_ + delay, next_sequence_++, tag, 0, kTimerLink, 0};
   if (obs::trace_active()) {
     // The timer-set event's sequence number doubles as the flow id the
-    // matching timer-fire pop reports (carried in the placeholder message).
-    ev.msg.trace_id = obs::trace_emit(obs::TraceKind::kTimerSet,
-                                      obs::kTraceNoNode, obs::kTraceNoNode, 0,
-                                      0, now_);
+    // matching timer-fire pop reports.
+    ev.trace_id = obs::trace_emit(obs::TraceKind::kTimerSet,
+                                  obs::kTraceNoNode, obs::kTraceNoNode, 0, 0,
+                                  now_);
   }
-  queue_.push(std::move(ev));
+  push(ev);
 }
 
-double AsyncEngine::run(const OnDeliver& handler) {
-  while (!queue_.empty()) {
-    // The handler may push new events; copy the top out before popping.
-    Event ev = queue_.top();
-    queue_.pop();
+double AsyncEngine::run(const OnDeliver& on_deliver, const OnTimer& on_timer) {
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Event ev = heap_.back();
+    heap_.pop_back();
     now_ = ev.time;
     const bool traced = obs::trace_active();
-    if (ev.timer) {
+    if (ev.link == kTimerLink) {
       if (traced) {
         obs::trace_emit(obs::TraceKind::kTimerFire, obs::kTraceNoNode,
-                        obs::kTraceNoNode, 0, 0, now_, ev.msg.trace_id);
+                        obs::kTraceNoNode, 0, 0, now_, ev.trace_id);
       }
-      ev.timer();
+      TGC_CHECK_MSG(on_timer != nullptr, "a timer fired with no callback");
+      on_timer(ev.data);
       continue;
     }
+    const auto buffer = static_cast<std::uint32_t>(ev.data);
+    const graph::VertexId from = from_[ev.link];
+    const graph::VertexId to = to_[ev.link];
     obs::NodeTelemetry* const nt = obs::node_telemetry();
-    if (!active_[ev.msg.to]) {  // deactivated while in flight
-      if (nt != nullptr) nt->on_drop(ev.msg.from, ev.msg.to);
+    if (!active_[to]) {  // deactivated while in flight
+      if (nt != nullptr) nt->on_drop(from, to);
       if (traced) {
-        obs::trace_emit(obs::TraceKind::kDrop, ev.msg.to, ev.msg.from,
-                        ev.msg.type, 0, now_, ev.msg.trace_id);
+        obs::trace_emit(obs::TraceKind::kDrop, to, from, ev.type, 0, now_,
+                        ev.trace_id);
       }
+      release(buffer);
       continue;
     }
-    if (nt != nullptr) {
-      nt->on_deliver(ev.msg.to, ev.msg.from, ev.msg.payload.size());
-    }
+    const std::span<const std::uint32_t> payload(buffers_[buffer]);
+    if (nt != nullptr) nt->on_deliver(to, from, payload.size());
     if (traced) {
-      obs::trace_emit(obs::TraceKind::kDeliver, ev.msg.to, ev.msg.from,
-                      ev.msg.type,
-                      static_cast<std::uint32_t>(ev.msg.payload.size()), now_,
-                      ev.msg.trace_id);
+      obs::trace_emit(obs::TraceKind::kDeliver, to, from, ev.type,
+                      static_cast<std::uint32_t>(payload.size()), now_,
+                      ev.trace_id);
     }
-    handler(now_, ev.msg);
+    on_deliver(now_, Delivery{ev.link, from, to, ev.type, buffer, payload,
+                              ev.trace_id});
+    release(buffer);
   }
   return now_;
 }
@@ -137,79 +224,47 @@ namespace {
 constexpr std::uint32_t kMsgRound = 0xa1fa;
 constexpr std::uint32_t kMsgAck = 0xa1fb;
 
-std::vector<std::uint32_t> pack_round(std::uint32_t round,
-                                      const std::vector<Message>& msgs) {
-  std::vector<std::uint32_t> payload{round,
-                                     static_cast<std::uint32_t>(msgs.size())};
-  for (const Message& m : msgs) {
-    payload.push_back(m.type);
-    payload.push_back(static_cast<std::uint32_t>(m.payload.size()));
-    payload.insert(payload.end(), m.payload.begin(), m.payload.end());
-  }
-  return payload;
+/// Timer tag of the retransmission of (link, round).
+std::uint64_t retransmit_tag(std::uint32_t link, std::uint32_t round) {
+  return static_cast<std::uint64_t>(link) << 32 | round;
 }
 
-std::vector<Message> unpack_round(const Message& combined,
-                                  std::uint32_t* round) {
-  const auto& p = combined.payload;
-  TGC_CHECK(p.size() >= 2);
-  *round = p[0];
-  const std::uint32_t count = p[1];
-  std::vector<Message> msgs;
-  msgs.reserve(count);
-  std::size_t i = 2;
-  for (std::uint32_t m = 0; m < count; ++m) {
-    TGC_CHECK(i + 2 <= p.size());
-    Message msg;
-    msg.from = combined.from;
-    msg.to = combined.to;
-    // Protocol messages inherit the transport message's flow id, so a
-    // handler-level consumer still correlates with the causal send chain.
-    msg.trace_id = combined.trace_id;
-    msg.type = p[i++];
-    const std::uint32_t len = p[i++];
-    TGC_CHECK(i + len <= p.size());
-    msg.payload.assign(p.begin() + static_cast<std::ptrdiff_t>(i),
-                       p.begin() + static_cast<std::ptrdiff_t>(i + len));
-    i += len;
-    msgs.push_back(std::move(msg));
-  }
-  return msgs;
-}
-
-/// Mailer that collects a node's sends into per-destination buffers, to be
-/// shipped as one combined round message per neighbor.
+/// Mailer that appends a node's sends straight into the combined round
+/// message of each destination: `outbox[i]` is the buffer for the i-th
+/// entry of neighbors(from), or kNoBuffer for a sleeping neighbor.
 class OutboxMailer final : public Mailer {
  public:
-  OutboxMailer(const graph::Graph& g, const std::vector<bool>& active,
-               graph::VertexId from)
-      : g_(&g), active_(&active), from_(from) {}
+  static constexpr std::uint32_t kNoBuffer = 0xffffffffu;
+
+  OutboxMailer(AsyncEngine& engine, graph::VertexId from,
+               std::span<const std::uint32_t> outbox)
+      : engine_(&engine), from_(from), outbox_(outbox) {}
 
   void send(graph::VertexId to, std::uint32_t type,
             std::vector<std::uint32_t> payload) override {
-    TGC_CHECK_MSG(g_->has_edge(from_, to),
-                  "node " << from_ << " cannot send to non-neighbor " << to);
-    if (!(*active_)[to]) return;  // matches RoundEngine's dropped delivery
-    per_dest_[to].push_back(Message{from_, to, type, std::move(payload)});
+    append(engine_->link(from_, to) - engine_->first_link(from_), type,
+           payload);
   }
 
   void broadcast(std::uint32_t type,
                  const std::vector<std::uint32_t>& payload) override {
-    for (const graph::VertexId nbr : g_->neighbors(from_)) {
-      send(nbr, type, payload);
-    }
-  }
-
-  const std::unordered_map<graph::VertexId, std::vector<Message>>& per_dest()
-      const {
-    return per_dest_;
+    for (std::size_t i = 0; i < outbox_.size(); ++i) append(i, type, payload);
   }
 
  private:
-  const graph::Graph* g_;
-  const std::vector<bool>* active_;
+  void append(std::size_t i, std::uint32_t type,
+              const std::vector<std::uint32_t>& payload) {
+    if (outbox_[i] == kNoBuffer) return;  // matches RoundEngine's drop
+    std::vector<std::uint32_t>& w = engine_->words(outbox_[i]);
+    ++w[1];
+    w.push_back(type);
+    w.push_back(static_cast<std::uint32_t>(payload.size()));
+    w.insert(w.end(), payload.begin(), payload.end());
+  }
+
+  AsyncEngine* engine_;
   graph::VertexId from_;
-  std::unordered_map<graph::VertexId, std::vector<Message>> per_dest_;
+  std::span<const std::uint32_t> outbox_;
 };
 
 }  // namespace
@@ -217,61 +272,142 @@ class OutboxMailer final : public Mailer {
 AlphaSynchronizer::AlphaSynchronizer(AsyncEngine& engine,
                                      double retransmit_interval)
     : engine_(&engine), retransmit_interval_(retransmit_interval) {
-  TGC_CHECK(retransmit_interval > 0.0);
+  TGC_CHECK_MSG(
+      std::isfinite(retransmit_interval) && retransmit_interval > 0.0,
+      "the retransmit interval must be finite and positive");
 }
 
-std::uint64_t AlphaSynchronizer::link_of(graph::VertexId from,
-                                         graph::VertexId to) const {
-  return static_cast<std::uint64_t>(from) *
-             engine_->graph().num_vertices() +
-         to;
-}
-
-void AlphaSynchronizer::refresh_topology() {
-  const graph::Graph& g = engine_->graph();
-  const std::size_t n = g.num_vertices();
-  nbrs_.assign(n, {});
-  for (graph::VertexId v = 0; v < n; ++v) {
-    if (!engine_->is_active(v)) continue;
-    for (const graph::VertexId u : g.neighbors(v)) {
-      if (engine_->is_active(u)) nbrs_[v].push_back(u);
-    }
+void AlphaSynchronizer::deactivate(graph::VertexId v) {
+  engine_->deactivate(v);
+  if (v < slots_.size()) {  // never consumed now
+    clear(slots_[v][0]);
+    clear(slots_[v][1]);
   }
+}
+
+void AlphaSynchronizer::clear(Slot& s) {
+  for (const Arrival& a : s.arrivals) engine_->release(a.buffer);
+  s.arrivals.clear();
+  s.messages = 0;
 }
 
 /// Sends an outgoing round message and arms its retransmission timer; the
 /// timer's chain ends once the ack has retired the ledger entry.
-void AlphaSynchronizer::transmit(std::uint64_t link, std::uint32_t round) {
-  const Outgoing& out = outgoing_.at(link).at(round);
-  engine_->send(out.from, out.to, kMsgRound, out.payload);
-  engine_->schedule(retransmit_interval_, [this, link, round] {
-    auto& ledger = outgoing_.at(link);
-    const auto it = ledger.find(round);
+void AlphaSynchronizer::transmit(std::uint32_t link, std::uint32_t round,
+                                 std::uint32_t buffer) {
+  engine_->retain(buffer);
+  engine_->send_link(link, kMsgRound, buffer);
+  engine_->schedule(retransmit_interval_, retransmit_tag(link, round));
+}
+
+void AlphaSynchronizer::on_timer(std::uint64_t tag) {
+  const auto link = static_cast<std::uint32_t>(tag >> 32);
+  const auto round = static_cast<std::uint32_t>(tag);
+  const std::vector<Unacked>& ledger = unacked_[link];
+  const auto it = std::find_if(
+      ledger.begin(), ledger.end(),
+      [&](const Unacked& u) { return u.round == round; });
+  if (it == ledger.end()) return;
+  ++retransmissions_;
+  obs::add(obs::CounterId::kRetransmissions, 1);
+  const graph::VertexId from = engine_->link_from(link);
+  const graph::VertexId to = engine_->link_to(link);
+  if (obs::NodeTelemetry* const nt = obs::node_telemetry()) {
+    nt->on_retransmit(from, to);
+  }
+  if (obs::trace_active()) {
+    obs::trace_emit(obs::TraceKind::kRetransmit, from, to, 0, round,
+                    engine_->now());
+  }
+  transmit(link, round, it->buffer);
+}
+
+void AlphaSynchronizer::on_deliver(const AsyncEngine::Delivery& msg,
+                                   const Handler& handler) {
+  if (msg.type == kMsgAck) {
+    TGC_CHECK(msg.payload.size() == 1);
+    // The acked message went out over the reverse link.
+    std::vector<Unacked>& ledger = unacked_[engine_->reverse(msg.link)];
+    const auto it = std::find_if(
+        ledger.begin(), ledger.end(),
+        [&](const Unacked& u) { return u.round == msg.payload[0]; });
     if (it == ledger.end()) return;
-    ++retransmissions_;
-    obs::add(obs::CounterId::kRetransmissions, 1);
-    if (obs::NodeTelemetry* const nt = obs::node_telemetry()) {
-      nt->on_retransmit(it->second.from, it->second.to);
+    engine_->release(it->buffer);
+    *it = ledger.back();
+    ledger.pop_back();
+    --num_unacked_;
+    return;
+  }
+  if (msg.type != kMsgRound) return;
+  TGC_CHECK(msg.payload.size() >= 2);
+  const std::uint32_t round = msg.payload[0];
+  const std::uint32_t count = msg.payload[1];
+  // Always (re-)ack — a previous ack may have been lost.
+  const std::uint32_t ack = engine_->acquire();
+  engine_->words(ack).push_back(round);
+  engine_->send_link(engine_->reverse(msg.link), kMsgAck, ack);
+  // A retransmission is a duplicate when its round is already consumed
+  // (the receiver heard every neighbor's copy before consuming it) or its
+  // sender is already in that round's slot.
+  const graph::VertexId v = msg.to;
+  const std::size_t executed = executed_[v];
+  if (round + 1 < executed) return;
+  TGC_CHECK_MSG(round <= executed, "node " << v << " heard round " << round
+                                           << " after executing only "
+                                           << executed);
+  Slot& in = slot(v, round);
+  if (in.arrivals.empty()) {
+    in.round = round;
+  } else {
+    TGC_CHECK_MSG(in.round == round, "node " << v << " holds round "
+                                             << in.round << " where round "
+                                             << round << " belongs");
+    for (const Arrival& a : in.arrivals) {
+      if (a.from == msg.from) return;
     }
-    if (obs::trace_active()) {
-      obs::trace_emit(obs::TraceKind::kRetransmit, it->second.from,
-                      it->second.to, 0, round, engine_->now());
-    }
-    transmit(link, round);
-  });
+  }
+  engine_->retain(msg.buffer);
+  in.arrivals.push_back(Arrival{msg.from, msg.buffer, msg.trace_id});
+  in.messages += count;
+  if (obs::NodeTelemetry* const nt = obs::node_telemetry()) {
+    // Synchronizer backlog: protocol messages buffered at the receiver
+    // waiting for its round frontier to advance.
+    nt->on_backlog(v, slots_[v][0].messages + slots_[v][1].messages);
+  }
+  try_advance(v, handler);
 }
 
 /// Executes round `executed_[v]` at v: the handler consumes the previous
 /// round's messages and its sends ship as this round's combined messages.
 void AlphaSynchronizer::execute(graph::VertexId v, const Handler& handler) {
   const std::size_t round_index = executed_[v];
-  std::vector<Message> inbox;
+  std::size_t count = 0;
   if (round_index > 0) {
-    const auto it =
-        inbox_[v].find(static_cast<std::uint32_t>(round_index - 1));
-    if (it != inbox_[v].end()) {
-      inbox = std::move(it->second.msgs);
-      inbox_[v].erase(it);
+    Slot& in = slot(v, round_index - 1);
+    if (!in.arrivals.empty()) {
+      TGC_CHECK(in.round == round_index - 1);
+      for (const Arrival& a : in.arrivals) {
+        const std::vector<std::uint32_t>& p = engine_->words(a.buffer);
+        std::size_t i = 2;
+        for (std::uint32_t m = 0; m < p[1]; ++m) {
+          TGC_CHECK(i + 2 <= p.size());
+          if (count == inbox_.size()) inbox_.emplace_back();
+          Message& msg = inbox_[count++];
+          msg.from = a.from;
+          msg.to = v;
+          // Protocol messages inherit the transport message's flow id, so a
+          // handler-level consumer still correlates with the causal send
+          // chain.
+          msg.trace_id = a.trace_id;
+          msg.type = p[i++];
+          const std::uint32_t len = p[i++];
+          TGC_CHECK(i + len <= p.size());
+          msg.payload.assign(p.begin() + static_cast<std::ptrdiff_t>(i),
+                             p.begin() + static_cast<std::ptrdiff_t>(i + len));
+          i += len;
+        }
+      }
+      clear(in);
     }
   }
   // Handler spans use the 1-based round number; transport-level deliver
@@ -283,22 +419,32 @@ void AlphaSynchronizer::execute(graph::VertexId v, const Handler& handler) {
                     static_cast<std::uint32_t>(round_index + 1),
                     engine_->now());
   }
-  OutboxMailer mailer(engine_->graph(), engine_->active(), v);
-  handler(v, std::span<const Message>(inbox), mailer);
+  const auto round32 = static_cast<std::uint32_t>(round_index);
+  const auto nbrs = engine_->graph().neighbors(v);
+  outbox_.clear();
+  for (const graph::VertexId u : nbrs) {
+    if (!engine_->is_active(u)) {
+      outbox_.push_back(OutboxMailer::kNoBuffer);
+      continue;
+    }
+    const std::uint32_t buffer = engine_->acquire();
+    engine_->words(buffer).assign({round32, 0});
+    outbox_.push_back(buffer);
+  }
+  OutboxMailer mailer(*engine_, v, outbox_);
+  handler(v, std::span<const Message>(inbox_.data(), count), mailer);
   if (traced) {
     obs::trace_emit(obs::TraceKind::kHandlerEnd, v, obs::kTraceNoNode, 0,
                     static_cast<std::uint32_t>(round_index + 1),
                     engine_->now());
   }
-  for (const graph::VertexId u : nbrs_[v]) {
-    static const std::vector<Message> kEmpty;
-    const auto it = mailer.per_dest().find(u);
-    const std::vector<Message>& msgs =
-        it == mailer.per_dest().end() ? kEmpty : it->second;
-    const auto round32 = static_cast<std::uint32_t>(round_index);
-    outgoing_[link_of(v, u)].emplace(
-        round32, Outgoing{v, u, pack_round(round32, msgs)});
-    transmit(link_of(v, u), round32);
+  const std::uint32_t first = engine_->first_link(v);
+  for (std::uint32_t i = 0; i < outbox_.size(); ++i) {
+    const std::uint32_t buffer = outbox_[i];
+    if (buffer == OutboxMailer::kNoBuffer) continue;
+    unacked_[first + i].push_back(Unacked{round32, buffer});
+    ++num_unacked_;
+    transmit(first + i, round32, buffer);
   }
   ++executed_[v];
 }
@@ -306,18 +452,16 @@ void AlphaSynchronizer::execute(graph::VertexId v, const Handler& handler) {
 void AlphaSynchronizer::try_advance(graph::VertexId v,
                                     const Handler& handler) {
   while (executed_[v] < target_rounds_) {
-    if (executed_[v] == 0) {
-      execute(v, handler);
-      continue;
+    if (executed_[v] > 0) {
+      const Slot& in = slot(v, executed_[v] - 1);
+      // `have` can exceed the neighbor count when a neighbor was deactivated
+      // after sending that round's beacon (between run_rounds calls);
+      // advancement then proceeds exactly as RoundEngine would.
+      const std::size_t have = in.round == executed_[v] - 1
+                                   ? in.arrivals.size()
+                                   : 0;
+      if (have < degree_[v]) break;
     }
-    const auto it =
-        inbox_[v].find(static_cast<std::uint32_t>(executed_[v] - 1));
-    const std::size_t have =
-        it == inbox_[v].end() ? 0 : it->second.senders.size();
-    // `have` can exceed the neighbor count when a neighbor was deactivated
-    // after sending that round's beacon (between run_rounds calls);
-    // advancement then proceeds exactly as RoundEngine would.
-    if (have < nbrs_[v].size()) break;
     execute(v, handler);
   }
 }
@@ -325,14 +469,23 @@ void AlphaSynchronizer::try_advance(graph::VertexId v,
 void AlphaSynchronizer::run_rounds(std::size_t rounds,
                                    const Handler& handler) {
   if (rounds == 0) return;
-  const std::size_t n = engine_->graph().num_vertices();
+  const graph::Graph& g = engine_->graph();
+  const std::size_t n = g.num_vertices();
   if (executed_.empty() && n > 0) {
     executed_.assign(n, 0);
-    inbox_.resize(n);
+    degree_.assign(n, 0);
+    slots_.resize(n);
+    unacked_.resize(engine_->first_link(static_cast<graph::VertexId>(n)));
   }
   // Deactivations are only legal between calls (the network is quiescent
-  // then), so a per-call topology snapshot is exact.
-  refresh_topology();
+  // then), so per-call active degrees are exact.
+  for (graph::VertexId v = 0; v < n; ++v) {
+    degree_[v] = 0;
+    if (!engine_->is_active(v)) continue;
+    for (const graph::VertexId u : g.neighbors(v)) {
+      if (engine_->is_active(u)) ++degree_[v];
+    }
+  }
   target_rounds_ += rounds;
   TGC_LOG(kDebug) << "alpha-sync batch" << obs::kv("rounds", rounds)
                   << obs::kv("target", target_rounds_)
@@ -344,53 +497,23 @@ void AlphaSynchronizer::run_rounds(std::size_t rounds,
     if (engine_->is_active(v)) try_advance(v, handler);
   }
 
-  engine_->run([&](double /*now*/, const Message& msg) {
-    if (msg.type == kMsgAck) {
-      TGC_CHECK(msg.payload.size() == 1);
-      outgoing_.at(link_of(msg.to, msg.from)).erase(msg.payload[0]);
-      return;
-    }
-    if (msg.type != kMsgRound) return;
-    std::uint32_t round = 0;
-    auto msgs = unpack_round(msg, &round);
-    // Always (re-)ack — a previous ack may have been lost.
-    engine_->send(msg.to, msg.from, kMsgAck, {round});
-    // A retransmission is a duplicate when its round is already consumed
-    // (the receiver heard every neighbor's copy before consuming it) or its
-    // sender is already in that round's inbox.
-    if (round + 1 < executed_[msg.to]) return;
-    Inbox& in = inbox_[msg.to][round];
-    if (std::ranges::find(in.senders, msg.from) != in.senders.end()) return;
-    in.senders.push_back(msg.from);
-    for (auto& m : msgs) in.msgs.push_back(std::move(m));
-    if (obs::NodeTelemetry* const nt = obs::node_telemetry()) {
-      // Synchronizer backlog: protocol messages buffered at the receiver
-      // waiting for its round frontier to advance. A node holds at most two
-      // unconsumed rounds, so summing here is cheap and only happens when
-      // telemetry is armed.
-      std::size_t depth = 0;
-      for (const auto& [r, buffered] : inbox_[msg.to]) {
-        depth += buffered.msgs.size();
-      }
-      nt->on_backlog(msg.to, depth);
-    }
-    try_advance(msg.to, handler);
-  });
+  engine_->run(
+      [&](double /*now*/, const AsyncEngine::Delivery& msg) {
+        on_deliver(msg, handler);
+      },
+      [&](std::uint64_t tag) { on_timer(tag); });
 
   // Quiescent: a drained queue means every retransmit chain has ended, so
-  // every round message was acked and the ledger is empty; each active node
-  // buffers only the round its next call consumes first.
+  // every round message was acked; each active node buffers only the round
+  // its next call consumes first.
   stats_ = engine_->stats();
   stats_.rounds = target_rounds_;
-  TGC_CHECK_MSG(std::all_of(outgoing_.begin(), outgoing_.end(),
-                            [](const auto& l) { return l.second.empty(); }),
-                "synchronizer left a round message unacked");
-  const auto last = static_cast<std::uint32_t>(target_rounds_ - 1);
+  TGC_CHECK_MSG(num_unacked_ == 0, "synchronizer left a round message unacked");
   for (graph::VertexId v = 0; v < n; ++v) {
     if (engine_->is_active(v)) {
       TGC_CHECK_MSG(executed_[v] == target_rounds_,
                     "synchronizer stalled at node " << v);
-      TGC_CHECK_MSG(inbox_[v].size() == inbox_[v].count(last),
+      TGC_CHECK_MSG(slot(v, target_rounds_).arrivals.empty(),
                     "node " << v << " buffers a consumed or future round");
     }
   }

@@ -1,10 +1,9 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "tgcover/sim/engine.hpp"
@@ -18,6 +17,13 @@ namespace tgc::sim {
 /// α-synchronizer below recovers the synchronous abstraction the paper's
 /// protocol is written in, and tests assert the recovered executions are
 /// bit-identical to RoundEngine's.
+///
+/// The engine keeps flat state only. A directed link is named by its CSR
+/// adjacency slot: the links of v are `first_link(v) + i` for the i-th entry
+/// of `graph().neighbors(v)`, and `reverse(l)` is the opposite direction.
+/// Payload words live in pooled, reference-counted buffers; an event is a
+/// POD (a delivery over a link, or a timer with a 64-bit tag) in one binary
+/// heap ordered by (time, sequence), so the pop order is strict and total.
 class AsyncEngine {
  public:
   struct Options {
@@ -30,6 +36,20 @@ class AsyncEngine {
     std::uint64_t seed = 1;
   };
 
+  /// One delivered message, handed to run()'s delivery callback. `payload`
+  /// views pooled buffer `buffer`, which stays valid until the callback
+  /// returns unless the callback retain()s it.
+  struct Delivery {
+    std::uint32_t link = 0;  ///< CSR slot of the from→to link
+    graph::VertexId from = graph::kInvalidVertex;
+    graph::VertexId to = graph::kInvalidVertex;
+    std::uint32_t type = 0;
+    std::uint32_t buffer = 0;
+    std::span<const std::uint32_t> payload;
+    /// The send event's flow id (0 when tracing is inactive).
+    std::uint64_t trace_id = 0;
+  };
+
   AsyncEngine(const graph::Graph& g, const Options& options);
 
   const graph::Graph& graph() const { return *g_; }
@@ -38,20 +58,43 @@ class AsyncEngine {
   bool is_active(graph::VertexId v) const { return active_[v]; }
   const std::vector<bool>& active() const { return active_; }
 
-  /// Sends a message with a fresh random link delay. Must be called from a
-  /// handler or before `run()`.
+  std::uint32_t first_link(graph::VertexId v) const { return offsets_[v]; }
+  graph::VertexId link_from(std::uint32_t link) const { return from_[link]; }
+  graph::VertexId link_to(std::uint32_t link) const { return to_[link]; }
+  std::uint32_t reverse(std::uint32_t link) const { return reverse_[link]; }
+  /// The link from→to; a TGC_CHECK failure when the nodes are not adjacent.
+  std::uint32_t link(graph::VertexId from, graph::VertexId to) const;
+
+  /// Payload pool. acquire() returns an empty buffer holding one reference;
+  /// a buffer returns to the pool when its last reference is released, and
+  /// gives its storage back if it grew past a few dozen words, so one large
+  /// round does not pin its peak in the pool.
+  std::uint32_t acquire();
+  std::vector<std::uint32_t>& words(std::uint32_t buffer) {
+    return buffers_[buffer];
+  }
+  void retain(std::uint32_t buffer) { ++refs_[buffer]; }
+  void release(std::uint32_t buffer);
+
+  /// Sends the buffer's words over `link` with a fresh random link delay,
+  /// consuming one reference to the buffer. Must be called from a callback
+  /// or before `run()`.
+  void send_link(std::uint32_t link, std::uint32_t type, std::uint32_t buffer);
+  /// The same for a payload the caller owns: looks the link up and copies
+  /// the words into a pooled buffer.
   void send(graph::VertexId from, graph::VertexId to, std::uint32_t type,
-            std::vector<std::uint32_t> payload);
+            const std::vector<std::uint32_t>& payload);
 
-  /// Handler invoked on every message delivery: (now, message, engine).
-  using OnDeliver = std::function<void(double now, const Message& msg)>;
+  /// Arms a timer at now + delay (usable before and during run()); when it
+  /// fires, run() hands `tag` to its timer callback. Timers let protocols
+  /// implement retransmission.
+  void schedule(double delay, std::uint64_t tag);
 
-  /// Schedules a timer callback at now + delay (usable before and during
-  /// run()). Timers let protocols implement retransmission.
-  void schedule(double delay, std::function<void()> callback);
+  using OnDeliver = std::function<void(double now, const Delivery& msg)>;
+  using OnTimer = std::function<void(std::uint64_t tag)>;
 
   /// Runs the event loop until no events remain; returns the final time.
-  double run(const OnDeliver& handler);
+  double run(const OnDeliver& on_deliver, const OnTimer& on_timer = {});
 
   double now() const { return now_; }
 
@@ -59,22 +102,36 @@ class AsyncEngine {
   std::size_t messages_lost() const { return messages_lost_; }
 
  private:
+  static constexpr std::uint32_t kTimerLink = 0xffffffffu;
+
   struct Event {
     double time;
     std::uint64_t sequence;  // FIFO tie-break for determinism
-    Message msg;             // delivery event when timer is empty
-    std::function<void()> timer;
-    bool operator>(const Event& other) const {
-      return time != other.time ? time > other.time
-                                : sequence > other.sequence;
+    std::uint64_t data;      // delivery: payload buffer; timer: tag
+    std::uint64_t trace_id;  // send / timer-set flow id
+    std::uint32_t link;      // kTimerLink for a timer
+    std::uint32_t type;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return a.time != b.time ? a.time > b.time : a.sequence > b.sequence;
     }
   };
+
+  void push(const Event& ev);
 
   const graph::Graph* g_;
   Options options_;
   util::Rng rng_;
   std::vector<bool> active_;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  std::vector<std::uint32_t> offsets_;    // n+1: first link of each node
+  std::vector<graph::VertexId> from_;     // per link
+  std::vector<graph::VertexId> to_;       // per link
+  std::vector<std::uint32_t> reverse_;    // per link
+  std::vector<std::vector<std::uint32_t>> buffers_;
+  std::vector<std::uint32_t> refs_;
+  std::vector<std::uint32_t> free_buffers_;
+  std::vector<Event> heap_;
   std::uint64_t next_sequence_ = 0;
   double now_ = 0.0;  ///< simulation clock, advanced by run()
   std::size_t messages_lost_ = 0;
@@ -98,14 +155,17 @@ class AsyncEngine {
 /// the first round of the next, exactly like back-to-back
 /// RoundEngine::run_round calls. Every call returns at a quiescent point
 /// (event queue drained, all active nodes at the same round), which is when
-/// deactivating nodes between calls is legal; the topology is re-snapshotted
-/// at each call.
+/// deactivating nodes between calls is legal.
 ///
-/// It keeps only state a later event can still read: the ledger holds the
-/// unacked round messages (an ack retires its entry), and each node buffers
-/// only the rounds it has not consumed. At every quiescent point the ledger
-/// is empty and each active node buffers at most the round its next call
-/// consumes first (checked).
+/// Its state is flat. Each link keeps a short vector of its unacked
+/// (round, buffer) entries; an ack retires one. Each node has two receive
+/// slots indexed by round parity: a non-duplicate round r reaching a node
+/// that has executed e rounds always has e − 1 ≤ r ≤ e (checked), so the
+/// rounds a node buffers never share a slot. A slot keeps the received
+/// buffers themselves, so a round message's words exist once, shared by
+/// the sender's ledger, the flight and the receiver. At every quiescent
+/// point no entry is unacked and each active node buffers at most the round
+/// its next call consumes first (checked).
 ///
 /// Reliability: every combined round message is acknowledged; unacked
 /// messages are retransmitted every `retransmit_interval`, so the
@@ -121,10 +181,7 @@ class AlphaSynchronizer final : public SyncRunner {
 
   const graph::Graph& graph() const override { return engine_->graph(); }
   void run_round(const Handler& handler) override { run_rounds(1, handler); }
-  void deactivate(graph::VertexId v) override {
-    engine_->deactivate(v);
-    if (v < inbox_.size()) inbox_[v].clear();  // never consumed now
-  }
+  void deactivate(graph::VertexId v) override;
   bool is_active(graph::VertexId v) const override {
     return engine_->is_active(v);
   }
@@ -139,21 +196,30 @@ class AlphaSynchronizer final : public SyncRunner {
   std::size_t retransmissions() const { return retransmissions_; }
 
  private:
-  struct Outgoing {
-    graph::VertexId from = 0;
-    graph::VertexId to = 0;
-    std::vector<std::uint32_t> payload;
+  struct Unacked {
+    std::uint32_t round;
+    std::uint32_t buffer;
   };
-  /// One unconsumed round at a receiver: who has been heard, and the
-  /// protocol messages they sent.
-  struct Inbox {
-    std::vector<graph::VertexId> senders;
-    std::vector<Message> msgs;
+  struct Arrival {
+    graph::VertexId from;
+    std::uint32_t buffer;
+    std::uint64_t trace_id;
+  };
+  /// One unconsumed round at a receiver: the combined messages heard, in
+  /// arrival order, and the protocol messages they carry.
+  struct Slot {
+    std::uint32_t round = 0;
+    std::size_t messages = 0;
+    std::vector<Arrival> arrivals;
   };
 
-  std::uint64_t link_of(graph::VertexId from, graph::VertexId to) const;
-  void refresh_topology();
-  void transmit(std::uint64_t link, std::uint32_t round);
+  Slot& slot(graph::VertexId v, std::size_t round) {
+    return slots_[v][round & 1];
+  }
+  void clear(Slot& s);
+  void transmit(std::uint32_t link, std::uint32_t round, std::uint32_t buffer);
+  void on_timer(std::uint64_t tag);
+  void on_deliver(const AsyncEngine::Delivery& msg, const Handler& handler);
   void execute(graph::VertexId v, const Handler& handler);
   void try_advance(graph::VertexId v, const Handler& handler);
 
@@ -163,16 +229,16 @@ class AlphaSynchronizer final : public SyncRunner {
   std::size_t retransmissions_ = 0;
   TrafficStats stats_;
 
-  // Persistent per-node protocol state (lazily sized on first run_rounds).
-  std::vector<std::vector<graph::VertexId>> nbrs_;
+  // Persistent protocol state (lazily sized on first run_rounds).
   std::vector<std::size_t> executed_;  ///< handler invocations so far
-  /// inbox_[v][r]: round r as heard by v, until v's handler consumes it.
-  std::vector<std::unordered_map<std::uint32_t, Inbox>> inbox_;
-  /// Reliable-delivery ledger of unacked round messages, keyed by directed
-  /// link then round.
-  std::unordered_map<std::uint64_t,
-                     std::unordered_map<std::uint32_t, Outgoing>>
-      outgoing_;
+  std::vector<std::size_t> degree_;    ///< active neighbors, this call
+  std::vector<std::array<Slot, 2>> slots_;
+  std::vector<std::vector<Unacked>> unacked_;  ///< per link
+  std::size_t num_unacked_ = 0;
+  // Per-execute scratch, reused: the consumed inbox and the buffer each
+  // neighbor's combined round message is written into.
+  std::vector<Message> inbox_;
+  std::vector<std::uint32_t> outbox_;
 };
 
 }  // namespace tgc::sim

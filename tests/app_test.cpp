@@ -9,6 +9,9 @@
 #include <vector>
 
 #include "tgcover/app/cli.hpp"
+#include "tgcover/core/certificate.hpp"
+#include "tgcover/core/pipeline.hpp"
+#include "tgcover/io/network_io.hpp"
 #include "tgcover/util/check.hpp"
 
 namespace tgc::app {
@@ -306,6 +309,138 @@ TEST_F(CliFixture, AsyncLossyMatchesSyncSchedule) {
       << out;
   EXPECT_NE(out.find("async substrate:"), std::string::npos) << out;
   EXPECT_EQ(slurp(async_out), slurp(sync_out));
+}
+
+TEST_F(CliFixture, CertificateCheckerAcceptsVerifyOutputAndNamesCorruptions) {
+  std::string out;
+  ASSERT_EQ(run({"generate", "--nodes", "150", "--degree", "20", "--seed", "8",
+                 "--out", net_.c_str()},
+                &out),
+            0);
+  const std::string cert = (dir_ / "cert.txt").string();
+  ASSERT_EQ(run({"verify", "--in", net_.c_str(), "--tau", "4",
+                 "--certificate", cert.c_str()},
+                &out),
+            0)
+      << out;
+  const core::Network net =
+      core::prepare_network(io::load_deployment(net_), 1.0);
+  const graph::Graph& g = net.dep.graph;
+  std::vector<bool> cb_edges(g.num_edges());
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    cb_edges[e] = net.cb.test(e);
+  }
+  const std::vector<bool> awake(g.num_vertices(), true);
+
+  // The file as written: a header, then one "cycle ..." line per cycle.
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(cert);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GE(lines.size(), 3u);
+  const auto check = [&](const std::vector<std::string>& text,
+                         const std::vector<bool>& active) {
+    std::stringstream in;
+    for (const std::string& line : text) in << line << "\n";
+    return core::check_certificate(g, active, cb_edges, 4, in);
+  };
+  const core::CertificateVerdict clean = check(lines, awake);
+  EXPECT_TRUE(clean.ok) << "line " << clean.line << ": " << clean.error;
+
+  // Line 2 is the first cycle: "cycle a b c [d]".
+  std::vector<graph::VertexId> first;
+  {
+    std::istringstream tokens(lines[1]);
+    std::string word;
+    tokens >> word;
+    for (graph::VertexId v = 0; tokens >> v;) first.push_back(v);
+  }
+  ASSERT_GE(first.size(), 3u);
+  const auto joined = [](const std::vector<graph::VertexId>& walk) {
+    std::string line = "cycle";
+    for (const graph::VertexId v : walk) line += " " + std::to_string(v);
+    return line;
+  };
+
+  {  // A dropped cycle: every line is fine, the sum is not CB.
+    std::vector<std::string> text = lines;
+    text.erase(text.begin() + 1);
+    const core::CertificateVerdict v = check(text, awake);
+    EXPECT_FALSE(v.ok);
+    EXPECT_EQ(v.line, 0u);
+    EXPECT_NE(v.error.find("do not sum to the boundary"), std::string::npos)
+        << v.error;
+  }
+  {  // A non-adjacent pair: the second node swapped for a stranger to the
+     // first.
+    graph::VertexId stranger = 0;
+    while (stranger == first[0] || g.has_edge(first[0], stranger)) ++stranger;
+    std::vector<graph::VertexId> walk = first;
+    walk[1] = stranger;
+    std::vector<std::string> text = lines;
+    text[1] = joined(walk);
+    const core::CertificateVerdict v = check(text, awake);
+    EXPECT_FALSE(v.ok);
+    EXPECT_EQ(v.line, 2u);
+    EXPECT_NE(v.error.find("are not adjacent"), std::string::npos) << v.error;
+  }
+  {  // A sleeping node on the first cycle.
+    std::vector<bool> active = awake;
+    active[first[1]] = false;
+    const core::CertificateVerdict v = check(lines, active);
+    EXPECT_FALSE(v.ok);
+    EXPECT_EQ(v.line, 2u);
+    EXPECT_NE(v.error.find("node " + std::to_string(first[1]) + " is asleep"),
+              std::string::npos)
+        << v.error;
+  }
+  {  // A cycle longer than tau: a there-and-back detour leaves its edge sum
+     // unchanged, so only the length check can catch it.
+    std::vector<graph::VertexId> walk = first;
+    walk.insert(walk.begin() + 2, {first[0], first[1]});
+    std::vector<std::string> text = lines;
+    text[1] = joined(walk);
+    const core::CertificateVerdict v = check(text, awake);
+    EXPECT_FALSE(v.ok);
+    EXPECT_EQ(v.line, 2u);
+    EXPECT_NE(v.error.find("more than tau = 4"), std::string::npos) << v.error;
+  }
+}
+
+TEST_F(CliFixture, NonFiniteLinkTimesAreRefused) {
+  // An infinite delay made every event time inf (and inf - inf a NaN), and
+  // an infinite retransmit interval armed timers that fire at inf; both runs
+  // used to exit 0 with a nonsense sim duration or spurious retransmissions.
+  std::string out;
+  ASSERT_EQ(run({"generate", "--nodes", "60", "--degree", "10", "--seed", "7",
+                 "--out", net_.c_str()},
+                &out),
+            0);
+  const struct {
+    std::vector<const char*> flags;
+    const char* message;
+  } cases[] = {
+      {{"--min-delay", "inf", "--max-delay", "inf"},
+       "link delays must be finite and positive"},
+      {{"--retransmit", "inf"},
+       "the retransmit interval must be finite and positive"},
+  };
+  for (const auto& c : cases) {
+    std::vector<const char*> argv = {"tgcover", "distributed", "--in",
+                                     net_.c_str(), "--tau", "4", "--async",
+                                     "--out", sched_.c_str()};
+    argv.insert(argv.end(), c.flags.begin(), c.flags.end());
+    std::ostringstream sink;
+    try {
+      const int rc = run_cli(static_cast<int>(argv.size()), argv.data(), sink);
+      ADD_FAILURE() << c.flags.front() << " inf exited " << rc;
+    } catch (const tgc::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(fs::exists(sched_)) << c.flags.front() << " wrote a mask";
+  }
 }
 
 TEST_F(CliFixture, SinkFailuresExitNonzero) {

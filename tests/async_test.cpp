@@ -21,6 +21,7 @@ namespace {
 using graph::Graph;
 using graph::GraphBuilder;
 using graph::VertexId;
+using Delivery = AsyncEngine::Delivery;
 
 Graph path_graph(std::size_t n) {
   GraphBuilder b(n);
@@ -38,7 +39,7 @@ TEST(AsyncEngine, DeliversWithDelayInRange) {
   AsyncEngine engine(g, opt);
   engine.send(0, 1, 9, {5});
   double delivered_at = -1.0;
-  engine.run([&](double now, const Message& msg) {
+  engine.run([&](double now, const Delivery& msg) {
     EXPECT_EQ(msg.from, 0u);
     EXPECT_EQ(msg.type, 9u);
     delivered_at = now;
@@ -60,7 +61,7 @@ TEST(AsyncEngine, InactiveReceiverDropsMessage) {
   engine.deactivate(1);
   engine.send(0, 1, 1, {1, 2});
   std::size_t deliveries = 0;
-  engine.run([&](double, const Message&) { ++deliveries; });
+  engine.run([&](double, const Delivery&) { ++deliveries; });
   EXPECT_EQ(deliveries, 0u);
   EXPECT_EQ(engine.stats().messages, 1u);  // transmission still counted
 }
@@ -70,7 +71,7 @@ TEST(AsyncEngine, CascadedSendsAdvanceTime) {
   const Graph g = path_graph(4);
   AsyncEngine engine(g, {});
   engine.send(0, 1, 1, {});
-  const double finish = engine.run([&](double, const Message& msg) {
+  const double finish = engine.run([&](double, const Delivery& msg) {
     if (msg.to + 1 < 4) {
       engine.send(msg.to, msg.to + 1, 1, {});
     }
@@ -278,14 +279,15 @@ TEST(AlphaSynchronizer, NoRetransmissionsOnCleanLinks) {
 TEST(AsyncEngine, TimersFireInOrder) {
   const Graph g = path_graph(2);
   AsyncEngine engine(g, {});
-  std::vector<int> order;
-  engine.schedule(3.0, [&] { order.push_back(3); });
-  engine.schedule(1.0, [&] {
-    order.push_back(1);
-    engine.schedule(1.0, [&] { order.push_back(2); });
-  });
-  engine.run([](double, const Message&) {});
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  std::vector<std::uint64_t> order;
+  engine.schedule(3.0, 3);
+  engine.schedule(1.0, 1);
+  engine.run([](double, const Delivery&) {},
+             [&](std::uint64_t tag) {
+               order.push_back(tag);
+               if (tag == 1) engine.schedule(1.0, 2);
+             });
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
 TEST(AsyncEngine, EqualTimeEventsFireInPushOrder) {
@@ -295,22 +297,27 @@ TEST(AsyncEngine, EqualTimeEventsFireInPushOrder) {
   const Graph g = path_graph(2);
   {
     AsyncEngine engine(g, {.min_delay = 1.0, .max_delay = 1.0});
-    std::vector<int> order;
+    std::vector<std::uint64_t> order;
     engine.send(0, 1, 1, {});  // delivered at exactly t = 1.0
-    engine.schedule(1.0, [&] { order.push_back(2); });
-    engine.run([&](double now, const Message&) {
-      EXPECT_DOUBLE_EQ(now, 1.0);
-      order.push_back(1);
-    });
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));  // message was pushed first
+    engine.schedule(1.0, 2);
+    engine.run(
+        [&](double now, const Delivery&) {
+          EXPECT_DOUBLE_EQ(now, 1.0);
+          order.push_back(1);
+        },
+        [&](std::uint64_t tag) { order.push_back(tag); });
+    // message was pushed first
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2}));
   }
   {
     AsyncEngine engine(g, {.min_delay = 1.0, .max_delay = 1.0});
-    std::vector<int> order;
-    engine.schedule(1.0, [&] { order.push_back(1); });
+    std::vector<std::uint64_t> order;
+    engine.schedule(1.0, 1);
     engine.send(0, 1, 1, {});
-    engine.run([&](double, const Message&) { order.push_back(2); });
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));  // timer was pushed first
+    engine.run([&](double, const Delivery&) { order.push_back(2); },
+               [&](std::uint64_t tag) { order.push_back(tag); });
+    // timer was pushed first
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2}));
   }
 }
 
@@ -442,7 +449,7 @@ TEST(AsyncEngine, LossIsCounted) {
                          .loss_probability = 0.5, .seed = 17});
   for (int i = 0; i < 200; ++i) engine.send(0, 1, 1, {});
   std::size_t delivered = 0;
-  engine.run([&](double, const Message&) { ++delivered; });
+  engine.run([&](double, const Delivery&) { ++delivered; });
   EXPECT_EQ(delivered + engine.messages_lost(), 200u);
   EXPECT_NEAR(static_cast<double>(engine.messages_lost()), 100.0, 30.0);
 }

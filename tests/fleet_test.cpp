@@ -245,6 +245,11 @@ TEST_F(FleetFixture, ImpossibleAxisValuesAreRefusedBeforeAnyCellRuns) {
       {"--taus", "2", "taus", "2"},
       {"--degrees", "0", "degrees", "0"},
       {"--degrees", "inf", "degrees", "inf"},
+      {"--min-delay", "inf", "min-delay", "inf"},
+      {"--max-delay", "inf", "max-delay", "inf"},
+      {"--min-delay", "0", "min-delay", "0"},
+      {"--retransmit", "inf", "retransmit", "inf"},
+      {"--retransmit", "0", "retransmit", "0"},
   };
   for (const auto& c : cases) {
     const std::vector<const char*> argv = {
