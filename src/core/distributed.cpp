@@ -1,10 +1,9 @@
 #include "tgcover/core/distributed.hpp"
 
-#include <unordered_set>
-
 #include "tgcover/obs/obs.hpp"
 #include "tgcover/obs/round_log.hpp"
 #include "tgcover/obs/trace.hpp"
+#include "tgcover/sim/flood.hpp"
 #include "tgcover/sim/khop.hpp"
 #include "tgcover/sim/mis.hpp"
 #include "tgcover/util/check.hpp"
@@ -47,37 +46,25 @@ class TracedPhase {
   std::uint32_t phase_;
 };
 
-/// k-hop flood of the deleted node ids; every node that hears an id removes
-/// that node from its local view. Runs while the deleted nodes are still
-/// active so the notices propagate over the pre-deletion topology — exactly
-/// the set of nodes whose views mention them. Returns the non-selected nodes
-/// that heard at least one id: since a node's view changes only through
-/// these erasures and its verdict is a pure function of the view, the heard
-/// set IS the exact dirty frontier for the verdict cache.
+/// k-hop flood of the deleted node ids (one-word records); every node that
+/// hears an id removes that node from its local view. Runs while the
+/// deleted nodes are still active so the notices propagate over the
+/// pre-deletion topology — exactly the set of nodes whose views mention
+/// them. Returns the non-selected nodes that heard at least one id: since a
+/// node's view changes only through these erasures and its verdict is a
+/// pure function of the view, the heard set IS the exact dirty frontier for
+/// the verdict cache.
 std::vector<VertexId> flood_deletions(sim::SyncRunner& runner,
                                       const std::vector<bool>& selected,
                                       unsigned k,
                                       std::vector<sim::LocalView>& views) {
   const std::size_t n = runner.graph().num_vertices();
-  std::vector<std::unordered_set<VertexId>> heard(n);
-
-  for (unsigned round = 0; round <= k; ++round) {
-    runner.run_round([&](VertexId node, std::span<const sim::Message> inbox,
-                         sim::Mailer& mailer) {
-      std::vector<std::uint32_t> learned;
-      for (const sim::Message& msg : inbox) {
-        if (msg.type != kMsgDeleted) continue;
-        for (const std::uint32_t who : msg.payload) {
-          if (heard[node].insert(who).second) learned.push_back(who);
-        }
-      }
-      std::vector<std::uint32_t> to_send = std::move(learned);
-      if (round == 0 && selected[node]) to_send.push_back(node);
-      if (round < k && !to_send.empty()) {
-        mailer.broadcast(kMsgDeleted, to_send);
-      }
-    });
+  std::vector<std::vector<std::uint32_t>> heard(n);
+  for (VertexId v = 0; v < n; ++v) {
+    if (selected[v]) heard[v].push_back(v);
   }
+  sim::flood(runner, heard, k, kMsgDeleted,
+             [](std::span<const std::uint32_t>) -> std::size_t { return 1; });
 
   std::vector<VertexId> dirtied;
   for (VertexId v = 0; v < n; ++v) {

@@ -135,16 +135,16 @@ bool vpt_vertex_deletable_local(const sim::LocalView& view,
 
 bool vpt_vertex_deletable_local(const sim::LocalView& view,
                                 const VptConfig& config, VptWorkspace& ws) {
-  TGC_CHECK(view.owner != graph::kInvalidVertex);
+  // A collected view's records carry global ids below the graph order it
+  // was collected at.
+  TGC_CHECK(view.owner < view.order);
   const unsigned k = config.effective_k();
-
-  // The view's records carry global ids; size the stamped arrays to cover
-  // every id they mention (cheap single scan, amortized by resize-only-grows).
-  ws.ensure(static_cast<std::size_t>(view.id_bound()) + 1);
+  ws.ensure(view.order);
 
   // BFS inside the view: deletions may have lengthened paths since the view
   // was collected, so recompute which recorded nodes are still within k hops.
-  // Tombstoned (erased) nodes neither relay nor appear as members.
+  // Erased nodes neither relay nor appear as members; within k hops of the
+  // owner an id the view does not know is exactly an erased one (khop.hpp).
   ws.dist.clear();
   ws.queue.clear();
   ws.members.clear();
@@ -156,7 +156,7 @@ bool vpt_vertex_deletable_local(const sim::LocalView& view,
     if (du == k) continue;
     if (!view.knows(u)) continue;
     for (const VertexId w : view.record(u)) {
-      if (!view.alive(w) || ws.dist.contains(w)) continue;
+      if (ws.dist.contains(w) || !view.knows(w)) continue;
       ws.dist.put(w, du + 1);
       ws.members.push_back(w);
       ws.queue.push_back(w);
@@ -164,15 +164,14 @@ bool vpt_vertex_deletable_local(const sim::LocalView& view,
   }
   std::sort(ws.members.begin(), ws.members.end());
 
-  // Build the punctured neighbourhood from the view's adjacency records.
+  // Build the punctured neighbourhood from the members' adjacency records.
   // Records preserve the origin's sorted adjacency order, so the filtered
-  // rows are ascending as BallView requires.
+  // rows are ascending as BallView requires; members are known, and an
+  // erased id is never a member.
   assign_local_ids(ws.members, ws);
   ws.ball.build(ws.members.size(), [&](VertexId lu, auto&& emit) {
-    const VertexId u = ws.members[lu];
-    if (!view.knows(u)) return;
-    for (const VertexId w : view.record(u)) {
-      if (view.alive(w) && ws.local.contains(w)) emit(ws.local.get(w));
+    for (const VertexId w : view.record(ws.members[lu])) {
+      if (ws.local.contains(w)) emit(ws.local.get(w));
     }
   });
   // No global-graph traversal happened: the BFS ran over the view's arena

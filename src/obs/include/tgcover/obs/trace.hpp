@@ -33,7 +33,8 @@ enum class TraceKind : std::uint8_t {
   kPhaseBegin,       ///< scheduler phase opens (type = TracePhase)
   kPhaseEnd,         ///< ... closes
   kEngineRound,      ///< one synchronous engine round starts (value = round)
-  kWave,             ///< one flood wave of a k-hop protocol (value = wave)
+  kWave,             ///< one round of a protocol flood (type = its message
+                     ///< type, value = round within the flood)
   kHandlerBegin,     ///< node handler invocation opens (node, value = round)
   kHandlerEnd,       ///< ... closes
   kSend,             ///< transmission (node -> peer); mints the flow id

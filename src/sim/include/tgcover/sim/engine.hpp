@@ -57,8 +57,9 @@ class Mailer {
                          const std::vector<std::uint32_t>& payload) = 0;
 };
 
-/// The synchronous-rounds execution substrate the protocols (khop, mis,
-/// deletion floods, the distributed DCC executor) are written against. Two
+/// The synchronous-rounds execution substrate the protocols (`sim::flood`,
+/// hence k-hop collection, MIS and deletion announcements, and the
+/// distributed DCC executor) are written against. Two
 /// implementations exist: RoundEngine below (ideal reliable rounds) and
 /// AlphaSynchronizer (async.hpp — each round simulated over the lossy
 /// asynchronous engine). Handlers see identical inboxes per round

@@ -1,8 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "tgcover/graph/graph.hpp"
@@ -17,63 +17,45 @@ namespace tgc::sim {
 /// "Each internal node v only needs to collect the connectivity Γ^k_G(v)
 /// among its k-hop neighbors").
 ///
-/// Storage is a flat SoA record pool: every learned adjacency list is
-/// appended to one contiguous `pool` and addressed by (offset, length) —
-/// one allocation path instead of a vector per recorded node, which is what
-/// lets a 10⁵-node distributed round fit in RAM. Deletions are lazy
-/// tombstones: `erase_node` marks the id erased in O(1) (previously an
-/// O(|view|·deg) scrub of every list) and readers filter through `alive`.
+/// The view is the collection flood's own record pool — records
+/// [node, degree, neighbours…] back to back, the owner's first — plus an
+/// index over it. `erase_node` drops a deleted node's index entry; its
+/// mentions inside other records stay, and readers skip them with `knows`.
+/// That needs no tombstone set: collection indexed every node within k hops
+/// of the owner, each erased id was one of them, and erasures only lengthen
+/// paths, so an id met within k hops of the owner through the records is
+/// unindexed exactly when it was erased.
 struct LocalView {
   graph::VertexId owner = graph::kInvalidVertex;
+  /// Graph order at collection: every id in the pool is below it.
+  std::size_t order = 0;
 
-  /// Record pool: learned adjacency lists back-to-back, in learn order.
+  /// Record pool: the collection flood's records, in learn order.
   std::vector<graph::VertexId> pool;
-  struct Slice {
-    std::uint32_t offset = 0;
-    std::uint32_t length = 0;
-  };
-  /// node id → its record in `pool`. One entry per node the owner has heard
-  /// an adjacency record for (tombstoned nodes keep no entry).
-  std::unordered_map<graph::VertexId, Slice> index;
-  /// Lazy tombstones: ids announced as deleted. Their records are dropped
-  /// from `index`; stale mentions inside other records remain in `pool` and
-  /// are skipped by readers via `alive`.
-  std::unordered_set<graph::VertexId> erased;
+  /// node id → offset of its record in `pool`, for every collected node
+  /// not erased since.
+  std::unordered_map<graph::VertexId, std::uint32_t> index;
 
-  bool alive(graph::VertexId v) const {
-    return erased.find(v) == erased.end();
-  }
-
-  /// True iff the view holds a (non-tombstoned) record for `v`.
+  /// True iff the view holds a (non-erased) record for `v`.
   bool knows(graph::VertexId v) const {
     return index.find(v) != index.end();
   }
 
-  /// The recorded neighbor list of `v` (must be known). May mention
-  /// tombstoned ids — filter with `alive` when reading post-deletion.
+  /// The recorded neighbour list of `v` (must be known). May mention erased
+  /// ids — filter with `knows` when reading post-deletion.
   std::span<const graph::VertexId> record(graph::VertexId v) const {
-    const Slice s = index.at(v);
-    return {pool.data() + s.offset, s.length};
+    const std::uint32_t at = index.at(v);
+    return {pool.data() + at + 2, pool[at + 1]};
   }
 
-  /// Stores the adjacency record of `v`; ignored if already known or
-  /// tombstoned. Returns true iff the record was new.
-  bool add_record(graph::VertexId v, std::span<const graph::VertexId> nbrs);
-
-  /// Removes a (deleted) node from the view: drops its record and tombstones
-  /// the id so stale mentions in other records are skipped. O(1) amortized.
-  void erase_node(graph::VertexId v);
-
-  /// Largest node id the view mentions (owner included) — sizes the VPT
-  /// workspace's stamped arrays.
-  graph::VertexId id_bound() const;
+  /// Removes a deleted node from the view: drops its index entry.
+  void erase_node(graph::VertexId v) { index.erase(v); }
 };
 
-/// Runs the k-round adjacency-flooding protocol on `runner` (any SyncRunner
-/// substrate) for all active nodes and returns each node's LocalView. In
-/// round r every node forwards the adjacency records it learned in round
-/// r-1, so after k rounds node v holds the adjacency lists of exactly
-/// N^k(v) ∪ {v} (over the active topology).
+/// Runs the k-hop adjacency flood (flood.hpp, message type 1) on `runner`
+/// (any SyncRunner substrate) for all active nodes and returns each node's
+/// LocalView: node v holds the adjacency lists of exactly N^k(v) ∪ {v} over
+/// the active topology. Inactive nodes get an empty view.
 ///
 /// Message format: a sequence of records [node, degree, n_1..n_degree].
 std::vector<LocalView> collect_k_hop_views(SyncRunner& runner, unsigned k);

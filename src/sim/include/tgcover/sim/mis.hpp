@@ -28,7 +28,9 @@ struct MisOutcome {
 /// Fixed-priority Luby dynamics: in each iteration the unresolved candidates
 /// flood their priorities `radius` hops; local maxima join the MIS and flood
 /// a block notice `radius` hops; repeats until all candidates are resolved.
-/// The result equals greedy selection in descending priority order.
+/// Both are `sim::flood`s (flood.hpp) of records [origin, priority hi,
+/// priority lo], message types 10 and 11. The result equals greedy
+/// selection in descending priority order.
 MisOutcome elect_mis_distributed(SyncRunner& runner,
                                  const std::vector<bool>& candidate,
                                  unsigned radius, std::uint64_t seed);

@@ -1,9 +1,8 @@
 #include "tgcover/sim/khop.hpp"
 
-#include <algorithm>
 #include <limits>
 
-#include "tgcover/obs/trace.hpp"
+#include "tgcover/sim/flood.hpp"
 #include "tgcover/util/check.hpp"
 
 namespace tgc::sim {
@@ -12,118 +11,43 @@ namespace {
 
 constexpr std::uint32_t kMsgAdjacency = 1;
 
-/// Appends a record [node, degree, neighbors...] to `payload`.
-void append_record(std::vector<std::uint32_t>& payload, graph::VertexId node,
-                   std::span<const graph::VertexId> nbrs) {
-  payload.push_back(node);
-  payload.push_back(static_cast<std::uint32_t>(nbrs.size()));
-  payload.insert(payload.end(), nbrs.begin(), nbrs.end());
-}
-
-/// Parses records from a message into `view`; appends the ids that were new
-/// to `learned` (caller-owned so one buffer serves the whole inbox).
-void absorb(LocalView& view, const Message& msg,
-            std::vector<graph::VertexId>& learned) {
-  std::size_t i = 0;
-  while (i < msg.payload.size()) {
-    TGC_CHECK(i + 2 <= msg.payload.size());
-    const graph::VertexId who = msg.payload[i++];
-    const std::uint32_t deg = msg.payload[i++];
-    TGC_CHECK(i + deg <= msg.payload.size());
-    if (view.add_record(
-            who, std::span<const graph::VertexId>(msg.payload.data() + i,
-                                                  deg))) {
-      learned.push_back(who);
-    }
-    i += deg;
-  }
+std::size_t adjacency_size(std::span<const std::uint32_t> rest) {
+  TGC_CHECK(rest.size() >= 2);
+  return 2 + std::size_t{rest[1]};
 }
 
 }  // namespace
-
-bool LocalView::add_record(graph::VertexId v,
-                           std::span<const graph::VertexId> nbrs) {
-  if (!alive(v)) return false;
-  // try_emplace probes the table once; the neighbor list is only appended
-  // to the pool when the record is actually new.
-  const auto [it, inserted] = index.try_emplace(v);
-  if (!inserted) return false;
-  TGC_CHECK(pool.size() + nbrs.size() <=
-            std::numeric_limits<std::uint32_t>::max());
-  it->second.offset = static_cast<std::uint32_t>(pool.size());
-  it->second.length = static_cast<std::uint32_t>(nbrs.size());
-  pool.insert(pool.end(), nbrs.begin(), nbrs.end());
-  return true;
-}
-
-void LocalView::erase_node(graph::VertexId v) {
-  index.erase(v);
-  erased.insert(v);
-}
-
-graph::VertexId LocalView::id_bound() const {
-  graph::VertexId bound = owner;
-  for (const auto& [node, slice] : index) {
-    (void)slice;
-    bound = std::max(bound, node);
-  }
-  for (const graph::VertexId w : pool) bound = std::max(bound, w);
-  return bound;
-}
 
 std::vector<LocalView> collect_k_hop_views(SyncRunner& runner, unsigned k) {
   TGC_CHECK(k >= 1);
   const graph::Graph& g = runner.graph();
   const std::size_t n = g.num_vertices();
 
-  std::vector<LocalView> views(n);
-  // Seed: every active node knows its own (active-filtered) adjacency.
-  std::vector<graph::VertexId> nbrs;
+  // Seed: every active node holds its own (active-filtered) adjacency.
+  std::vector<std::vector<std::uint32_t>> held(n);
   for (graph::VertexId v = 0; v < n; ++v) {
     if (!runner.is_active(v)) continue;
-    views[v].owner = v;
-    nbrs.clear();
+    held[v] = {v, 0};
     for (const graph::VertexId u : g.neighbors(v)) {
-      if (runner.is_active(u)) nbrs.push_back(u);
+      if (runner.is_active(u)) held[v].push_back(u);
     }
-    views[v].add_record(v, nbrs);
+    held[v][1] = static_cast<std::uint32_t>(held[v].size() - 2);
   }
+  flood(runner, held, k, kMsgAdjacency, adjacency_size);
 
-  // Round 0 sends the node's own record; in round r (1 ≤ r ≤ k) each node
-  // absorbs the records that arrived (distance-r adjacency lists) and
-  // immediately re-broadcasts the new ones — so after round r every node
-  // holds the adjacency of N^r(v). The records learned in round k are not
-  // forwarded further.
-  for (unsigned round = 0; round <= k; ++round) {
-    if (obs::trace_active()) {
-      obs::trace_emit(obs::TraceKind::kWave, obs::kTraceNoNode,
-                      obs::kTraceNoNode,
-                      static_cast<std::uint32_t>(obs::TracePhase::kKhop),
-                      round, static_cast<double>(runner.stats().rounds));
+  std::vector<LocalView> views(n);
+  for (graph::VertexId v = 0; v < n; ++v) {
+    if (!runner.is_active(v)) continue;
+    LocalView& view = views[v];
+    view.owner = v;
+    view.order = n;
+    view.pool = std::move(held[v]);
+    TGC_CHECK(view.pool.size() <= std::numeric_limits<std::uint32_t>::max());
+    for (std::size_t at = 0; at < view.pool.size();
+         at += adjacency_size(std::span(view.pool).subspan(at))) {
+      view.index.emplace(view.pool[at], static_cast<std::uint32_t>(at));
     }
-    runner.run_round([&](graph::VertexId node, std::span<const Message> inbox,
-                         Mailer& mailer) {
-      std::vector<graph::VertexId> learned;
-      for (const Message& msg : inbox) {
-        absorb(views[node], msg, learned);
-      }
-      const std::vector<graph::VertexId> to_send =
-          round == 0 ? std::vector<graph::VertexId>{node} : learned;
-      if (round < k && !to_send.empty()) {
-        std::vector<std::uint32_t> payload;
-        std::size_t payload_size = 0;
-        for (const graph::VertexId who : to_send) {
-          payload_size += 2 + views[node].record(who).size();
-        }
-        payload.reserve(payload_size);
-        for (const graph::VertexId who : to_send) {
-          append_record(payload, who, views[node].record(who));
-        }
-        mailer.broadcast(kMsgAdjacency, payload);
-      }
-    });
   }
-
   return views;
 }
 

@@ -1,9 +1,9 @@
 #include "tgcover/sim/mis.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "tgcover/graph/algorithms.hpp"
+#include "tgcover/sim/flood.hpp"
 #include "tgcover/util/check.hpp"
 #include "tgcover/util/rng.hpp"
 
@@ -18,60 +18,15 @@ namespace {
 constexpr std::uint32_t kMsgPriority = 10;
 constexpr std::uint32_t kMsgSelected = 11;
 
-struct HeardPriority {
-  graph::VertexId origin;
-  std::uint64_t priority;
-};
+/// Priority and block-notice records: [origin, priority hi, priority lo].
+std::size_t priority_size(std::span<const std::uint32_t> /*rest*/) {
+  return 3;
+}
 
-/// Floods records [origin, hi, lo] from `initial` holders for `radius` hops;
-/// every node accumulates the set of origins (with priorities) it heard.
-/// `msg_type` distinguishes priority floods from block-notice floods.
-std::vector<std::vector<HeardPriority>> flood_records(
-    SyncRunner& runner, const std::vector<std::vector<HeardPriority>>& initial,
-    unsigned radius, std::uint32_t msg_type) {
-  const std::size_t n = runner.graph().num_vertices();
-  std::vector<std::vector<HeardPriority>> heard(n);
-  std::vector<std::unordered_set<graph::VertexId>> known(n);
-
-  for (graph::VertexId v = 0; v < n; ++v) {
-    for (const HeardPriority& rec : initial[v]) {
-      heard[v].push_back(rec);
-      known[v].insert(rec.origin);
-    }
-  }
-
-  for (unsigned round = 0; round <= radius; ++round) {
-    runner.run_round([&](graph::VertexId node, std::span<const Message> inbox,
-                         Mailer& mailer) {
-      std::vector<HeardPriority> learned;
-      for (const Message& msg : inbox) {
-        if (msg.type != msg_type) continue;
-        TGC_CHECK(msg.payload.size() % 3 == 0);
-        for (std::size_t i = 0; i < msg.payload.size(); i += 3) {
-          const graph::VertexId origin = msg.payload[i];
-          if (!known[node].insert(origin).second) continue;
-          const std::uint64_t prio =
-              (static_cast<std::uint64_t>(msg.payload[i + 1]) << 32) |
-              msg.payload[i + 2];
-          heard[node].push_back(HeardPriority{origin, prio});
-          learned.push_back(HeardPriority{origin, prio});
-        }
-      }
-      const std::vector<HeardPriority>& to_send =
-          round == 0 ? initial[node] : learned;
-      if (round < radius && !to_send.empty()) {
-        std::vector<std::uint32_t> payload;
-        payload.reserve(3 * to_send.size());
-        for (const HeardPriority& rec : to_send) {
-          payload.push_back(rec.origin);
-          payload.push_back(static_cast<std::uint32_t>(rec.priority >> 32));
-          payload.push_back(static_cast<std::uint32_t>(rec.priority));
-        }
-        mailer.broadcast(msg_type, payload);
-      }
-    });
-  }
-  return heard;
+/// The priority carried by the record at word `at` of `records`.
+std::uint64_t priority_at(const std::vector<std::uint32_t>& records,
+                          std::size_t at) {
+  return (std::uint64_t{records[at + 1]} << 32) | records[at + 2];
 }
 
 }  // namespace
@@ -94,56 +49,46 @@ MisOutcome elect_mis_distributed(SyncRunner& runner,
 
   MisOutcome out;
   out.selected.assign(n, false);
+  std::vector<std::vector<std::uint32_t>> held(n);
 
   while (unresolved > 0) {
     ++out.subrounds;
     // Phase A: unresolved candidates flood their priorities `radius` hops.
-    std::vector<std::vector<HeardPriority>> initial(n);
     for (graph::VertexId v = 0; v < n; ++v) {
+      held[v].clear();
       if (state[v] == State::kUnresolved) {
-        initial[v].push_back(HeardPriority{v, mis_priority(seed, v)});
+        const std::uint64_t priority = mis_priority(seed, v);
+        held[v] = {v, static_cast<std::uint32_t>(priority >> 32),
+                   static_cast<std::uint32_t>(priority)};
       }
     }
-    const auto heard = flood_records(runner, initial, radius, kMsgPriority);
+    flood(runner, held, radius, kMsgPriority, priority_size);
 
     // Decision: a candidate joins iff it is the strict maximum among the
-    // unresolved priorities it heard (its own included). Priorities are
-    // unique with overwhelming probability; ties break toward the smaller id
-    // to stay deterministic.
-    std::vector<std::vector<HeardPriority>> selected_notice(n);
+    // unresolved priorities it heard (its own record comes first). Priorities
+    // are unique with overwhelming probability; ties break toward the smaller
+    // id to stay deterministic. A winner keeps its own record: that is its
+    // block notice.
     for (graph::VertexId v = 0; v < n; ++v) {
-      if (state[v] != State::kUnresolved) continue;
-      const std::uint64_t mine = mis_priority(seed, v);
-      bool is_max = true;
-      for (const HeardPriority& rec : heard[v]) {
-        if (rec.origin == v) continue;
-        if (rec.priority > mine || (rec.priority == mine && rec.origin < v)) {
-          is_max = false;
-          break;
-        }
+      bool wins = state[v] == State::kUnresolved;
+      for (std::size_t at = 3; wins && at < held[v].size(); at += 3) {
+        const std::uint64_t mine = priority_at(held[v], 0);
+        const std::uint64_t theirs = priority_at(held[v], at);
+        wins = theirs < mine || (theirs == mine && held[v][at] > v);
       }
-      if (is_max) {
+      held[v].resize(wins ? 3 : 0);
+      if (wins) {
         state[v] = State::kSelected;
         out.selected[v] = true;
         --unresolved;
-        selected_notice[v].push_back(HeardPriority{v, mine});
       }
     }
 
     // Phase B: winners flood a block notice `radius` hops; unresolved
     // candidates hearing one are dominated and drop out.
-    const auto blocked_by =
-        flood_records(runner, selected_notice, radius, kMsgSelected);
+    flood(runner, held, radius, kMsgSelected, priority_size);
     for (graph::VertexId v = 0; v < n; ++v) {
-      if (state[v] != State::kUnresolved) continue;
-      bool blocked = false;
-      for (const HeardPriority& rec : blocked_by[v]) {
-        if (rec.origin != v) {
-          blocked = true;
-          break;
-        }
-      }
-      if (blocked) {
+      if (state[v] == State::kUnresolved && !held[v].empty()) {
         state[v] = State::kBlocked;
         --unresolved;
       }

@@ -16,6 +16,7 @@
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/graph/subgraph.hpp"
 #include "tgcover/sim/khop.hpp"
+#include "tgcover/sim/mis.hpp"
 #include "tgcover/util/rng.hpp"
 #include "tgcover/util/thread_pool.hpp"
 
@@ -267,20 +268,50 @@ TEST(Vpt, EdgeDeletion) {
                                  VptConfig{3, 0}));
 }
 
+// Fresh views, then views after oracle deletion waves in which every node
+// within k hops of a deleted node (the deletion flood's reach) erases it
+// from its view: the local test skips erased mentions with `knows` alone.
 TEST(Vpt, LocalViewMatchesOracle) {
   util::Rng rng(31);
-  const auto dep = gen::random_connected_udg(120, 3.2, 1.0, rng);
-  const std::vector<bool> active(120, true);
-  for (const unsigned tau : {3u, 4u, 5u}) {
+  const auto dep = gen::random_connected_udg(120, 4.4, 1.0, rng);
+  const Graph& g = dep.graph;
+  std::vector<bool> internal(120);
+  for (VertexId v = 0; v < 120; ++v) {
+    internal[v] = dep.area.interior_clearance(dep.positions[v]) > 0.5;
+  }
+  graph::BoundedBfs reach;
+  for (const unsigned tau : {3u, 4u, 5u, 6u}) {
     const VptConfig config{tau, 0};
-    sim::RoundEngine engine(dep.graph);
-    const auto views =
-        sim::collect_k_hop_views(engine, config.effective_k());
-    for (VertexId v = 0; v < 120; ++v) {
-      EXPECT_EQ(vpt_vertex_deletable_local(views[v], config),
-                vpt_vertex_deletable(dep.graph, active, v, config))
-          << "vertex " << v << " tau " << tau;
+    const unsigned k = config.effective_k();
+    sim::RoundEngine engine(g);
+    auto views = sim::collect_k_hop_views(engine, k);
+    std::vector<bool> active(120, true);
+    std::size_t deleted = 0;
+    for (std::uint64_t wave = 0; wave <= 5; ++wave) {
+      std::vector<bool> candidate(120, false);
+      for (VertexId v = 0; v < 120; ++v) {
+        if (!active[v]) continue;
+        const bool local = vpt_vertex_deletable_local(views[v], config);
+        EXPECT_EQ(local, vpt_vertex_deletable(g, active, v, config))
+            << "vertex " << v << " tau " << tau << " after wave " << wave;
+        candidate[v] = internal[v] && local;
+      }
+      if (wave == 5) break;
+      const std::vector<bool> selected = sim::elect_mis_oracle(
+          g, active, candidate, config.mis_radius(), 500 + wave);
+      for (VertexId s = 0; s < 120; ++s) {
+        if (!selected[s]) continue;
+        reach.run(g, std::span(&s, 1), k,
+                  [&](VertexId w, graph::EdgeId) { return active[w]; });
+        for (const VertexId w : reach.reached()) views[w].erase_node(s);
+      }
+      for (VertexId s = 0; s < 120; ++s) {
+        if (!selected[s]) continue;
+        active[s] = false;
+        ++deleted;
+      }
     }
+    EXPECT_GE(deleted, 10u) << "tau " << tau;
   }
 }
 

@@ -5,12 +5,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
+#include "tgcover/core/certificate.hpp"
 #include "tgcover/core/criterion.hpp"
 #include "tgcover/core/distributed.hpp"
 #include "tgcover/core/pipeline.hpp"
 #include "tgcover/core/scheduler.hpp"
 #include "tgcover/cycle/candidates.hpp"
+#include "tgcover/cycle/cycle.hpp"
 #include "tgcover/cycle/horton.hpp"
 #include "tgcover/cycle/span.hpp"
 #include "tgcover/gen/deployments.hpp"
@@ -218,6 +221,31 @@ INSTANTIATE_TEST_SUITE_P(Radii, MisSweep, ::testing::Values(1u, 2u, 3u, 4u));
 
 // --------------------------------------------------------------- scheduler
 
+/// Writes the schedule's cycle partition (`core::find_partition`) in the
+/// `verify --certificate` line format and requires `core::check_certificate`,
+/// which shares no code with the GF(2) kernel, to accept it (Theorem 5).
+void expect_certified(const core::Network& net, const std::vector<bool>& active,
+                      unsigned tau) {
+  const Graph& g = net.dep.graph;
+  const auto parts = core::find_partition(g, active, net.cb, tau);
+  ASSERT_TRUE(parts.has_value()) << "no cycle partition at tau=" << tau;
+  std::stringstream cert;
+  cert << "# cycle partition certificate: boundary = XOR of " << parts->size()
+       << " cycles, each of length <= " << tau << "\n";
+  for (const cycle::Cycle& c : *parts) {
+    cert << "cycle";
+    for (const VertexId v : cycle::cycle_vertices(g, c.edges())) {
+      cert << ' ' << v;
+    }
+    cert << "\n";
+  }
+  std::vector<bool> cb_edges(g.num_edges());
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) cb_edges[e] = net.cb.test(e);
+  const core::CertificateVerdict verdict =
+      core::check_certificate(g, active, cb_edges, tau, cert);
+  EXPECT_TRUE(verdict.ok) << "line " << verdict.line << ": " << verdict.error;
+}
+
 class TheoremFiveSweep
     : public ::testing::TestWithParam<std::tuple<unsigned, std::uint64_t>> {};
 
@@ -236,6 +264,7 @@ TEST_P(TheoremFiveSweep, CriterionPreservedWheneverItHeld) {
   const auto s = core::run_dcc(net, config);
   EXPECT_TRUE(
       core::criterion_holds(net.dep.graph, s.result.active, net.cb, tau));
+  expect_certified(net, s.result.active, tau);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -248,17 +277,19 @@ class DistributedSweep : public ::testing::TestWithParam<unsigned> {};
 TEST_P(DistributedSweep, OracleEquivalence) {
   const unsigned tau = GetParam();
   util::Rng rng(305 + tau);
-  const auto dep = gen::random_connected_udg(90, 3.2, 1.0, rng);
-  std::vector<bool> internal(90, true);
-  for (VertexId v = 0; v < 90; ++v) {
-    internal[v] = dep.area.interior_clearance(dep.positions[v]) > 0.8;
-  }
+  const core::Network net = core::prepare_network(
+      gen::random_connected_udg(90, 3.2, 1.0, rng), 1.0);
   core::DccConfig config;
   config.tau = tau;
   config.seed = 77 + tau;
-  const auto oracle = core::dcc_schedule(dep.graph, internal, config);
-  const auto dist = core::dcc_schedule_distributed(dep.graph, internal, config);
+  const auto oracle = core::dcc_schedule(net.dep.graph, net.internal, config);
+  const auto dist =
+      core::dcc_schedule_distributed(net.dep.graph, net.internal, config);
   EXPECT_EQ(dist.schedule.active, oracle.active);
+  const std::vector<bool> all(net.dep.graph.num_vertices(), true);
+  if (core::criterion_holds(net.dep.graph, all, net.cb, tau)) {
+    expect_certified(net, dist.schedule.active, tau);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Taus, DistributedSweep,

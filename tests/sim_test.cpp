@@ -5,7 +5,10 @@
 
 #include "tgcover/gen/deployments.hpp"
 #include "tgcover/graph/algorithms.hpp"
+#include "tgcover/graph/subgraph.hpp"
+#include "tgcover/sim/async.hpp"
 #include "tgcover/sim/engine.hpp"
+#include "tgcover/sim/flood.hpp"
 #include "tgcover/sim/khop.hpp"
 #include "tgcover/sim/mis.hpp"
 #include "tgcover/util/check.hpp"
@@ -134,31 +137,143 @@ TEST(KHop, TrafficIsCounted) {
   EXPECT_GT(engine.stats().payload_words, 0u);
 }
 
-// Erasure is a lazy tombstone: the record disappears, the id reads as dead,
-// and stale mentions inside surviving records are filtered by `alive` (the
-// previous implementation scrubbed every list eagerly — O(|view|·deg) per
-// deletion; this is O(1)).
+// ------------------------------------------------------------------- flood
+
+std::size_t one_word(std::span<const std::uint32_t> /*rest*/) { return 1; }
+
+/// A UDG with three nodes deactivated and a random set of active origins,
+/// each seeding the 1-word record [v].
+struct FloodCase {
+  Graph g;
+  std::vector<bool> active;
+  std::vector<bool> origin;
+};
+
+FloodCase flood_case() {
+  util::Rng rng(12);
+  FloodCase c{gen::random_connected_udg(70, 2.8, 1.0, rng).graph, {}, {}};
+  c.active.assign(70, true);
+  for (const VertexId v : {5u, 23u, 41u}) c.active[v] = false;
+  c.origin.assign(70, false);
+  for (VertexId v = 0; v < 70; ++v) {
+    c.origin[v] = c.active[v] && rng.bernoulli(0.4);
+  }
+  return c;
+}
+
+/// Floods the case's records `radius` hops on `runner` (its three nodes
+/// already deactivated) and checks that every active node holds exactly the
+/// origins within `radius` hops of the active topology, each once, its own
+/// record first. Returns the hop distances over the active topology.
+std::vector<std::vector<std::uint32_t>> check_flood(SyncRunner& runner,
+                                                    const FloodCase& c,
+                                                    unsigned radius) {
+  const std::size_t n = c.g.num_vertices();
+  std::vector<std::vector<std::uint32_t>> held(n);
+  for (VertexId v = 0; v < n; ++v) {
+    if (c.origin[v]) held[v] = {v};
+  }
+  flood(runner, held, radius, 7, one_word);
+
+  const Graph active_graph = graph::filter_active(c.g, c.active);
+  std::vector<std::vector<std::uint32_t>> dist(n);
+  for (VertexId v = 0; v < n; ++v) {
+    if (!c.active[v]) continue;
+    dist[v] = graph::bfs_distances(active_graph, v, radius);
+    std::vector<std::uint32_t> expected;
+    for (VertexId u = 0; u < n; ++u) {
+      if (c.origin[u] && dist[v][u] != graph::kUnreached) expected.push_back(u);
+    }
+    if (c.origin[v]) {
+      EXPECT_TRUE(!held[v].empty() && held[v].front() == v)
+          << "node " << v << " does not hold its own record first";
+    }
+    std::vector<std::uint32_t> got = held[v];
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << "node " << v << " radius " << radius;
+  }
+  return dist;
+}
+
+// Besides reaching exactly the radius, no node ever sends a record twice:
+// node x broadcasts (to every neighbour, awake or not) in round r < radius
+// exactly when some origin lies exactly r hops away, and its messages carry
+// each origin under `radius` hops once.
+TEST(Flood, ReachesTheRadiusAndSendsNoRecordTwiceOnRoundEngine) {
+  const FloodCase c = flood_case();
+  for (unsigned radius = 1; radius <= 4; ++radius) {
+    RoundEngine engine(c.g);
+    for (VertexId v = 0; v < c.g.num_vertices(); ++v) {
+      if (!c.active[v]) engine.deactivate(v);
+    }
+    const auto dist = check_flood(engine, c, radius);
+    std::size_t messages = 0;
+    std::size_t words = 0;
+    for (VertexId x = 0; x < c.g.num_vertices(); ++x) {
+      if (!c.active[x]) continue;
+      std::vector<bool> sends(radius, false);
+      std::size_t sent_origins = 0;
+      for (VertexId u = 0; u < c.g.num_vertices(); ++u) {
+        if (!c.origin[u] || dist[x][u] >= radius) continue;
+        sends[dist[x][u]] = true;
+        ++sent_origins;
+      }
+      const std::size_t deg = c.g.neighbors(x).size();
+      messages += deg * static_cast<std::size_t>(
+                            std::count(sends.begin(), sends.end(), true));
+      words += deg * sent_origins;
+    }
+    EXPECT_EQ(engine.stats().rounds, radius + 1);
+    EXPECT_EQ(engine.stats().messages, messages) << "radius " << radius;
+    EXPECT_EQ(engine.stats().payload_words, words) << "radius " << radius;
+  }
+}
+
+TEST(Flood, ReachesTheRadiusOverLossyLinks) {
+  const FloodCase c = flood_case();
+  for (unsigned radius = 1; radius <= 4; ++radius) {
+    AsyncEngine engine(c.g, {.loss_probability = 0.2, .seed = 40 + radius});
+    AlphaSynchronizer sync(engine);
+    for (VertexId v = 0; v < c.g.num_vertices(); ++v) {
+      if (!c.active[v]) sync.deactivate(v);
+    }
+    check_flood(sync, c, radius);
+    EXPECT_GT(engine.messages_lost(), 0u);
+  }
+}
+
+TEST(Flood, RefusesARecordWhoseOriginIsNoVertex) {
+  const Graph g = path_graph(3);
+  RoundEngine engine(g);
+  std::vector<std::vector<std::uint32_t>> held(3);
+  held[0] = {7};
+  EXPECT_THROW(flood(engine, held, 2, 7, one_word), tgc::CheckError);
+}
+
+// Erasure drops the node's index entry; its mentions inside surviving
+// records stay in the pool and read as unknown, which is how the local VPT
+// test skips them.
 TEST(LocalView, EraseNode) {
-  LocalView view;
-  view.owner = 0;
-  const std::vector<VertexId> l0{1, 2}, l1{0, 2}, l2{0, 1};
-  view.add_record(0, l0);
-  view.add_record(1, l1);
-  view.add_record(2, l2);
+  GraphBuilder b(3);
+  b.add_edge(0, 1);
+  b.add_edge(0, 2);
+  b.add_edge(1, 2);
+  const Graph g = b.build();
+  RoundEngine engine(g);
+  LocalView view = collect_k_hop_views(engine, 1)[0];
+  EXPECT_EQ(view.order, 3u);
   view.erase_node(2);
   EXPECT_FALSE(view.knows(2));
-  EXPECT_FALSE(view.alive(2));
   // Live filtering of the surviving records.
   for (const VertexId u : {0u, 1u}) {
+    EXPECT_TRUE(view.knows(u));
+    EXPECT_EQ(view.record(u).size(), 2u);  // the stale mention stays
     std::vector<VertexId> live;
     for (const VertexId w : view.record(u)) {
-      if (view.alive(w)) live.push_back(w);
+      if (view.knows(w)) live.push_back(w);
     }
     EXPECT_EQ(live, (std::vector<VertexId>{u == 0 ? 1u : 0u}));
   }
-  // Tombstoned ids never re-enter via late records.
-  EXPECT_FALSE(view.add_record(2, l2));
-  EXPECT_FALSE(view.knows(2));
 }
 
 // --------------------------------------------------------------------- MIS
