@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "tgcover/core/confine.hpp"
-#include "tgcover/core/quality.hpp"
+#include "tgcover/core/criterion.hpp"
 #include "tgcover/geom/coverage.hpp"
 #include "tgcover/obs/cost.hpp"
 #include "tgcover/util/check.hpp"
@@ -75,9 +75,8 @@ obs::QualityProbeResult probe_network_quality(const core::Network& net,
   r.components = awake_components(net.dep.graph, active);
 
   // A crash that severs CB yields certifiable_tau = 0 (no τ certifies).
-  r.certifiable_tau = core::assess_quality(net.dep.graph, active, net.cb,
-                                           std::max(tau_cap, 3u))
-                          .certifiable_tau;
+  r.certifiable_tau = core::smallest_certifiable_tau(
+      net.dep.graph, active, net.cb, std::max(tau_cap, 3u));
   return r;
 }
 

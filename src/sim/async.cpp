@@ -215,7 +215,8 @@ double AsyncEngine::run(const OnDeliver& on_deliver, const OnTimer& on_timer) {
 namespace {
 
 /// One combined "round message" per (sender, receiver, round): payload is
-/// [round, count, (type, len, words...) * count]. Serving simultaneously as
+/// [round, count, (type, len, words...) * count], where count is 1 for the
+/// sender's broadcast and 0 for a silent round. Serving simultaneously as
 /// the α-synchronizer's end-of-round beacon, it makes per-link ordering a
 /// non-issue: a node advances exactly when it has one round-r message from
 /// every active neighbor, and by then it holds all round-r protocol traffic.
@@ -228,44 +229,6 @@ constexpr std::uint32_t kMsgAck = 0xa1fb;
 std::uint64_t retransmit_tag(std::uint32_t link, std::uint32_t round) {
   return static_cast<std::uint64_t>(link) << 32 | round;
 }
-
-/// Mailer that appends a node's sends straight into the combined round
-/// message of each destination: `outbox[i]` is the buffer for the i-th
-/// entry of neighbors(from), or kNoBuffer for a sleeping neighbor.
-class OutboxMailer final : public Mailer {
- public:
-  static constexpr std::uint32_t kNoBuffer = 0xffffffffu;
-
-  OutboxMailer(AsyncEngine& engine, graph::VertexId from,
-               std::span<const std::uint32_t> outbox)
-      : engine_(&engine), from_(from), outbox_(outbox) {}
-
-  void send(graph::VertexId to, std::uint32_t type,
-            std::vector<std::uint32_t> payload) override {
-    append(engine_->link(from_, to) - engine_->first_link(from_), type,
-           payload);
-  }
-
-  void broadcast(std::uint32_t type,
-                 const std::vector<std::uint32_t>& payload) override {
-    for (std::size_t i = 0; i < outbox_.size(); ++i) append(i, type, payload);
-  }
-
- private:
-  void append(std::size_t i, std::uint32_t type,
-              const std::vector<std::uint32_t>& payload) {
-    if (outbox_[i] == kNoBuffer) return;  // matches RoundEngine's drop
-    std::vector<std::uint32_t>& w = engine_->words(outbox_[i]);
-    ++w[1];
-    w.push_back(type);
-    w.push_back(static_cast<std::uint32_t>(payload.size()));
-    w.insert(w.end(), payload.begin(), payload.end());
-  }
-
-  AsyncEngine* engine_;
-  graph::VertexId from_;
-  std::span<const std::uint32_t> outbox_;
-};
 
 }  // namespace
 
@@ -378,36 +341,28 @@ void AlphaSynchronizer::on_deliver(const AsyncEngine::Delivery& msg,
 }
 
 /// Executes round `executed_[v]` at v: the handler consumes the previous
-/// round's messages and its sends ship as this round's combined messages.
+/// round's messages, which view the slot's buffers until it returns, and its
+/// broadcast ships as this round's combined message, one buffer shared by
+/// every active neighbour's link.
 void AlphaSynchronizer::execute(graph::VertexId v, const Handler& handler) {
   const std::size_t round_index = executed_[v];
-  std::size_t count = 0;
+  Slot* consumed = nullptr;
+  inbox_.clear();
   if (round_index > 0) {
     Slot& in = slot(v, round_index - 1);
     if (!in.arrivals.empty()) {
       TGC_CHECK(in.round == round_index - 1);
+      consumed = &in;
       for (const Arrival& a : in.arrivals) {
-        const std::vector<std::uint32_t>& p = engine_->words(a.buffer);
-        std::size_t i = 2;
-        for (std::uint32_t m = 0; m < p[1]; ++m) {
-          TGC_CHECK(i + 2 <= p.size());
-          if (count == inbox_.size()) inbox_.emplace_back();
-          Message& msg = inbox_[count++];
-          msg.from = a.from;
-          msg.to = v;
-          // Protocol messages inherit the transport message's flow id, so a
-          // handler-level consumer still correlates with the causal send
-          // chain.
-          msg.trace_id = a.trace_id;
-          msg.type = p[i++];
-          const std::uint32_t len = p[i++];
-          TGC_CHECK(i + len <= p.size());
-          msg.payload.assign(p.begin() + static_cast<std::ptrdiff_t>(i),
-                             p.begin() + static_cast<std::ptrdiff_t>(i + len));
-          i += len;
-        }
+        const std::span<const std::uint32_t> p(engine_->words(a.buffer));
+        TGC_CHECK(p[1] <= 1);
+        if (p[1] == 0) continue;
+        TGC_CHECK(p.size() >= 4 && p[3] == p.size() - 4);
+        // Protocol messages inherit the transport message's flow id, so a
+        // handler-level consumer still correlates with the causal send
+        // chain.
+        inbox_.push_back(Message{a.from, p[2], p.subspan(4), a.trace_id});
       }
-      clear(in);
     }
   }
   // Handler spans use the 1-based round number; transport-level deliver
@@ -420,32 +375,35 @@ void AlphaSynchronizer::execute(graph::VertexId v, const Handler& handler) {
                     engine_->now());
   }
   const auto round32 = static_cast<std::uint32_t>(round_index);
-  const auto nbrs = engine_->graph().neighbors(v);
-  outbox_.clear();
-  for (const graph::VertexId u : nbrs) {
-    if (!engine_->is_active(u)) {
-      outbox_.push_back(OutboxMailer::kNoBuffer);
-      continue;
-    }
-    const std::uint32_t buffer = engine_->acquire();
-    engine_->words(buffer).assign({round32, 0});
-    outbox_.push_back(buffer);
+  // [round, count, type, len, words...]; a silent round sends [round, 0].
+  const std::uint32_t buffer = engine_->acquire();
+  std::vector<std::uint32_t>& w = engine_->words(buffer);
+  w.assign({round32, 0, 0, 0});
+  Broadcast out(w);
+  handler(v, std::span<const Message>(inbox_), out);
+  if (out.sent()) {
+    w[1] = 1;
+    w[2] = out.type();
+    w[3] = static_cast<std::uint32_t>(w.size() - 4);
+  } else {
+    w.resize(2);
   }
-  OutboxMailer mailer(*engine_, v, outbox_);
-  handler(v, std::span<const Message>(inbox_.data(), count), mailer);
+  if (consumed != nullptr) clear(*consumed);
   if (traced) {
     obs::trace_emit(obs::TraceKind::kHandlerEnd, v, obs::kTraceNoNode, 0,
                     static_cast<std::uint32_t>(round_index + 1),
                     engine_->now());
   }
   const std::uint32_t first = engine_->first_link(v);
-  for (std::uint32_t i = 0; i < outbox_.size(); ++i) {
-    const std::uint32_t buffer = outbox_[i];
-    if (buffer == OutboxMailer::kNoBuffer) continue;
+  const auto nbrs = engine_->graph().neighbors(v);
+  for (std::uint32_t i = 0; i < nbrs.size(); ++i) {
+    if (!engine_->is_active(nbrs[i])) continue;  // matches RoundEngine's drop
+    engine_->retain(buffer);
     unacked_[first + i].push_back(Unacked{round32, buffer});
     ++num_unacked_;
     transmit(first + i, round32, buffer);
   }
+  engine_->release(buffer);
   ++executed_[v];
 }
 

@@ -7,72 +7,17 @@
 
 namespace tgc::sim {
 
-namespace {
-
-/// RoundEngine's Mailer: counts traffic and enqueues into next-round inboxes.
-class EngineMailer final : public Mailer {
- public:
-  EngineMailer(const graph::Graph& g, const std::vector<bool>& active,
-               std::vector<std::vector<Message>>& next_inbox,
-               TrafficStats& stats, graph::VertexId from)
-      : g_(&g),
-        active_(&active),
-        next_inbox_(&next_inbox),
-        stats_(&stats),
-        from_(from) {}
-
-  void send(graph::VertexId to, std::uint32_t type,
-            std::vector<std::uint32_t> payload) override {
-    TGC_CHECK_MSG(g_->has_edge(from_, to),
-                  "node " << from_ << " cannot send to non-neighbor " << to);
-    ++stats_->messages;
-    stats_->payload_words += payload.size();
-    obs::add(obs::CounterId::kMessages, 1);
-    obs::add(obs::CounterId::kPayloadWords, payload.size());
-    obs::NodeTelemetry* const nt = obs::node_telemetry();
-    if (nt != nullptr) nt->on_send(from_, to, payload.size());
-    std::uint64_t trace_id = 0;
-    if (obs::trace_active()) {
-      // The logical clock of the synchronous engine is the round counter
-      // (incremented at run_round entry, so this is the current round).
-      const auto round = static_cast<double>(stats_->rounds);
-      trace_id = obs::trace_emit(
-          obs::TraceKind::kSend, from_, to, type,
-          static_cast<std::uint32_t>(payload.size()), round);
-      if (!(*active_)[to]) {
-        obs::trace_emit(obs::TraceKind::kDrop, to, from_, type, 0, round,
-                        trace_id);
-      }
-    }
-    if (!(*active_)[to]) {  // transmitted into the void
-      if (nt != nullptr) nt->on_drop(from_, to);
-      return;
-    }
-    Message msg{from_, to, type, std::move(payload)};
-    msg.trace_id = trace_id;
-    (*next_inbox_)[to].push_back(std::move(msg));
-  }
-
-  void broadcast(std::uint32_t type,
-                 const std::vector<std::uint32_t>& payload) override {
-    for (const graph::VertexId nbr : g_->neighbors(from_)) {
-      send(nbr, type, payload);
-    }
-  }
-
- private:
-  const graph::Graph* g_;
-  const std::vector<bool>* active_;
-  std::vector<std::vector<Message>>* next_inbox_;
-  TrafficStats* stats_;
-  graph::VertexId from_;
-};
-
-}  // namespace
+void Broadcast::send(std::uint32_t type, std::span<const std::uint32_t> words) {
+  TGC_CHECK_MSG(!sent_, "a node broadcasts at most once per round");
+  sent_ = true;
+  type_ = type;
+  words_->insert(words_->end(), words.begin(), words.end());
+}
 
 RoundEngine::RoundEngine(const graph::Graph& g)
     : g_(&g),
       active_(g.num_vertices(), true),
+      words_(g.num_vertices()),
       inbox_(g.num_vertices()),
       next_inbox_(g.num_vertices()) {}
 
@@ -94,6 +39,39 @@ void RoundEngine::deactivate(graph::VertexId v) {
   }
 }
 
+/// Counts, traces and queues `from`'s broadcast for each neighbour in
+/// adjacency order; the queued messages view `words`.
+void RoundEngine::transmit(graph::VertexId from, std::uint32_t type,
+                           std::span<const std::uint32_t> words) {
+  obs::NodeTelemetry* const nt = obs::node_telemetry();
+  const bool traced = obs::trace_active();
+  // The logical clock of the synchronous engine is the round counter
+  // (incremented at run_round entry, so this is the current round).
+  const auto round = static_cast<double>(stats_.rounds);
+  for (const graph::VertexId to : g_->neighbors(from)) {
+    ++stats_.messages;
+    stats_.payload_words += words.size();
+    obs::add(obs::CounterId::kMessages, 1);
+    obs::add(obs::CounterId::kPayloadWords, words.size());
+    if (nt != nullptr) nt->on_send(from, to, words.size());
+    std::uint64_t trace_id = 0;
+    if (traced) {
+      trace_id = obs::trace_emit(obs::TraceKind::kSend, from, to, type,
+                                 static_cast<std::uint32_t>(words.size()),
+                                 round);
+      if (!active_[to]) {
+        obs::trace_emit(obs::TraceKind::kDrop, to, from, type, 0, round,
+                        trace_id);
+      }
+    }
+    if (!active_[to]) {  // transmitted into the void
+      if (nt != nullptr) nt->on_drop(from, to);
+      continue;
+    }
+    next_inbox_[to].push_back(Message{from, type, words, trace_id});
+  }
+}
+
 void RoundEngine::run_round(const Handler& handler) {
   ++stats_.rounds;
   const bool traced = obs::trace_active();
@@ -106,7 +84,6 @@ void RoundEngine::run_round(const Handler& handler) {
   obs::NodeTelemetry* const nt = obs::node_telemetry();
   for (graph::VertexId v = 0; v < g_->num_vertices(); ++v) {
     if (!active_[v]) continue;
-    EngineMailer mailer(*g_, active_, next_inbox_, stats_, v);
     if (nt != nullptr) {
       for (const Message& m : inbox_[v]) {
         nt->on_deliver(v, m.from, m.payload.size());
@@ -123,7 +100,12 @@ void RoundEngine::run_round(const Handler& handler) {
                         m.trace_id);
       }
     }
-    handler(v, std::span<const Message>(inbox_[v]), mailer);
+    // The inbox views last round's buffers; this round writes the other.
+    std::vector<std::uint32_t>& words = words_[v][stats_.rounds & 1];
+    words.clear();
+    Broadcast out(words);
+    handler(v, std::span<const Message>(inbox_[v]), out);
+    if (out.sent()) transmit(v, out.type(), words);
     if (traced) {
       obs::trace_emit(obs::TraceKind::kHandlerEnd, v, obs::kTraceNoNode, 0,
                       round32, round);

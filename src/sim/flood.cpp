@@ -36,7 +36,6 @@ void flood(SyncRunner& runner, std::vector<std::vector<std::uint32_t>>& held,
   // array serves every node: each call re-stamps it from the node's pool.
   util::StampedArray<std::uint8_t> known;
   known.resize(n);
-  std::vector<std::uint32_t> payload;
 
   for (unsigned round = 0; round <= radius; ++round) {
     if (obs::trace_active()) {
@@ -45,7 +44,7 @@ void flood(SyncRunner& runner, std::vector<std::vector<std::uint32_t>>& held,
                       static_cast<double>(runner.stats().rounds));
     }
     runner.run_round([&](graph::VertexId node, std::span<const Message> inbox,
-                         Mailer& mailer) {
+                         Broadcast& out) {
       std::vector<std::uint32_t>& mine = held[node];
       known.clear();
       for_each_record(mine, size, n, [&](std::span<const std::uint32_t> rec) {
@@ -65,9 +64,7 @@ void flood(SyncRunner& runner, std::vector<std::vector<std::uint32_t>>& held,
                         });
       }
       if (round < radius && mine.size() > fresh) {
-        payload.assign(mine.begin() + static_cast<std::ptrdiff_t>(fresh),
-                       mine.end());
-        mailer.broadcast(type, payload);
+        out.send(type, std::span(mine).subspan(fresh));
       }
     });
   }

@@ -161,9 +161,11 @@ class AsyncEngine {
 /// (round, buffer) entries; an ack retires one. Each node has two receive
 /// slots indexed by round parity: a non-duplicate round r reaching a node
 /// that has executed e rounds always has e − 1 ≤ r ≤ e (checked), so the
-/// rounds a node buffers never share a slot. A slot keeps the received
-/// buffers themselves, so a round message's words exist once, shared by
-/// the sender's ledger, the flight and the receiver. At every quiescent
+/// rounds a node buffers never share a slot. A node's broadcast is one
+/// buffer retained by the ledger entry of each active neighbour's link, and
+/// a slot keeps the received buffers themselves, so a round message's words
+/// exist once, shared by the sender's ledger, the flights and the
+/// receivers, whose handler inboxes view them. At every quiescent
 /// point no entry is unacked and each active node buffers at most the round
 /// its next call consumes first (checked).
 ///
@@ -235,10 +237,7 @@ class AlphaSynchronizer final : public SyncRunner {
   std::vector<std::array<Slot, 2>> slots_;
   std::vector<std::vector<Unacked>> unacked_;  ///< per link
   std::size_t num_unacked_ = 0;
-  // Per-execute scratch, reused: the consumed inbox and the buffer each
-  // neighbor's combined round message is written into.
-  std::vector<Message> inbox_;
-  std::vector<std::uint32_t> outbox_;
+  std::vector<Message> inbox_;  ///< per-execute scratch, reused
 };
 
 }  // namespace tgc::sim

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -9,14 +10,15 @@
 
 namespace tgc::sim {
 
-/// A radio message between two adjacent nodes. Payloads are word vectors;
+/// A radio message a node heard from a neighbour. Payloads are words;
 /// protocols define their own encodings. Word counts feed the byte
 /// accounting (4 bytes per word).
 struct Message {
   graph::VertexId from = graph::kInvalidVertex;
-  graph::VertexId to = graph::kInvalidVertex;
   std::uint32_t type = 0;
-  std::vector<std::uint32_t> payload;
+  /// Views the sender's words; valid for the duration of the handler call
+  /// that receives the message.
+  std::span<const std::uint32_t> payload;
   /// Causal-trace correlation id assigned at send time (the send event's
   /// sequence number; see obs/trace.hpp). 0 when tracing is inactive.
   /// Carried with the message so the deliver event pairs with its send;
@@ -32,29 +34,28 @@ struct TrafficStats {
   std::size_t payload_words = 0;
 
   std::size_t payload_bytes() const { return payload_words * 4; }
-
-  void merge(const TrafficStats& other) {
-    rounds += other.rounds;
-    messages += other.messages;
-    payload_words += other.payload_words;
-  }
 };
 
-/// Outbound mail interface handed to node handlers. Abstract so the same
-/// protocol handlers run unchanged on the synchronous RoundEngine and on the
-/// α-synchronizer over the asynchronous engine (async.hpp).
-class Mailer {
+/// A node's radio for one round, handed to its handler by the runner that
+/// owns it: the node broadcasts at most one message to every active
+/// neighbour (messages to inactive neighbours are dropped, modeling a
+/// powered-down radio — but still counted as sent), or stays silent.
+class Broadcast {
  public:
-  virtual ~Mailer() = default;
+  /// The words go to the back of `words`, which the runner owns.
+  explicit Broadcast(std::vector<std::uint32_t>& words) : words_(&words) {}
 
-  /// Sends to an active neighbor (messages to inactive nodes are dropped
-  /// silently, modeling a powered-down radio — but still counted as sent).
-  virtual void send(graph::VertexId to, std::uint32_t type,
-                    std::vector<std::uint32_t> payload) = 0;
+  /// Broadcasts `words` (copied at once) as one message of `type`. A second
+  /// call in the same handler is a TGC_CHECK failure.
+  void send(std::uint32_t type, std::span<const std::uint32_t> words);
 
-  /// Sends a copy to every active neighbor.
-  virtual void broadcast(std::uint32_t type,
-                         const std::vector<std::uint32_t>& payload) = 0;
+  bool sent() const { return sent_; }
+  std::uint32_t type() const { return type_; }
+
+ private:
+  std::vector<std::uint32_t>* words_;
+  std::uint32_t type_ = 0;
+  bool sent_ = false;
 };
 
 /// The synchronous-rounds execution substrate the protocols (`sim::flood`,
@@ -68,14 +69,15 @@ class SyncRunner {
  public:
   using Handler =
       std::function<void(graph::VertexId node, std::span<const Message> inbox,
-                         Mailer& mailer)>;
+                         Broadcast& out)>;
 
   virtual ~SyncRunner() = default;
 
   virtual const graph::Graph& graph() const = 0;
 
   /// Runs one synchronous round: every active node's handler sees the inbox
-  /// accumulated from the previous round; sends become next round's inboxes.
+  /// of the broadcasts its neighbours made in the previous round; its own
+  /// broadcast becomes part of next round's inboxes.
   virtual void run_round(const Handler& handler) = 0;
 
   /// Deactivates a node: it no longer receives, relays, or sends. Pending
@@ -91,11 +93,15 @@ class SyncRunner {
 /// Synchronous round-based message-passing engine over a connectivity graph.
 ///
 /// In each round every *active* node handles the messages delivered to it at
-/// the end of the previous round and may send new messages to active
-/// neighbors; deliveries are reliable and take exactly one round. This is the
-/// standard LOCAL/CONGEST-style abstraction the paper's distributed
+/// the end of the previous round and may broadcast to its active
+/// neighbours; deliveries are reliable and take exactly one round. This is
+/// the standard LOCAL/CONGEST-style abstraction the paper's distributed
 /// algorithm is described in ("these deletion operations can iteratively run
 /// in rounds", Section V-B).
+///
+/// Each node's broadcast words are double-buffered by round parity: the
+/// messages of round r view the sender's words of round r, which stay put
+/// while round r + 1 writes the other buffer.
 class RoundEngine final : public SyncRunner {
  public:
   explicit RoundEngine(const graph::Graph& g);
@@ -109,11 +115,14 @@ class RoundEngine final : public SyncRunner {
   void run_round(const Handler& handler) override;
 
   const TrafficStats& stats() const override { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
  private:
+  void transmit(graph::VertexId from, std::uint32_t type,
+                std::span<const std::uint32_t> words);
+
   const graph::Graph* g_;
   std::vector<bool> active_;
+  std::vector<std::array<std::vector<std::uint32_t>, 2>> words_;
   std::vector<std::vector<Message>> inbox_;
   std::vector<std::vector<Message>> next_inbox_;
   TrafficStats stats_;

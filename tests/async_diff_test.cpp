@@ -76,38 +76,38 @@ struct Outcome {
 };
 
 /// A protocol whose traffic shape depends on everything it hears, in
-/// order: each node folds its inbox into a running hash, broadcasts 0–4
-/// words, unicasts up to ~90 words to one neighbor (so combined messages
-/// cross the pool's capacity cut), and stays silent in some rounds.
-SyncRunner::Handler chatty(const Graph& g, std::vector<std::size_t>& calls,
+/// order: each node folds its inbox into a running hash and broadcasts 0–4
+/// words, or up to ~90 words (so combined messages cross the pool's
+/// capacity cut), or stays silent in some rounds.
+SyncRunner::Handler chatty(std::vector<std::size_t>& calls,
                            std::vector<std::uint64_t>& state,
                            std::vector<InboxRecord>& seen) {
-  return [&g, &calls, &state, &seen](VertexId node,
-                                     std::span<const Message> inbox,
-                                     Mailer& mailer) {
+  return [&calls, &state, &seen](VertexId node,
+                                 std::span<const Message> inbox,
+                                 Broadcast& out) {
     const std::size_t round = calls[node]++;
     std::uint64_t h = state[node];
     for (const Message& m : inbox) {
-      seen.push_back(InboxRecord{node, round, m.from, m.type, m.payload});
+      seen.push_back(InboxRecord{node, round, m.from, m.type,
+                                 {m.payload.begin(), m.payload.end()}});
       h = util::splitmix64(h ^ (m.from * 131 + m.type));
       for (const std::uint32_t w : m.payload) h = util::splitmix64(h + w);
     }
     state[node] = h;
     if ((h & 7) == 0) return;  // a silent round: the beacon alone
-    std::vector<std::uint32_t> words(h % 5);
-    for (std::size_t i = 0; i < words.size(); ++i) {
-      words[i] = static_cast<std::uint32_t>(h >> (8 * i));
-    }
-    mailer.broadcast(1, words);
-    const auto nbrs = g.neighbors(node);
-    if (!nbrs.empty() && (h & 3) != 0) {
-      const VertexId to = nbrs[(h >> 20) % nbrs.size()];
-      std::vector<std::uint32_t> long_words((h >> 40) % 90);
-      for (std::size_t i = 0; i < long_words.size(); ++i) {
-        long_words[i] = static_cast<std::uint32_t>(round * 1000 + i);
+    if ((h & 0x18) != 0x18) {
+      std::vector<std::uint32_t> words(h % 5);
+      for (std::size_t i = 0; i < words.size(); ++i) {
+        words[i] = static_cast<std::uint32_t>(h >> (8 * i));
       }
-      mailer.send(to, 2, std::move(long_words));
+      out.send(1, words);
+      return;
     }
+    std::vector<std::uint32_t> long_words((h >> 40) % 90);
+    for (std::size_t i = 0; i < long_words.size(); ++i) {
+      long_words[i] = static_cast<std::uint32_t>(round * 1000 + i);
+    }
+    out.send(2, long_words);
   };
 }
 
@@ -164,7 +164,7 @@ Outcome run_chatty(const Graph& g, const Case& c) {
     std::vector<std::size_t> calls(g.num_vertices(), 0);
     std::vector<std::uint64_t> state(g.num_vertices());
     for (VertexId v = 0; v < g.num_vertices(); ++v) state[v] = v + 1;
-    const auto handler = chatty(g, calls, state, out.inboxes);
+    const auto handler = chatty(calls, state, out.inboxes);
     if (c.one_call) {
       sync.run_rounds(c.rounds, handler);
       return;

@@ -8,7 +8,9 @@
 // inboxes per node), made header-only and otherwise unchanged. It emits the
 // same obs hooks and draws the same random numbers in the same order, so
 // async_diff_test can require the rewritten engine to match it event for
-// event.
+// event. Its transport carries its own owning Packet; only the handler
+// boundary adapts to the broadcast-only substrate (sim::Message views in,
+// one sim::Broadcast out, packed for every active neighbour).
 
 #include <algorithm>
 #include <cstdint>
@@ -28,11 +30,17 @@
 
 namespace tgc::async_reference {
 
-using sim::Mailer;
-using sim::Message;
 using sim::SyncRunner;
 using sim::TrafficStats;
 
+/// A transport message that owns its payload.
+struct Packet {
+  graph::VertexId from = graph::kInvalidVertex;
+  graph::VertexId to = graph::kInvalidVertex;
+  std::uint32_t type = 0;
+  std::vector<std::uint32_t> payload;
+  std::uint64_t trace_id = 0;
+};
 
 /// Event-driven asynchronous network: messages between adjacent nodes incur
 /// independent random delays in [min_delay, max_delay]; there is no global
@@ -66,7 +74,7 @@ class AsyncEngine {
             std::vector<std::uint32_t> payload);
 
   /// Handler invoked on every message delivery: (now, message, engine).
-  using OnDeliver = std::function<void(double now, const Message& msg)>;
+  using OnDeliver = std::function<void(double now, const Packet& msg)>;
 
   /// Schedules a timer callback at now + delay (usable before and during
   /// run()). Timers let protocols implement retransmission.
@@ -84,7 +92,7 @@ class AsyncEngine {
   struct Event {
     double time;
     std::uint64_t sequence;  // FIFO tie-break for determinism
-    Message msg;             // delivery event when timer is empty
+    Packet msg;              // delivery event when timer is empty
     std::function<void()> timer;
     bool operator>(const Event& other) const {
       return time != other.time ? time > other.time
@@ -170,7 +178,7 @@ class AlphaSynchronizer final : public SyncRunner {
   /// protocol messages they sent.
   struct Inbox {
     std::vector<graph::VertexId> senders;
-    std::vector<Message> msgs;
+    std::vector<Packet> msgs;
   };
 
   std::uint64_t link_of(graph::VertexId from, graph::VertexId to) const;
@@ -257,14 +265,14 @@ inline void AsyncEngine::send(graph::VertexId from, graph::VertexId to,
   // Events pushed before run() depart at time 0; events pushed from inside a
   // delivery handler depart at that delivery's time (the engine clock).
   const double delay = rng_.uniform(options_.min_delay, options_.max_delay);
-  Message msg{from, to, type, std::move(payload)};
+  Packet msg{from, to, type, std::move(payload)};
   msg.trace_id = trace_id;
   queue_.push(Event{now_ + delay, next_sequence_++, std::move(msg), nullptr});
 }
 
 inline void AsyncEngine::schedule(double delay, std::function<void()> callback) {
   TGC_CHECK(delay > 0.0);
-  Event ev{now_ + delay, next_sequence_++, Message{}, std::move(callback)};
+  Event ev{now_ + delay, next_sequence_++, Packet{}, std::move(callback)};
   if (obs::trace_active()) {
     // The timer-set event's sequence number doubles as the flow id the
     // matching timer-fire pop reports (carried in the placeholder message).
@@ -325,10 +333,10 @@ constexpr std::uint32_t kMsgRound = 0xa1fa;
 constexpr std::uint32_t kMsgAck = 0xa1fb;
 
 inline std::vector<std::uint32_t> pack_round(std::uint32_t round,
-                                      const std::vector<Message>& msgs) {
+                                      const std::vector<Packet>& msgs) {
   std::vector<std::uint32_t> payload{round,
                                      static_cast<std::uint32_t>(msgs.size())};
-  for (const Message& m : msgs) {
+  for (const Packet& m : msgs) {
     payload.push_back(m.type);
     payload.push_back(static_cast<std::uint32_t>(m.payload.size()));
     payload.insert(payload.end(), m.payload.begin(), m.payload.end());
@@ -336,18 +344,18 @@ inline std::vector<std::uint32_t> pack_round(std::uint32_t round,
   return payload;
 }
 
-inline std::vector<Message> unpack_round(const Message& combined,
+inline std::vector<Packet> unpack_round(const Packet& combined,
                                   std::uint32_t* round) {
   const auto& p = combined.payload;
   TGC_CHECK(p.size() >= 2);
   *round = p[0];
   const std::uint32_t count = p[1];
-  std::vector<Message> msgs;
+  std::vector<Packet> msgs;
   msgs.reserve(count);
   std::size_t i = 2;
   for (std::uint32_t m = 0; m < count; ++m) {
     TGC_CHECK(i + 2 <= p.size());
-    Message msg;
+    Packet msg;
     msg.from = combined.from;
     msg.to = combined.to;
     // Protocol messages inherit the transport message's flow id, so a
@@ -363,42 +371,6 @@ inline std::vector<Message> unpack_round(const Message& combined,
   }
   return msgs;
 }
-
-/// Mailer that collects a node's sends into per-destination buffers, to be
-/// shipped as one combined round message per neighbor.
-class OutboxMailer final : public Mailer {
- public:
-  OutboxMailer(const graph::Graph& g, const std::vector<bool>& active,
-               graph::VertexId from)
-      : g_(&g), active_(&active), from_(from) {}
-
-  void send(graph::VertexId to, std::uint32_t type,
-            std::vector<std::uint32_t> payload) override {
-    TGC_CHECK_MSG(g_->has_edge(from_, to),
-                  "node " << from_ << " cannot send to non-neighbor " << to);
-    if (!(*active_)[to]) return;  // matches RoundEngine's dropped delivery
-    per_dest_[to].push_back(Message{from_, to, type, std::move(payload)});
-  }
-
-  void broadcast(std::uint32_t type,
-                 const std::vector<std::uint32_t>& payload) override {
-    for (const graph::VertexId nbr : g_->neighbors(from_)) {
-      send(nbr, type, payload);
-    }
-  }
-
-  const std::unordered_map<graph::VertexId, std::vector<Message>>& per_dest()
-      const {
-    return per_dest_;
-  }
-
- private:
-  const graph::Graph* g_;
-  const std::vector<bool>* active_;
-  graph::VertexId from_;
-  std::unordered_map<graph::VertexId, std::vector<Message>> per_dest_;
-};
-
 
 inline AlphaSynchronizer::AlphaSynchronizer(AsyncEngine& engine,
                                      double retransmit_interval)
@@ -451,7 +423,7 @@ inline void AlphaSynchronizer::transmit(std::uint64_t link, std::uint32_t round)
 /// round's messages and its sends ship as this round's combined messages.
 inline void AlphaSynchronizer::execute(graph::VertexId v, const Handler& handler) {
   const std::size_t round_index = executed_[v];
-  std::vector<Message> inbox;
+  std::vector<Packet> inbox;
   if (round_index > 0) {
     const auto it =
         inbox_[v].find(static_cast<std::uint32_t>(round_index - 1));
@@ -469,18 +441,22 @@ inline void AlphaSynchronizer::execute(graph::VertexId v, const Handler& handler
                     static_cast<std::uint32_t>(round_index + 1),
                     engine_->now());
   }
-  OutboxMailer mailer(engine_->graph(), engine_->active(), v);
-  handler(v, std::span<const Message>(inbox), mailer);
+  // The handler boundary: views of the owned packets in, one broadcast out.
+  std::vector<sim::Message> views;
+  for (const Packet& p : inbox) {
+    views.push_back(sim::Message{p.from, p.type, p.payload, p.trace_id});
+  }
+  std::vector<std::uint32_t> words;
+  sim::Broadcast out(words);
+  handler(v, std::span<const sim::Message>(views), out);
   if (traced) {
     obs::trace_emit(obs::TraceKind::kHandlerEnd, v, obs::kTraceNoNode, 0,
                     static_cast<std::uint32_t>(round_index + 1),
                     engine_->now());
   }
   for (const graph::VertexId u : nbrs_[v]) {
-    static const std::vector<Message> kEmpty;
-    const auto it = mailer.per_dest().find(u);
-    const std::vector<Message>& msgs =
-        it == mailer.per_dest().end() ? kEmpty : it->second;
+    std::vector<Packet> msgs;
+    if (out.sent()) msgs.push_back(Packet{v, u, out.type(), words});
     const auto round32 = static_cast<std::uint32_t>(round_index);
     outgoing_[link_of(v, u)].emplace(
         round32, Outgoing{v, u, pack_round(round32, msgs)});
@@ -530,7 +506,7 @@ inline void AlphaSynchronizer::run_rounds(std::size_t rounds,
     if (engine_->is_active(v)) try_advance(v, handler);
   }
 
-  engine_->run([&](double /*now*/, const Message& msg) {
+  engine_->run([&](double /*now*/, const Packet& msg) {
     if (msg.type == kMsgAck) {
       TGC_CHECK(msg.payload.size() == 1);
       outgoing_.at(link_of(msg.to, msg.from)).erase(msg.payload[0]);

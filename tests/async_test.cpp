@@ -4,6 +4,8 @@
 // substrates and comparing final protocol states.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 
@@ -92,7 +94,7 @@ void bfs_protocol(std::vector<std::uint32_t>& level, VertexId root,
   level[root] = 0;
   std::vector<bool> announced(g.num_vertices(), false);
   run(rounds_hint, [&](VertexId node, std::span<const Message> inbox,
-                       Mailer& mailer) {
+                       Broadcast& out) {
     for (const Message& m : inbox) {
       if (m.type == 1 && level[node] == graph::kUnreached) {
         level[node] = m.payload[0];
@@ -102,7 +104,7 @@ void bfs_protocol(std::vector<std::uint32_t>& level, VertexId root,
     // (the root announces in round 0).
     if (level[node] != graph::kUnreached && !announced[node]) {
       announced[node] = true;
-      mailer.broadcast(1, {level[node] + 1});
+      out.send(1, std::array{level[node] + 1});
     }
   });
 }
@@ -131,11 +133,11 @@ TEST(AlphaSynchronizer, BfsLayersMatchHopDistances) {
 /// the largest value it has seen; after diameter rounds all nodes agree.
 RoundEngine::Handler max_aggregation(std::vector<std::uint32_t>& value) {
   return [&value](VertexId node, std::span<const Message> inbox,
-                  Mailer& mailer) {
+                  Broadcast& out) {
     for (const Message& m : inbox) {
       value[node] = std::max(value[node], m.payload[0]);
     }
-    mailer.broadcast(2, {value[node]});
+    out.send(2, std::array{value[node]});
   };
 }
 
@@ -199,7 +201,7 @@ TEST(AlphaSynchronizer, IsolatedNodesComplete) {
   AlphaSynchronizer sync(engine);
   std::vector<int> calls(3, 0);
   sync.run_rounds(4, [&](VertexId node, std::span<const Message>,
-                         Mailer&) { ++calls[node]; });
+                         Broadcast&) { ++calls[node]; });
   EXPECT_EQ(calls[0], 4);
   EXPECT_EQ(calls[1], 4);
   EXPECT_EQ(calls[2], 4);
@@ -401,10 +403,10 @@ TEST(AlphaSynchronizer, IncrementalRoundsWithMidProtocolDeactivation) {
 /// its tally. Unlike `max`, a sum sees a duplicated or missing message.
 RoundEngine::Handler tally_protocol(std::vector<std::uint64_t>& tally) {
   return [&tally](VertexId node, std::span<const Message> inbox,
-                  Mailer& mailer) {
+                  Broadcast& out) {
     for (const Message& m : inbox) tally[node] += m.payload[0];
-    mailer.broadcast(3, {static_cast<std::uint32_t>(tally[node] % 997 +
-                                                    node + 1)});
+    out.send(3, std::array{static_cast<std::uint32_t>(tally[node] % 997 +
+                                                      node + 1)});
   };
 }
 
@@ -441,6 +443,115 @@ TEST(AlphaSynchronizer, CountingHandlerSeesEachMessageOnce) {
     EXPECT_EQ(sync.stats().rounds, rounds);
     EXPECT_GT(sync.retransmissions(), 0u);
   }
+}
+
+// ------------------------------------------------------------ inbox views
+
+/// One message as a handler saw it.
+struct Heard {
+  VertexId node;
+  std::size_t round;
+  VertexId from;
+  std::uint32_t type;
+  std::vector<std::uint32_t> payload;
+  auto operator<=>(const Heard&) const = default;
+};
+
+/// Reference protocol 4 — varying lengths: each node records every message
+/// it hears, folds them into a hash (order-free, since inbox order differs
+/// between substrates) and broadcasts 0–90 words, with a type, length and
+/// content that change every round, or stays silent. A view read after its
+/// words were overwritten or released changes the record and, through the
+/// hash, every later payload.
+RoundEngine::Handler varying_lengths(std::vector<std::size_t>& calls,
+                                     std::vector<std::uint64_t>& state,
+                                     std::vector<Heard>& heard) {
+  return [&calls, &state, &heard](VertexId node,
+                                  std::span<const Message> inbox,
+                                  Broadcast& out) {
+    const std::size_t round = calls[node]++;
+    std::uint64_t h = state[node];
+    for (const Message& m : inbox) {
+      heard.push_back(Heard{node, round, m.from, m.type,
+                            {m.payload.begin(), m.payload.end()}});
+      std::uint64_t mh = util::splitmix64(m.from * 131 + m.type);
+      for (const std::uint32_t w : m.payload) mh = util::splitmix64(mh + w);
+      h += mh;
+    }
+    h = util::splitmix64(h);
+    state[node] = h;
+    if (h % 7 == 0) return;
+    std::vector<std::uint32_t> words((h >> 8) % 91);
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      words[i] = static_cast<std::uint32_t>(h >> (i % 32)) + node;
+    }
+    out.send(4 + static_cast<std::uint32_t>(round % 3), words);
+  };
+}
+
+TEST(AlphaSynchronizer, InboxViewsMatchRoundEngineAtEveryLength) {
+  util::Rng rng(409);
+  const auto dep = gen::random_connected_udg(40, 2.4, 1.0, rng);
+  const Graph& g = dep.graph;
+  const std::size_t rounds = 12;
+  const auto record = [&](const auto& drive) {
+    std::vector<std::size_t> calls(g.num_vertices(), 0);
+    std::vector<std::uint64_t> state(g.num_vertices());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) state[v] = v + 1;
+    std::vector<Heard> heard;
+    drive(varying_lengths(calls, state, heard));
+    std::sort(heard.begin(), heard.end());
+    return heard;
+  };
+
+  const std::vector<Heard> want = record([&](const RoundEngine::Handler& h) {
+    RoundEngine engine(g);
+    for (std::size_t r = 0; r < rounds; ++r) engine.run_round(h);
+  });
+  // The lengths cover empty payloads and combined messages past the pool's
+  // 64-word cut.
+  const auto empty = std::count_if(want.begin(), want.end(), [](const Heard& x) {
+    return x.payload.empty();
+  });
+  const auto long_ones = std::count_if(
+      want.begin(), want.end(),
+      [](const Heard& x) { return x.payload.size() > 64; });
+  EXPECT_GT(empty, 0);
+  EXPECT_GT(long_ones, 0);
+
+  for (const double loss : {0.0, 0.2}) {
+    for (const bool one_call : {true, false}) {
+      const std::vector<Heard> got =
+          record([&](const RoundEngine::Handler& h) {
+            AsyncEngine engine(g, {.min_delay = 0.3,
+                                   .max_delay = 2.5,
+                                   .loss_probability = loss,
+                                   .seed = 29});
+            AlphaSynchronizer sync(engine, /*retransmit_interval=*/2.0);
+            if (one_call) {
+              sync.run_rounds(rounds, h);
+            } else {
+              for (std::size_t r = 0; r < rounds; ++r) sync.run_round(h);
+            }
+          });
+      EXPECT_TRUE(got == want)
+          << "loss " << loss << (one_call ? " one call" : " round at a time");
+    }
+  }
+}
+
+TEST(Broadcast, SecondSendInOneRoundThrowsOnBothSubstrates) {
+  const Graph g = path_graph(3);
+  const RoundEngine::Handler twice = [](VertexId, std::span<const Message>,
+                                        Broadcast& out) {
+    out.send(1, std::array{1u});
+    out.send(1, std::array{2u});
+  };
+  RoundEngine engine(g);
+  EXPECT_THROW(engine.run_round(twice), tgc::CheckError);
+  AsyncEngine async(g, {});
+  AlphaSynchronizer sync(async);
+  EXPECT_THROW(sync.run_rounds(1, twice), tgc::CheckError);
 }
 
 TEST(AsyncEngine, LossIsCounted) {
