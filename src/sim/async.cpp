@@ -98,7 +98,7 @@ void AsyncEngine::release(std::uint32_t buffer) {
   free_buffers_.push_back(buffer);
 }
 
-void AsyncEngine::push(const Event& ev) {
+void AsyncEngine::heap_push(const Event& ev) {
   heap_.push_back(ev);
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
@@ -144,7 +144,8 @@ void AsyncEngine::send_link(std::uint32_t link, std::uint32_t type,
   // Events pushed before run() depart at time 0; events pushed from inside a
   // callback depart at that event's time (the engine clock).
   const double delay = rng_.uniform(options_.min_delay, options_.max_delay);
-  push(Event{now_ + delay, next_sequence_++, buffer, trace_id, link, type});
+  heap_push(
+      Event{now_ + delay, next_sequence_++, buffer, trace_id, link, type});
 }
 
 void AsyncEngine::send(graph::VertexId from, graph::VertexId to,
@@ -166,14 +167,28 @@ void AsyncEngine::schedule(double delay, std::uint64_t tag) {
                                   obs::kTraceNoNode, obs::kTraceNoNode, 0, 0,
                                   now_);
   }
-  push(ev);
+  // Its sequence is the newest, so a timer due no earlier than the lane's
+  // tail keeps the lane sorted. Timers armed a fixed interval after a clock
+  // that never goes back, like the synchronizer's, always are.
+  if (lane_.empty() || ev.time >= lane_.back().time) {
+    lane_.push_back(ev);
+  } else {
+    heap_push(ev);
+  }
 }
 
 double AsyncEngine::run(const OnDeliver& on_deliver, const OnTimer& on_timer) {
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const Event ev = heap_.back();
-    heap_.pop_back();
+  while (!lane_.empty() || !heap_.empty()) {
+    const bool lane_first =
+        !lane_.empty() &&
+        (heap_.empty() || Later{}(heap_.front(), lane_.front()));
+    const Event ev = lane_first ? lane_.front() : heap_.front();
+    if (lane_first) {
+      lane_.pop_front();
+    } else {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      heap_.pop_back();
+    }
     now_ = ev.time;
     const bool traced = obs::trace_active();
     if (ev.link == kTimerLink) {

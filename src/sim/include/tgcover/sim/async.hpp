@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <span>
 #include <vector>
@@ -22,8 +23,13 @@ namespace tgc::sim {
 /// adjacency slot: the links of v are `first_link(v) + i` for the i-th entry
 /// of `graph().neighbors(v)`, and `reverse(l)` is the opposite direction.
 /// Payload words live in pooled, reference-counted buffers; an event is a
-/// POD (a delivery over a link, or a timer with a 64-bit tag) in one binary
-/// heap ordered by (time, sequence), so the pop order is strict and total.
+/// POD (a delivery over a link, or a timer with a 64-bit tag) ordered by
+/// (time, sequence), an order that is strict and total. Deliveries go to a
+/// binary heap. A timer due no earlier than every queued timer is appended
+/// to a FIFO timer lane, which that order keeps sorted; any other timer
+/// goes to the heap. run() pops whichever of the lane's front and the
+/// heap's top comes first, so events fire in exactly the order one queue of
+/// all of them would give.
 class AsyncEngine {
  public:
   struct Options {
@@ -118,7 +124,7 @@ class AsyncEngine {
     }
   };
 
-  void push(const Event& ev);
+  void heap_push(const Event& ev);
 
   const graph::Graph* g_;
   Options options_;
@@ -131,7 +137,8 @@ class AsyncEngine {
   std::vector<std::vector<std::uint32_t>> buffers_;
   std::vector<std::uint32_t> refs_;
   std::vector<std::uint32_t> free_buffers_;
-  std::vector<Event> heap_;
+  std::vector<Event> heap_;  ///< binary heap under Later
+  std::deque<Event> lane_;   ///< timers, sorted by Later's order
   std::uint64_t next_sequence_ = 0;
   double now_ = 0.0;  ///< simulation clock, advanced by run()
   std::size_t messages_lost_ = 0;

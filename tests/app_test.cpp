@@ -359,7 +359,10 @@ TEST_F(CliFixture, CertificateCheckerAcceptsVerifyOutputAndNamesCorruptions) {
   ASSERT_GE(first.size(), 3u);
   const auto joined = [](const std::vector<graph::VertexId>& walk) {
     std::string line = "cycle";
-    for (const graph::VertexId v : walk) line += " " + std::to_string(v);
+    for (const graph::VertexId v : walk) {
+      line += ' ';
+      line += std::to_string(v);
+    }
     return line;
   };
 

@@ -323,6 +323,97 @@ TEST(AsyncEngine, EqualTimeEventsFireInPushOrder) {
   }
 }
 
+TEST(AsyncEngine, ManyTimersAndDeliveriesPopInTimeThenPushOrder) {
+  // ~100k events in one run(), a third of them timers, a few hundred
+  // pending at once. A timer due no earlier than every pending one goes to
+  // the timer lane; the rest go to the heap. The lane holds over a hundred
+  // timers at its peak and turns over more than twenty times, so its deque
+  // grows, allocates and frees blocks and re-centres its block map many
+  // times. Each event carries its push index (payload word or tag): the
+  // pops must come in strict (time, push index) order and cover every
+  // index once, with link delays that tie exactly and with ones that do
+  // not.
+  GraphBuilder b(8);
+  for (VertexId v = 0; v < 8; ++v) b.add_edge(v, (v + 1) % 8);
+  const Graph g = b.build();
+  constexpr std::uint32_t kEvents = 100000;
+  constexpr std::array<double, 3> kTimerDelays{0.5, 1.0, 4.0};
+  for (const auto& [lo, hi] : {std::pair{1.0, 1.0}, std::pair{0.5, 1.5}}) {
+    SCOPED_TRACE(testing::Message() << "delays [" << lo << ", " << hi << "]");
+    AsyncEngine engine(g, {.min_delay = lo, .max_delay = hi, .seed = 5});
+    util::Rng rng(77);
+    std::vector<VertexId> at;   // push index -> node the event reaches
+    std::vector<char> laned;    // push index -> a timer the lane takes
+    std::size_t live = 0;
+    std::size_t pending = 0;    // timers armed, not fired
+    double tail = 0.0;          // latest due time of a pending timer
+    std::size_t in_lane = 0;
+    std::size_t peak_lane = 0;
+    std::size_t lane_timers = 0;
+    std::size_t heap_timers = 0;
+    const auto push_from = [&](VertexId v) {
+      const auto id = static_cast<std::uint32_t>(at.size());
+      ++live;
+      if (rng.next_below(3) != 0) {
+        const VertexId to = g.neighbors(v)[rng.next_below(2)];
+        at.push_back(to);
+        laned.push_back(0);
+        engine.send(v, to, 1, {id});
+        return;
+      }
+      const double delay = kTimerDelays[rng.next_below(kTimerDelays.size())];
+      const double due = engine.now() + delay;
+      const bool lane = pending == 0 || due >= tail;
+      if (lane) {
+        tail = due;
+        peak_lane = std::max(peak_lane, ++in_lane);
+        ++lane_timers;
+      } else {
+        ++heap_timers;
+      }
+      ++pending;
+      at.push_back(v);
+      laned.push_back(lane);
+      engine.schedule(delay, id);
+    };
+    for (VertexId v = 0; v < 8; ++v) push_from(v);
+
+    std::vector<std::pair<double, std::uint32_t>> popped;
+    const auto on_pop = [&](std::uint32_t id) {
+      popped.emplace_back(engine.now(), id);
+      --live;
+      // Two children below a few hundred live events, else zero or one.
+      std::size_t children = live < 300 ? 2 : rng.next_below(2);
+      while (children-- > 0 && at.size() < kEvents) push_from(at[id]);
+    };
+    engine.run([&](double, const Delivery& msg) { on_pop(msg.payload[0]); },
+               [&](std::uint64_t tag) {
+                 --pending;
+                 if (laned[tag]) --in_lane;
+                 on_pop(static_cast<std::uint32_t>(tag));
+               });
+
+    ASSERT_EQ(at.size(), kEvents);
+    ASSERT_EQ(popped.size(), kEvents);
+    std::vector<bool> seen(kEvents, false);
+    std::size_t ties = 0;
+    for (std::size_t i = 0; i < popped.size(); ++i) {
+      const std::uint32_t id = popped[i].second;
+      ASSERT_FALSE(seen[id]) << "event " << id << " popped twice";
+      seen[id] = true;
+      if (i == 0) continue;
+      ASSERT_LT(popped[i - 1], popped[i]) << "pop " << i;
+      if (popped[i - 1].first == popped[i].first) ++ties;
+    }
+    EXPECT_GT(peak_lane, 100u);
+    EXPECT_GT(lane_timers, 20 * peak_lane);
+    EXPECT_GT(heap_timers, 5000u);
+    if (lo == hi) {
+      EXPECT_GT(ties, 50000u);
+    }
+  }
+}
+
 TEST(AlphaSynchronizer, LossAndRetransmitCountersReachRegistry) {
   // messages_lost / retransmissions must show up as first-class registry
   // counters, equal to the engine's own accounting.

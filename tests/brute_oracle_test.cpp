@@ -1,11 +1,14 @@
 // The τ-span kernel and both VPT kernels against the brute-force oracle of
 // brute_cycle_oracle.hpp, which shares no code with them: every verdict on
-// random graphs, UDG balls and the Möbius fixture at τ = 3…6 must match.
+// random graphs, UDG balls and the Möbius fixture at τ = 3…6 must match,
+// and no node DCC leaves awake may be deletable by the oracle (Theorem 6).
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "brute_cycle_oracle.hpp"
+#include "tgcover/core/pipeline.hpp"
+#include "tgcover/core/scheduler.hpp"
 #include "tgcover/core/vpt.hpp"
 #include "tgcover/cycle/span.hpp"
 #include "tgcover/gen/deployments.hpp"
@@ -207,6 +210,37 @@ TEST(BruteOracle, EdgeVerdictsMatchVpt) {
   }
   EXPECT_GT(t.yes, 100u);
   EXPECT_GT(t.no, 100u);
+}
+
+TEST(BruteOracle, NoAwakeInternalNodeDeletableAtTheFixpoint) {
+  // Theorem 6: DCC stops only when no awake internal node passes VPT. The
+  // schedules come from the kernel; the verdict on what they leave awake
+  // comes from the oracle, on sparse UDGs labelled by the standard
+  // pipeline (internal = off the boundary ring).
+  std::size_t awake_internal = 0;
+  for (const std::uint64_t seed : {611ull, 612ull, 613ull, 614ull}) {
+    util::Rng rng(seed);
+    const core::Network net = core::prepare_network(
+        gen::random_connected_udg(70, 6.0, 1.0, rng), 1.0);
+    const Graph& g = net.dep.graph;
+    for (unsigned tau = 3; tau <= 6; ++tau) {
+      core::DccConfig config;
+      config.tau = tau;
+      config.seed = seed;
+      const core::DccResult result =
+          core::dcc_schedule(g, net.internal, config);
+      const brute::Adjacency adj = adjacency(
+          g, result.active, std::vector<bool>(g.num_edges(), true));
+      const unsigned k = core::VptConfig{.tau = tau}.effective_k();
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        if (!result.active[v] || !net.internal[v]) continue;
+        ++awake_internal;
+        EXPECT_FALSE(brute::vertex_deletable(adj, v, k, tau))
+            << "seed " << seed << " vertex " << v << " tau " << tau;
+      }
+    }
+  }
+  EXPECT_GT(awake_internal, 0u);
 }
 
 }  // namespace
