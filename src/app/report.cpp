@@ -62,15 +62,14 @@ std::string round_title(std::uint64_t round) {
 
 // ============================================================ run sections
 
-/// Fixed phase -> color-series mapping so the same phase gets the same color
-/// in every chart and legend.
-const char* phase_series(const std::string& phase) {
-  if (phase == "verdicts") return "1";
-  if (phase == "mis") return "2";
-  if (phase == "deletion") return "3";
-  if (phase == "khop") return "4";
-  if (phase == "repair") return "5";
-  return "6";
+/// Reverse of cost_phase_name; unknown tokens fold into kOther.
+std::uint8_t parse_phase(const std::string& name) {
+  for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
+    if (name == obs::cost_phase_name(static_cast<obs::CostPhase>(p))) {
+      return static_cast<std::uint8_t>(p);
+    }
+  }
+  return static_cast<std::uint8_t>(obs::CostPhase::kOther);
 }
 
 /// Per-round scheduler phase time as stacked bars (verdict / MIS /
@@ -113,8 +112,10 @@ void chart_cost_phases(std::ostringstream& out,
     if (slots.empty() || slots.back().id != c.round) {
       slots.push_back(charts::BarSlot{c.round, {}});
     }
+    // The color series is the phase's CostPhase index + 1, so a phase gets
+    // the same color in every chart and legend.
     slots.back().segs.push_back(
-        {"s" + std::string(phase_series(c.phase)),
+        {"s" + std::to_string(parse_phase(c.phase) + 1),
          static_cast<double>(c.logical_cost),
          round_title(c.round) + c.phase + " cost " +
              std::to_string(c.logical_cost)});
@@ -125,7 +126,7 @@ void chart_cost_phases(std::ostringstream& out,
   }
   charts::Legend entries;
   for (const std::string& phase : phases_seen) {
-    entries.emplace_back("c" + std::string(phase_series(phase)), phase);
+    entries.emplace_back("c" + std::to_string(parse_phase(phase) + 1), phase);
   }
   charts::stacked_bars(out, "Per-round logical cost by protocol phase",
                        entries, slots);
@@ -368,16 +369,6 @@ bool parse_kind(const std::string& name, obs::ProfKind& kind) {
     }
   }
   return false;
-}
-
-/// Reverse of cost_phase_name; unknown tokens fold into kOther.
-std::uint8_t parse_phase(const std::string& name) {
-  for (std::size_t p = 0; p < obs::kNumPhases; ++p) {
-    if (name == obs::cost_phase_name(static_cast<obs::CostPhase>(p))) {
-      return static_cast<std::uint8_t>(p);
-    }
-  }
-  return static_cast<std::uint8_t>(obs::CostPhase::kOther);
 }
 
 std::string phase_name(std::size_t p) {

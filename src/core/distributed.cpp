@@ -22,30 +22,6 @@ double sched_clock(const sim::SyncRunner& runner) {
   return static_cast<double>(runner.stats().rounds);
 }
 
-/// RAII kPhaseBegin/kPhaseEnd pair around one scheduler phase.
-class TracedPhase {
- public:
-  TracedPhase(const sim::SyncRunner& runner, obs::TracePhase phase)
-      : runner_(&runner), phase_(static_cast<std::uint32_t>(phase)) {
-    if (obs::trace_active()) {
-      obs::trace_emit(obs::TraceKind::kPhaseBegin, obs::kTraceNoNode,
-                      obs::kTraceNoNode, phase_, 0, sched_clock(*runner_));
-    }
-  }
-  ~TracedPhase() {
-    if (obs::trace_active()) {
-      obs::trace_emit(obs::TraceKind::kPhaseEnd, obs::kTraceNoNode,
-                      obs::kTraceNoNode, phase_, 0, sched_clock(*runner_));
-    }
-  }
-  TracedPhase(const TracedPhase&) = delete;
-  TracedPhase& operator=(const TracedPhase&) = delete;
-
- private:
-  const sim::SyncRunner* runner_;
-  std::uint32_t phase_;
-};
-
 /// k-hop flood of the deleted node ids (one-word records); every node that
 /// hears an id removes that node from its local view. Runs while the
 /// deleted nodes are still active so the notices propagate over the
@@ -92,13 +68,13 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
 
   DccDistributedResult out;
   out.schedule.active.assign(g.num_vertices(), true);
+  // Phase trace events are stamped with the substrate's engine round.
+  const std::size_t* round_clock = &runner.stats().rounds;
 
   // Phase 0: every node collects its k-hop neighbourhood.
   std::vector<sim::LocalView> views;
   {
-    TGC_OBS_SPAN(obs::SpanId::kKhopCollect);
-    const obs::CostPhaseScope cost_phase(obs::CostPhase::kKhop);
-    TracedPhase traced(runner, obs::TracePhase::kKhop);
+    const obs::PhaseScope phase(obs::CostPhase::kKhopCollect, round_clock);
     views = sim::collect_k_hop_views(runner, k);
   }
   // Round 0: the k-hop collection floods dominate a run's traffic and get
@@ -138,9 +114,7 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
     std::vector<bool> candidate(g.num_vertices(), false);
     std::size_t num_candidates = 0;
     {
-      TGC_OBS_SPAN(obs::SpanId::kVerdicts);
-      const obs::CostPhaseScope cost_phase(obs::CostPhase::kVerdicts);
-      TracedPhase traced_phase(runner, obs::TracePhase::kVerdicts);
+      const obs::PhaseScope phase(obs::CostPhase::kVerdicts, round_clock);
       to_test.clear();
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         if (!out.schedule.active[v] || !internal[v]) continue;
@@ -187,9 +161,7 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
     // Phase 2: m-hop MIS election among candidates.
     std::vector<bool> selected;
     {
-      TGC_OBS_SPAN(obs::SpanId::kMis);
-      const obs::CostPhaseScope cost_phase(obs::CostPhase::kMis);
-      TracedPhase traced_phase(runner, obs::TracePhase::kMis);
+      const obs::PhaseScope phase(obs::CostPhase::kMis, round_clock);
       const std::uint64_t round_seed =
           util::splitmix64(config.seed + out.schedule.rounds);
       const sim::MisOutcome mis = sim::elect_mis_distributed(
@@ -201,9 +173,7 @@ DccDistributedResult run_distributed(sim::SyncRunner& runner,
     // Phase 3: deletion announcements, then power-down.
     std::size_t num_selected = 0;
     {
-      TGC_OBS_SPAN(obs::SpanId::kDeletion);
-      const obs::CostPhaseScope cost_phase(obs::CostPhase::kDeletion);
-      TracedPhase traced_phase(runner, obs::TracePhase::kDeletion);
+      const obs::PhaseScope phase(obs::CostPhase::kDeletion, round_clock);
       const std::vector<VertexId> dirtied =
           flood_deletions(runner, selected, k, views);
       for (const VertexId v : dirtied) dirty[v] = true;

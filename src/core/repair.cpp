@@ -45,8 +45,7 @@ RepairResult dcc_repair(const Graph& g, const std::vector<bool>& internal,
   // schedule, so it re-wakes every sleeper the previous wave put back to
   // sleep and no verdict from that wave could be reused (DESIGN.md §11).
   for (unsigned radius = k;; radius *= 2) {
-    TGC_OBS_SPAN(obs::SpanId::kRepairWave);
-    const obs::CostPhaseScope cost_phase(obs::CostPhase::kRepair);
+    const obs::PhaseScope phase(obs::CostPhase::kRepairWave);
     obs::add(obs::CounterId::kRepairWaves, 1);
     // Wake the sleeping nodes within `radius` hops of a failure, measured
     // over the full surviving topology (sleeping radios can be woken, so

@@ -62,8 +62,7 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
     // set fans out over the pool and the outcome is bit-identical to the
     // serial loop.
     {
-      TGC_OBS_SPAN(obs::SpanId::kVerdicts);
-      const obs::CostPhaseScope cost_phase(obs::CostPhase::kVerdicts);
+      const obs::PhaseScope phase(obs::CostPhase::kVerdicts);
       to_test.clear();
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         if (!result.active[v] || !internal[v]) continue;
@@ -100,8 +99,7 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
     // punctured neighbourhoods disjoint from each other).
     std::vector<bool> selected;
     {
-      TGC_OBS_SPAN(obs::SpanId::kMis);
-      const obs::CostPhaseScope cost_phase(obs::CostPhase::kMis);
+      const obs::PhaseScope phase(obs::CostPhase::kMis);
       if (config.mis_priorities.empty()) {
         const std::uint64_t round_seed =
             util::splitmix64(config.seed + result.rounds);
@@ -120,8 +118,7 @@ DccResult dcc_schedule_from(const Graph& g, const std::vector<bool>& internal,
     // k-balls may still meet (at distance up to 2k), and the joint frontier
     // visits that overlap once.
     {
-      TGC_OBS_SPAN(obs::SpanId::kDeletion);
-      const obs::CostPhaseScope cost_phase(obs::CostPhase::kDeletion);
+      const obs::PhaseScope phase(obs::CostPhase::kDeletion);
       deleted_wave.clear();
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         if (selected[v]) deleted_wave.push_back(v);

@@ -7,14 +7,14 @@
 #include <string_view>
 
 /// The telemetry registry: machine-independent work-unit counters and the
-/// phase span timers, kept in one per-thread shard.
+/// phase timers, kept in one per-thread shard.
 ///
 /// Logical units (VPT tests, BFS expansions, Horton candidates, GF(2)
 /// pivots, simulated messages) are deterministic functions of the input and
 /// seed, so their per-round, per-phase profiles are byte-identical across
 /// machines, thread counts and log levels. That invariant is what
-/// tools/bench_gate.py hard-fails on (see DESIGN.md §10); the span timers
-/// (obs.hpp) are wall-clock and advisory everywhere.
+/// tools/bench_gate.py hard-fails on (see DESIGN.md §10); the phase timers
+/// (obs.hpp's PhaseScope) are wall-clock and advisory everywhere.
 
 namespace tgc::obs {
 
@@ -46,39 +46,27 @@ inline constexpr std::size_t kNumCounters =
 /// Snake_case counter names used as JSONL keys and table headers.
 std::string_view counter_name(CounterId id);
 
-/// Scoped-timer identities (obs.hpp's Span). Each span id owns a run count
-/// and a nanosecond sum per thread shard; per-phase nanoseconds in the round
-/// log are deltas of the sums.
-enum class SpanId : unsigned {
-  kVerdicts,     ///< DCC Step 1: the per-round VPT verdict fan-out
+/// The protocol phases, named once: a phase is what a work unit is
+/// attributed to, what obs.hpp's PhaseScope times and what a trace's
+/// phase_begin/phase_end carry as `type`. Phases are fork-join sequential
+/// (the scheduler moves through them one at a time and workers are
+/// quiescent at every transition), so a single process-wide current phase
+/// gives deterministic attribution at any thread count.
+enum class CostPhase : unsigned {
+  kVerdicts,     ///< DCC Step 1: VPT verdict fan-out
   kMis,          ///< DCC Step 2: m-hop MIS election
   kDeletion,     ///< DCC Step 3: deletion + dirty propagation
   kKhopCollect,  ///< distributed executor: k-hop view collection
-  kRepairWave,   ///< one wake-radius escalation of dcc_repair
-  kCount
-};
-inline constexpr std::size_t kNumSpans =
-    static_cast<std::size_t>(SpanId::kCount);
-
-/// Snake_case names used as JSONL keys and table headers.
-std::string_view span_name(SpanId id);
-
-/// The protocol phase a work unit is attributed to. Phases are fork-join
-/// sequential (the scheduler moves through them one at a time and workers
-/// are quiescent at every transition), so a single process-wide current
-/// phase gives deterministic attribution at any thread count.
-enum class CostPhase : unsigned {
-  kVerdicts,  ///< DCC Step 1: VPT verdict fan-out
-  kMis,       ///< DCC Step 2: m-hop MIS election
-  kDeletion,  ///< DCC Step 3: deletion + dirty propagation
-  kKhop,      ///< distributed executor: k-hop view collection
-  kRepair,    ///< dcc_repair wake-radius escalation (outside nested phases)
-  kOther,     ///< work outside any declared phase
+  kRepairWave,   ///< one dcc_repair wake-radius escalation (outside nested
+                 ///< phases)
+  kOther,        ///< work outside any declared phase
   kCount
 };
 inline constexpr std::size_t kNumPhases =
     static_cast<std::size_t>(CostPhase::kCount);
 
+/// Snake_case names used as JSONL `phase` values and `ns_` key suffixes.
+/// An out-of-range value (a phase read back from a file) is "other".
 std::string_view cost_phase_name(CostPhase phase);
 
 /// One vector of work-unit tallies — a point (or delta) in logical-cost
@@ -152,12 +140,12 @@ struct CostSnapshot {
 
 namespace detail {
 
-/// One thread's slice of the registry: work units by phase plus each span's
-/// run count and nanosecond sum. Slots are relaxed atomics so the owning
-/// thread's increments never race the merging reader; there is no
-/// cross-thread write sharing at all (one shard per thread, registered on
-/// first touch and kept for the life of the process so totals survive
-/// worker exit).
+/// One thread's slice of the registry: work units by phase plus each
+/// phase's run count and inclusive nanosecond sum. Slots are relaxed
+/// atomics so the owning thread's increments never race the merging
+/// reader; there is no cross-thread write sharing at all (one shard per
+/// thread, registered on first touch and kept for the life of the process
+/// so totals survive worker exit).
 struct Shard {
   struct SpanSlot {
     std::atomic<std::uint64_t> count{0};
@@ -165,7 +153,7 @@ struct Shard {
   };
   std::array<std::array<std::atomic<std::uint64_t>, kNumCounters>, kNumPhases>
       units{};
-  std::array<SpanSlot, kNumSpans> spans{};
+  std::array<SpanSlot, kNumPhases> spans{};
 };
 
 Shard& local_shard();
@@ -174,7 +162,7 @@ std::atomic<unsigned>& current_phase_slot();
 
 }  // namespace detail
 
-/// Runtime master switch (default off) for the counters and the span timers.
+/// Runtime master switch (default off) for the counters and the phase timers.
 /// Disabled, every instrumentation site costs one relaxed bool load and a
 /// predicted-untaken branch.
 inline bool enabled() {
@@ -205,26 +193,9 @@ CostSnapshot cost_snapshot();
 /// that run's exact total even while sibling workers count concurrently.
 CostVec local_cost_totals();
 
+/// The phase work units are attributed to now; obs.hpp's PhaseScope is the
+/// only way to change it.
 CostPhase current_phase();
-void set_current_phase(CostPhase phase);
-
-/// RAII phase attribution. Installed at fork-join boundaries only (scheduler
-/// phase transitions happen with all workers quiescent), so the single
-/// process-wide slot is race-free in practice and attribution is identical
-/// at every thread count. Nests: dcc_repair opens kRepair, and the scheduler
-/// phases it re-enters override inside.
-class CostPhaseScope {
- public:
-  explicit CostPhaseScope(CostPhase phase) : prev_(current_phase()) {
-    set_current_phase(phase);
-  }
-  ~CostPhaseScope() { set_current_phase(prev_); }
-  CostPhaseScope(const CostPhaseScope&) = delete;
-  CostPhaseScope& operator=(const CostPhaseScope&) = delete;
-
- private:
-  CostPhase prev_;
-};
 
 /// Exactly reverts whatever cost-counter activity the calling thread
 /// performs during the scope's lifetime. Shards are strictly thread-local

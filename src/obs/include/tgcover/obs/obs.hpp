@@ -9,19 +9,20 @@
 
 namespace tgc::obs {
 
-/// Merged view of one span: how often it ran and its total nanoseconds.
+/// Merged view of one phase's timer: how often a PhaseScope of it ran and
+/// its total inclusive nanoseconds.
 struct SpanTotals {
   std::uint64_t count = 0;
   std::uint64_t sum_ns = 0;
 };
 
 /// A merged snapshot of every registry shard: the counters by phase plus the
-/// span totals. Both are monotonic, so the component-wise difference of two
+/// phase timers. Both are monotonic, so the component-wise difference of two
 /// snapshots is the exact activity between them — the round log is built
 /// entirely from such deltas.
 struct Metrics {
   CostSnapshot cost;
-  std::array<SpanTotals, kNumSpans> spans{};
+  std::array<SpanTotals, kNumPhases> spans{};
 
   /// One counter summed over phases.
   std::uint64_t get(CounterId id) const {
@@ -29,8 +30,8 @@ struct Metrics {
     for (const CostVec& p : cost.phases) n += p.get(id);
     return n;
   }
-  const SpanTotals& span(SpanId id) const {
-    return spans[static_cast<std::size_t>(id)];
+  const SpanTotals& span(CostPhase phase) const {
+    return spans[static_cast<std::size_t>(phase)];
   }
 
   Metrics& operator-=(const Metrics& rhs);
@@ -39,6 +40,9 @@ struct Metrics {
     return lhs;
   }
 };
+
+/// Old name of CostPhase, still read by perfbench/driver.cpp.
+using SpanId = CostPhase;
 
 inline std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -52,46 +56,36 @@ inline std::uint64_t now_ns() {
 /// the result is a consistent-enough monotonic view (per-slot atomic reads).
 Metrics snapshot();
 
-namespace detail {
-int& span_depth_slot();
-}  // namespace detail
-
-/// Records one span duration (used by ~Span; exposed for tests).
-void record_span(SpanId id, std::uint64_t ns);
-
-/// Nesting depth of live spans on the calling thread (0 outside any span).
-inline int span_depth() { return detail::span_depth_slot(); }
-
-/// RAII scoped timer. Captures the enabled flag at construction so a span
-/// never half-records across a runtime toggle.
-class Span {
+/// The one phase scope: every DCC phase site is one of these. For its
+/// lifetime it
+///  * attributes every thread's work units to `phase` (restoring the
+///    previous phase on exit, so scopes nest: dcc_repair opens kRepairWave
+///    and the scheduler phases it re-enters override inside), which also
+///    drops the profiler's phase instants;
+///  * when telemetry was on at entry, adds one run and its inclusive
+///    nanoseconds to the phase's timer (Metrics::span) — the enabled flag is
+///    captured once, so a runtime toggle never half-records a scope;
+///  * given the round substrate's round counter, emits trace phase_begin at
+///    open and phase_end at close with `type` = the phase, each stamped with
+///    the counter's value at that moment.
+/// Installed at fork-join boundaries only (phase transitions happen with
+/// all workers quiescent), so the single process-wide phase slot is
+/// race-free in practice and attribution is identical at every thread
+/// count.
+class PhaseScope {
  public:
-  explicit Span(SpanId id) : id_(id), live_(enabled()) {
-    if (live_) {
-      start_ = now_ns();
-      ++detail::span_depth_slot();
-    }
-  }
-  ~Span() {
-    if (live_) {
-      --detail::span_depth_slot();
-      record_span(id_, now_ns() - start_);
-    }
-  }
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
+  explicit PhaseScope(CostPhase phase,
+                      const std::size_t* round_clock = nullptr);
+  ~PhaseScope();
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
 
  private:
-  SpanId id_;
-  std::uint64_t start_ = 0;
-  bool live_;
+  CostPhase phase_;
+  CostPhase prev_;
+  const std::size_t* round_clock_;
+  std::uint64_t start_ns_ = 0;
+  bool timed_;
 };
-
-#define TGC_OBS_CONCAT_INNER(a, b) a##b
-#define TGC_OBS_CONCAT(a, b) TGC_OBS_CONCAT_INNER(a, b)
-
-/// Times the rest of the enclosing scope under `id`.
-#define TGC_OBS_SPAN(id) \
-  ::tgc::obs::Span TGC_OBS_CONCAT(tgc_obs_span_, __LINE__) { id }
 
 }  // namespace tgc::obs

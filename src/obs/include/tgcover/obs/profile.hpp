@@ -172,8 +172,9 @@ void profile_mem_sample();
 std::uint64_t peak_rss_bytes();
 
 namespace detail {
-/// Called by cost.cpp's set_current_phase so phase transitions land in the
-/// timeline as instant events on the calling thread's lane.
+/// Called whenever a PhaseScope changes the current phase, so phase
+/// transitions land in the timeline as instant events on the calling
+/// thread's lane.
 void profile_on_phase_change(CostPhase phase);
 }  // namespace detail
 

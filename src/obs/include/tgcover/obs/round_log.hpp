@@ -10,7 +10,7 @@ namespace tgc::obs {
 
 /// One DCC deletion round, as accounted by the scheduler. `round` is the
 /// run's round index (monotonic across repair waves, which re-enter the
-/// scheduler several times within one RunScope); the counter/span activity
+/// scheduler several times within one RunScope); the counter/timer activity
 /// is the registry delta across the round, so it includes everything the
 /// round's verdicts triggered transitively — BFS expansions, Horton
 /// candidates, GF(2) pivots, simulated messages. `delta.cost` is the round's

@@ -30,7 +30,7 @@ namespace tgc::obs {
 enum class TraceKind : std::uint8_t {
   kSchedRoundBegin,  ///< scheduler deletion round opens (value = round)
   kSchedRoundEnd,    ///< ... closes (type 1 = deletions, 0 = fixpoint probe)
-  kPhaseBegin,       ///< scheduler phase opens (type = TracePhase)
+  kPhaseBegin,       ///< scheduler phase opens (type = CostPhase)
   kPhaseEnd,         ///< ... closes
   kEngineRound,      ///< one synchronous engine round starts (value = round)
   kWave,             ///< one round of a protocol flood (type = its message
@@ -54,15 +54,6 @@ inline constexpr std::size_t kNumTraceKinds =
 /// Snake_case names used as JSONL `kind` values.
 std::string_view trace_kind_name(TraceKind kind);
 
-/// Scheduler phase ids carried in kPhaseBegin/End's `type` field.
-enum class TracePhase : std::uint32_t {
-  kKhop = 1,      ///< phase 0: k-hop neighbourhood collection
-  kVerdicts = 2,  ///< phase 1: local VPT verdicts
-  kMis = 3,       ///< phase 2: m-hop MIS election
-  kDeletion = 4,  ///< phase 3: deletion floods + power-down
-};
-std::string_view trace_phase_name(std::uint32_t phase);
-
 /// Sentinel for "no node": scheduler-level events not owned by any node.
 inline constexpr std::uint32_t kTraceNoNode = 0xffffffffu;
 
@@ -77,7 +68,7 @@ struct TraceEvent {
   double sim = 0.0;           ///< logical clock (see above)
   std::uint32_t node = kTraceNoNode;  ///< owning node (receiver for deliver)
   std::uint32_t peer = kTraceNoNode;  ///< other endpoint (sender/dest)
-  std::uint32_t type = 0;             ///< message type / TracePhase
+  std::uint32_t type = 0;             ///< message type / CostPhase
   std::uint32_t value = 0;            ///< round / payload words / verdict
   TraceKind kind = TraceKind::kSend;
 };

@@ -37,8 +37,7 @@ std::string us(std::uint64_t ns) {
 }
 
 std::string_view phase_name_of(std::uint8_t phase) {
-  return phase < kNumPhases ? cost_phase_name(static_cast<CostPhase>(phase))
-                            : std::string_view("other");
+  return cost_phase_name(static_cast<CostPhase>(phase));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "tgcover/obs/profile.hpp"
+#include "tgcover/obs/trace.hpp"
 
 namespace tgc::obs {
 
@@ -17,10 +18,6 @@ constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
     "dirty_nodes",       "ball_view_bytes",
 };
 
-constexpr std::array<std::string_view, kNumSpans> kSpanNames = {
-    "verdicts", "mis", "deletion", "khop_collect", "repair_wave",
-};
-
 constexpr std::array<std::string_view, kNumPhases> kPhaseNames = {
     "verdicts", "mis", "deletion", "khop", "repair", "other",
 };
@@ -29,8 +26,6 @@ constexpr std::array<std::string_view, kNumPhases> kPhaseNames = {
 // trailing slot to an empty view; catch that at compile time.
 static_assert(!kCounterNames.back().empty(),
               "counter name table out of sync with CounterId");
-static_assert(!kSpanNames.back().empty(),
-              "span name table out of sync with SpanId");
 static_assert(!kPhaseNames.back().empty(),
               "phase name table out of sync with CostPhase");
 
@@ -62,12 +57,9 @@ std::string_view counter_name(CounterId id) {
   return kCounterNames[static_cast<std::size_t>(id)];
 }
 
-std::string_view span_name(SpanId id) {
-  return kSpanNames[static_cast<std::size_t>(id)];
-}
-
 std::string_view cost_phase_name(CostPhase phase) {
-  return kPhaseNames[static_cast<std::size_t>(phase)];
+  const auto p = static_cast<std::size_t>(phase);
+  return p < kNumPhases ? kPhaseNames[p] : kPhaseNames.back();  // "other"
 }
 
 std::uint64_t logical_cost(const CostVec& v) {
@@ -88,27 +80,15 @@ std::atomic<bool>& enabled_flag() { return registry().enabled; }
 
 std::atomic<unsigned>& current_phase_slot() { return registry().phase; }
 
-int& span_depth_slot() {
-  thread_local int depth = 0;
-  return depth;
-}
-
 }  // namespace detail
 
 void set_enabled(bool on) {
   detail::enabled_flag().store(on, std::memory_order_relaxed);
 }
 
-void record_span(SpanId id, std::uint64_t ns) {
-  if (!enabled()) return;
-  auto& slot = detail::local_shard().spans[static_cast<std::size_t>(id)];
-  slot.count.fetch_add(1, std::memory_order_relaxed);
-  slot.sum_ns.fetch_add(ns, std::memory_order_relaxed);
-}
-
 Metrics& Metrics::operator-=(const Metrics& rhs) {
   cost -= rhs.cost;
-  for (std::size_t i = 0; i < kNumSpans; ++i) {
+  for (std::size_t i = 0; i < kNumPhases; ++i) {
     spans[i].count -= rhs.spans[i].count;
     spans[i].sum_ns -= rhs.spans[i].sum_ns;
   }
@@ -126,7 +106,7 @@ Metrics snapshot() {
             shard.units[p][i].load(std::memory_order_relaxed);
       }
     }
-    for (std::size_t i = 0; i < kNumSpans; ++i) {
+    for (std::size_t i = 0; i < kNumPhases; ++i) {
       m.spans[i].count += shard.spans[i].count.load(std::memory_order_relaxed);
       m.spans[i].sum_ns +=
           shard.spans[i].sum_ns.load(std::memory_order_relaxed);
@@ -176,13 +156,45 @@ CostPhase current_phase() {
       detail::current_phase_slot().load(std::memory_order_relaxed));
 }
 
+namespace {
+
 void set_current_phase(CostPhase phase) {
   detail::current_phase_slot().store(static_cast<unsigned>(phase),
                                      std::memory_order_relaxed);
   // Phase transitions are timeline landmarks: the execution profiler drops
   // an instant event on the calling thread's lane (no-op when profiling is
-  // off — phase scopes flip twice per round, far off any hot loop).
+  // off — a PhaseScope flips it twice per phase, far off any hot loop).
   detail::profile_on_phase_change(phase);
+}
+
+/// A PhaseScope's trace landmark, stamped with the round clock's value now.
+void trace_phase(TraceKind kind, CostPhase phase,
+                 const std::size_t* round_clock) {
+  if (round_clock == nullptr || !trace_active()) return;
+  trace_emit(kind, kTraceNoNode, kTraceNoNode,
+             static_cast<std::uint32_t>(phase), 0,
+             static_cast<double>(*round_clock));
+}
+
+}  // namespace
+
+PhaseScope::PhaseScope(CostPhase phase, const std::size_t* round_clock)
+    : phase_(phase),
+      prev_(current_phase()),
+      round_clock_(round_clock),
+      timed_(enabled()) {
+  if (timed_) start_ns_ = now_ns();
+  set_current_phase(phase);
+  trace_phase(TraceKind::kPhaseBegin, phase_, round_clock_);
+}
+
+PhaseScope::~PhaseScope() {
+  trace_phase(TraceKind::kPhaseEnd, phase_, round_clock_);
+  set_current_phase(prev_);
+  if (!timed_) return;
+  auto& slot = detail::local_shard().spans[static_cast<std::size_t>(phase_)];
+  slot.count.fetch_add(1, std::memory_order_relaxed);
+  slot.sum_ns.fetch_add(now_ns() - start_ns_, std::memory_order_relaxed);
 }
 
 }  // namespace tgc::obs

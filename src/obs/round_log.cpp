@@ -16,15 +16,15 @@ thread_local RunCollectors t_run;
 thread_local std::uint64_t t_round = 0;
 
 /// Shared key order for round and summary records: scheduler-provided
-/// fields, then every counter by name, then per-span nanoseconds.
+/// fields, then every counter by name, then per-phase nanoseconds.
 void write_metrics_fields(std::ostream& out, const Metrics& m) {
   const CostVec counters = m.cost.total();
   for (std::size_t i = 0; i < kNumCounters; ++i) {
     out << ",\"" << counter_name(static_cast<CounterId>(i))
         << "\":" << counters.units[i];
   }
-  for (std::size_t i = 0; i < kNumSpans; ++i) {
-    out << ",\"ns_" << span_name(static_cast<SpanId>(i))
+  for (std::size_t i = 0; i < kNumPhases; ++i) {
+    out << ",\"ns_" << cost_phase_name(static_cast<CostPhase>(i))
         << "\":" << m.spans[i].sum_ns;
   }
 }

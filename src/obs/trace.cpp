@@ -26,20 +26,6 @@ std::string_view trace_kind_name(TraceKind kind) {
   return kTraceKindNames[static_cast<std::size_t>(kind)];
 }
 
-std::string_view trace_phase_name(std::uint32_t phase) {
-  switch (static_cast<TracePhase>(phase)) {
-    case TracePhase::kKhop:
-      return "khop_collect";
-    case TracePhase::kVerdicts:
-      return "verdicts";
-    case TracePhase::kMis:
-      return "mis";
-    case TracePhase::kDeletion:
-      return "deletion";
-  }
-  return "phase";
-}
-
 namespace {
 
 /// The one trace buffer. Only the thread driving a simulator emits (VPT

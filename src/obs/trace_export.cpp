@@ -101,10 +101,12 @@ void write_chrome_trace(const std::vector<TraceEvent>& events,
         slice(ev, 'E', label("round ", ev.value));
         break;
       case TraceKind::kPhaseBegin:
-        slice(ev, 'B', std::string(trace_phase_name(ev.type)));
+        slice(ev, 'B',
+              std::string(cost_phase_name(static_cast<CostPhase>(ev.type))));
         break;
       case TraceKind::kPhaseEnd:
-        slice(ev, 'E', std::string(trace_phase_name(ev.type)));
+        slice(ev, 'E',
+              std::string(cost_phase_name(static_cast<CostPhase>(ev.type))));
         break;
       case TraceKind::kEngineRound:
         instant(ev, "engine round", label("\"round\":", ev.value));

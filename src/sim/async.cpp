@@ -64,16 +64,6 @@ void AsyncEngine::deactivate(graph::VertexId v) {
   }
 }
 
-std::uint32_t AsyncEngine::link(graph::VertexId from,
-                                graph::VertexId to) const {
-  TGC_CHECK(from < active_.size());
-  const auto nbrs = g_->neighbors(from);
-  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), to);
-  TGC_CHECK_MSG(it != nbrs.end() && *it == to,
-                "node " << from << " cannot send to non-neighbor " << to);
-  return offsets_[from] + static_cast<std::uint32_t>(it - nbrs.begin());
-}
-
 std::uint32_t AsyncEngine::acquire() {
   if (free_buffers_.empty()) {
     TGC_CHECK(buffers_.size() < std::numeric_limits<std::uint32_t>::max());
@@ -146,15 +136,6 @@ void AsyncEngine::send_link(std::uint32_t link, std::uint32_t type,
   const double delay = rng_.uniform(options_.min_delay, options_.max_delay);
   heap_push(
       Event{now_ + delay, next_sequence_++, buffer, trace_id, link, type});
-}
-
-void AsyncEngine::send(graph::VertexId from, graph::VertexId to,
-                       std::uint32_t type,
-                       const std::vector<std::uint32_t>& payload) {
-  const std::uint32_t l = link(from, to);
-  const std::uint32_t buffer = acquire();
-  buffers_[buffer].assign(payload.begin(), payload.end());
-  send_link(l, type, buffer);
 }
 
 void AsyncEngine::schedule(double delay, std::uint64_t tag) {

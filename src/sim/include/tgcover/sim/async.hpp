@@ -68,8 +68,6 @@ class AsyncEngine {
   graph::VertexId link_from(std::uint32_t link) const { return from_[link]; }
   graph::VertexId link_to(std::uint32_t link) const { return to_[link]; }
   std::uint32_t reverse(std::uint32_t link) const { return reverse_[link]; }
-  /// The link from→to; a TGC_CHECK failure when the nodes are not adjacent.
-  std::uint32_t link(graph::VertexId from, graph::VertexId to) const;
 
   /// Payload pool. acquire() returns an empty buffer holding one reference;
   /// a buffer returns to the pool when its last reference is released, and
@@ -86,10 +84,6 @@ class AsyncEngine {
   /// consuming one reference to the buffer. Must be called from a callback
   /// or before `run()`.
   void send_link(std::uint32_t link, std::uint32_t type, std::uint32_t buffer);
-  /// The same for a payload the caller owns: looks the link up and copies
-  /// the words into a pooled buffer.
-  void send(graph::VertexId from, graph::VertexId to, std::uint32_t type,
-            const std::vector<std::uint32_t>& payload);
 
   /// Arms a timer at now + delay (usable before and during run()); when it
   /// fires, run() hands `tag` to its timer callback. Timers let protocols

@@ -6,17 +6,25 @@
 // it enumerates every simple cycle of length ≤ τ by DFS, each once from its
 // smallest vertex, takes their rank by Gaussian elimination on plain
 // 64-bit word rows over its own edge numbering, and compares that rank with
-// ν = |E| − |V| + c. Graphs arrive as plain adjacency lists; the punctured
-// balls of the VPT tests are built by a plain BFS.
+// ν = |E| − |V| + c. The same rows decide whether an edge set (the
+// boundary cycle CB) is a sum of short cycles, i.e. τ-partitionable. Graphs
+// arrive as plain adjacency lists; the punctured balls of the VPT tests are
+// built by a plain BFS.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 namespace tgc::brute {
 
 /// An undirected simple graph: adj[u] lists u's neighbours.
 using Adjacency = std::vector<std::vector<std::uint32_t>>;
+
+/// An edge set as vertex pairs, each edge once.
+using EdgeList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
 /// Number of connected components.
 inline std::size_t components(const Adjacency& adj) {
@@ -71,6 +79,21 @@ class ShortCycleRank {
 
   std::size_t rank() const { return rank_; }
 
+  /// Is `edges` a sum of cycles of length ≤ tau? False when an edge is not
+  /// in the graph.
+  bool contains(const EdgeList& edges) const {
+    std::vector<std::uint64_t> row(words_, 0);
+    const std::size_t n = adj_.size();
+    for (const auto& [a, b] : edges) {
+      if (std::find(adj_[a].begin(), adj_[a].end(), b) == adj_[a].end()) {
+        return false;
+      }
+      const std::uint32_t e = id_[a * n + b];
+      row[e / 64] ^= std::uint64_t{1} << (e % 64);
+    }
+    return reduce(row) == kZero;
+  }
+
  private:
   /// Grows the path through vertices above its start; closes it into a
   /// cycle when the last vertex neighbours the start. Each cycle is met in
@@ -105,21 +128,28 @@ class ShortCycleRank {
     insert(std::move(row));
   }
 
-  /// Reduces `row` by the stored rows, highest bit first; keeps it if a
-  /// bit is left that no stored row leads with.
-  void insert(std::vector<std::uint64_t> row) {
+  static constexpr std::size_t kZero = std::numeric_limits<std::size_t>::max();
+
+  /// Reduces `row` by the stored rows, highest bit first, until it leads
+  /// with a bit no stored row leads with (returned) or is zero (kZero).
+  std::size_t reduce(std::vector<std::uint64_t>& row) const {
     for (std::size_t w = words_; w-- > 0;) {
       while (row[w] != 0) {
         const std::size_t p =
             w * 64 + 63 - static_cast<std::size_t>(std::countl_zero(row[w]));
-        if (pivot_[p].empty()) {
-          pivot_[p] = std::move(row);
-          ++rank_;
-          return;
-        }
+        if (pivot_[p].empty()) return p;
         for (std::size_t i = 0; i <= w; ++i) row[i] ^= pivot_[p][i];
       }
     }
+    return kZero;
+  }
+
+  /// Keeps `row` if it is independent of the stored rows.
+  void insert(std::vector<std::uint64_t> row) {
+    const std::size_t p = reduce(row);
+    if (p == kZero) return;
+    pivot_[p] = std::move(row);
+    ++rank_;
   }
 
   const Adjacency& adj_;

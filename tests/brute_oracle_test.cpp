@@ -1,7 +1,9 @@
 // The τ-span kernel and both VPT kernels against the brute-force oracle of
 // brute_cycle_oracle.hpp, which shares no code with them: every verdict on
 // random graphs, UDG balls and the Möbius fixture at τ = 3…6 must match,
-// and no node DCC leaves awake may be deletable by the oracle (Theorem 6).
+// no node DCC leaves awake may be deletable by the oracle, and none may be
+// dropped without breaking the oracle's τ-partitionability of CB (both
+// halves of Theorem 6).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -241,6 +243,60 @@ TEST(BruteOracle, NoAwakeInternalNodeDeletableAtTheFixpoint) {
     }
   }
   EXPECT_GT(awake_internal, 0u);
+}
+
+TEST(BruteOracle, NoAwakeInternalNodeIsRedundantAtTheFixpoint) {
+  // Theorem 6, second half: when every irreducible cycle of the network has
+  // length ≤ τ (the oracle's short cycles span the whole cycle space), the
+  // schedule keeps CB τ-partitionable and dropping any one awake internal
+  // node breaks that. Networks come from the standard pipeline at degree
+  // 9–13; only CB and the schedules come from the library.
+  std::size_t pairs = 0;
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    util::Rng rng(700 + seed);
+    const std::size_t n = 40 + rng.next_below(31);  // 40…70 nodes
+    const double degree = 9.0 + rng.uniform(0.0, 4.0);
+    const core::Network net = core::prepare_network(
+        gen::random_connected_udg(
+            n, gen::side_for_average_degree(n, 1.0, degree), 1.0, rng),
+        1.0);
+    const Graph& g = net.dep.graph;
+    brute::EdgeList cb;
+    net.cb.for_each_set_bit([&](std::size_t e) {
+      cb.push_back(g.edge(static_cast<graph::EdgeId>(e)));
+    });
+    const std::vector<bool> all_up(g.num_edges(), true);
+    const brute::Adjacency full = adjacency(g);
+    bool spans = false;  // monotone in tau
+    for (unsigned tau = 3; tau <= 6; ++tau) {
+      spans = spans || brute::short_cycles_span(full, tau);
+      if (!spans) continue;
+      ++pairs;
+      core::DccConfig config;
+      config.tau = tau;
+      config.seed = seed;
+      const core::DccResult result =
+          core::dcc_schedule(g, net.internal, config);
+      std::vector<bool> awake = result.active;
+      const auto partitionable = [&] {
+        const brute::Adjacency adj = adjacency(g, awake, all_up);
+        return brute::ShortCycleRank(adj, tau).contains(cb);
+      };
+      EXPECT_TRUE(partitionable()) << "seed " << seed << " tau " << tau;
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        if (!result.active[v] || !net.internal[v]) continue;
+        ++checked;
+        awake[v] = false;
+        EXPECT_FALSE(partitionable())
+            << "seed " << seed << " tau " << tau << ": vertex " << v
+            << " is redundant";
+        awake[v] = true;
+      }
+    }
+  }
+  EXPECT_GE(pairs, 10u);
+  EXPECT_GE(checked, 40u);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Logical cost model tests: the machine-independent work-unit layer that
 // `tgcover report` and the bench gate (tools/bench_gate.py) reason about.
 //
-//  * CostVec arithmetic, phase attribution (CostPhaseScope), RoundCollector
-//    per-phase round profiles;
+//  * CostVec arithmetic, the one phase scope (obs::PhaseScope) against every
+//    collector it feeds, RoundCollector per-phase round profiles;
 //  * the acceptance contract: cost.jsonl streams are byte-identical across
 //    thread counts and log levels on the same build;
 //  * `tgcover report` / the bundle loader on malformed inputs: missing
@@ -26,7 +26,9 @@
 #include "tgcover/obs/flight.hpp"
 #include "tgcover/obs/log.hpp"
 #include "tgcover/obs/obs.hpp"
+#include "tgcover/obs/profile.hpp"
 #include "tgcover/obs/round_log.hpp"
+#include "tgcover/obs/trace.hpp"
 
 namespace tgc {
 namespace {
@@ -79,11 +81,11 @@ TEST(CostPhase, ScopeAttributesAndRestores) {
   const obs::CostSnapshot before = obs::cost_snapshot();
   ASSERT_EQ(obs::current_phase(), obs::CostPhase::kOther);
   {
-    obs::CostPhaseScope verdicts(obs::CostPhase::kVerdicts);
+    const obs::PhaseScope verdicts(obs::CostPhase::kVerdicts);
     obs::add(obs::CounterId::kVptTests, 2);
     {
       // Nested scopes (repair driving the scheduler) override and restore.
-      obs::CostPhaseScope mis(obs::CostPhase::kMis);
+      const obs::PhaseScope mis(obs::CostPhase::kMis);
       EXPECT_EQ(obs::current_phase(), obs::CostPhase::kMis);
       obs::add(obs::CounterId::kBfsExpansions, 5);
     }
@@ -106,12 +108,72 @@ TEST(CostPhase, ScopeAttributesAndRestores) {
   EXPECT_EQ(delta.total().get(obs::CounterId::kVptTests), 3u);
 }
 
+TEST(CostPhase, OneScopeFeedsEveryCollector) {
+  // dcc_repair's shape: a clockless wave scope around a scheduler phase that
+  // carries the round substrate's clock, which advances inside it.
+  obs::set_enabled(true);
+  obs::trace_begin();
+  obs::profile_begin(1);
+  const obs::Metrics before = obs::snapshot();
+  std::size_t clock = 2;
+  {
+    const obs::PhaseScope wave(obs::CostPhase::kRepairWave);
+    obs::add(obs::CounterId::kRepairWaves, 1);
+    {
+      const obs::PhaseScope verdicts(obs::CostPhase::kVerdicts, &clock);
+      obs::add(obs::CounterId::kVptTests, 3);
+      clock = 5;
+    }
+    EXPECT_EQ(obs::current_phase(), obs::CostPhase::kRepairWave);
+  }
+  EXPECT_EQ(obs::current_phase(), obs::CostPhase::kOther);
+  const obs::Metrics delta = obs::snapshot() - before;
+  const std::vector<obs::TraceEvent> trace = obs::trace_end();
+  const obs::ProfileData profile = obs::profile_end();
+  obs::set_enabled(false);
+
+  // Cost attribution: each counter lands in its own phase.
+  const auto units = [&](obs::CostPhase p, obs::CounterId id) {
+    return delta.cost.phase(p).get(id);
+  };
+  EXPECT_EQ(units(obs::CostPhase::kRepairWave, obs::CounterId::kRepairWaves),
+            1u);
+  EXPECT_EQ(units(obs::CostPhase::kVerdicts, obs::CounterId::kVptTests), 3u);
+  EXPECT_EQ(delta.get(obs::CounterId::kRepairWaves), 1u);
+  EXPECT_EQ(delta.get(obs::CounterId::kVptTests), 3u);
+
+  // Timers: one run each, the outer scope inclusive of the inner.
+  const obs::SpanTotals& wave = delta.span(obs::CostPhase::kRepairWave);
+  const obs::SpanTotals& verdicts = delta.span(obs::CostPhase::kVerdicts);
+  EXPECT_EQ(wave.count, 1u);
+  EXPECT_EQ(verdicts.count, 1u);
+  EXPECT_GE(wave.sum_ns, verdicts.sum_ns);
+
+  // Trace: only the clocked scope, stamped at open and at close.
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace[0].kind, obs::TraceKind::kPhaseBegin);
+  EXPECT_EQ(trace[0].type, 0u);
+  EXPECT_EQ(trace[0].sim, 2.0);
+  EXPECT_EQ(trace[1].kind, obs::TraceKind::kPhaseEnd);
+  EXPECT_EQ(trace[1].type, 0u);
+  EXPECT_EQ(trace[1].sim, 5.0);
+
+  // Profiler: a phase instant at every transition, the restores included.
+  std::vector<std::uint64_t> phases;
+  for (const obs::WorkerProfile& w : profile.workers) {
+    for (const obs::ProfileEvent& ev : w.events) {
+      if (ev.kind == obs::ProfKind::kPhase) phases.push_back(ev.value);
+    }
+  }
+  EXPECT_EQ(phases, (std::vector<std::uint64_t>{4, 0, 4, 5}));
+}
+
 TEST(RoundCollector, RoundProfilesAndTotals) {
   obs::set_enabled(true);
   obs::RoundCollector collector;
   collector.begin_round();
   {
-    obs::CostPhaseScope scope(obs::CostPhase::kVerdicts);
+    const obs::PhaseScope scope(obs::CostPhase::kVerdicts);
     obs::add(obs::CounterId::kVptTests, 4);
   }
   std::vector<bool> awake(10, true);
@@ -119,7 +181,7 @@ TEST(RoundCollector, RoundProfilesAndTotals) {
   collector.end_round(/*round=*/1, awake, /*candidates=*/4, /*deleted=*/1);
   collector.begin_round();
   {
-    obs::CostPhaseScope scope(obs::CostPhase::kDeletion);
+    const obs::PhaseScope scope(obs::CostPhase::kDeletion);
     obs::add(obs::CounterId::kBfsExpansions, 9);
   }
   awake[7] = false;

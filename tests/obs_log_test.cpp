@@ -170,8 +170,12 @@ TEST_F(ObsLogTest, ConcurrentFlightNotesMergeBySeq) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([t] {
       for (std::size_t i = 0; i < kNotes; ++i) {
-        obs::flight_note(LogLevel::kDebug,
-                         "t" + std::to_string(t) + " n" + std::to_string(i));
+        // Built in steps: GCC 12 flags the chained operator+ (-Wrestrict).
+        std::string note = "t";
+        note += std::to_string(t);
+        note += " n";
+        note += std::to_string(i);
+        obs::flight_note(LogLevel::kDebug, note);
       }
     });
   }

@@ -1,6 +1,6 @@
-// Telemetry subsystem tests: shard merging across ThreadPool workers, span
-// nesting, JSONL round-trip through `tgcover report`, and the contract that
-// matters most — telemetry never changes a schedule.
+// Telemetry subsystem tests: shard merging across ThreadPool workers, phase
+// scope nesting, JSONL round-trip through `tgcover report`, and the contract
+// that matters most — telemetry never changes a schedule.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -44,16 +44,18 @@ TEST(ObsRegistry, CounterMergeAcrossThreads) {
   pool.parallel_for(0, kIncrements, [](std::size_t, unsigned) {
     obs::add(obs::CounterId::kMessages, 1);
     obs::add(obs::CounterId::kPayloadWords, 3);
-    TGC_OBS_SPAN(obs::SpanId::kKhopCollect);
+    // kOther is the phase every worker finds and restores, so concurrent
+    // scopes cannot leave attribution anywhere else.
+    const obs::PhaseScope scope(obs::CostPhase::kOther);
   });
 
   const obs::Metrics delta = obs::snapshot() - before;
   obs::set_enabled(false);
   // Every worker counted into its own shard; the snapshot merge must not
-  // lose or double-count a single increment or span.
+  // lose or double-count a single increment or scope.
   EXPECT_EQ(delta.get(obs::CounterId::kMessages), kIncrements);
   EXPECT_EQ(delta.get(obs::CounterId::kPayloadWords), 3 * kIncrements);
-  EXPECT_EQ(delta.span(obs::SpanId::kKhopCollect).count, kIncrements);
+  EXPECT_EQ(delta.span(obs::CostPhase::kOther).count, kIncrements);
 }
 
 TEST(ObsRegistry, DisabledAddsAreDropped) {
@@ -69,8 +71,10 @@ TEST(ObsRegistry, CounterAndSpanNamesAreStable) {
   EXPECT_EQ(obs::counter_name(obs::CounterId::kVptTests), "vpt_tests");
   EXPECT_EQ(obs::counter_name(obs::CounterId::kGf2Pivots), "gf2_pivots");
   EXPECT_EQ(obs::counter_name(obs::CounterId::kMessages), "messages");
-  EXPECT_EQ(obs::span_name(obs::SpanId::kVerdicts), "verdicts");
-  EXPECT_EQ(obs::span_name(obs::SpanId::kRepairWave), "repair_wave");
+  EXPECT_EQ(obs::cost_phase_name(obs::CostPhase::kVerdicts), "verdicts");
+  EXPECT_EQ(obs::cost_phase_name(obs::CostPhase::kRepairWave), "repair");
+  // A phase read back from a file may be out of range.
+  EXPECT_EQ(obs::cost_phase_name(static_cast<obs::CostPhase>(99)), "other");
 }
 
 // ------------------------------------------------------------------- Spans
@@ -78,34 +82,28 @@ TEST(ObsRegistry, CounterAndSpanNamesAreStable) {
 TEST(ObsSpan, NestingAndHistogram) {
   obs::set_enabled(true);
   const obs::Metrics before = obs::snapshot();
-  EXPECT_EQ(obs::span_depth(), 0);
   {
-    TGC_OBS_SPAN(obs::SpanId::kVerdicts);
-    EXPECT_EQ(obs::span_depth(), 1);
-    {
-      TGC_OBS_SPAN(obs::SpanId::kMis);
-      EXPECT_EQ(obs::span_depth(), 2);
-    }
-    EXPECT_EQ(obs::span_depth(), 1);
+    const obs::PhaseScope verdicts(obs::CostPhase::kVerdicts);
+    { const obs::PhaseScope mis(obs::CostPhase::kMis); }
   }
-  EXPECT_EQ(obs::span_depth(), 0);
 
   const obs::Metrics delta = obs::snapshot() - before;
   obs::set_enabled(false);
-  EXPECT_EQ(delta.span(obs::SpanId::kVerdicts).count, 1u);
-  EXPECT_EQ(delta.span(obs::SpanId::kMis).count, 1u);
+  EXPECT_EQ(delta.span(obs::CostPhase::kVerdicts).count, 1u);
+  EXPECT_EQ(delta.span(obs::CostPhase::kMis).count, 1u);
 }
 
 TEST(ObsSpan, ToggleMidSpanNeverHalfRecords) {
   obs::set_enabled(false);
   const obs::Metrics before = obs::snapshot();
   {
-    TGC_OBS_SPAN(obs::SpanId::kDeletion);  // constructed while disabled
-    obs::set_enabled(true);                // enabling mid-span must not record
+    // Opened while disabled: enabling mid-scope must not record.
+    const obs::PhaseScope scope(obs::CostPhase::kDeletion);
+    obs::set_enabled(true);
   }
   const obs::Metrics delta = obs::snapshot() - before;
   obs::set_enabled(false);
-  EXPECT_EQ(delta.span(obs::SpanId::kDeletion).count, 0u);
+  EXPECT_EQ(delta.span(obs::CostPhase::kDeletion).count, 0u);
 }
 
 // ------------------------------------------------------------------- JSONL

@@ -91,7 +91,6 @@ TEST(Trace, KindNamesCoverAllKinds) {
   }
   EXPECT_EQ(trace_kind_name(TraceKind::kSend), "send");
   EXPECT_EQ(trace_kind_name(TraceKind::kDeactivate), "deactivate");
-  EXPECT_EQ(trace_phase_name(2), "verdicts");
 }
 
 /// A small hand-built causal trace: send on node 0 delivered at node 1.

@@ -12,10 +12,12 @@
 # diagnostics knobs (--log-level debug --flight 64 --log-out) change neither
 # file either. Then:
 # report renders byte-identically twice and keeps its section headings, the
-# node ledger balances, a lossy async run holds Proposition 1's bound with
-# positive margin, the gate refuses (exit 2) runs that differ in seed, the
-# fleet page is identical across 1 vs 2 workers, and fleet --resume refuses
-# grid and arming mismatches. Exits non-zero on the first failed check.
+# distributed trace's phase_begin counts agree with the metrics summary's
+# rounds and every DCC phase has a positive timer, the node ledger balances,
+# a lossy async run holds Proposition 1's bound with positive margin, the
+# gate refuses (exit 2) runs that differ in seed, the fleet page is identical
+# across 1 vs 2 workers, and fleet --resume refuses grid and arming
+# mismatches. Exits non-zero on the first failed check.
 set -euo pipefail
 
 TGC=$(realpath "$1")
@@ -94,6 +96,29 @@ for chrome in trace profile; do
   python3 -c "import json, sys; json.load(open(sys.argv[1]))" \
     "distributed-all/$chrome.chrome.json"
 done
+
+step "phase streams agree"
+# One PhaseScope per phase feeds both the trace's phase_begin events (type =
+# the CostPhase index) and the metrics summary's ns_<phase> timers: one k-hop
+# collection, a verdicts phase per round plus the fixpoint probe, and one MIS
+# and one deletion phase per round.
+python3 - <<'EOF'
+import json
+from collections import Counter
+begins = Counter()
+for line in open("distributed-all/trace.jsonl"):
+    obj = json.loads(line)
+    if obj.get("kind") == "phase_begin":
+        begins[obj.get("subtype", 0)] += 1
+summary = [json.loads(l) for l in open("distributed-all/metrics.jsonl")]
+summary = [o for o in summary if o["type"] == "summary"][-1]
+R = summary["rounds"]
+want = {3: 1, 0: R + 1, 1: R, 2: R}  # khop, verdicts, mis, deletion
+assert R > 0 and dict(begins) == want, (R, dict(begins))
+for phase in ("khop", "verdicts", "mis", "deletion"):
+    assert summary["ns_" + phase] > 0, (phase, summary)
+print(f"phases ok: {R} rounds, phase_begin counts by type {dict(begins)}")
+EOF
 
 step "node ledger balances"
 python3 - <<'EOF'
