@@ -39,6 +39,7 @@ struct VptConfig {
 struct VptWorkspace {
   util::StampedArray<std::uint32_t> dist;    ///< BFS hop counts, O(1) reset
   util::StampedArray<graph::VertexId> local; ///< parent id → punctured-local id
+  util::StampedArray<std::uint32_t> record;  ///< view id → record offset
   std::vector<graph::VertexId> queue;        ///< flat BFS frontier
   std::vector<graph::VertexId> members;      ///< collected k-hop neighbourhood
   graph::BallView ball;                      ///< arena-backed punctured view
@@ -48,6 +49,7 @@ struct VptWorkspace {
   void ensure(std::size_t n) {
     dist.resize(n);
     local.resize(n);
+    record.resize(n);
   }
 };
 

@@ -114,13 +114,13 @@ bool vpt_vertex_deletable(const Graph& g, const std::vector<bool>& active,
   std::sort(ws.members.begin(), ws.members.end());
 
   // Build the punctured neighbourhood directly: v is not a member, so its
-  // edges never materialize. Rows come out sorted because members are sorted
-  // and Graph adjacency is sorted, which is what BallView's first-encounter
-  // edge-id assignment requires.
+  // edges never materialize, and every member is active. Rows come out
+  // sorted because members are sorted and Graph adjacency is sorted, which
+  // is what BallView's first-encounter edge-id assignment requires.
   assign_local_ids(ws.members, ws);
   ws.ball.build(ws.members.size(), [&](VertexId la, auto&& emit) {
     for (const VertexId b : g.neighbors(ws.members[la])) {
-      if (active[b] && ws.local.contains(b)) emit(ws.local.get(b));
+      if (ws.local.contains(b)) emit(ws.local.get(b));
     }
   });
   return record_verdict(neighbourhood_passes(config.tau, ws),
@@ -141,6 +141,11 @@ bool vpt_vertex_deletable_local(const sim::LocalView& view,
   const unsigned k = config.effective_k();
   ws.ensure(view.order);
 
+  // The view's index, copied once into flat storage: the BFS and the ball
+  // build below look up every id they meet.
+  ws.record.clear();
+  for (const auto& [node, at] : view.index) ws.record.put(node, at);
+
   // BFS inside the view: deletions may have lengthened paths since the view
   // was collected, so recompute which recorded nodes are still within k hops.
   // Erased nodes neither relay nor appear as members; within k hops of the
@@ -154,9 +159,9 @@ bool vpt_vertex_deletable_local(const sim::LocalView& view,
     const VertexId u = ws.queue[head];
     const std::uint32_t du = ws.dist.get(u);
     if (du == k) continue;
-    if (!view.knows(u)) continue;
-    for (const VertexId w : view.record(u)) {
-      if (ws.dist.contains(w) || !view.knows(w)) continue;
+    if (!ws.record.contains(u)) continue;
+    for (const VertexId w : view.record_at(ws.record.get(u))) {
+      if (ws.dist.contains(w) || !ws.record.contains(w)) continue;
       ws.dist.put(w, du + 1);
       ws.members.push_back(w);
       ws.queue.push_back(w);
@@ -170,7 +175,7 @@ bool vpt_vertex_deletable_local(const sim::LocalView& view,
   // erased id is never a member.
   assign_local_ids(ws.members, ws);
   ws.ball.build(ws.members.size(), [&](VertexId lu, auto&& emit) {
-    for (const VertexId w : view.record(ws.members[lu])) {
+    for (const VertexId w : view.record_at(ws.record.get(ws.members[lu]))) {
       if (ws.local.contains(w)) emit(ws.local.get(w));
     }
   });
@@ -215,9 +220,7 @@ bool vpt_edge_deletable(const Graph& g, const std::vector<bool>& active,
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const VertexId b = nbrs[i];
       if (eids[i] == e) continue;  // puncture
-      if (active[b] && edge_active[eids[i]] && ws.local.contains(b)) {
-        emit(ws.local.get(b));
-      }
+      if (edge_active[eids[i]] && ws.local.contains(b)) emit(ws.local.get(b));
     }
   });
   return record_verdict(neighbourhood_passes(config.tau, ws),

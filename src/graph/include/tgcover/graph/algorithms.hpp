@@ -134,7 +134,11 @@ std::size_t cycle_space_dimension(const Graph& g);
 /// Shortest-path tree with deterministic lexicographic tie-breaking: among
 /// equal-depth parents the smallest vertex id wins. Horton's MCB algorithm
 /// needs consistent shortest paths; lexicographic ties keep the candidate
-/// set MCB-containing (Algorithm 1 of the paper, lines 2-6).
+/// set MCB-containing (Algorithm 1 of the paper, lines 2-6). The build
+/// expands each BFS layer in ascending id, so it sorts every layer it
+/// expands and leaves the last one (which it never expands) unsorted: a
+/// tree truncated at depth D gives every vertex at depth ≤ D the parent,
+/// parent edge and depth the untruncated tree gives it.
 class ShortestPathTree {
  public:
   /// An empty tree; `rebuild` fills it.
@@ -182,11 +186,16 @@ class ShortestPathTree {
     // Layered BFS processing vertices in increasing id within each layer;
     // combined with sorted adjacency this assigns every vertex the
     // smallest-id eligible parent (lexicographic tie-breaking). The layers
-    // sit back to back in order_, each sorted once it is complete.
-    std::size_t begin = 0;
+    // sit back to back in order_; a complete layer is sorted only when it is
+    // expanded next, so the last one (at max_depth or holding stop_at) stays
+    // in discovery order, which changes no parent.
     std::uint32_t d = 0;
-    while (begin < order_.size() && d < max_depth &&
-           (stop_at == kInvalidVertex || depth_[stop_at] == kUnreached)) {
+    const auto expands = [&] {
+      return d < max_depth &&
+             (stop_at == kInvalidVertex || depth_[stop_at] == kUnreached);
+    };
+    std::size_t begin = 0;
+    while (begin < order_.size() && expands()) {
       const std::size_t end = order_.size();
       for (std::size_t i = begin; i < end; ++i) {
         const VertexId u = order_[i];
@@ -202,10 +211,12 @@ class ShortestPathTree {
           }
         }
       }
-      std::sort(order_.begin() + static_cast<std::ptrdiff_t>(end),
-                order_.end());
       begin = end;
       ++d;
+      if (expands()) {
+        std::sort(order_.begin() + static_cast<std::ptrdiff_t>(end),
+                  order_.end());
+      }
     }
   }
 

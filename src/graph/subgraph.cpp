@@ -28,6 +28,17 @@ InducedSubgraph induce_vertices(const Graph& g,
   return out;
 }
 
+void BallView::refuse_entry(VertexId la, VertexId lb) const {
+  TGC_CHECK_MSG(lb != la, "ball row " << la << " lists itself");
+  // Under lb's cursor sits the partner lb expects next. A smaller one is a
+  // row already built without lb; otherwise lb's row lacks la.
+  const std::size_t at = cursor_[lb];
+  const bool skipped = at != offsets_[lb + 1] && adjacency_[at] < la;
+  TGC_CHECK_MSG(!skipped, "asymmetric ball rows: " << adjacency_[at]
+                                                    << " lacks " << lb);
+  TGC_CHECK_MSG(false, "asymmetric ball rows: " << lb << " lacks " << la);
+}
+
 Graph filter_active(const Graph& g, const std::vector<bool>& active) {
   TGC_CHECK(active.size() == g.num_vertices());
   GraphBuilder builder(g.num_vertices());

@@ -44,7 +44,11 @@ struct LocalView {
   /// The recorded neighbour list of `v` (must be known). May mention erased
   /// ids — filter with `knows` when reading post-deletion.
   std::span<const graph::VertexId> record(graph::VertexId v) const {
-    const std::uint32_t at = index.at(v);
+    return record_at(index.at(v));
+  }
+
+  /// The neighbour list of the record at pool offset `at` (an index value).
+  std::span<const graph::VertexId> record_at(std::uint32_t at) const {
     return {pool.data() + at + 2, pool[at + 1]};
   }
 

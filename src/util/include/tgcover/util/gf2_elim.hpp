@@ -30,6 +30,10 @@ namespace tgc::util {
 /// The reduction tracks the scratch row's top non-zero word: the row stored
 /// at a pivot is zero above the pivot's word, so each XOR touches only the
 /// words up to it, and the next pivot is found by stepping down from there.
+/// A sparse insert fuses the first step with densifying: a vector whose top
+/// bit has no row is written straight into a new arena row; otherwise the
+/// scratch row starts as a copy of that bit's row with the vector's bits
+/// flipped in, which counts as the first `gf2_pivots` step.
 class Gf2Eliminator {
  public:
   /// @param dim      bit width of the vectors being eliminated
@@ -71,16 +75,20 @@ class Gf2Eliminator {
   /// Opens the next insertion: checks the certificate capacity and seeds
   /// the scratch row's certificate words with the insertion's own bit.
   void begin_insert();
-  /// Reduces the scratch row (words [0, end) hold it) and stores it when
-  /// it is independent.
-  bool finish_insert(std::size_t end);
+  /// Reduces the scratch row (words [0, end) hold it; `steps` reduction
+  /// steps were already taken) and stores it when it is independent.
+  bool finish_insert(std::size_t end, std::uint64_t steps);
+  /// Appends a zeroed arena row for `pivot` carrying the scratch row's
+  /// certificate words, and returns its first word.
+  std::uint64_t* append_row(std::size_t pivot);
   /// Reduces the vector in words [0, end) of `w` (words from `end` on count
   /// as zero and are never read) against the stored rows, XORing each used
   /// row's certificate words into `aug` when it is non-null. Stops at the
   /// first pivot without a row and returns it, or npos once the vector is
-  /// zero. Counts one `gf2_pivots` step per row XOR.
+  /// zero. Counts one `gf2_pivots` step per row XOR, on top of `steps`
+  /// already taken.
   std::size_t reduce_words(std::uint64_t* w, std::size_t end,
-                           std::uint64_t* aug) const;
+                           std::uint64_t* aug, std::uint64_t steps) const;
 
   std::size_t dim_ = 0;
   std::size_t words_ = 0;      // words per row

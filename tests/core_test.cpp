@@ -15,6 +15,7 @@
 #include "tgcover/gen/fixtures.hpp"
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/graph/subgraph.hpp"
+#include "tgcover/obs/obs.hpp"
 #include "tgcover/sim/khop.hpp"
 #include "tgcover/sim/mis.hpp"
 #include "tgcover/util/rng.hpp"
@@ -268,10 +269,26 @@ TEST(Vpt, EdgeDeletion) {
                                  VptConfig{3, 0}));
 }
 
+/// The τ-span kernel work (`horton_candidates`, `gf2_pivots`) `fn` adds.
+template <typename Fn>
+std::pair<std::uint64_t, std::uint64_t> kernel_work(Fn&& fn) {
+  const obs::Metrics before = obs::snapshot();
+  fn();
+  const obs::Metrics delta = obs::snapshot() - before;
+  return {delta.get(obs::CounterId::kHortonCandidates),
+          delta.get(obs::CounterId::kGf2Pivots)};
+}
+
 // Fresh views, then views after oracle deletion waves in which every node
 // within k hops of a deleted node (the deletion flood's reach) erases it
-// from its view: the local test skips erased mentions with `knows` alone.
+// from its view: the local test skips erased mentions through the view's
+// index alone.
 TEST(Vpt, LocalViewMatchesOracle) {
+  // Both calls build the same punctured ball, so besides the verdict they
+  // must run the same candidate stream and the same pivot steps: a view
+  // index that misses a record can still give the right verdict.
+  obs::set_enabled(true);
+  std::uint64_t candidates = 0;
   util::Rng rng(31);
   const auto dep = gen::random_connected_udg(120, 4.4, 1.0, rng);
   const Graph& g = dep.graph;
@@ -291,9 +308,18 @@ TEST(Vpt, LocalViewMatchesOracle) {
       std::vector<bool> candidate(120, false);
       for (VertexId v = 0; v < 120; ++v) {
         if (!active[v]) continue;
-        const bool local = vpt_vertex_deletable_local(views[v], config);
-        EXPECT_EQ(local, vpt_vertex_deletable(g, active, v, config))
+        bool local = false;
+        bool oracle = false;
+        const auto local_work = kernel_work(
+            [&] { local = vpt_vertex_deletable_local(views[v], config); });
+        const auto oracle_work = kernel_work(
+            [&] { oracle = vpt_vertex_deletable(g, active, v, config); });
+        EXPECT_EQ(local, oracle)
             << "vertex " << v << " tau " << tau << " after wave " << wave;
+        EXPECT_EQ(local_work, oracle_work)
+            << "(candidates, pivots) of vertex " << v << " tau " << tau
+            << " after wave " << wave;
+        candidates += oracle_work.first;
         candidate[v] = internal[v] && local;
       }
       if (wave == 5) break;
@@ -313,6 +339,8 @@ TEST(Vpt, LocalViewMatchesOracle) {
     }
     EXPECT_GE(deleted, 10u) << "tau " << tau;
   }
+  obs::set_enabled(false);
+  EXPECT_GT(candidates, 0u);  // the counters were live
 }
 
 // --------------------------------------------------------------- criterion

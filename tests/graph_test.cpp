@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "tgcover/gen/deployments.hpp"
 #include "tgcover/graph/algorithms.hpp"
 #include "tgcover/graph/graph.hpp"
 #include "tgcover/graph/subgraph.hpp"
@@ -280,6 +282,90 @@ TEST(ShortestPathTree, TruncatedTreeStopsAtDepth) {
   const ShortestPathTree spt(g, 0, 4);
   EXPECT_TRUE(spt.reached(4));
   EXPECT_FALSE(spt.reached(5));
+}
+
+/// For every root of `g` and depth limit D = 1…4: the untruncated tree
+/// gives each vertex its smallest-id neighbour one layer up as parent
+/// (lexicographic tie-breaking), and a tree rebuilt at limit D reaches
+/// exactly the vertices at depth ≤ D, each with the untruncated tree's
+/// parent, parent edge and depth. Returns the vertices compared.
+template <typename G>
+std::size_t expect_truncated_trees_match(const G& g, const std::string& what) {
+  std::size_t compared = 0;
+  ShortestPathTree truncated;
+  for (VertexId root = 0; root < g.num_vertices(); ++root) {
+    const ShortestPathTree full(g, root);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      if (v == root || !full.reached(v)) continue;
+      VertexId want = kInvalidVertex;
+      EdgeId want_edge = kInvalidEdge;
+      const auto nbrs = g.neighbors(v);
+      const auto eids = g.incident_edges(v);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        if (full.reached(nbrs[i]) && full.depth(nbrs[i]) + 1 == full.depth(v) &&
+            nbrs[i] < want) {
+          want = nbrs[i];
+          want_edge = eids[i];
+        }
+      }
+      EXPECT_EQ(full.parent(v), want) << what << " root " << root << " v " << v;
+      EXPECT_EQ(full.parent_edge(v), want_edge)
+          << what << " root " << root << " v " << v;
+    }
+    for (std::uint32_t depth = 1; depth <= 4; ++depth) {
+      truncated.rebuild(g, root, depth);
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        const bool within = full.reached(v) && full.depth(v) <= depth;
+        EXPECT_EQ(truncated.reached(v), within)
+            << what << " root " << root << " D " << depth << " v " << v;
+        if (!within || !truncated.reached(v)) continue;
+        EXPECT_EQ(truncated.depth(v), full.depth(v));
+        EXPECT_EQ(truncated.parent(v), full.parent(v))
+            << what << " root " << root << " D " << depth << " v " << v;
+        EXPECT_EQ(truncated.parent_edge(v), full.parent_edge(v))
+            << what << " root " << root << " D " << depth << " v " << v;
+        ++compared;
+      }
+    }
+  }
+  return compared;
+}
+
+TEST(ShortestPathTree, TruncatedTreeMatchesFullTreeToItsDepth) {
+  // The build leaves the last layer it never expands unsorted; every layer
+  // it does expand must be sorted, or parents change.
+  util::Rng rng(404);
+  std::size_t compared = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 8 + rng.next_below(33);
+    GraphBuilder b(n);
+    const std::size_t m = n + rng.next_below(2 * n);
+    while (b.num_edges() < m) {
+      b.add_edge(static_cast<VertexId>(rng.next_below(n)),
+                 static_cast<VertexId>(rng.next_below(n)));
+    }
+    compared += expect_truncated_trees_match(
+        b.build(), "random graph " + std::to_string(trial));
+  }
+
+  // Punctured 2-hop balls of a UDG, as the span kernel's BallView sees them.
+  const auto dep = gen::random_connected_udg(150, 4.4, 1.0, rng);
+  const Graph& g = dep.graph;
+  std::vector<VertexId> local_of(g.num_vertices(), kInvalidVertex);
+  for (VertexId v = 0; v < g.num_vertices(); v += 15) {
+    const std::vector<VertexId> members = k_hop_neighbors(g, v, 2);
+    for (VertexId i = 0; i < members.size(); ++i) local_of[members[i]] = i;
+    BallView ball;
+    ball.build(members.size(), [&](VertexId la, auto&& emit) {
+      for (const VertexId b : g.neighbors(members[la])) {
+        if (local_of[b] != kInvalidVertex) emit(local_of[b]);
+      }
+    });
+    for (const VertexId m : members) local_of[m] = kInvalidVertex;
+    compared +=
+        expect_truncated_trees_match(ball, "ball of " + std::to_string(v));
+  }
+  EXPECT_GT(compared, 10000u);
 }
 
 // ---------------------------------------------------------------- subgraph

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "tgcover/boundary/label.hpp"
@@ -28,6 +29,7 @@
 #include "tgcover/graph/subgraph.hpp"
 #include "tgcover/obs/cost.hpp"
 #include "tgcover/obs/round_log.hpp"
+#include "tgcover/util/check.hpp"
 #include "tgcover/util/gf2.hpp"
 #include "tgcover/util/rng.hpp"
 
@@ -365,6 +367,44 @@ TEST(BallViewTest, MatchesInducedSubgraph) {
       }
     }
   }
+}
+
+TEST(BallViewTest, AsymmetricRowsAreRefusedInBothDirections) {
+  // The refusal message of a build from explicit rows ("" when accepted).
+  const auto refusal = [](const std::vector<std::vector<VertexId>>& rows) {
+    graph::BallView ball;
+    try {
+      ball.build(rows.size(), [&](VertexId la, auto&& emit) {
+        for (const VertexId lb : rows[la]) emit(lb);
+      });
+    } catch (const CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const auto names = [](const std::string& what, const std::string& pair) {
+    return what.find("asymmetric ball rows: " + pair) != std::string::npos;
+  };
+
+  // A row lists a smaller partner whose row lacks it.
+  const std::string smaller = refusal({{2}, {}, {0, 1}});
+  EXPECT_TRUE(names(smaller, "1 lacks 2")) << smaller;
+  // A row lists a larger partner whose row lacks it: caught when a later
+  // row reaches past the missing entry, or at the end of the build.
+  const std::string larger = refusal({{1, 2}, {2}, {0, 1}});
+  EXPECT_TRUE(names(larger, "1 lacks 0")) << larger;
+  const std::string trailing = refusal({{1}, {0, 2}, {}});
+  EXPECT_TRUE(names(trailing, "2 lacks 1")) << trailing;
+
+  graph::BallView triangle;
+  const std::vector<std::vector<VertexId>> rows{{1, 2}, {0, 2}, {0, 1}};
+  triangle.build(3, [&](VertexId la, auto&& emit) {
+    for (const VertexId lb : rows[la]) emit(lb);
+  });
+  EXPECT_EQ(triangle.num_edges(), 3u);
+  EXPECT_EQ(triangle.first_above(0), 0u);
+  EXPECT_EQ(triangle.first_above(1), 1u);
+  EXPECT_EQ(triangle.first_above(2), 2u);
 }
 
 // ------------------------------------------------------------- generators
