@@ -18,6 +18,16 @@ namespace {
 /// ones (k-hop collection rounds) give it back.
 constexpr std::size_t kPooledWords = 64;
 
+/// A drained wheel bucket keeps its storage only up to this many events, so
+/// a wave of equal delays, which lands in one bucket, does not pin its peak.
+constexpr std::size_t kBucketEvents = 64;
+
+/// The last wheel slot. Later times share it (its bucket heap orders them),
+/// so a slot is always a defined conversion: a clock past 2^52 slots (a
+/// retransmit interval of 1e300 gets there), and the NaN of 0 * inf when
+/// max_delay is so small that 1 / w overflows, both land here.
+constexpr double kLastSlot = 4503599627370496.0;  // 2^52
+
 }  // namespace
 
 AsyncEngine::AsyncEngine(const graph::Graph& g, const Options& options)
@@ -31,6 +41,8 @@ AsyncEngine::AsyncEngine(const graph::Graph& g, const Options& options)
                     options.max_delay >= options.min_delay,
                 "the maximum link delay must be finite and >= the minimum");
   TGC_CHECK(options.loss_probability >= 0.0 && options.loss_probability < 1.0);
+  slots_per_time_ = static_cast<double>(kWheelBuckets / 2) / options.max_delay;
+  wheel_.resize(kWheelBuckets);
   const std::size_t n = g.num_vertices();
   TGC_CHECK(2 * g.num_edges() < kTimerLink);
   offsets_.assign(n + 1, 0);
@@ -93,6 +105,21 @@ void AsyncEngine::heap_push(const Event& ev) {
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
+void AsyncEngine::wheel_push(const Event& ev) {
+  // While the wheel holds deliveries, the cursor lies between the clock's
+  // slot and every pending one: run() leaves it at the slot it last popped
+  // from or scanned to, and a push only lowers it to a slot at or after the
+  // clock's. Every delivery is due within max_delay of the clock, so each
+  // pending slot lies within about half a ring past the cursor.
+  const double x = ev.time * slots_per_time_;  // monotone in time
+  const auto slot = static_cast<std::uint64_t>(x < kLastSlot ? x : kLastSlot);
+  if (wheel_size_ == 0 || slot < cursor_) cursor_ = slot;
+  std::vector<Event>& bucket = wheel_[slot % kWheelBuckets];
+  bucket.push_back(ev);
+  std::push_heap(bucket.begin(), bucket.end(), Later{});
+  ++wheel_size_;
+}
+
 void AsyncEngine::send_link(std::uint32_t link, std::uint32_t type,
                             std::uint32_t buffer) {
   const graph::VertexId from = from_[link];
@@ -134,7 +161,7 @@ void AsyncEngine::send_link(std::uint32_t link, std::uint32_t type,
   // Events pushed before run() depart at time 0; events pushed from inside a
   // callback depart at that event's time (the engine clock).
   const double delay = rng_.uniform(options_.min_delay, options_.max_delay);
-  heap_push(
+  wheel_push(
       Event{now_ + delay, next_sequence_++, buffer, trace_id, link, type});
 }
 
@@ -159,16 +186,35 @@ void AsyncEngine::schedule(double delay, std::uint64_t tag) {
 }
 
 double AsyncEngine::run(const OnDeliver& on_deliver, const OnTimer& on_timer) {
-  while (!lane_.empty() || !heap_.empty()) {
+  for (;;) {
+    // The earliest of three fronts: the wheel's first non-empty bucket, the
+    // timer heap and the timer lane. `top` is the heap whose top it is,
+    // unless the lane's comes first.
+    std::vector<Event>* top = nullptr;
+    if (wheel_size_ != 0) {
+      while (wheel_[cursor_ % kWheelBuckets].empty()) ++cursor_;
+      top = &wheel_[cursor_ % kWheelBuckets];
+    }
+    if (!heap_.empty() &&
+        (top == nullptr || Later{}(top->front(), heap_.front()))) {
+      top = &heap_;
+    }
     const bool lane_first =
         !lane_.empty() &&
-        (heap_.empty() || Later{}(heap_.front(), lane_.front()));
-    const Event ev = lane_first ? lane_.front() : heap_.front();
+        (top == nullptr || Later{}(top->front(), lane_.front()));
+    if (!lane_first && top == nullptr) break;
+    const Event ev = lane_first ? lane_.front() : top->front();
     if (lane_first) {
       lane_.pop_front();
     } else {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
+      std::pop_heap(top->begin(), top->end(), Later{});
+      top->pop_back();
+      if (ev.link != kTimerLink) {  // a wheel bucket
+        --wheel_size_;
+        if (top->empty() && top->capacity() > kBucketEvents) {
+          std::vector<Event>().swap(*top);
+        }
+      }
     }
     now_ = ev.time;
     const bool traced = obs::trace_active();

@@ -24,12 +24,21 @@ namespace tgc::sim {
 /// of `graph().neighbors(v)`, and `reverse(l)` is the opposite direction.
 /// Payload words live in pooled, reference-counted buffers; an event is a
 /// POD (a delivery over a link, or a timer with a 64-bit tag) ordered by
-/// (time, sequence), an order that is strict and total. Deliveries go to a
-/// binary heap. A timer due no earlier than every queued timer is appended
-/// to a FIFO timer lane, which that order keeps sorted; any other timer
-/// goes to the heap. run() pops whichever of the lane's front and the
-/// heap's top comes first, so events fire in exactly the order one queue of
-/// all of them would give.
+/// (time, sequence), an order that is strict and total.
+///
+/// Deliveries go to a time wheel (a calendar queue, Brown 1988): a ring of
+/// kWheelBuckets buckets, each a binary heap under that order, that holds a
+/// delivery due at time t in bucket ⌊t/w⌋ mod kWheelBuckets, with w =
+/// max_delay / (kWheelBuckets / 2). Every pending delivery is due within
+/// max_delay of the clock and the ring spans twice that, so no two pending
+/// slots share a bucket and the first non-empty bucket at or after the
+/// cursor holds the earliest delivery. Slots stop at 2^52, so turning a
+/// time into a slot stays defined at any clock; later times share the last
+/// bucket, whose heap orders them. A timer due no earlier than every
+/// queued timer is appended to a FIFO timer lane, which that order keeps
+/// sorted; any other timer goes to a binary heap. run() pops whichever of
+/// the wheel's, the lane's and the heap's front comes first, so events fire
+/// in exactly the order one queue of all of them would give.
 class AsyncEngine {
  public:
   struct Options {
@@ -118,7 +127,11 @@ class AsyncEngine {
     }
   };
 
+  /// The wheel: a power of two, so a slot's bucket is a mask away.
+  static constexpr std::size_t kWheelBuckets = 1024;
+
   void heap_push(const Event& ev);
+  void wheel_push(const Event& ev);
 
   const graph::Graph* g_;
   Options options_;
@@ -131,8 +144,14 @@ class AsyncEngine {
   std::vector<std::vector<std::uint32_t>> buffers_;
   std::vector<std::uint32_t> refs_;
   std::vector<std::uint32_t> free_buffers_;
-  std::vector<Event> heap_;  ///< binary heap under Later
+  double slots_per_time_ = 0.0;  ///< 1 / w
+  std::vector<std::vector<Event>> wheel_;  ///< deliveries, bucket heaps
+  std::size_t wheel_size_ = 0;
+  /// While the wheel holds deliveries: at or after the clock's slot, and at
+  /// or before every pending delivery's.
+  std::uint64_t cursor_ = 0;
   std::deque<Event> lane_;   ///< timers, sorted by Later's order
+  std::vector<Event> heap_;  ///< the other timers, a binary heap under Later
   std::uint64_t next_sequence_ = 0;
   double now_ = 0.0;  ///< simulation clock, advanced by run()
   std::size_t messages_lost_ = 0;

@@ -8,6 +8,7 @@
 // counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "async_reference.hpp"
@@ -261,6 +262,57 @@ TEST(AsyncDiff, MatchesReferenceRoundAtATimeWithDeactivation) {
                   .retransmit = 2.0,
                   .one_call = false,
                   .victim = 7});
+  }
+}
+
+/// The most sends in flight at once (sent, not yet delivered, dropped or
+/// lost) over a trace.
+std::size_t peak_in_flight(const std::vector<TraceRecord>& trace) {
+  std::size_t in_flight = 0;
+  std::size_t peak = 0;
+  for (const TraceRecord& e : trace) {
+    switch (e.kind) {
+      case obs::TraceKind::kSend:
+        peak = std::max(peak, ++in_flight);
+        break;
+      case obs::TraceKind::kDeliver:
+      case obs::TraceKind::kDrop:
+      case obs::TraceKind::kLoss:
+        --in_flight;
+        break;
+      default:
+        break;
+    }
+  }
+  return peak;
+}
+
+TEST(AsyncDiff, MatchesReferenceAtTheBenchmarksSettings) {
+  // The lossy distributed benchmark's link settings on a UDG of its size
+  // and density: over a thousand sends in flight at once, spread over the
+  // time wheel's buckets.
+  util::Rng rng(506);
+  const Graph g = gen::random_connected_udg(
+                      120, gen::side_for_average_degree(120, 1.0, 25.0), 1.0,
+                      rng)
+                      .graph;
+  const Case c{.seed = 8, .loss = 0.1, .rounds = 8};
+  const Outcome want = run_chatty<async_reference::AsyncEngine,
+                                  async_reference::AlphaSynchronizer>(g, c);
+  const Outcome got = run_chatty<AsyncEngine, AlphaSynchronizer>(g, c);
+  expect_same(want, got, describe(c));
+  EXPECT_GT(peak_in_flight(want.trace), 1000u);
+}
+
+TEST(AsyncDiff, MatchesReferenceAcrossAWideDelayRatio) {
+  // Delays from 0.001 to 5: a delivery can fall due in the bucket being
+  // drained while others wait most of a wheel revolution ahead.
+  const Graph g = test_network(507);
+  for (const std::uint64_t seed : {9ull, 10ull}) {
+    check(g, Case{.seed = seed,
+                  .loss = 0.2,
+                  .min_delay = 0.001,
+                  .max_delay = 5.0});
   }
 }
 

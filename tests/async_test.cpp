@@ -327,88 +327,144 @@ TEST(AsyncEngine, EqualTimeEventsFireInPushOrder) {
   }
 }
 
+/// Pushes events that carry their push index (a delivery's payload word, a
+/// timer's tag) and records every pop, so that a test can require the pops
+/// to come in strict (time, push index) order, each index once.
+struct PopLog {
+  explicit PopLog(AsyncEngine& e) : engine(e) {}
+
+  AsyncEngine& engine;
+  std::vector<VertexId> at;         ///< push index -> node the event reaches
+  std::vector<double> pushed_at;    ///< push index -> clock at the push
+  std::vector<char> is_timer;       ///< push index -> a timer
+  std::vector<std::pair<double, std::uint32_t>> popped;
+
+  std::uint32_t next(VertexId v, bool timer) {
+    at.push_back(v);
+    pushed_at.push_back(engine.now());
+    is_timer.push_back(timer);
+    return static_cast<std::uint32_t>(at.size() - 1);
+  }
+  /// Sends to the i-th neighbour of `from`.
+  void send(VertexId from, std::uint32_t i) {
+    const std::uint32_t id = next(engine.graph().neighbors(from)[i], false);
+    send_words(engine, from, i, 1, {id});
+  }
+  void arm(VertexId v, double delay) { engine.schedule(delay, next(v, true)); }
+  /// One run() call; `on_pop(id)` sees each pop after it is recorded.
+  template <typename OnPop>
+  void run(OnPop&& on_pop) {
+    engine.run(
+        [&](double now, const Delivery& msg) {
+          popped.emplace_back(now, msg.payload[0]);
+          on_pop(msg.payload[0]);
+        },
+        [&](std::uint64_t tag) {
+          popped.emplace_back(engine.now(), static_cast<std::uint32_t>(tag));
+          on_pop(static_cast<std::uint32_t>(tag));
+        });
+  }
+  /// Every push popped once, in strict (time, push index) order; returns
+  /// how many pops tie the previous pop's time.
+  std::size_t expect_strict_order() const {
+    EXPECT_EQ(popped.size(), at.size());
+    std::vector<bool> seen(at.size(), false);
+    std::size_t ties = 0;
+    for (std::size_t i = 0; i < popped.size(); ++i) {
+      const std::uint32_t id = popped[i].second;
+      if (id >= at.size() || seen[id]) {
+        ADD_FAILURE() << "event " << id << " popped twice or never pushed";
+        return ties;
+      }
+      seen[id] = true;
+      if (i == 0) continue;
+      if (!(popped[i - 1] < popped[i])) {
+        ADD_FAILURE() << "pop " << i << " (time " << popped[i].first
+                      << ", push " << id << ") follows (time "
+                      << popped[i - 1].first << ", push "
+                      << popped[i - 1].second << ")";
+        return ties;
+      }
+      if (popped[i - 1].first == popped[i].first) ++ties;
+    }
+    return ties;
+  }
+};
+
+Graph ring_graph(std::size_t n) {
+  GraphBuilder b(n);
+  for (VertexId v = 0; v < n; ++v) {
+    b.add_edge(v, static_cast<VertexId>((v + 1) % n));
+  }
+  return b.build();
+}
+
 TEST(AsyncEngine, ManyTimersAndDeliveriesPopInTimeThenPushOrder) {
   // ~100k events in one run(), a third of them timers, a few hundred
-  // pending at once. A timer due no earlier than every pending one goes to
-  // the timer lane; the rest go to the heap. The lane holds over a hundred
-  // timers at its peak and turns over more than twenty times, so its deque
-  // grows, allocates and frees blocks and re-centres its block map many
-  // times. Each event carries its push index (payload word or tag): the
-  // pops must come in strict (time, push index) order and cover every
-  // index once, with link delays that tie exactly and with ones that do
-  // not.
-  GraphBuilder b(8);
-  for (VertexId v = 0; v < 8; ++v) b.add_edge(v, (v + 1) % 8);
-  const Graph g = b.build();
+  // pending at once. Deliveries go to the time wheel; a timer due no
+  // earlier than the timer lane's tail is appended to the lane, any other
+  // timer goes to the heap. The model below routes every push the same
+  // way: the wheel holds over a hundred deliveries at its peak, the lane
+  // over a hundred timers (and turns over more than twenty times, so its
+  // deque grows, allocates and frees blocks and re-centres its block map
+  // many times), and thousands of timers take the heap. run() pops the
+  // earliest of the three fronts: the pops must come in strict (time, push
+  // index) order and cover every index once, with link delays that tie
+  // exactly and with ones that do not.
+  const Graph g = ring_graph(8);
   constexpr std::uint32_t kEvents = 100000;
   constexpr std::array<double, 3> kTimerDelays{0.5, 1.0, 4.0};
   for (const auto& [lo, hi] : {std::pair{1.0, 1.0}, std::pair{0.5, 1.5}}) {
     SCOPED_TRACE(testing::Message() << "delays [" << lo << ", " << hi << "]");
     AsyncEngine engine(g, {.min_delay = lo, .max_delay = hi, .seed = 5});
+    PopLog log(engine);
     util::Rng rng(77);
-    std::vector<VertexId> at;   // push index -> node the event reaches
-    std::vector<char> laned;    // push index -> a timer the lane takes
+    std::vector<char> laned;  // push index -> a timer the lane takes
     std::size_t live = 0;
-    std::size_t pending = 0;    // timers armed, not fired
-    double tail = 0.0;          // latest due time of a pending timer
+    std::size_t in_wheel = 0;
+    std::size_t peak_wheel = 0;
     std::size_t in_lane = 0;
+    double lane_tail = 0.0;  // due time of the lane's last timer
     std::size_t peak_lane = 0;
     std::size_t lane_timers = 0;
     std::size_t heap_timers = 0;
     const auto push_from = [&](VertexId v) {
-      const auto id = static_cast<std::uint32_t>(at.size());
       ++live;
       if (rng.next_below(3) != 0) {
-        const auto i = static_cast<std::uint32_t>(rng.next_below(2));
-        at.push_back(g.neighbors(v)[i]);
+        peak_wheel = std::max(peak_wheel, ++in_wheel);
         laned.push_back(0);
-        send_words(engine, v, i, 1, {id});
+        log.send(v, static_cast<std::uint32_t>(rng.next_below(2)));
         return;
       }
       const double delay = kTimerDelays[rng.next_below(kTimerDelays.size())];
       const double due = engine.now() + delay;
-      const bool lane = pending == 0 || due >= tail;
+      const bool lane = in_lane == 0 || due >= lane_tail;
       if (lane) {
-        tail = due;
+        lane_tail = due;
         peak_lane = std::max(peak_lane, ++in_lane);
         ++lane_timers;
       } else {
         ++heap_timers;
       }
-      ++pending;
-      at.push_back(v);
       laned.push_back(lane);
-      engine.schedule(delay, id);
+      log.arm(v, delay);
     };
     for (VertexId v = 0; v < 8; ++v) push_from(v);
-
-    std::vector<std::pair<double, std::uint32_t>> popped;
-    const auto on_pop = [&](std::uint32_t id) {
-      popped.emplace_back(engine.now(), id);
+    log.run([&](std::uint32_t id) {
       --live;
+      if (!log.is_timer[id]) {
+        --in_wheel;
+      } else if (laned[id]) {
+        --in_lane;
+      }
       // Two children below a few hundred live events, else zero or one.
       std::size_t children = live < 300 ? 2 : rng.next_below(2);
-      while (children-- > 0 && at.size() < kEvents) push_from(at[id]);
-    };
-    engine.run([&](double, const Delivery& msg) { on_pop(msg.payload[0]); },
-               [&](std::uint64_t tag) {
-                 --pending;
-                 if (laned[tag]) --in_lane;
-                 on_pop(static_cast<std::uint32_t>(tag));
-               });
+      while (children-- > 0 && log.at.size() < kEvents) push_from(log.at[id]);
+    });
 
-    ASSERT_EQ(at.size(), kEvents);
-    ASSERT_EQ(popped.size(), kEvents);
-    std::vector<bool> seen(kEvents, false);
-    std::size_t ties = 0;
-    for (std::size_t i = 0; i < popped.size(); ++i) {
-      const std::uint32_t id = popped[i].second;
-      ASSERT_FALSE(seen[id]) << "event " << id << " popped twice";
-      seen[id] = true;
-      if (i == 0) continue;
-      ASSERT_LT(popped[i - 1], popped[i]) << "pop " << i;
-      if (popped[i - 1].first == popped[i].first) ++ties;
-    }
+    ASSERT_EQ(log.at.size(), kEvents);
+    const std::size_t ties = log.expect_strict_order();
+    EXPECT_GT(peak_wheel, 100u);
     EXPECT_GT(peak_lane, 100u);
     EXPECT_GT(lane_timers, 20 * peak_lane);
     EXPECT_GT(heap_timers, 5000u);
@@ -416,6 +472,172 @@ TEST(AsyncEngine, ManyTimersAndDeliveriesPopInTimeThenPushOrder) {
       EXPECT_GT(ties, 50000u);
     }
   }
+}
+
+TEST(AsyncEngine, DeliveriesDueExactlyMaxDelayAheadPopInOrder) {
+  // min_delay == max_delay: every delivery is due exactly max_delay after
+  // the clock that sent it, the far edge of what the wheel must hold apart
+  // from the clock's own slot. Timers at random delays leave the clock off
+  // any slot boundary, and those due before the pending deliveries move
+  // it between their sends.
+  const Graph g = ring_graph(8);
+  constexpr double kDelay = 1.5;
+  AsyncEngine engine(g, {.min_delay = kDelay, .max_delay = kDelay, .seed = 3});
+  PopLog log(engine);
+  util::Rng rng(31);
+  std::size_t live = 0;
+  const auto push_from = [&](VertexId v) {
+    ++live;
+    if (rng.next_below(3) != 0) {
+      log.send(v, static_cast<std::uint32_t>(rng.next_below(2)));
+    } else {
+      log.arm(v, rng.uniform(1e-3, 2 * kDelay));
+    }
+  };
+  for (VertexId v = 0; v < 8; ++v) push_from(v);
+  log.run([&](std::uint32_t id) {
+    --live;
+    std::size_t children = live < 300 ? 2 : rng.next_below(2);
+    while (children-- > 0 && log.at.size() < 60000) push_from(log.at[id]);
+  });
+  ASSERT_EQ(log.at.size(), 60000u);
+  log.expect_strict_order();
+  std::size_t deliveries = 0;
+  for (const auto& [time, id] : log.popped) {
+    if (log.is_timer[id]) continue;
+    ++deliveries;
+    ASSERT_EQ(time, log.pushed_at[id] + kDelay) << "delivery " << id;
+  }
+  EXPECT_GT(deliveries, 30000u);
+}
+
+TEST(AsyncEngine, DeliveriesIntoTheDrainingBucketPopInOrder) {
+  // Delays down to 1e-6, far below the width of one wheel bucket
+  // (max_delay / 512): a delivery sent from a pop can fall due in the
+  // bucket being drained, before events already there.
+  const Graph g = ring_graph(8);
+  AsyncEngine engine(g, {.min_delay = 1e-6, .max_delay = 1.5, .seed = 9});
+  PopLog log(engine);
+  util::Rng rng(41);
+  std::size_t live = 0;
+  for (VertexId v = 0; v < 8; ++v, ++live) log.send(v, 0);
+  log.run([&](std::uint32_t id) {
+    --live;
+    std::size_t children = live < 300 ? 2 : rng.next_below(2);
+    for (; children > 0 && log.at.size() < 200000; --children, ++live) {
+      log.send(log.at[id], static_cast<std::uint32_t>(rng.next_below(2)));
+    }
+  });
+  ASSERT_EQ(log.at.size(), 200000u);
+  log.expect_strict_order();
+  std::size_t short_hops = 0;
+  for (const auto& [time, id] : log.popped) {
+    if (time - log.pushed_at[id] < 1e-3) ++short_hops;
+  }
+  EXPECT_GT(short_hops, 50u);
+}
+
+TEST(AsyncEngine, ThousandWheelRevolutionsAcrossRunCallsPopInOrder) {
+  // The wheel spans 2 * max_delay of sim time; four run() calls, each
+  // sending before it starts from the clock the last one left, carry the
+  // clock over a thousand revolutions. A quarter of the pushes are timers.
+  const Graph g = ring_graph(16);
+  constexpr double kMaxDelay = 1.5;
+  constexpr double kRevolution = 2 * kMaxDelay;
+  AsyncEngine engine(g, {.min_delay = 0.5, .max_delay = kMaxDelay, .seed = 13});
+  PopLog log(engine);
+  util::Rng rng(51);
+  constexpr std::array<double, 3> kTimerDelays{0.5, 1.0, 4.0};
+  const auto push_from = [&](VertexId v) {
+    if (rng.next_below(4) != 0) {
+      log.send(v, static_cast<std::uint32_t>(rng.next_below(2)));
+    } else {
+      log.arm(v, kTimerDelays[rng.next_below(kTimerDelays.size())]);
+    }
+  };
+  for (int call = 0; call < 4; ++call) {
+    const double horizon = engine.now() + 255 * kRevolution;
+    for (VertexId v = 0; v < 16; ++v) log.send(v, 0);
+    log.run([&](std::uint32_t id) {
+      if (engine.now() < horizon) push_from(log.at[id]);
+    });
+    EXPECT_GE(engine.now(), horizon);
+  }
+  EXPECT_GE(engine.now(), 1000 * kRevolution);
+  log.expect_strict_order();
+}
+
+TEST(AsyncEngine, FiftyThousandDeliveriesOnOneInstantPopInPushOrder) {
+  // min_delay == max_delay: 60,000 deliveries queued before run() all fall
+  // due at t = 1 and share one bucket; the first 5,000 pops each send a
+  // delivery and arm a timer that tie again at t = 2.
+  const Graph g = path_graph(2);
+  AsyncEngine engine(g, {.min_delay = 1.0, .max_delay = 1.0, .seed = 2});
+  PopLog log(engine);
+  constexpr std::uint32_t kWave = 60000;
+  for (std::uint32_t i = 0; i < kWave; ++i) log.send(i % 2, 0);
+  log.run([&](std::uint32_t id) {
+    if (id < 5000) {
+      log.send(log.at[id], 0);
+      log.arm(log.at[id], 1.0);
+    }
+  });
+  ASSERT_EQ(log.at.size(), kWave + 10000u);
+  EXPECT_EQ(log.expect_strict_order(), kWave + 10000u - 2);
+  EXPECT_EQ(log.popped[kWave - 1], std::pair(1.0, kWave - 1));
+  EXPECT_EQ(log.popped[kWave], std::pair(2.0, kWave));
+}
+
+TEST(AsyncEngine, HugeClocksKeepTheOrder) {
+  // A timer chain moves the clock to 1 before t = 3 * 2^42, where t / w
+  // (w = max_delay / 512) reaches 2^52 and the wheel's slots stop growing,
+  // then a quarter and 1e11 further, then by 1e300 twice: there every
+  // delay is absorbed, so each delivery falls due on the timer's own
+  // instant. After each timer, 32 deliveries cascade for three
+  // generations, so the first cascades straddle the last slot. The pops
+  // keep their strict order and every slot is a defined conversion (the
+  // sanitizer lane traps a float-to-integer overflow).
+  const Graph g = ring_graph(8);
+  AsyncEngine engine(g, {.seed = 21});
+  PopLog log(engine);
+  util::Rng rng(61);
+  const std::array<double, 5> kTimerDelays{3.0 * 4398046511104.0 - 1.0, 0.25,
+                                           1e11, 1e300, 1e300};
+  std::vector<int> generation;
+  std::size_t next_timer = 0;
+  const auto arm_next = [&] {
+    if (next_timer == kTimerDelays.size()) return;
+    generation.push_back(0);
+    log.arm(0, kTimerDelays[next_timer++]);
+  };
+  arm_next();
+  log.run([&](std::uint32_t id) {
+    if (log.is_timer[id]) {
+      for (std::uint32_t i = 0; i < 32; ++i) {
+        generation.push_back(1);
+        log.send(i % 8, i % 2);
+      }
+      arm_next();
+      return;
+    }
+    if (generation[id] == 3) return;
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      generation.push_back(generation[id] + 1);
+      log.send(log.at[id], static_cast<std::uint32_t>(rng.next_below(2)));
+    }
+  });
+  EXPECT_EQ(next_timer, kTimerDelays.size());
+  ASSERT_EQ(log.at.size(), kTimerDelays.size() * (1 + 32 * 7));
+  log.expect_strict_order();
+  EXPECT_GE(engine.now(), 2e300);
+  // At the 1e300 clocks every delivery ties with the timer before it.
+  std::size_t ties_at_huge = 0;
+  for (const auto& [time, id] : log.popped) {
+    if (time > 1e299 && !log.is_timer[id] && time == log.pushed_at[id]) {
+      ++ties_at_huge;
+    }
+  }
+  EXPECT_EQ(ties_at_huge, 2u * 32 * 7);
 }
 
 TEST(AlphaSynchronizer, LossAndRetransmitCountersReachRegistry) {

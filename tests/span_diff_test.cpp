@@ -33,14 +33,24 @@ struct Work {
   std::uint64_t candidates = 0;
   std::uint64_t pivots = 0;
   friend bool operator==(const Work&, const Work&) = default;
+  Work& operator+=(const Work& w) {
+    candidates += w.candidates;
+    pivots += w.pivots;
+    return *this;
+  }
 };
 
-/// The kernel counters `fn` adds.
+/// The kernel counters `fn` adds. Telemetry is on while `fn` runs (with it
+/// off, obs::add counts nothing and every delta would read 0) and back in
+/// its previous state afterwards.
 template <typename Fn>
 Work counted(Fn&& fn) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
   const obs::Metrics before = obs::snapshot();
   fn();
   const obs::Metrics delta = obs::snapshot() - before;
+  obs::set_enabled(was_enabled);
   return {delta.get(obs::CounterId::kHortonCandidates),
           delta.get(obs::CounterId::kGf2Pivots)};
 }
@@ -119,6 +129,7 @@ class SpanDiff : public ::testing::Test {
     EXPECT_EQ(scratch_.elim.rank(), ref.rank) << what;
     EXPECT_EQ(work, ref_work) << what << ": kernel " << describe(work)
                               << ", reference " << describe(ref_work);
+    ref_work_ += ref_work;
     ++(ref.verdict ? spanning_ : vetoed_);
     return ref.verdict;
   }
@@ -139,6 +150,7 @@ class SpanDiff : public ::testing::Test {
     EXPECT_EQ(scratch_.elim.rank(), ref.rank) << what;
     EXPECT_EQ(work, ref_work) << what << ": kernel " << describe(work)
                               << ", reference " << describe(ref_work);
+    ref_work_ += ref_work;
     ++(ref.verdict ? contained_ : not_contained_);
     ++cases_;
   }
@@ -151,7 +163,14 @@ class SpanDiff : public ::testing::Test {
                            what + " random vector");
   }
 
+  /// The work comparisons are only as strong as the counts they compare.
+  void TearDown() override {
+    EXPECT_GT(ref_work_.candidates, 0u);
+    EXPECT_GT(ref_work_.pivots, 0u);
+  }
+
   cycle::SpanScratch scratch_;
+  Work ref_work_;  ///< summed over every comparison
   std::size_t cases_ = 0;
   std::size_t spanning_ = 0;
   std::size_t vetoed_ = 0;
@@ -214,8 +233,9 @@ TEST_F(SpanDiff, PuncturedUdgBallsMatchDenseReference) {
         });
         ASSERT_EQ(view.num_edges(), ball.num_edges()) << what;
         const std::size_t nu = graph::cycle_space_dimension(ball);
-        const auto graph_work = counted(
+        const Work graph_work = counted(
             [&] { (void)span_reference::short_cycles_span(ball, tau); });
+        ref_work_ += graph_work;
         bool got = false;
         scratch_.elim.reset(0);
         EXPECT_EQ(counted([&] {
@@ -291,6 +311,7 @@ TEST(SpanDiffEliminator, RandomRowsMatchDenseReference) {
   util::Gf2Eliminator elim;  // reset between trials, never rebuilt
   const std::size_t dims[] = {1, 5, 63, 64, 65, 127, 128, 129, 200, 321};
   std::vector<std::uint32_t> bits;
+  std::uint64_t ref_pivots = 0;  // the inserts' work comparisons are not void
   for (std::size_t trial = 0; trial < 240; ++trial) {
     const std::size_t dim =
         trial % 2 == 0 ? dims[trial / 2 % 10] : 1 + rng.next_below(400);
@@ -314,6 +335,7 @@ TEST(SpanDiffEliminator, RandomRowsMatchDenseReference) {
       });
       ASSERT_EQ(got, expected) << what << " row " << r;
       ASSERT_EQ(work, ref_work) << what << " row " << r;
+      ref_pivots += ref_work.pivots;
       ASSERT_EQ(elim.rank(), ref.rank()) << what << " row " << r;
       inserted.push_back(v);
     }
@@ -343,6 +365,7 @@ TEST(SpanDiffEliminator, RandomRowsMatchDenseReference) {
       }
     }
   }
+  EXPECT_GT(ref_pivots, 0u);
 }
 
 }  // namespace
