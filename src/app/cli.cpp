@@ -66,17 +66,11 @@ core::Network network_of(gen::Deployment dep, double band) {
   return core::prepare_network(std::move(dep), band);
 }
 
-/// Loads a node mask (awake set or crash set) for `net`, rejecting one whose
-/// node count differs from the network's: every command indexes the mask by
-/// the network's node ids.
+/// Loads a node mask (awake set or crash set) for `net`; one whose node
+/// count differs from the network's is refused.
 std::vector<bool> load_mask_for(const std::string& path,
                                 const core::Network& net) {
-  std::vector<bool> mask = io::load_mask(path);
-  TGC_CHECK_MSG(mask.size() == net.dep.graph.num_vertices(),
-                "mask '" << path << "' has " << mask.size()
-                         << " nodes but the network has "
-                         << net.dep.graph.num_vertices());
-  return mask;
+  return io::load_mask(path, net.dep.graph.num_vertices());
 }
 
 // ----------------------------------------------------------- shared flags

@@ -5,6 +5,8 @@
 #include "tgcover/core/confine.hpp"
 #include "tgcover/core/criterion.hpp"
 #include "tgcover/geom/coverage.hpp"
+#include "tgcover/graph/algorithms.hpp"
+#include "tgcover/graph/subgraph.hpp"
 #include "tgcover/obs/cost.hpp"
 #include "tgcover/util/check.hpp"
 
@@ -14,34 +16,6 @@ namespace {
 
 /// k-coverage histogram buckets: exactly 0..7 covering disks, then ≥ 8.
 constexpr std::size_t kQualityKMax = 8;
-
-/// Connected components of the awake-induced subgraph. The graph library's
-/// component helpers operate on whole graphs; the audit needs the masked
-/// count without materializing a filtered copy every sampled round.
-std::uint64_t awake_components(const graph::Graph& g,
-                               const std::vector<bool>& active) {
-  const std::size_t n = g.num_vertices();
-  std::vector<char> seen(n, 0);
-  std::vector<graph::VertexId> stack;
-  std::uint64_t components = 0;
-  for (graph::VertexId s = 0; s < n; ++s) {
-    if (!active[s] || seen[s]) continue;
-    ++components;
-    seen[s] = 1;
-    stack.assign(1, s);
-    while (!stack.empty()) {
-      const graph::VertexId u = stack.back();
-      stack.pop_back();
-      for (const graph::VertexId w : g.neighbors(u)) {
-        if (active[w] && !seen[w]) {
-          seen[w] = 1;
-          stack.push_back(w);
-        }
-      }
-    }
-  }
-  return components;
-}
 
 }  // namespace
 
@@ -72,7 +46,12 @@ obs::QualityProbeResult probe_network_quality(const core::Network& net,
   r.k_histogram.assign(cov.k_histogram.begin(), cov.k_histogram.end());
   r.redundancy = cov.redundancy();
 
-  r.components = awake_components(net.dep.graph, active);
+  // Each asleep node is an isolated vertex of the filtered graph.
+  std::size_t components = 0;
+  graph::connected_components(graph::filter_active(net.dep.graph, active),
+                              &components);
+  const auto asleep = std::count(active.begin(), active.end(), false);
+  r.components = components - static_cast<std::size_t>(asleep);
 
   // A crash that severs CB yields certifiable_tau = 0 (no τ certifies).
   r.certifiable_tau = core::smallest_certifiable_tau(

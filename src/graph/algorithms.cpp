@@ -1,7 +1,6 @@
 #include "tgcover/graph/algorithms.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "tgcover/util/check.hpp"
 
@@ -10,47 +9,11 @@ namespace tgc::graph {
 std::vector<std::uint32_t> bfs_distances(const Graph& g, VertexId src,
                                          std::uint32_t max_depth) {
   TGC_CHECK(src < g.num_vertices());
+  BoundedBfs bfs;
+  bfs.run(g, {&src, 1}, max_depth, [](VertexId, EdgeId) { return true; });
   std::vector<std::uint32_t> dist(g.num_vertices(), kUnreached);
-  dist[src] = 0;
-  std::deque<VertexId> queue{src};
-  while (!queue.empty()) {
-    const VertexId u = queue.front();
-    queue.pop_front();
-    if (dist[u] == max_depth) continue;
-    for (const VertexId w : g.neighbors(u)) {
-      if (dist[w] == kUnreached) {
-        dist[w] = dist[u] + 1;
-        queue.push_back(w);
-      }
-    }
-  }
+  for (const VertexId v : bfs.reached()) dist[v] = bfs.depth(v);
   return dist;
-}
-
-std::vector<std::uint32_t> connected_components(const Graph& g,
-                                                std::size_t* count) {
-  const std::size_t n = g.num_vertices();
-  std::vector<std::uint32_t> label(n, kUnreached);
-  std::uint32_t next = 0;
-  std::vector<VertexId> stack;
-  for (VertexId s = 0; s < n; ++s) {
-    if (label[s] != kUnreached) continue;
-    label[s] = next;
-    stack.push_back(s);
-    while (!stack.empty()) {
-      const VertexId u = stack.back();
-      stack.pop_back();
-      for (const VertexId w : g.neighbors(u)) {
-        if (label[w] == kUnreached) {
-          label[w] = next;
-          stack.push_back(w);
-        }
-      }
-    }
-    ++next;
-  }
-  if (count != nullptr) *count = next;
-  return label;
 }
 
 bool is_connected(const Graph& g) {
@@ -77,18 +40,12 @@ std::vector<bool> largest_component_mask(const Graph& g) {
 }
 
 std::vector<VertexId> k_hop_neighbors(const Graph& g, VertexId v, unsigned k) {
-  const auto dist = bfs_distances(g, v, k);
-  std::vector<VertexId> out;
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    if (u != v && dist[u] != kUnreached) out.push_back(u);
-  }
+  TGC_CHECK(v < g.num_vertices());
+  BoundedBfs bfs;
+  bfs.run(g, {&v, 1}, k, [](VertexId, EdgeId) { return true; });
+  std::vector<VertexId> out(bfs.reached().begin() + 1, bfs.reached().end());
+  std::sort(out.begin(), out.end());
   return out;
-}
-
-std::size_t cycle_space_dimension(const Graph& g) {
-  std::size_t components = 0;
-  connected_components(g, &components);
-  return g.num_edges() + components - g.num_vertices();
 }
 
 VertexId ShortestPathTree::lca(VertexId x, VertexId y) const {

@@ -7,10 +7,13 @@
 namespace tgc::graph {
 
 std::optional<EdgeId> Graph::edge_between(VertexId u, VertexId v) const {
-  if (u == v) return std::nullopt;
-  const auto it = edge_index_.find(detail::edge_key(u, v));
-  if (it == edge_index_.end()) return std::nullopt;
-  return it->second;
+  if (u == v || u >= num_vertices() || v >= num_vertices()) return std::nullopt;
+  // A cone apex can have hundreds of neighbours; search the shorter row.
+  if (degree(u) > degree(v)) std::swap(u, v);
+  const auto row = neighbors(u);
+  const auto it = std::lower_bound(row.begin(), row.end(), v);
+  if (it == row.end() || *it != v) return std::nullopt;
+  return incident_edges(u)[static_cast<std::size_t>(it - row.begin())];
 }
 
 GraphBuilder::GraphBuilder(std::size_t num_vertices) : n_(num_vertices) {}
@@ -19,28 +22,17 @@ bool GraphBuilder::add_edge(VertexId u, VertexId v) {
   TGC_CHECK_MSG(u < n_ && v < n_, "edge (" << u << "," << v
                                            << ") out of range, n=" << n_);
   if (u == v) return false;
-  const std::uint64_t key = detail::edge_key(u, v);
-  if (edge_index_.count(key) > 0) return false;
-  edge_index_.emplace(key, static_cast<EdgeId>(edges_.size()));
-  edges_.emplace_back(std::min(u, v), std::max(u, v));
+  if (u > v) std::swap(u, v);
+  if (!seen_.insert((static_cast<std::uint64_t>(u) << 32) | v).second) {
+    return false;
+  }
+  edges_.emplace_back(u, v);
   return true;
-}
-
-bool GraphBuilder::has_edge(VertexId u, VertexId v) const {
-  if (u == v) return false;
-  return edge_index_.count(detail::edge_key(u, v)) > 0;
-}
-
-void GraphBuilder::reset(std::size_t num_vertices) {
-  n_ = num_vertices;
-  edges_.clear();
-  edge_index_.clear();  // keeps the bucket array
 }
 
 Graph GraphBuilder::build() const {
   Graph g;
   g.edges_ = edges_;
-  g.edge_index_ = edge_index_;
   g.offsets_.assign(n_ + 1, 0);
   for (const auto& [u, v] : edges_) {
     ++g.offsets_[u + 1];

@@ -20,45 +20,43 @@ std::vector<std::uint32_t> bfs_distances(const Graph& g, VertexId src,
                                          std::uint32_t max_depth = kUnreached);
 
 /// Connected-component labels (0-based); `count` receives the number of
-/// components. Isolated vertices form their own components.
-std::vector<std::uint32_t> connected_components(const Graph& g,
-                                                std::size_t* count = nullptr);
-
-bool is_connected(const Graph& g);
-
-/// Generic overloads over any Graph-like type exposing num_vertices /
-/// num_edges / neighbors / incident_edges (Graph, BallView). The span
-/// kernel's BallView overload runs these on arena-backed ball views; the
-/// non-template Graph overloads stay preferred for Graph arguments.
+/// components. Isolated vertices form their own components. Generic over
+/// Graph-like types (Graph, BallView — the span kernel's ball views).
 template <typename G>
-std::size_t count_components(const G& g) {
+std::vector<std::uint32_t> connected_components(const G& g,
+                                                std::size_t* count = nullptr) {
   const std::size_t n = g.num_vertices();
-  std::vector<bool> seen(n, false);
-  std::size_t components = 0;
+  std::vector<std::uint32_t> label(n, kUnreached);
+  std::uint32_t next = 0;
   std::vector<VertexId> stack;
   for (VertexId s = 0; s < n; ++s) {
-    if (seen[s]) continue;
-    seen[s] = true;
+    if (label[s] != kUnreached) continue;
+    label[s] = next;
     stack.push_back(s);
     while (!stack.empty()) {
       const VertexId u = stack.back();
       stack.pop_back();
       for (const VertexId w : g.neighbors(u)) {
-        if (!seen[w]) {
-          seen[w] = true;
+        if (label[w] == kUnreached) {
+          label[w] = next;
           stack.push_back(w);
         }
       }
     }
-    ++components;
+    ++next;
   }
-  return components;
+  if (count != nullptr) *count = next;
+  return label;
 }
+
+bool is_connected(const Graph& g);
 
 /// Dimension of the GF(2) cycle space: |E| - |V| + #components.
 template <typename G>
 std::size_t cycle_space_dimension(const G& g) {
-  return g.num_edges() + count_components(g) - g.num_vertices();
+  std::size_t components = 0;
+  connected_components(g, &components);
+  return g.num_edges() + components - g.num_vertices();
 }
 
 /// Mask of the vertices in the largest connected component (ties broken
@@ -120,6 +118,10 @@ class BoundedBfs {
   /// True iff the depth bound stopped the search: some vertex at the bound
   /// has a neighbour the relay admits that was not reached.
   bool cut_off() const { return cut_off_; }
+  /// Hops from `v` to the nearest source (kUnreached if not reached).
+  std::uint32_t depth(VertexId v) const {
+    return depth_.contains(v) ? depth_.get(v) : kUnreached;
+  }
 
  private:
   util::StampedArray<std::uint32_t> depth_;
@@ -127,9 +129,6 @@ class BoundedBfs {
   std::size_t num_sources_ = 0;
   bool cut_off_ = false;
 };
-
-/// Dimension of the GF(2) cycle space: |E| - |V| + #components.
-std::size_t cycle_space_dimension(const Graph& g);
 
 /// Shortest-path tree with deterministic lexicographic tie-breaking: among
 /// equal-depth parents the smallest vertex id wins. Horton's MCB algorithm

@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -24,7 +24,8 @@ inline constexpr EdgeId kInvalidEdge = static_cast<EdgeId>(-1);
 /// incidence vectors of the cycle space.
 ///
 /// Adjacency lists are sorted by neighbor id; several algorithms (lexicographic
-/// shortest-path trees, triangle enumeration) rely on that.
+/// shortest-path trees, triangle enumeration) and `edge_between` rely on
+/// that. The four CSR arrays are all a Graph holds.
 class Graph {
  public:
   Graph() = default;
@@ -50,6 +51,8 @@ class Graph {
     return edge_between(u, v).has_value();
   }
 
+  /// Id of the edge {u, v}, or nullopt when there is none (u == v and ids
+  /// ≥ n included): a binary search on the lower-degree endpoint's row.
   std::optional<EdgeId> edge_between(VertexId u, VertexId v) const;
 
   double average_degree() const {
@@ -66,7 +69,6 @@ class Graph {
   std::vector<VertexId> adjacency_;        // 2m
   std::vector<EdgeId> adjacency_edge_;     // 2m, parallel to adjacency_
   std::vector<std::pair<VertexId, VertexId>> edges_;  // m, (min, max)
-  std::unordered_map<std::uint64_t, EdgeId> edge_index_;
 };
 
 /// Mutable accumulator for Graph. Deduplicates edges and drops self-loops.
@@ -80,26 +82,12 @@ class GraphBuilder {
   /// Returns true iff the edge was new (not a duplicate or self-loop).
   bool add_edge(VertexId u, VertexId v);
 
-  bool has_edge(VertexId u, VertexId v) const;
-
-  /// Re-targets the builder at a fresh `num_vertices`-vertex graph while
-  /// keeping the edge-list and dedup-table allocations. The VPT workspace
-  /// builds thousands of small punctured neighbourhoods through one builder.
-  void reset(std::size_t num_vertices);
-
   Graph build() const;
 
  private:
   std::size_t n_;
   std::vector<std::pair<VertexId, VertexId>> edges_;
-  std::unordered_map<std::uint64_t, EdgeId> edge_index_;
+  std::unordered_set<std::uint64_t> seen_;  // (min << 32) | max per edge
 };
-
-namespace detail {
-inline std::uint64_t edge_key(VertexId u, VertexId v) {
-  if (u > v) std::swap(u, v);
-  return (static_cast<std::uint64_t>(u) << 32) | v;
-}
-}  // namespace detail
 
 }  // namespace tgc::graph

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <iosfwd>
@@ -27,6 +28,9 @@ namespace tgc::io {
 ///   tgcover-mask 1
 ///   nodes <n>
 ///   set <id>                  ... one line per set bit
+///
+/// Blank and `#` lines are skipped; any other deviation is a CheckError
+/// naming the line.
 void save_deployment(const gen::Deployment& dep, std::ostream& out);
 void save_deployment(const gen::Deployment& dep, const std::string& path);
 
@@ -36,8 +40,10 @@ gen::Deployment load_deployment(const std::string& path);
 void save_mask(const std::vector<bool>& mask, std::ostream& out);
 void save_mask(const std::vector<bool>& mask, const std::string& path);
 
-std::vector<bool> load_mask(std::istream& in);
-std::vector<bool> load_mask(const std::string& path);
+/// Loads a mask for a `nodes`-node network; a header declaring another
+/// node count is refused before anything is allocated.
+std::vector<bool> load_mask(std::istream& in, std::size_t nodes);
+std::vector<bool> load_mask(const std::string& path, std::size_t nodes);
 
 /// FNV-1a 64 digest of the mask's serialized form (the exact bytes
 /// `save_mask` writes). `tgcover schedule` prints it and `tgcover fleet`

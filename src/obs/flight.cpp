@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -73,36 +74,68 @@ std::vector<FlightRecord> collect_records() {
   return records;
 }
 
-void write_record_json(std::ostream& out, const FlightRecord& rec) {
-  out << "{\"type\":\"flight\",\"seq\":" << rec.seq << ",\"level\":\""
-      << log_level_name(rec.level) << "\",\"msg\":\"" << json_escape(rec.text)
-      << "\"}\n";
+/// The longest line `format_record` writes: every text byte escaped to six.
+constexpr std::size_t kMaxRecordLine = 6 * kFlightMaxText + 96;
+
+/// Writes `rec`'s `{"type":"flight",...}` line into `line` and returns its
+/// length, the text escaped as json_escape escapes it. It neither allocates
+/// nor locks, so both dump paths format records with it.
+std::size_t format_record(const FlightRecord& rec, char* line) {
+  std::size_t n = 0;
+  const auto put = [&](std::string_view chars) {
+    n += chars.copy(line + n, chars.size());
+  };
+  put("{\"type\":\"flight\",\"seq\":");
+  n = static_cast<std::size_t>(
+      std::to_chars(line + n, line + kMaxRecordLine, rec.seq).ptr - line);
+  put(",\"level\":\"");
+  put(log_level_name(rec.level));
+  put("\",\"msg\":\"");
+  for (const char c :
+       std::string_view(rec.text, strnlen(rec.text, kFlightMaxText))) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte < 0x20) {
+      put("\\u00");
+      line[n++] = "0123456789abcdef"[byte >> 4];
+      line[n++] = "0123456789abcdef"[byte & 0xf];
+      continue;
+    }
+    if (c == '"' || c == '\\') line[n++] = '\\';
+    line[n++] = c;
+  }
+  put("\"}\n");
+  return n;
 }
 
 #if TGC_FLIGHT_POSIX
 
 /// Best-effort dump from a fatal-signal handler: no locks, no allocation,
-/// snprintf into a stack buffer and write(2) to stderr. Reading other
-/// threads' rings here is racy by design — a torn final record beats no
-/// post-mortem at all.
+/// a stack buffer and write(2) to stderr. Reading other threads' rings here
+/// is racy by design — a torn final record beats no post-mortem at all.
 void dump_to_fd(int fd, int sig) {
-  char buf[kFlightMaxText + 96];
+  char buf[kMaxRecordLine];
   int n = std::snprintf(buf, sizeof(buf),
                         "{\"type\":\"flight_dump\",\"reason\":\"signal %d\"}\n",
                         sig);
   if (n > 0) (void)!write(fd, buf, static_cast<std::size_t>(n));
   FlightRegistry& r = flight_registry();
-  // No registry lock: taking a mutex in a signal handler can deadlock.
-  for (const Ring& ring : r.rings) {
-    for (const FlightRecord& rec : ring.slots) {
-      if (rec.seq == 0) continue;
-      n = std::snprintf(buf, sizeof(buf),
-                        "{\"type\":\"flight\",\"seq\":%llu,\"level\":\"%s\","
-                        "\"msg\":\"%s\"}\n",
-                        static_cast<unsigned long long>(rec.seq),
-                        log_level_name(rec.level).data(), rec.text);
-      if (n > 0) (void)!write(fd, buf, static_cast<std::size_t>(n));
+  // No registry lock (taking a mutex in a signal handler can deadlock) and
+  // no sort buffer: each pass writes the record with the smallest seq above
+  // the last one written, up to the newest seq when the dump began.
+  const std::uint64_t newest = r.seq.load(std::memory_order_relaxed);
+  for (std::uint64_t last = 0;;) {
+    const FlightRecord* next = nullptr;
+    for (const Ring& ring : r.rings) {
+      for (const FlightRecord& rec : ring.slots) {
+        if (rec.seq > last && rec.seq <= newest &&
+            (next == nullptr || rec.seq < next->seq)) {
+          next = &rec;
+        }
+      }
     }
+    if (next == nullptr) return;
+    last = next->seq;
+    (void)!write(fd, buf, format_record(*next, buf));
   }
 }
 
@@ -149,7 +182,10 @@ void flight_dump(std::ostream& out, std::string_view reason) {
   const std::vector<FlightRecord> records = collect_records();
   out << "{\"type\":\"flight_dump\",\"reason\":\"" << json_escape(reason)
       << "\",\"records\":" << records.size() << "}\n";
-  for (const FlightRecord& rec : records) write_record_json(out, rec);
+  char line[kMaxRecordLine];
+  for (const FlightRecord& rec : records) {
+    out.write(line, static_cast<std::streamsize>(format_record(rec, line)));
+  }
 }
 
 void flight_clear() {

@@ -35,33 +35,17 @@ ActiveCounts count_active(const Graph& g, const std::vector<bool>& active,
   return c;
 }
 
-/// BFS connectivity over active vertices, skipping `skip`.
+/// Connectivity over active vertices, skipping `skip`.
 bool connected_active(const Graph& g, const std::vector<bool>& active,
                       VertexId skip, std::size_t active_count) {
   if (active_count <= 1) return true;
-  VertexId start = graph::kInvalidVertex;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (active[v] && v != skip) {
-      start = v;
-      break;
-    }
-  }
-  std::vector<bool> visited(g.num_vertices(), false);
-  std::vector<VertexId> stack{start};
-  visited[start] = true;
-  std::size_t seen = 1;
-  while (!stack.empty()) {
-    const VertexId u = stack.back();
-    stack.pop_back();
-    for (const VertexId w : g.neighbors(u)) {
-      if (!visited[w] && active[w] && w != skip) {
-        visited[w] = true;
-        ++seen;
-        stack.push_back(w);
-      }
-    }
-  }
-  return seen == active_count;
+  VertexId start = 0;
+  while (!active[start] || start == skip) ++start;
+  graph::BoundedBfs reach;
+  reach.run(g, {&start, 1}, graph::kUnreached, [&](VertexId w, graph::EdgeId) {
+    return active[w] && w != skip;
+  });
+  return reach.reached().size() == active_count;
 }
 
 /// Does the active sub-complex (minus `skip`) have trivial H1? Triangles are

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 #include "tgcover/gen/deployments.hpp"
@@ -82,6 +83,62 @@ TEST(Graph, EdgeBetween) {
   }
   EXPECT_FALSE(g.edge_between(0, 2).has_value());
   EXPECT_FALSE(g.edge_between(3, 3).has_value());
+
+  // Random graphs with a hub of degree ≥ 100 and isolated vertices, built
+  // with duplicate and reversed insertions: for every pair, ids ≥ n and
+  // u == v included, edge_between must return the id a scan over edge(e)
+  // finds, and that id is the one the pair's first insertion received.
+  util::Rng rng(32);
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t n = 150 + rng.next_below(50);
+    const std::size_t connected = n - 6;  // the last 6 vertices stay isolated
+    const auto hub = static_cast<VertexId>(rng.next_below(connected));
+    GraphBuilder b(n);
+    std::vector<std::pair<VertexId, VertexId>> first;  // per fresh edge id
+    std::vector<std::pair<VertexId, VertexId>> added;
+    const auto add = [&](VertexId u, VertexId v) {
+      if (b.add_edge(u, v)) first.emplace_back(u, v);
+      added.emplace_back(u, v);
+    };
+    for (VertexId v = 0; v < connected; ++v) {
+      if (v != hub && rng.bernoulli(0.9)) add(v, hub);
+    }
+    for (std::size_t i = 0; i < 3 * n; ++i) {
+      const auto u = static_cast<VertexId>(rng.next_below(connected));
+      const auto v = static_cast<VertexId>(rng.next_below(connected));
+      add(u, v);
+      if (rng.bernoulli(0.3)) add(v, u);
+    }
+    for (std::size_t i = 0; i < n; ++i) {  // late duplicates, either order
+      const auto [u, v] = added[rng.next_below(added.size())];
+      if (rng.bernoulli(0.5)) {
+        add(u, v);
+      } else {
+        add(v, u);
+      }
+    }
+    const Graph g = b.build();
+    ASSERT_GE(g.degree(hub), 100u);
+    ASSERT_EQ(g.num_edges(), first.size());
+
+    const std::size_t span = n + 2;
+    std::vector<std::optional<EdgeId>> scan(span * span);
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const auto [u, v] = g.edge(e);
+      scan[u * span + v] = scan[v * span + u] = e;
+    }
+    for (VertexId u = 0; u < span; ++u) {
+      for (VertexId v = 0; v < span; ++v) {
+        ASSERT_EQ(g.edge_between(u, v), scan[u * span + v]) << u << " " << v;
+        ASSERT_EQ(g.has_edge(u, v), scan[u * span + v].has_value());
+      }
+      EXPECT_FALSE(g.edge_between(u, kInvalidVertex).has_value());
+    }
+    for (EdgeId e = 0; e < first.size(); ++e) {
+      EXPECT_EQ(g.edge_between(first[e].first, first[e].second), e);
+      EXPECT_EQ(g.edge_between(first[e].second, first[e].first), e);
+    }
+  }
 }
 
 TEST(Graph, DegreeAndAverageDegree) {

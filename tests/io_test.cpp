@@ -55,14 +55,14 @@ TEST(NetworkIo, MaskRoundTrip) {
   mask[0] = mask[7] = mask[49] = true;
   std::stringstream buffer;
   save_mask(mask, buffer);
-  EXPECT_EQ(load_mask(buffer), mask);
+  EXPECT_EQ(load_mask(buffer, 50), mask);
 }
 
 TEST(NetworkIo, EmptyMaskRoundTrip) {
   const std::vector<bool> mask(10, false);
   std::stringstream buffer;
   save_mask(mask, buffer);
-  EXPECT_EQ(load_mask(buffer), mask);
+  EXPECT_EQ(load_mask(buffer, 10), mask);
 }
 
 TEST(NetworkIo, RejectsWrongHeader) {
@@ -82,7 +82,7 @@ TEST(NetworkIo, RejectsTruncatedFile) {
 
 TEST(NetworkIo, RejectsOutOfRangeMaskId) {
   std::stringstream buffer("tgcover-mask 1\nnodes 3\nset 9\n");
-  EXPECT_THROW(load_mask(buffer), tgc::CheckError);
+  EXPECT_THROW(load_mask(buffer, 3), tgc::CheckError);
 }
 
 TEST(NetworkIo, IgnoresCommentsAndBlankLines) {
@@ -92,8 +92,132 @@ TEST(NetworkIo, IgnoresCommentsAndBlankLines) {
       "# sizes\n"
       "nodes 4\n\n"
       "set 2\n");
-  const auto mask = load_mask(buffer);
+  const auto mask = load_mask(buffer, 4);
   EXPECT_EQ(mask, (std::vector<bool>{false, false, true, false}));
+}
+
+/// A saved 30-node network, one string per line, for the corruption cases
+/// below.
+std::vector<std::string> network_lines() {
+  util::Rng rng(3);
+  const gen::Deployment dep = gen::random_udg(30, 2.0, 1.0, rng);
+  EXPECT_GT(dep.graph.num_edges(), 2u);
+  std::stringstream buffer;
+  save_deployment(dep, buffer);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(buffer, line);) lines.push_back(line);
+  return lines;
+}
+
+/// Index of the first line starting with `prefix`.
+std::size_t line_starting(const std::vector<std::string>& lines,
+                          const std::string& prefix) {
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].rfind(prefix, 0) == 0) return i;
+  }
+  ADD_FAILURE() << "no line starts with '" << prefix << "'";
+  return 0;
+}
+
+/// The CheckError message of loading `lines`, which must name line
+/// `index` + 1; "" (and a failure) when they load.
+std::string load_error(const std::vector<std::string>& lines,
+                       std::size_t index) {
+  std::stringstream buffer;
+  for (const std::string& line : lines) buffer << line << '\n';
+  try {
+    load_deployment(buffer);
+  } catch (const tgc::CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line " + std::to_string(index + 1)),
+              std::string::npos)
+        << what;
+    return what;
+  }
+  ADD_FAILURE() << "the corrupted network loaded";
+  return "";
+}
+
+TEST(NetworkIo, RefusesAMalformedEdgeEndpoint) {
+  // "e u x" must not load as the edge u-0.
+  std::vector<std::string> lines = network_lines();
+  const std::size_t i = line_starting(lines, "e ");
+  lines[i] = lines[i].substr(0, lines[i].rfind(' ')) + " x";
+  EXPECT_NE(load_error(lines, i).find("bad value 'x'"), std::string::npos);
+}
+
+TEST(NetworkIo, RefusesEdgeLinesBeyondTheDeclaredCount) {
+  // One edge fewer declared than listed must not drop the last edge line.
+  std::vector<std::string> lines = network_lines();
+  const std::size_t i = line_starting(lines, "edges ");
+  const std::size_t m = std::stoul(lines[i].substr(6));
+  lines[i] = "edges " + std::to_string(m - 1);
+  EXPECT_NE(load_error(lines, lines.size() - 1)
+                .find("after the " + std::to_string(m - 1) + " declared edges"),
+            std::string::npos);
+}
+
+TEST(NetworkIo, RefusesAMalformedEdgeCount) {
+  std::vector<std::string> lines = network_lines();
+  const std::size_t i = line_starting(lines, "edges ");
+  lines[i] = "edges x";
+  load_error(lines, i);
+}
+
+TEST(NetworkIo, RefusesAMalformedRadius) {
+  std::vector<std::string> lines = network_lines();
+  const std::size_t i = line_starting(lines, "rc ");
+  lines[i] = "rc one";
+  load_error(lines, i);
+}
+
+TEST(NetworkIo, RefusesTrailingTokens) {
+  std::vector<std::string> lines = network_lines();
+  const std::size_t i = line_starting(lines, "e ");
+  lines[i] += " 7";
+  EXPECT_NE(load_error(lines, i).find("takes 2 field(s), got 3"),
+            std::string::npos);
+}
+
+TEST(NetworkIo, RefusesNegativeAndOverflowingFields) {
+  std::vector<std::string> lines = network_lines();
+  const std::size_t i = line_starting(lines, "e ");
+  const std::string edge = lines[i];
+  for (const char* bad : {"e -1 2", "e 4294967296 2"}) {
+    lines[i] = bad;
+    load_error(lines, i);
+  }
+  lines[i] = edge;
+  const std::size_t p = line_starting(lines, "pos ");
+  lines[p] = "pos 0 1e999 0";
+  load_error(lines, p);
+}
+
+TEST(NetworkIo, RefusesAMalformedMaskId) {
+  // "set abc" must not mark node 0 awake.
+  std::stringstream buffer("tgcover-mask 1\nnodes 3\nset abc\n");
+  try {
+    load_mask(buffer, 3);
+    ADD_FAILURE() << "the mask loaded";
+  } catch (const tgc::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(NetworkIo, RefusesAMaskOfAnotherSizeBeforeAllocating) {
+  // A header claiming 2^32 - 1 nodes would size a 512 MiB mask.
+  std::stringstream buffer("tgcover-mask 1\nnodes 4294967295\nset 0\n");
+  try {
+    load_mask(buffer, 30);
+    ADD_FAILURE() << "the mask loaded";
+  } catch (const tgc::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "mask has 4294967295 nodes but the network has 30 (mask, "
+                  "line 2)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(NetworkIo, RolesCsv) {

@@ -215,6 +215,7 @@ TEST_F(LoaderFuzz, EveryMutantLoadsSkipsOrFailsByName) {
   streams.emplace_back("fleet.jsonl", read_file(fleet));
   const std::string deployment = read_file(net);
   const std::string mask_text = read_file(mask);
+  const std::size_t nodes = io::load_deployment(net).graph.num_vertices();
 
   // The unmutated corpus renders clean.
   Outcomes baseline;
@@ -236,7 +237,7 @@ TEST_F(LoaderFuzz, EveryMutantLoadsSkipsOrFailsByName) {
         mutant = mutate(is_mask ? mask_text : deployment, rng, op);
         std::istringstream in(mutant);
         if (is_mask) {
-          io::load_mask(in);
+          io::load_mask(in, nodes);
         } else {
           io::load_deployment(in);
         }

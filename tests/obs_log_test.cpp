@@ -4,6 +4,9 @@
 // serialization (obs/manifest.hpp).
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,6 +17,13 @@
 #include "tgcover/obs/log.hpp"
 #include "tgcover/obs/manifest.hpp"
 #include "tgcover/util/check.hpp"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
 
 namespace tgc {
 namespace {
@@ -189,6 +199,61 @@ TEST_F(ObsLogTest, ConcurrentFlightNotesMergeBySeq) {
     EXPECT_LT(records[i - 1].seq, records[i].seq);
   }
 }
+
+#if defined(__unix__) || defined(__APPLE__)
+TEST_F(ObsLogTest, SignalDumpWritesTheCheckPathsRecordsInSeqOrder) {
+  // Twenty records through a 16-slot ring, so slot order is not seq order.
+  // Log values that are strings are quoted; two full-size records escape
+  // to twice and six times the slot's text size.
+  obs::set_flight_capacity(16);
+  for (int i = 0; i < 20; ++i) {
+    std::string note = "round=" + std::to_string(i);
+    note += " error=\"check failed: a \\ b\"\n\tnext";
+    if (i == 17) note = std::string(obs::kFlightMaxText - 1, '"');
+    if (i == 18) note = std::string(obs::kFlightMaxText - 1, '\x01');
+    obs::flight_note(LogLevel::kError, note);
+  }
+  std::ostringstream check_path;
+  obs::flight_dump(check_path, "unused");
+
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "tgc_obs_log_signal_dump";
+  const pid_t child = fork();
+  ASSERT_NE(child, -1);
+  if (child == 0) {
+    const rlimit no_core{0, 0};
+    setrlimit(RLIMIT_CORE, &no_core);
+    const int fd = open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+    if (fd < 0 || dup2(fd, 2) < 0) _exit(1);
+    obs::install_crash_handlers();
+    std::raise(SIGABRT);
+    _exit(1);  // not reached: the handler re-raises with the default action
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT) << status;
+
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "{\"type\":\"flight_dump\",\"reason\":\"signal " +
+                      std::to_string(SIGABRT) + "\"}");
+  std::string records;
+  std::uint64_t last = 0;
+  while (std::getline(in, line)) {
+    const auto rec = obs::parse_jsonl_line(line);
+    ASSERT_TRUE(rec.has_value()) << line;
+    EXPECT_GT(rec->u64("seq"), last) << line;
+    last = rec->u64("seq");
+    records += line + "\n";
+  }
+  // Line for line what the TGC_CHECK path writes after its header.
+  const std::string want = check_path.str();
+  EXPECT_EQ(records, want.substr(want.find('\n') + 1));
+  EXPECT_EQ(last, 20u);
+  std::filesystem::remove(path);
+}
+#endif
 
 TEST_F(ObsLogTest, JsonEscapeHandlesQuotesBackslashesAndControlBytes) {
   EXPECT_EQ(obs::json_escape("plain"), "plain");

@@ -28,9 +28,11 @@
 #include "tgcover/app/run_bundle.hpp"
 #include "tgcover/core/pipeline.hpp"
 #include "tgcover/geom/point.hpp"
+#include "tgcover/graph/graph.hpp"
 #include "tgcover/io/network_io.hpp"
 #include "tgcover/obs/jsonl.hpp"
 #include "tgcover/obs/quality.hpp"
+#include "tgcover/util/gf2.hpp"
 
 namespace tgc::app {
 namespace {
@@ -52,6 +54,26 @@ std::string read_file(const fs::path& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+TEST(QualityProbe, CountsTheComponentsOfTheAwakeNodes) {
+  // A 5-node path along the x axis with an empty CB.
+  core::Network net;
+  graph::GraphBuilder b(5);
+  for (graph::VertexId v = 0; v + 1 < 5; ++v) b.add_edge(v, v + 1);
+  net.dep.graph = b.build();
+  for (int v = 0; v < 5; ++v) net.dep.positions.push_back({1.0 * v, 0.0});
+  net.dep.area = {0.0, -0.5, 4.0, 0.5};
+  net.cb = util::Gf2Vector(net.dep.graph.num_edges());
+  net.target = net.dep.area;
+  const auto components = [&net](const std::vector<bool>& awake) {
+    return probe_network_quality(net, awake, 1.0, 0.25, 4).components;
+  };
+  EXPECT_EQ(components({true, true, true, true, true}), 1u);
+  EXPECT_EQ(components({true, true, false, true, true}), 2u);
+  EXPECT_EQ(components({false, false, false, false, false}), 0u);
+  EXPECT_EQ(components({true, false, true, false, true}), 3u);
+  EXPECT_EQ(components({false, true, true, false, false}), 1u);
 }
 
 class QualityFixture : public ::testing::Test {
@@ -160,7 +182,8 @@ TEST_F(QualityFixture, LossyAsyncRepairRunHoldsTheBoundWithMargin) {
   // model) — losing one severs CB itself and no certificate can exist.
   const core::Network net =
       core::prepare_network(io::load_deployment(net_), 1.0);
-  const std::vector<bool> active = io::load_mask(mask);
+  const std::vector<bool> active =
+      io::load_mask(mask, net.dep.graph.num_vertices());
   std::vector<bool> failed(active.size(), false);
   std::size_t crashed = 0;
   for (std::size_t v = 0; v < active.size() && crashed < 3; ++v) {
@@ -257,7 +280,8 @@ TEST_F(QualityFixture, OneRoundIndexAcrossEveryStream) {
   // Crash the 6 awake nodes nearest the area centre: the repair needs a
   // second, wider wake wave.
   const gen::Deployment dep = io::load_deployment(net_);
-  const std::vector<bool> awake = io::load_mask(sched);
+  const std::vector<bool> awake =
+      io::load_mask(sched, dep.graph.num_vertices());
   const geom::Point center{(dep.area.xmin + dep.area.xmax) / 2.0,
                            (dep.area.ymin + dep.area.ymax) / 2.0};
   std::vector<std::uint32_t> order;
